@@ -89,9 +89,9 @@ def stop_check(Pz, z, epsilon: float) -> Optional[str]:
     """
     Pz = np.asarray(Pz, dtype=float)
     z = np.asarray(z, dtype=float)
-    if float(np.min(Pz)) > 0.0:
+    if float(Pz.min()) > 0.0:
         return INTERIOR_FOUND
-    if float(np.sum(np.maximum(Pz, 0.0))) <= epsilon * float(np.max(z)):
+    if float(np.maximum(Pz, 0.0).sum()) <= epsilon * float(z.max()):
         return RESCALE_READY
     return None
 
@@ -115,15 +115,22 @@ def away_vertex(z, Pz) -> int:
     return int(np.argmax(np.where(support, Pz, -np.inf)))
 
 
-def project_simplex(y) -> np.ndarray:
-    """Euclidean projection onto the standard simplex (sort-based)."""
+def project_simplex(y, out=None, ks=None) -> np.ndarray:
+    """Euclidean projection onto the standard simplex (sort-based).
+
+    out, when given, receives the projection and is returned.  ks, when
+    given, must equal np.arange(1, y.size + 1); a caller that projects
+    many vectors of one length passes it to skip rebuilding it.
+    """
     y = np.asarray(y, dtype=float)
     u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, y.size + 1)
+    css = u.cumsum()
+    if ks is None:
+        ks = np.arange(1, y.size + 1)
     k = int(np.nonzero(u > (css - 1.0) / ks)[0][-1]) + 1
     tau = (css[k - 1] - 1.0) / k
-    return np.maximum(y - tau, 0.0)
+    out = np.subtract(y, tau, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def simplex_prox(v, mu: float, u_bar) -> np.ndarray:
@@ -293,7 +300,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
 def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
     """Smooth perceptron scheme.
 
-    Maintains the auxiliary sequence u_t and smoothing parameter mu_t with
+    Defined by an auxiliary sequence u_t and smoothing parameter mu_t with
     theta_t = 2/(t+3), mu_{t+1} = (1-theta_t) mu_t and the prox map
     w(mu, v) = argmin_{u in simplex} <u, v> + (mu/2)||u - u_bar||^2:
 
@@ -301,40 +308,52 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
         z_{t+1} = (1-theta_t) z_t + theta_t w(mu_{t+1}, P u_{t+1})
 
     The u-update coefficients sum to one, so every iterate stays on the
-    simplex.  One matrix-vector product per iteration (P u and P z are
-    tracked incrementally).
+    simplex.  The prox map needs u only through P u, so u itself is never
+    formed: P u and P z are tracked through the same recurrences, and the
+    one matrix-vector product per iteration is P w.  All vectors are
+    updated in place; the callback sees the live iterate.
     """
     ub = _check_start(u_bar)
-    u = ub.copy()
+    n = ub.size
+    ks = np.arange(1, n + 1)
     mu = 2.0
-    Pu = P @ u
+    Pu = P @ ub
     w = simplex_prox(Pu, mu, ub)
     z = w.copy()
     Pw = P @ w
     Pz = Pw.copy()
+    y = np.empty(n)
+    scaled = np.empty(n)
     t = 0
     while True:
         if callback is not None:
             callback(t, z, Pz)
         status = stop_check(Pz, z, cfg.epsilon)
         if status is not None:
-            Pz = P @ z
+            np.matmul(P, z, out=Pz)
             status = stop_check(Pz, z, cfg.epsilon)
             if status is not None:
                 return BpOutcome(status, z, Pz, t)
             # drift false alarm: continue with the corrected projection
         if cfg.max_iters and t >= cfg.max_iters:
-            Pz = P @ z
+            np.matmul(P, z, out=Pz)
             status = stop_check(Pz, z, cfg.epsilon)
             return BpOutcome(status or ITER_LIMIT, z, Pz, t)
         theta = 2.0 / (t + 3)
-        u = (1.0 - theta) * (u + theta * z) + theta**2 * w
-        Pu = (1.0 - theta) * (Pu + theta * Pz) + theta**2 * Pw
+        # Pu <- (1 - theta) (Pu + theta Pz) + theta^2 Pw
+        Pu += np.multiply(Pz, theta, out=scaled)
+        Pu *= 1.0 - theta
+        Pu += np.multiply(Pw, theta**2, out=scaled)
         mu = (1.0 - theta) * mu
-        w = simplex_prox(Pu, mu, ub)
-        Pw = P @ w
-        z = (1.0 - theta) * z + theta * w
-        Pz = (1.0 - theta) * Pz + theta * Pw
+        # w <- simplex_prox(Pu, mu, ub), the projection of ub - Pu / mu
+        np.subtract(ub, np.divide(Pu, mu, out=y), out=y)
+        project_simplex(y, out=w, ks=ks)
+        np.matmul(P, w, out=Pw)
+        # z <- (1 - theta) z + theta w, and P z alike
+        z *= 1.0 - theta
+        z += np.multiply(w, theta, out=scaled)
+        Pz *= 1.0 - theta
+        Pz += np.multiply(Pw, theta, out=scaled)
         t += 1
 
 

@@ -124,9 +124,7 @@ def _bp_records(manifest, m, n, index, seed) -> list:
     records = []
     for scheme in basic.SCHEMES:
         cfg = BpConfig(epsilon=manifest.epsilon, max_iters=manifest.iter_limit, scheme=scheme)
-        t0 = time.perf_counter()
-        out = basic.run_scheme(P, z0, cfg)
-        cpu = time.perf_counter() - t0
+        out, times = _timed(basic.run_scheme, P, z0, cfg)
         records.append(
             {
                 "experiment": manifest.experiment,
@@ -138,10 +136,19 @@ def _bp_records(manifest, m, n, index, seed) -> list:
                 "status": out.status,
                 "iterations": out.iterations,
                 "success": out.status != basic.ITER_LIMIT,
-                "cpu_seconds": cpu,
+                **times,
             }
         )
     return records
+
+
+def _timed(fn, *args):
+    """fn(*args), with the process CPU seconds (all threads) and the wall
+    seconds it took."""
+    c0, t0 = time.process_time(), time.perf_counter()
+    out = fn(*args)
+    return out, {"cpu_seconds": time.process_time() - c0,
+                 "wall_seconds": time.perf_counter() - t0}
 
 
 def _epra_config(manifest, rescale_mode=ALL_DIRECTIONS) -> EpraConfig:
@@ -155,7 +162,7 @@ def _epra_config(manifest, rescale_mode=ALL_DIRECTIONS) -> EpraConfig:
     )
 
 
-def _epra_record(manifest, inst, res, extra=None) -> dict:
+def _epra_record(manifest, inst, res, times, extra=None) -> dict:
     rec = {
         "experiment": manifest.experiment,
         "m": inst.m,
@@ -163,7 +170,7 @@ def _epra_record(manifest, inst, res, extra=None) -> dict:
         "status": res.status,
         "rounds": res.rounds,
         "total_bp_iterations": res.bp_iters_primal + res.bp_iters_dual,
-        "cpu_seconds": res.wall_time,
+        **times,
     }
     if extra:
         rec.update(extra)
@@ -179,17 +186,18 @@ def _run_cell_instance(manifest: ExperimentManifest, cell_index: int, size, inde
         return _bp_records(manifest, m, n, index, seed)
     if exp == EPRA_CONTROLLED:
         inst = gen_controlled(m, n, delta_cap=BENCH_DELTA_CAP, seed=seed)
-        res = epra.solve(inst, _epra_config(manifest))
+        res, times = _timed(epra.solve, inst, _epra_config(manifest))
         rec = _epra_record(
-            manifest, inst, res, {"success": res.status == TRIVIAL_PRIMAL}
+            manifest, inst, res, times, {"success": res.status == TRIVIAL_PRIMAL}
         )
     elif exp == EPRA_NAIVE:
         inst = gen_naive(m, n, seed)
-        res = epra.solve(inst, _epra_config(manifest))
+        res, times = _timed(epra.solve, inst, _epra_config(manifest))
         rec = _epra_record(
             manifest,
             inst,
             res,
+            times,
             {
                 "success": res.status in epra.SUCCESS_STATUSES,
                 "primal_feasible": res.status == TRIVIAL_PRIMAL,
@@ -197,20 +205,21 @@ def _run_cell_instance(manifest: ExperimentManifest, cell_index: int, size, inde
         )
     elif exp == EPRA_PARTITION:
         inst = gen_partitioned(n, seed)
-        res = epra.solve(inst, _epra_config(manifest))
+        res, times = _timed(epra.solve, inst, _epra_config(manifest))
         true_b, true_n = inst.meta.known_partition
         recovered = set(res.B.tolist()) == set(true_b) and set(res.N.tolist()) == set(true_n)
-        rec = _epra_record(manifest, inst, res, {"success": recovered})
+        rec = _epra_record(manifest, inst, res, times, {"success": recovered})
     elif exp == RESCALE_MODE_COMPARE:
         records = []
         for mode in (ALL_DIRECTIONS, SINGLE_DIRECTION):
             inst = gen_controlled(m, n, delta_cap=BENCH_DELTA_CAP, seed=seed)
-            res = epra.solve(inst, _epra_config(manifest, rescale_mode=mode))
+            res, times = _timed(epra.solve, inst, _epra_config(manifest, rescale_mode=mode))
             records.append(
                 _epra_record(
                     manifest,
                     inst,
                     res,
+                    times,
                     {"scheme": mode, "success": res.status == TRIVIAL_PRIMAL},
                 )
             )

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basic
+from . import basic, serialize, subspace
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, uniform_simplex
+from .blas import small_problem_threads
 from .exceptions import BothSidesInterior, FullRankSquare
 from .subspace import DEFAULT_RANK_TOL, Instance, rescaled_projectors
-from . import serialize
 
 TRIVIAL_PRIMAL = "trivial_primal"
 TRIVIAL_DUAL = "trivial_dual"
@@ -124,18 +124,21 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
     """Run the projection-and-rescaling loop on an instance.
 
     Deterministic given (instance, config): every round restarts both
-    basic procedures from the uniform simplex point.
+    basic procedures from the uniform simplex point.  Small instances run
+    on one BLAS thread (see `blas.small_problem_threads`).
     """
-    return _solve(inst, cfg if cfg is not None else EpraConfig(), allow_refine=True)
+    with small_problem_threads(inst.m, inst.n):
+        return _solve(inst, cfg if cfg is not None else EpraConfig(), allow_refine=True)
 
 
 def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
     t_start = time.perf_counter()
     A = inst.A
     n = inst.n
-    D = np.ones(n)
-    D_hat = np.ones(n)
-    pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol)
+    # D = D_hat = 1: both projectors come from one factorization
+    pair = subspace.projector_from_kernel(A, cfg.rank_tol)
+    D = pair.D
+    D_hat = pair.D_hat
     bp_cfg = BpConfig(epsilon=cfg.epsilon, max_iters=cfg.bp_max_iters, scheme=cfg.scheme)
     z0 = uniform_simplex(n)
     iters_p = 0
@@ -207,7 +210,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         if np.array_equal(D_new, D) and np.array_equal(D_hat_new, D_hat):
             return result(STALLED, x, x_hat, B, N)
         D, D_hat = D_new, D_hat_new
-        pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol)
+        pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol, previous=pair)
         rounds += 1
 
 

@@ -26,10 +26,6 @@ class DegenerateStep(EpraKitError):
     """Line-search denominator vanished while the stop conditions failed."""
 
 
-class AwayCapSingular(EpraKitError):
-    """Away step requested from a simplex vertex (cap denominator is zero)."""
-
-
 class FullRankSquare(EpraKitError):
     """Matrix has a trivial kernel; no nullspace basis exists."""
 

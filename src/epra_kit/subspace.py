@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import serialize
+from .blas import small_problem_threads
 from .exceptions import DimensionMismatch, RankDeficient
 
 DEFAULT_RANK_TOL = 1e-10
@@ -97,10 +98,13 @@ class Instance:
 
 @dataclass
 class ProjectorPair:
-    """Orthogonal projectors onto the working primal and dual subspaces."""
+    """Orthogonal projectors onto the working primal and dual subspaces,
+    with the rescaling diagonals they were built for."""
 
     P: np.ndarray
     P_hat: np.ndarray
+    D: Optional[np.ndarray] = None
+    D_hat: Optional[np.ndarray] = None
 
 
 def _orthonormal_range_basis(M: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -149,20 +153,25 @@ def projector_from_kernel(A, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectorPai
     m, n = A.shape
     if m > n:
         raise DimensionMismatch(f"kernel matrix must have m <= n, got {m} x {n}")
-    Q = _orthonormal_range_basis(A.T, rank_tol)
-    P_hat = Q @ Q.T
-    P = np.eye(n) - P_hat
-    return ProjectorPair(P=P, P_hat=P_hat)
+    with small_problem_threads(m, n):
+        P_hat = _range_projector(A.T, rank_tol)
+    P = _complement(P_hat.copy())
+    return ProjectorPair(P=P, P_hat=P_hat, D=np.ones(n), D_hat=np.ones(n))
 
 
 def rescaled_projectors(
-    A, D, D_hat, rank_tol: float = DEFAULT_RANK_TOL
+    A, D, D_hat, rank_tol: float = DEFAULT_RANK_TOL,
+    previous: Optional[ProjectorPair] = None,
 ) -> ProjectorPair:
     """Projectors onto the rescaled subspaces D(L) and D_hat(L-perp).
 
     D and D_hat are positive diagonals given as length-n vectors.  The
     primal side factors (A D^{-1})^T, the dual side factors D_hat A^T; the
     two projectors are complementary only when D = D_hat = I.
+
+    previous, a pair built earlier from the same A, lends its projector to
+    each side whose diagonal equals the one it was built for; only the
+    other side is factored.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -175,11 +184,34 @@ def rescaled_projectors(
     if np.any(D <= 0) or np.any(D_hat <= 0):
         raise ValueError("rescaling diagonals must be strictly positive")
     At = A.T
-    Qp = _orthonormal_range_basis(At / D[:, None], rank_tol)
-    P = np.eye(n) - Qp @ Qp.T
-    Qd = _orthonormal_range_basis(At * D_hat[:, None], rank_tol)
-    P_hat = Qd @ Qd.T
-    return ProjectorPair(P=P, P_hat=P_hat)
+    with small_problem_threads(m, n):
+        if previous is not None and np.array_equal(D, previous.D):
+            P = previous.P
+        else:
+            P = _complement(_range_projector(At / D[:, None], rank_tol))
+        if previous is not None and np.array_equal(D_hat, previous.D_hat):
+            P_hat = previous.P_hat
+        else:
+            P_hat = _range_projector(At * D_hat[:, None], rank_tol)
+    return ProjectorPair(P=P, P_hat=P_hat, D=D.copy(), D_hat=D_hat.copy())
+
+
+def _range_projector(M: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Q Q^T for an orthonormal basis Q of M's column space; Q is freed
+    on return, before the caller factors its other side."""
+    Q = _orthonormal_range_basis(M, rank_tol)
+    return Q @ Q.T
+
+
+def _complement(G: np.ndarray) -> np.ndarray:
+    """I - G, computed in G's storage.
+
+    0 - g followed by adding 1 on the diagonal gives the bits of
+    np.eye(n) - G, signed zeros included, without an n x n temporary.
+    """
+    np.subtract(0.0, G, out=G)
+    G.flat[:: G.shape[0] + 1] += 1.0
+    return G
 
 
 def apply_projector(P, z) -> np.ndarray:

@@ -226,6 +226,64 @@ class TestSmooth:
         assert out.status in (INTERIOR_FOUND, RESCALE_READY)
 
 
+def reference_smooth(P, u_bar, cfg):
+    """The smooth perceptron written out with fresh arrays every step and
+    the auxiliary iterate u formed explicitly; run_smooth must reproduce
+    its bits."""
+    u = np.array(u_bar, dtype=float)
+    mu = 2.0
+    Pu = P @ u
+    w = simplex_prox(Pu, mu, u_bar)
+    z = w.copy()
+    Pw = P @ w
+    Pz = Pw.copy()
+    t = 0
+    while True:
+        status = stop_check(Pz, z, cfg.epsilon)
+        if status is not None:
+            Pz = P @ z
+            status = stop_check(Pz, z, cfg.epsilon)
+            if status is not None:
+                return status, z, Pz, t
+        if cfg.max_iters and t >= cfg.max_iters:
+            Pz = P @ z
+            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+        theta = 2.0 / (t + 3)
+        u = (1.0 - theta) * (u + theta * z) + theta**2 * w
+        Pu = (1.0 - theta) * (Pu + theta * Pz) + theta**2 * Pw
+        mu = (1.0 - theta) * mu
+        w = simplex_prox(Pu, mu, u_bar)
+        Pw = P @ w
+        z = (1.0 - theta) * z + theta * w
+        Pz = (1.0 - theta) * Pz + theta * Pw
+        t += 1
+
+
+class TestSmoothMatchesReference:
+    # m = 12 mostly finds interior points, m = 15 mostly rescales or runs
+    # into the cap of 300 steps
+    @pytest.mark.parametrize("m", [12, 15])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("epsilon, max_iters", [(0.5, 0), (0.05, 0), (1e-9, 300)])
+    def test_bit_identical(self, m, seed, epsilon, max_iters):
+        P = random_projector(m, 30, seed=200 + seed)
+        cfg = BpConfig(epsilon=epsilon, max_iters=max_iters)
+        status, z, Pz, t = reference_smooth(P, uniform_simplex(30), cfg)
+        out = run_smooth(P, uniform_simplex(30), cfg)
+        assert (out.status, out.iterations) == (status, t)
+        assert out.z.tobytes() == z.tobytes()
+        assert out.Pz.tobytes() == Pz.tobytes()
+
+    def test_project_simplex_buffers_change_no_bit(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 7, 50):
+            y = rng.standard_normal(n) * 3.0
+            out = np.empty(n)
+            got = project_simplex(y, out=out, ks=np.arange(1, n + 1))
+            assert got is out
+            assert got.tobytes() == project_simplex(y).tobytes()
+
+
 class TestOutcomeSoundness:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_returned_status_repasses_stop_check(self, scheme):

@@ -1,7 +1,9 @@
 import csv
+import itertools
 
 import pytest
 
+from epra_kit import bench
 from epra_kit.bench import (
     CSV_FIELDS,
     ExperimentManifest,
@@ -155,3 +157,33 @@ class TestHistogram:
 
     def test_single_bin_at_zero(self):
         assert emit_histogram([{"rounds": 0}] * 5, "rounds") == [(0, 5)]
+
+
+class TestTimeAccounting:
+    @pytest.fixture
+    def fake_cpu_clock(self, monkeypatch):
+        # every reading advances by 0.25 s, so each timed call costs exactly
+        # 0.25 CPU seconds whatever its wall time
+        ticks = itertools.count()
+        monkeypatch.setattr(bench.time, "process_time", lambda: 0.25 * next(ticks))
+
+    @pytest.mark.parametrize("experiment, sizes", [
+        ("BpNaive", [[3, 6]]),
+        ("EpraControlled", [[3, 8]]),
+        ("EpraNaive", [[2, 8]]),
+        ("EpraPartition", [[8]]),
+        ("RescaleModeCompare", [[3, 8]]),
+    ])
+    def test_cpu_seconds_come_from_process_time(self, fake_cpu_clock, tmp_path,
+                                                experiment, sizes):
+        man = ExperimentManifest(experiment=experiment, sizes=sizes,
+                                 instances_per_cell=2, base_seed=5)
+        rows = run_experiment(man, out_dir=tmp_path)
+        records = load_records_jsonl(tmp_path / RECORDS_JSONL)
+        assert records and all("error" not in r for r in records)
+        for rec in records:
+            assert rec["cpu_seconds"] == 0.25
+            assert rec["wall_seconds"] > 0.0 and rec["wall_seconds"] != 0.25
+        assert all(row.avg_cpu_seconds == 0.25 for row in rows)
+        with open(tmp_path / RESULTS_CSV) as fh:
+            assert next(csv.reader(fh)) == CSV_FIELDS

@@ -6,6 +6,7 @@ from epra_kit.subspace import (
     Instance,
     InstanceMeta,
     INFEASIBLE,
+    _complement,
     apply_projector,
     instance_from_dict,
     instance_to_dict,
@@ -101,6 +102,46 @@ class TestRescaledProjectors:
         pair = rescaled_projectors(A, D, D)
         AD = A / D[None, :]
         assert max_abs(pair.P @ AD.T) <= 1e-8 * max_abs(AD)
+
+    def test_identity_rescaling_is_bit_identical_to_one_factorization(self):
+        rng = np.random.default_rng(19)
+        A = rng.standard_normal((5, 12))
+        plain = projector_from_kernel(A)
+        scaled = rescaled_projectors(A, np.ones(12), np.ones(12))
+        assert plain.P.tobytes() == scaled.P.tobytes()
+        assert plain.P_hat.tobytes() == scaled.P_hat.tobytes()
+
+    def test_complement_matches_identity_minus_product_bitwise(self):
+        rng = np.random.default_rng(23)
+        A = rng.standard_normal((4, 9))
+        Q, _ = np.linalg.qr(A.T)
+        G = Q @ Q.T
+        G[0, 1] = G[1, 0] = 0.0  # eye - G keeps +0.0 here; plain negation would not
+        expected = np.eye(9) - G
+        assert _complement(G.copy()).tobytes() == expected.tobytes()
+
+    def test_previous_pair_lends_unchanged_side(self):
+        rng = np.random.default_rng(29)
+        A = rng.standard_normal((4, 10))
+        D = np.exp(rng.uniform(0, 4, 10))
+        D_hat = np.exp(rng.uniform(0, 4, 10))
+        first = projector_from_kernel(A)
+        pair = rescaled_projectors(A, np.ones(10), D_hat, previous=first)
+        assert pair.P is first.P
+        fresh = rescaled_projectors(A, np.ones(10), D_hat)
+        assert pair.P_hat.tobytes() == fresh.P_hat.tobytes()
+        again = rescaled_projectors(A, D, D_hat, previous=pair)
+        assert again.P_hat is pair.P_hat
+        assert again.P.tobytes() == rescaled_projectors(A, D, D_hat).P.tobytes()
+
+    def test_previous_pair_keeps_its_own_diagonals(self):
+        A = np.array([[1.0, -2.0, 0.5]])
+        D = np.ones(3)
+        pair = rescaled_projectors(A, D, D)
+        D[0] = 4.0  # a caller mutating its vector must not fool the reuse test
+        rebuilt = rescaled_projectors(A, D, np.ones(3), previous=pair)
+        assert rebuilt.P is not pair.P
+        assert rebuilt.P.tobytes() == rescaled_projectors(A, D, np.ones(3)).P.tobytes()
 
     def test_bad_diagonal_rejected(self):
         A = np.array([[1.0, -2.0]])
