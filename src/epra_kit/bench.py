@@ -12,7 +12,6 @@ aggregation; the aggregate rows land in a fixed-schema CSV.
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -311,6 +310,10 @@ def run_experiment(manifest: ExperimentManifest, out_dir=None) -> list:
     ]
     keyed = {}
     if manifest.parallelism > 1:
+        # imported here: it pulls in multiprocessing, a seventh of the
+        # package's import time, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=manifest.parallelism) as pool:
             futures = {
                 pool.submit(_run_cell_instance, manifest, ci, size, idx): (ci, idx)

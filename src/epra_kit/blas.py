@@ -56,7 +56,9 @@ def _openblas() -> Optional[ctypes.CDLL]:
 
 def _symbol(names, argtypes) -> Optional[Callable]:
     lib = _openblas()
-    for name in names if lib is not None else ():
+    if lib is None:
+        return None
+    for name in names:
         fn = getattr(lib, name, None)
         if fn is not None:
             fn.restype, fn.argtypes = ctypes.c_int, argtypes
