@@ -1,12 +1,13 @@
 """OpenBLAS thread policy for small problems.
 
 The factorizations and products of a small solve are too short to split
-across threads: on a 2-core host a 200 x 100 QR with its explicit Q took
-2.9 ms on OpenBLAS's default two threads and 1.4 ms on one, and the idle
-worker's spinning doubled the process CPU time.  `small_problem_threads`
-runs a block on one thread when the matrix has at most
-SINGLE_THREAD_MAX_ENTRIES entries and leaves the threading alone
-otherwise; it restores the caller's thread count on the way out.
+across threads: on a 2-core host (OpenBLAS 0.3.31) `rescaled_projectors`
+for a 100 x 200 kernel matrix took 8.1 ms on OpenBLAS's default two
+threads and 3.0 ms on one, and the idle worker's spinning doubled the
+process CPU time.  `small_problem_threads` runs a block on one thread
+when the matrix has at most SINGLE_THREAD_MAX_ENTRIES entries and leaves
+the threading alone otherwise; it restores the caller's thread count on
+the way out.
 
 The setter is numpy's bundled OpenBLAS `openblas_set_num_threads_local`,
 which returns the count it replaces.  It is looked up on first use, not at
@@ -23,11 +24,10 @@ from contextlib import contextmanager
 from typing import Callable, Optional
 
 # m * n at or below which a problem runs on one thread.  Measured on the
-# 2-core host above (OpenBLAS 0.3.31, naive instances, n = 1000): one
-# thread was 10-40% faster in wall time and used half the CPU for solves up
-# to m = 300, tied at m = 400, and was 30% slower at m = 500, whose
-# rescaling rounds run many 1000 x 1000 matrix-vector products that two
-# threads do speed up.
+# host above with naive instances, n = 1000: one thread was 10-40% faster
+# in wall time and used half the CPU for solves up to m = 300, tied at
+# m = 400, and was 30% slower at m = 500, whose rescaling rounds run many
+# 1000 x 1000 matrix-vector products that two threads do speed up.
 SINGLE_THREAD_MAX_ENTRIES = 300_000
 
 _SETTER_NAMES = ("openblas_set_num_threads_local",)
