@@ -115,18 +115,15 @@ def away_vertex(z, Pz) -> int:
     return int(np.argmax(np.where(support, Pz, -np.inf)))
 
 
-def project_simplex(y, out=None, ks=None) -> np.ndarray:
+def project_simplex(y, out=None) -> np.ndarray:
     """Euclidean projection onto the standard simplex (sort-based).
 
-    out, when given, receives the projection and is returned.  ks, when
-    given, must equal np.arange(1, y.size + 1); a caller that projects
-    many vectors of one length passes it to skip rebuilding it.
+    out, when given, receives the projection and is returned.
     """
     y = np.asarray(y, dtype=float)
     u = np.sort(y)[::-1]
     css = u.cumsum()
-    if ks is None:
-        ks = np.arange(1, y.size + 1)
+    ks = np.arange(1, y.size + 1)
     k = int(np.nonzero(u > (css - 1.0) / ks)[0][-1]) + 1
     tau = (css[k - 1] - 1.0) / k
     out = np.subtract(y, tau, out=out)
@@ -315,7 +312,6 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
     """
     ub = _check_start(u_bar)
     n = ub.size
-    ks = np.arange(1, n + 1)
     mu = 2.0
     Pu = P @ ub
     w = simplex_prox(Pu, mu, ub)
@@ -347,7 +343,7 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
         mu = (1.0 - theta) * mu
         # w <- simplex_prox(Pu, mu, ub), the projection of ub - Pu / mu
         np.subtract(ub, np.divide(Pu, mu, out=y), out=y)
-        project_simplex(y, out=w, ks=ks)
+        project_simplex(y, out=w)
         np.matmul(P, w, out=Pw)
         # z <- (1 - theta) z + theta w, and P z alike
         z *= 1.0 - theta

@@ -12,30 +12,34 @@ the way out.
 The setter is numpy's bundled OpenBLAS `openblas_set_num_threads_local`,
 which returns the count it replaces.  It is looked up on first use, not at
 import; with another BLAS, or an OpenBLAS without it, the policy does
-nothing.  The count is process-wide, so Python threads solving at once
-share it.  On the fingerprint suite (tests/test_fingerprint.py) one and
+nothing.  The count is process-wide: while any Python thread is inside
+the policy, every BLAS call of the process runs on one thread, and the
+count in effect when the first of them entered is restored when the last
+one leaves.  On the fingerprint suite (tests/test_fingerprint.py) one and
 two threads gave the same result bits.
 """
 
 import ctypes
 import functools
 import os
+import threading
 from contextlib import contextmanager
 from typing import Callable, Optional
 
 # m * n at or below which a problem runs on one thread.  Measured on the
-# host above with naive instances, n = 1000: one thread was 10-40% faster
-# in wall time and used half the CPU for solves up to m = 300, tied at
-# m = 400, and was 30% slower at m = 500, whose rescaling rounds run many
-# 1000 x 1000 matrix-vector products that two threads do speed up.
+# host above with naive instances, n = 1000 (median wall time of a solve,
+# one thread against two): m = 100 28 against 35 ms, m = 200 43 against
+# 48 ms, m = 300 57 against 62 ms, m = 400 71 against 72 ms, and m = 500
+# 297 against 210 ms, whose rescaling rounds run many 1000 x 1000
+# matrix-vector products that two threads do speed up.  One thread used
+# about 60% of the CPU time of two up to m = 400.
 SINGLE_THREAD_MAX_ENTRIES = 300_000
 
-_SETTER_NAMES = ("openblas_set_num_threads_local",)
-_GETTER_NAMES = (
-    "scipy_openblas_get_num_threads64_",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
+# Python threads inside the policy, and the count to restore when the
+# last of them leaves; both guarded by _lock.
+_lock = threading.Lock()
+_depth = 0
+_saved_threads = 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,41 +58,36 @@ def _openblas() -> Optional[ctypes.CDLL]:
     return None
 
 
-def _symbol(names, argtypes) -> Optional[Callable]:
-    lib = _openblas()
-    if lib is None:
-        return None
-    for name in names:
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            fn.restype, fn.argtypes = ctypes.c_int, argtypes
-            return fn
-    return None
-
-
 @functools.lru_cache(maxsize=None)
 def _thread_setter() -> Optional[Callable]:
     """`openblas_set_num_threads_local(int) -> previous count`, or None."""
-    return _symbol(_SETTER_NAMES, [ctypes.c_int])
-
-
-def get_num_threads() -> Optional[int]:
-    """OpenBLAS's thread count in effect, or None when it cannot be read."""
-    getter = _symbol(_GETTER_NAMES, [])
-    return None if getter is None else int(getter())
+    lib = _openblas()
+    fn = None if lib is None else getattr(lib, "openblas_set_num_threads_local", None)
+    if fn is not None:
+        fn.restype, fn.argtypes = ctypes.c_int, [ctypes.c_int]
+    return fn
 
 
 @contextmanager
 def small_problem_threads(m: int, n: int):
     """Run the block on one OpenBLAS thread when m * n is at most
-    SINGLE_THREAD_MAX_ENTRIES; the previous count is restored on exit,
-    also when the block raises."""
+    SINGLE_THREAD_MAX_ENTRIES.  Blocks may nest and may run in several
+    Python threads at once: the first to enter saves the count and sets
+    one thread, the last to leave restores the saved count, also when a
+    block raises."""
+    global _depth, _saved_threads
     setter = _thread_setter() if m * n <= SINGLE_THREAD_MAX_ENTRIES else None
     if setter is None:
         yield
         return
-    previous = setter(1)
+    with _lock:
+        if _depth == 0:
+            _saved_threads = setter(1)
+        _depth += 1
     try:
         yield
     finally:
-        setter(previous)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                setter(_saved_threads)

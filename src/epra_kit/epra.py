@@ -137,8 +137,8 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
     n = inst.n
     # D = D_hat = 1: both projectors come from one factorization
     pair = subspace.projector_from_kernel(A, cfg.rank_tol)
-    D = pair.D
-    D_hat = pair.D_hat
+    D = np.ones(n)
+    D_hat = np.ones(n)
     bp_cfg = BpConfig(epsilon=cfg.epsilon, max_iters=cfg.bp_max_iters, scheme=cfg.scheme)
     z0 = uniform_simplex(n)
     iters_p = 0
@@ -210,7 +210,9 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         if np.array_equal(D_new, D) and np.array_equal(D_hat_new, D_hat):
             return result(STALLED, x, x_hat, B, N)
         D, D_hat = D_new, D_hat_new
-        pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol, previous=pair)
+        # drop the old projectors before the new ones are built
+        pair = None
+        pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol)
         rounds += 1
 
 

@@ -98,13 +98,10 @@ class Instance:
 
 @dataclass
 class ProjectorPair:
-    """Orthogonal projectors onto the working primal and dual subspaces,
-    with the rescaling diagonals they were built for."""
+    """Orthogonal projectors onto the working primal and dual subspaces."""
 
     P: np.ndarray
     P_hat: np.ndarray
-    D: Optional[np.ndarray] = None
-    D_hat: Optional[np.ndarray] = None
 
 
 def _orthonormal_range_basis(M: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -156,22 +153,17 @@ def projector_from_kernel(A, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectorPai
     with small_problem_threads(m, n):
         P_hat = _range_projector(A.T, rank_tol)
     P = _complement(P_hat.copy())
-    return ProjectorPair(P=P, P_hat=P_hat, D=np.ones(n), D_hat=np.ones(n))
+    return ProjectorPair(P=P, P_hat=P_hat)
 
 
 def rescaled_projectors(
-    A, D, D_hat, rank_tol: float = DEFAULT_RANK_TOL,
-    previous: Optional[ProjectorPair] = None,
+    A, D, D_hat, rank_tol: float = DEFAULT_RANK_TOL
 ) -> ProjectorPair:
     """Projectors onto the rescaled subspaces D(L) and D_hat(L-perp).
 
     D and D_hat are positive diagonals given as length-n vectors.  The
     primal side factors (A D^{-1})^T, the dual side factors D_hat A^T; the
     two projectors are complementary only when D = D_hat = I.
-
-    previous, a pair built earlier from the same A, lends its projector to
-    each side whose diagonal equals the one it was built for; only the
-    other side is factored.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -185,15 +177,9 @@ def rescaled_projectors(
         raise ValueError("rescaling diagonals must be strictly positive")
     At = A.T
     with small_problem_threads(m, n):
-        if previous is not None and np.array_equal(D, previous.D):
-            P = previous.P
-        else:
-            P = _complement(_range_projector(At / D[:, None], rank_tol))
-        if previous is not None and np.array_equal(D_hat, previous.D_hat):
-            P_hat = previous.P_hat
-        else:
-            P_hat = _range_projector(At * D_hat[:, None], rank_tol)
-    return ProjectorPair(P=P, P_hat=P_hat, D=D.copy(), D_hat=D_hat.copy())
+        P = _complement(_range_projector(At / D[:, None], rank_tol))
+        P_hat = _range_projector(At * D_hat[:, None], rank_tol)
+    return ProjectorPair(P=P, P_hat=P_hat)
 
 
 def _range_projector(M: np.ndarray, rank_tol: float) -> np.ndarray:

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,8 +12,11 @@ from epra_kit.exceptions import RankDeficient
 from epra_kit.instances import gen_controlled
 from epra_kit.subspace import Instance, rescaled_projectors
 
+# the real setter, kept for reading the count while a test patches it away
+SETTER = blas._thread_setter()
+
 needs_openblas = pytest.mark.skipif(
-    blas._thread_setter() is None or blas.get_num_threads() is None,
+    SETTER is None,
     reason="numpy is not linked against an OpenBLAS with a thread setter",
 )
 
@@ -17,13 +24,23 @@ needs_openblas = pytest.mark.skipif(
 CALLER_THREADS = 2
 
 
+def current_threads():
+    """OpenBLAS's thread count, read through the setter: it returns the
+    count it replaces, which is then put back; None without a setter."""
+    if SETTER is None:
+        return None
+    count = SETTER(1)
+    SETTER(count)
+    return count
+
+
 @pytest.fixture
 def caller_threads():
-    previous = blas._thread_setter()(CALLER_THREADS)
+    previous = SETTER(CALLER_THREADS)
     try:
         yield CALLER_THREADS
     finally:
-        blas._thread_setter()(previous)
+        SETTER(previous)
 
 
 def rank_deficient_instance():
@@ -36,7 +53,7 @@ def threads_seen_by_basic_procedure(monkeypatch, inst):
     run_scheme = basic.run_scheme
 
     def spy(P, z0, cfg, callback=None):
-        seen.append(blas.get_num_threads())
+        seen.append(current_threads())
         return run_scheme(P, z0, cfg, callback=callback)
 
     monkeypatch.setattr(basic, "run_scheme", spy)
@@ -48,21 +65,101 @@ def threads_seen_by_basic_procedure(monkeypatch, inst):
 class TestRestoresCallerThreads:
     def test_after_solve(self, caller_threads):
         solve(gen_controlled(10, 20, seed=3))
-        assert blas.get_num_threads() == caller_threads
+        assert current_threads() == caller_threads
 
     def test_after_rescaled_projectors(self, caller_threads):
         rng = np.random.default_rng(5)
         rescaled_projectors(rng.standard_normal((4, 9)), np.ones(9), np.full(9, 2.0))
-        assert blas.get_num_threads() == caller_threads
+        assert current_threads() == caller_threads
 
     def test_after_rank_deficient_build(self, caller_threads):
         inst = rank_deficient_instance()
         with pytest.raises(RankDeficient):
             rescaled_projectors(inst.A, np.ones(4), np.ones(4))
-        assert blas.get_num_threads() == caller_threads
+        assert current_threads() == caller_threads
         with pytest.raises(RankDeficient):
             solve(inst)
-        assert blas.get_num_threads() == caller_threads
+        assert current_threads() == caller_threads
+
+    def test_after_overlapping_solves_in_two_threads(self, caller_threads, monkeypatch):
+        # both solves enter the policy before either leaves, and the one
+        # that entered second leaves last: a per-call save and restore
+        # would put back the one thread the first solve had set
+        inst = gen_controlled(10, 20, seed=3)
+        both_inside = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+        names = {}
+        synced = set()
+        seen = []
+        errors = []
+        run_scheme = basic.run_scheme
+
+        def spy(P, z0, cfg, callback=None):
+            name = names.get(threading.get_ident())
+            if name is not None and name not in synced:
+                synced.add(name)
+                both_inside.wait()
+                if name == "second" and not first_done.wait(30):
+                    raise TimeoutError("the first solve did not finish")
+                seen.append(current_threads())
+            return run_scheme(P, z0, cfg, callback=callback)
+
+        def worker(name):
+            names[threading.get_ident()] = name
+            try:
+                solve(inst)
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                if name == "first":
+                    first_done.set()
+
+        monkeypatch.setattr(basic, "run_scheme", spy)
+        first = threading.Thread(target=worker, args=("first",))
+        first.start()
+        # the second solve enters only once the first is inside the policy
+        deadline = time.monotonic() + 30
+        while not synced and first.is_alive() and time.monotonic() < deadline:
+            first.join(0.001)
+        second = threading.Thread(target=worker, args=("second",))
+        second.start()
+        first.join(30)
+        second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert errors == []
+        assert seen == [1, 1]
+        assert current_threads() == caller_threads
+
+
+    def test_many_threads_entering_and_leaving(self, caller_threads):
+        # more threads than cores, switching often: inside a block the count
+        # is always one, and the caller's count comes back at the end
+        workers, rounds = 6, 300
+        start = threading.Barrier(workers, timeout=30)
+        wrong = []
+
+        def worker():
+            start.wait()
+            for _ in range(rounds):
+                with blas.small_problem_threads(1, 1):
+                    with blas.small_problem_threads(1, 1):
+                        count = current_threads()
+                    if count != 1:
+                        wrong.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert current_threads() == caller_threads
 
 
 @needs_openblas
@@ -91,9 +188,9 @@ class TestPolicy:
 
 def test_no_op_without_setter(monkeypatch):
     monkeypatch.setattr(blas, "_thread_setter", lambda: None)
-    before = blas.get_num_threads()
+    before = current_threads()
     with blas.small_problem_threads(1, 1):
-        assert blas.get_num_threads() == before
+        assert current_threads() == before
     res = solve(gen_controlled(10, 20, seed=3))
     assert res.status == "trivial_primal"
-    assert blas.get_num_threads() == before
+    assert current_threads() == before

@@ -120,29 +120,6 @@ class TestRescaledProjectors:
         expected = np.eye(9) - G
         assert _complement(G.copy()).tobytes() == expected.tobytes()
 
-    def test_previous_pair_lends_unchanged_side(self):
-        rng = np.random.default_rng(29)
-        A = rng.standard_normal((4, 10))
-        D = np.exp(rng.uniform(0, 4, 10))
-        D_hat = np.exp(rng.uniform(0, 4, 10))
-        first = projector_from_kernel(A)
-        pair = rescaled_projectors(A, np.ones(10), D_hat, previous=first)
-        assert pair.P is first.P
-        fresh = rescaled_projectors(A, np.ones(10), D_hat)
-        assert pair.P_hat.tobytes() == fresh.P_hat.tobytes()
-        again = rescaled_projectors(A, D, D_hat, previous=pair)
-        assert again.P_hat is pair.P_hat
-        assert again.P.tobytes() == rescaled_projectors(A, D, D_hat).P.tobytes()
-
-    def test_previous_pair_keeps_its_own_diagonals(self):
-        A = np.array([[1.0, -2.0, 0.5]])
-        D = np.ones(3)
-        pair = rescaled_projectors(A, D, D)
-        D[0] = 4.0  # a caller mutating its vector must not fool the reuse test
-        rebuilt = rescaled_projectors(A, D, np.ones(3), previous=pair)
-        assert rebuilt.P is not pair.P
-        assert rebuilt.P.tobytes() == rescaled_projectors(A, D, np.ones(3)).P.tobytes()
-
     def test_bad_diagonal_rejected(self):
         A = np.array([[1.0, -2.0]])
         with pytest.raises(ValueError):
