@@ -284,6 +284,189 @@ class TestSmoothMatchesReference:
             assert got.tobytes() == project_simplex(y).tobytes()
 
 
+def reference_perceptron(P, z0, cfg, seen):
+    """The perceptron written out with fresh arrays every step.  seen
+    collects the loop events the run went through: "refresh" (periodic),
+    "false_alarm" (a tracked stop that the fresh projection rejects) and
+    "cap"."""
+    z = np.array(z0, dtype=float)
+    Pz = P @ z
+    t = since_refresh = 0
+    while True:
+        if stop_check(Pz, z, cfg.epsilon) is not None:
+            Pz = P @ z
+            since_refresh = 0
+            status = stop_check(Pz, z, cfg.epsilon)
+            if status is not None:
+                return status, z, Pz, t
+            seen.add("false_alarm")
+        if cfg.max_iters and t >= cfg.max_iters:
+            seen.add("cap")
+            Pz = P @ z
+            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+        i = int(np.argmin(Pz))
+        beta = 1.0 / (t + 1)
+        z = (1.0 - beta) * z
+        z[i] += beta
+        Pz = (1.0 - beta) * Pz + beta * P[:, i]
+        t += 1
+        since_refresh += 1
+        if since_refresh >= 128:
+            seen.add("refresh")
+            Pz = P @ z
+            since_refresh = 0
+
+
+def reference_von_neumann(P, z0, cfg, seen):
+    """The von Neumann scheme written out like reference_perceptron."""
+    z = np.array(z0, dtype=float)
+    Pz = P @ z
+    t = since_refresh = 0
+    while True:
+        if stop_check(Pz, z, cfg.epsilon) is not None:
+            Pz = P @ z
+            since_refresh = 0
+            status = stop_check(Pz, z, cfg.epsilon)
+            if status is not None:
+                return status, z, Pz, t
+            seen.add("false_alarm")
+        if cfg.max_iters and t >= cfg.max_iters:
+            seen.add("cap")
+            Pz = P @ z
+            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+        i = int(np.argmin(Pz))
+        Pu = P[:, i]
+        pz2 = float(Pz @ Pz)
+        upz = float(Pz[i])
+        theta = (pz2 - upz) / (pz2 + float(Pu @ Pu) - 2.0 * upz)
+        theta = min(1.0, max(0.0, theta))
+        z = (1.0 - theta) * z
+        z[i] += theta
+        Pz = (1.0 - theta) * Pz + theta * Pu
+        t += 1
+        since_refresh += 1
+        if since_refresh >= 128:
+            seen.add("refresh")
+            Pz = P @ z
+            since_refresh = 0
+
+
+def reference_vna(P, z0, cfg, seen):
+    """The von Neumann scheme with away steps written out like
+    reference_perceptron; an away step with theta > 0.5 adds
+    "forced_refresh" to seen."""
+    z = np.array(z0, dtype=float)
+    Pz = P @ z
+    t = since_refresh = 0
+    while True:
+        if stop_check(Pz, z, cfg.epsilon) is not None:
+            Pz = P @ z
+            since_refresh = 0
+            status = stop_check(Pz, z, cfg.epsilon)
+            if status is not None:
+                return status, z, Pz, t
+            seen.add("false_alarm")
+        if cfg.max_iters and t >= cfg.max_iters:
+            seen.add("cap")
+            Pz = P @ z
+            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+        pz2 = float(Pz @ Pz)
+        iu = int(np.argmin(Pz))
+        iv = int(np.argmax(np.where(z > 0, Pz, -np.inf)))
+        away = pz2 - float(Pz[iu]) <= float(Pz[iv]) - pz2 and float(z[iv]) < 1.0
+        if away:
+            Pa = Pz - P[:, iv]
+            theta_max = float(z[iv]) / (1.0 - float(z[iv]))
+        else:
+            Pa = P[:, iu] - Pz
+            theta_max = 1.0
+        theta = min(theta_max, -float(z @ Pa) / float(Pa @ Pa))
+        if away:
+            z = (1.0 + theta) * z
+            z[iv] -= theta
+            z = np.maximum(z, 0.0)
+            Pz = (1.0 + theta) * Pz - theta * P[:, iv]
+        else:
+            z = (1.0 - theta) * z
+            z[iu] += theta
+            Pz = (1.0 - theta) * Pz + theta * P[:, iu]
+        t += 1
+        since_refresh += 1
+        if away and theta > 0.5:
+            seen.add("forced_refresh")
+            Pz = P @ z
+            since_refresh = 0
+        elif since_refresh >= 128:
+            seen.add("refresh")
+            Pz = P @ z
+            since_refresh = 0
+
+
+def drift_epsilon(scheme, P, z0, max_iters):
+    """An epsilon at which the tracked projection meets the rescaling test
+    at some step while the fresh projection does not, and no earlier step
+    meets it, so a run with this epsilon starts with a drift false alarm.
+    None when no step of the run qualifies."""
+    steps = []
+
+    def record(t, z, Pz):
+        tracked = float(np.maximum(Pz, 0.0).sum())
+        fresh = float(np.maximum(P @ z, 0.0).sum())
+        steps.append((tracked, fresh, float(z.max())))
+
+    run_scheme(P, z0, BpConfig(epsilon=1e-300, max_iters=max_iters, scheme=scheme),
+               callback=record)
+    tracked = np.array([s[0] for s in steps])
+    z_max = np.array([s[2] for s in steps])
+    for t, (tr, fr, zm) in enumerate(steps):
+        eps = tr / zm
+        if not (tr < fr and 0.0 < eps < 0.5):
+            continue
+        while eps * zm < tr:
+            eps = float(np.nextafter(eps, 1.0))
+        if eps * zm < fr and np.all(tracked[:t] > eps * z_max[:t]):
+            return eps
+    return None
+
+
+VERTEX_REFERENCES = {
+    "perceptron": (run_perceptron, reference_perceptron),
+    "vn": (run_von_neumann, reference_von_neumann),
+    "vna": (run_vna, reference_vna),
+}
+
+
+class TestVertexSchemesMatchReference:
+    @pytest.mark.parametrize("scheme", sorted(VERTEX_REFERENCES))
+    def test_bit_identical(self, scheme):
+        run, reference = VERTEX_REFERENCES[scheme]
+        seen = set()
+        for m in (12, 15):
+            for seed in range(4):
+                P = random_projector(m, 30, seed=200 + seed)
+                # a start with weight 0.36 on one vertex makes vna take
+                # away steps with theta > 0.5
+                leaning = np.full(30, 0.64 / 29)
+                leaning[3] = 0.36
+                for z0 in (uniform_simplex(30), leaning):
+                    cases = [(0.5, 0), (0.05, 0), (1e-9, 300)]
+                    eps = drift_epsilon(scheme, P, z0, 600)
+                    if eps is not None:
+                        cases.append((eps, 600))
+                    for epsilon, max_iters in cases:
+                        cfg = BpConfig(epsilon=epsilon, max_iters=max_iters)
+                        status, z, Pz, t = reference(P, z0, cfg, seen)
+                        out = run(P, z0, cfg)
+                        assert (out.status, out.iterations) == (status, t)
+                        assert out.z.tobytes() == z.tobytes()
+                        assert out.Pz.tobytes() == Pz.tobytes()
+        # the cases reach every branch of the loop
+        expected = {"refresh", "false_alarm", "cap"}
+        if scheme == "vna":
+            expected.add("forced_refresh")
+        assert expected <= seen
+
+
 class TestOutcomeSoundness:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_returned_status_repasses_stop_check(self, scheme):
