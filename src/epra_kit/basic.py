@@ -11,10 +11,13 @@ scheme with exact line search, the von Neumann scheme with away steps, and
 the smooth perceptron.  All tie-breaking is by lowest index so runs are
 deterministic.
 
-Every iterate moves by a convex (or, for away steps, affine) combination of
-the current point and a simplex vertex, so P z is tracked incrementally at
-O(n) cost per iteration and recomputed from scratch every _REFRESH steps.
-A returned status is always re-verified against a freshly computed P z.
+All four run through one driver that owns the stop check, the iteration
+cap and the re-verification of a returned status against a freshly
+computed P z; a scheme supplies only its set-up and its step.  A vertex
+scheme's iterate moves by a convex (or, for away steps, affine) combination
+of the current point and a simplex vertex, so P z is tracked incrementally
+at O(n) cost per iteration and recomputed from scratch every _REFRESH
+steps.
 """
 
 from dataclasses import dataclass
@@ -37,8 +40,6 @@ VON_NEUMANN = "vn"
 VON_NEUMANN_AWAY = "vna"
 SMOOTH_PERCEPTRON = "smooth"
 
-_SCHEME_NAMES = (PERCEPTRON, VON_NEUMANN, VON_NEUMANN_AWAY, SMOOTH_PERCEPTRON)
-
 # steps between full recomputations of the tracked projection
 _REFRESH = 128
 
@@ -59,7 +60,7 @@ class BpConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.scheme not in _SCHEME_NAMES:
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
@@ -149,48 +150,36 @@ def _check_start(z0) -> np.ndarray:
     return z
 
 
-class _Loop:
-    """Shared stop/limit/refresh plumbing for the vertex-step schemes."""
+def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutcome:
+    """The basic procedure shared by every scheme.
 
-    def __init__(self, P, z, cfg: BpConfig, callback):
-        self.P = P
-        self.z = z
-        self.cfg = cfg
-        self.callback = callback
-        self.Pz = P @ z
-        self.t = 0
-        self._since_refresh = 0
-
-    def finished(self) -> Optional[BpOutcome]:
-        """Stop conditions, iteration cap, and periodic refresh.
-
-        Returns the outcome when the run is over, else None.  Any candidate
-        status is re-verified against a freshly computed projection; a
-        false alarm caused by tracking drift just corrects the projection
-        and lets the run continue.
-        """
-        if self.callback is not None:
-            self.callback(self.t, self.z, self.Pz)
-        status = stop_check(self.Pz, self.z, self.cfg.epsilon)
-        if status is not None:
-            fresh = self.P @ self.z
-            status = stop_check(fresh, self.z, self.cfg.epsilon)
-            self.Pz = fresh
-            self._since_refresh = 0
+    step(z, Pz, t) advances z and its tracked projection Pz in place by one
+    iteration; a true return asks for Pz to be recomputed at once.  Pz is
+    also recomputed every `refresh` steps (never when refresh is None).  Any
+    candidate status is re-verified against a freshly computed projection;
+    a false alarm caused by tracking drift just corrects the projection and
+    lets the run continue.
+    """
+    eps = cfg.epsilon
+    t = since_refresh = 0
+    while True:
+        if callback is not None:
+            callback(t, z, Pz)
+        if stop_check(Pz, z, eps) is not None:
+            np.matmul(P, z, out=Pz)
+            since_refresh = 0
+            status = stop_check(Pz, z, eps)
             if status is not None:
-                return BpOutcome(status, self.z, fresh, self.t)
-        if self.cfg.max_iters and self.t >= self.cfg.max_iters:
-            fresh = self.P @ self.z
-            status = stop_check(fresh, self.z, self.cfg.epsilon)
-            return BpOutcome(status or ITER_LIMIT, self.z, fresh, self.t)
-        return None
-
-    def advance(self, force_refresh: bool = False) -> None:
-        self.t += 1
-        self._since_refresh += 1
-        if force_refresh or self._since_refresh >= _REFRESH:
-            self.Pz = self.P @ self.z
-            self._since_refresh = 0
+                return BpOutcome(status, z, Pz, t)
+        if cfg.max_iters and t >= cfg.max_iters:
+            np.matmul(P, z, out=Pz)
+            return BpOutcome(stop_check(Pz, z, eps) or ITER_LIMIT, z, Pz, t)
+        force_refresh = step(z, Pz, t)
+        t += 1
+        since_refresh += 1
+        if force_refresh or since_refresh == refresh:
+            np.matmul(P, z, out=Pz)
+            since_refresh = 0
 
 
 def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -200,22 +189,21 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
     with <u, Pz> <= 0 always exists while the stop conditions fail) and set
     z <- (1 - 1/(t+1)) z + (1/(t+1)) e_i.
     """
-    loop = _Loop(P, _check_start(z0), cfg, callback)
-    while True:
-        out = loop.finished()
-        if out is not None:
-            return out
-        i = min_vertex(loop.Pz)
-        if loop.Pz[i] > 0.0:
+
+    def step(z, Pz, t):
+        i = min_vertex(Pz)
+        if Pz[i] > 0.0:
             raise NoImprovingVertex(
                 "min(Pz) > 0 while the interior check failed; numerical anomaly"
             )
-        beta = 1.0 / (loop.t + 1)
-        loop.z *= 1.0 - beta
-        loop.z[i] += beta
-        loop.Pz *= 1.0 - beta
-        loop.Pz += beta * P[:, i]
-        loop.advance()
+        beta = 1.0 / (t + 1)
+        z *= 1.0 - beta
+        z[i] += beta
+        Pz *= 1.0 - beta
+        Pz += beta * P[:, i]
+
+    z = _check_start(z0)
+    return _drive(P, z, P @ z, cfg, callback, step)
 
 
 def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -224,12 +212,8 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     z <- z + theta (e_i - z) with theta minimizing ||P(z + theta(e_i - z))||^2
     over [0, 1]; the norm ||Pz|| is nonincreasing.
     """
-    loop = _Loop(P, _check_start(z0), cfg, callback)
-    while True:
-        out = loop.finished()
-        if out is not None:
-            return out
-        Pz = loop.Pz
+
+    def step(z, Pz, t):
         i = min_vertex(Pz)
         Pu = P[:, i]
         pz2 = float(Pz @ Pz)
@@ -241,10 +225,13 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
             )
         theta = (pz2 - upz) / denom
         theta = min(1.0, max(0.0, theta))
-        loop.z *= 1.0 - theta
-        loop.z[i] += theta
-        loop.Pz = (1.0 - theta) * Pz + theta * Pu
-        loop.advance()
+        z *= 1.0 - theta
+        z[i] += theta
+        Pz *= 1.0 - theta
+        Pz += theta * Pu
+
+    z = _check_start(z0)
+    return _drive(P, z, P @ z, cfg, callback, step)
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -257,12 +244,8 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
     z_j / (1 - z_j); when z is the vertex e_j itself the away step cannot
     move, so a regular step is taken instead.
     """
-    loop = _Loop(P, _check_start(z0), cfg, callback)
-    while True:
-        out = loop.finished()
-        if out is not None:
-            return out
-        z, Pz = loop.z, loop.Pz
+
+    def step(z, Pz, t):
         pz2 = float(Pz @ Pz)
         iu = min_vertex(Pz)
         iv = away_vertex(z, Pz)
@@ -281,17 +264,22 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
             raise DegenerateStep("||P a||^2 = 0 while the stop conditions failed")
         theta = min(theta_max, -float(z @ Pa) / pa2)
         if away:
-            loop.z = (1.0 + theta) * z
-            loop.z[iv] -= theta
-            np.maximum(loop.z, 0.0, out=loop.z)  # clip roundoff when the cap binds
-            loop.Pz = (1.0 + theta) * Pz - theta * P[:, iv]
+            z *= 1.0 + theta
+            z[iv] -= theta
+            np.maximum(z, 0.0, out=z)  # clip roundoff when the cap binds
+            Pz *= 1.0 + theta
+            Pz -= theta * P[:, iv]
         else:
-            loop.z = (1.0 - theta) * z
-            loop.z[iu] += theta
-            loop.Pz = (1.0 - theta) * Pz + theta * P[:, iu]
+            z *= 1.0 - theta
+            z[iu] += theta
+            Pz *= 1.0 - theta
+            Pz += theta * P[:, iu]
         # away steps scale the tracked projection by 1 + theta, which can
         # amplify drift, so refresh eagerly after long ones
-        loop.advance(force_refresh=away and theta > 0.5)
+        return away and theta > 0.5
+
+    z = _check_start(z0)
+    return _drive(P, z, P @ z, cfg, callback, step)
 
 
 def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -308,33 +296,20 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
     simplex.  The prox map needs u only through P u, so u itself is never
     formed: P u and P z are tracked through the same recurrences, and the
     one matrix-vector product per iteration is P w.  All vectors are
-    updated in place; the callback sees the live iterate.
+    updated in place; the callback sees the live iterate.  P z is never
+    refreshed between stop checks.
     """
     ub = _check_start(u_bar)
     n = ub.size
     mu = 2.0
     Pu = P @ ub
     w = simplex_prox(Pu, mu, ub)
-    z = w.copy()
     Pw = P @ w
-    Pz = Pw.copy()
     y = np.empty(n)
     scaled = np.empty(n)
-    t = 0
-    while True:
-        if callback is not None:
-            callback(t, z, Pz)
-        status = stop_check(Pz, z, cfg.epsilon)
-        if status is not None:
-            np.matmul(P, z, out=Pz)
-            status = stop_check(Pz, z, cfg.epsilon)
-            if status is not None:
-                return BpOutcome(status, z, Pz, t)
-            # drift false alarm: continue with the corrected projection
-        if cfg.max_iters and t >= cfg.max_iters:
-            np.matmul(P, z, out=Pz)
-            status = stop_check(Pz, z, cfg.epsilon)
-            return BpOutcome(status or ITER_LIMIT, z, Pz, t)
+
+    def step(z, Pz, t):
+        nonlocal mu, Pu
         theta = 2.0 / (t + 3)
         # Pu <- (1 - theta) (Pu + theta Pz) + theta^2 Pw
         Pu += np.multiply(Pz, theta, out=scaled)
@@ -350,7 +325,8 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
         z += np.multiply(w, theta, out=scaled)
         Pz *= 1.0 - theta
         Pz += np.multiply(Pw, theta, out=scaled)
-        t += 1
+
+    return _drive(P, w.copy(), Pw.copy(), cfg, callback, step, refresh=None)
 
 
 SCHEMES = {

@@ -20,7 +20,7 @@ import numpy as np
 from . import basic, epra, serialize
 from .basic import BpConfig
 from .epra import EpraConfig, ALL_DIRECTIONS, SINGLE_DIRECTION, TRIVIAL_PRIMAL
-from .instances import gen_controlled, gen_naive, gen_partitioned
+from .instances import gen_controlled, gen_naive, gen_partitioned, instance_seed
 from .subspace import projector_from_kernel
 
 BP_NAIVE = "BpNaive"
@@ -94,12 +94,6 @@ class ResultRow:
 
 
 CSV_FIELDS = [f.name for f in fields(ResultRow)]
-
-
-def instance_seed(base_seed: int, cell_index: int, instance_index: int) -> int:
-    """Deterministic per-instance seed, independent of execution order."""
-    ss = np.random.SeedSequence([int(base_seed), int(cell_index), int(instance_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _cell_mn(manifest: ExperimentManifest, size) -> tuple:

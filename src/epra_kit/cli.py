@@ -8,10 +8,10 @@ import argparse
 import os
 import sys
 
-from . import bench, epra, oracle, serialize
+from . import basic, bench, epra, oracle, serialize
 from .epra import EpraConfig, SUCCESS_STATUSES
 from .exceptions import EpraKitError
-from .instances import gen_controlled, gen_naive, gen_partitioned
+from .instances import CONTROLLED, NAIVE, PARTITIONED, GenSpec, generate
 from .subspace import load_instance, save_instance
 
 EXIT_OK = 0
@@ -20,28 +20,22 @@ EXIT_INVALID_INPUT = 2
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "partitioned":
-        if args.m is not None:
-            print("gen: --m is derived for the partitioned family", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        inst = gen_partitioned(args.n, args.seed, delta_cap=args.delta_cap)
-    else:
-        if args.m is None:
-            print(f"gen: --m is required for the {args.family} family", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        if args.family == "naive":
-            inst = gen_naive(args.m, args.n, args.seed)
-        else:
-            inst = gen_controlled(
-                args.m, args.n, delta_cap=args.delta_cap,
-                frac_small=args.frac_small, seed=args.seed,
-            )
+    if args.family == PARTITIONED and args.m is not None:
+        print("gen: --m is derived for the partitioned family", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    if args.family != PARTITIONED and args.m is None:
+        print(f"gen: --m is required for the {args.family} family", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    # --frac-small is passed on for the controlled family only; partitioned
+    # instances keep their plain uniform blocks
+    frac_small = args.frac_small if args.family == CONTROLLED else None
+    inst = generate(GenSpec(
+        family=args.family, n=args.n, m=args.m, seed=args.seed,
+        delta_cap=args.delta_cap, frac_small=frac_small,
+    ))
     save_instance(inst, args.out)
     print(f"wrote {args.family} instance (m={inst.m}, n={inst.n}) to {args.out}")
     return EXIT_OK
-
-
-_SCHEME_CHOICES = ("perceptron", "vn", "vna", "smooth")
 
 
 def _cmd_solve(args) -> int:
@@ -113,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--family", required=True, choices=("naive", "controlled", "partitioned"))
+    p.add_argument("--family", required=True, choices=(NAIVE, CONTROLLED, PARTITIONED))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--delta-cap", type=float, default=0.001, dest="delta_cap")
@@ -124,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="smooth")
+    p.add_argument("--scheme", choices=tuple(basic.SCHEMES), default="smooth")
     p.add_argument("--U", type=float, default=1e10)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--max-rounds", type=int, default=100, dest="max_rounds")

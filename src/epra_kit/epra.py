@@ -18,7 +18,7 @@ from . import basic, serialize, subspace
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, uniform_simplex
 from .blas import small_problem_threads
 from .exceptions import BothSidesInterior, FullRankSquare
-from .subspace import DEFAULT_RANK_TOL, Instance, rescaled_projectors
+from .subspace import DEFAULT_RANK_TOL, Instance, _svd_rank, rescaled_projectors
 
 TRIVIAL_PRIMAL = "trivial_primal"
 TRIVIAL_DUAL = "trivial_dual"
@@ -223,8 +223,7 @@ def _reduced_rowspace(M: np.ndarray, rank_tol: float):
         return None
     if M.shape[0] == 0:
         return M.copy()
-    _, s, Vh = np.linalg.svd(M)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    rank, Vh = _svd_rank(M, rank_tol)
     if rank >= M.shape[1]:
         return None
     return Vh[:rank]

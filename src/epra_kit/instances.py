@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateMax, FullRankSquare
-from .subspace import DEFAULT_RANK_TOL, Instance, InstanceMeta, as_matrix
+from .subspace import DEFAULT_RANK_TOL, Instance, InstanceMeta, _svd_rank, as_matrix
 
 NAIVE = "naive"
 CONTROLLED = "controlled"
@@ -41,6 +41,13 @@ class GenSpec:
     delta_cap: float = 0.001
     frac_small: Optional[float] = None  # None: drawn uniformly in [0.2, 0.8]
     size_split: Optional[int] = None  # partitioned only: |B|
+
+
+def instance_seed(*keys) -> int:
+    """Deterministic 64-bit seed derived from integer keys through numpy's
+    SeedSequence, so a seed depends on its keys and not on run order."""
+    ss = np.random.SeedSequence([int(k) for k in keys])
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def generate(spec: GenSpec) -> Instance:
@@ -141,10 +148,8 @@ def gen_controlled(
 def nullspace_basis(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of ker(M), returned as the rows of a matrix."""
     M = as_matrix(M)
-    ncols = M.shape[1]
-    _, s, Vh = np.linalg.svd(M)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
-    if rank >= ncols:
+    rank, Vh = _svd_rank(M, rank_tol)
+    if rank >= M.shape[1]:
         raise FullRankSquare("matrix has a trivial kernel")
     return Vh[rank:]
 

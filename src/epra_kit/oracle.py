@@ -12,7 +12,7 @@ from . import epra
 from .basic import SMOOTH_PERCEPTRON
 from .epra import EpraConfig, EpraResult, TRIVIAL_PRIMAL
 from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
-from .instances import gen_naive
+from .instances import gen_naive, instance_seed
 from .subspace import Instance, as_matrix, projector_from_kernel
 
 
@@ -41,10 +41,6 @@ def wendel_probability(m: int, n: int) -> float:
     return float(Fraction(num, 2 ** (n - 1)))
 
 
-def _trial_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
-
-
 def monte_carlo_feasible_rate(
     m: int, n: int, trials: int, seed: int, cfg: EpraConfig = None
 ) -> float:
@@ -57,7 +53,7 @@ def monte_carlo_feasible_rate(
         cfg = EpraConfig(scheme=SMOOTH_PERCEPTRON)
     hits = 0
     for i in range(trials):
-        inst = gen_naive(m, n, _trial_seed(seed, i))
+        inst = gen_naive(m, n, instance_seed(seed, i))
         res = epra.solve(inst, cfg)
         hits += res.status == TRIVIAL_PRIMAL
     return hits / trials

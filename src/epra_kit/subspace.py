@@ -131,6 +131,15 @@ def _orthonormal_range_basis(M: np.ndarray, rank_tol: float) -> np.ndarray:
     return Q
 
 
+def _svd_rank(M: np.ndarray, rank_tol: float):
+    """Full SVD of M as (rank, Vh).  The rank counts the singular values
+    above rank_tol times the largest; the first rank rows of Vh span the
+    row space of M and the remaining rows span its kernel."""
+    _, s, Vh = np.linalg.svd(M)
+    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    return rank, Vh
+
+
 def projector_from_kernel(A, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectorPair:
     """Projectors onto ker(A) and Im(A^T).
 

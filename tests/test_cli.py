@@ -5,6 +5,7 @@ import pytest
 from epra_kit.bench import RECORDS_JSONL, RESULTS_CSV, load_records_jsonl
 from epra_kit.cli import main
 from epra_kit.epra import load_result
+from epra_kit.instances import gen_controlled, gen_naive, gen_partitioned
 from epra_kit.subspace import load_instance
 
 
@@ -55,6 +56,21 @@ class TestGen:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("family, m, expected", [
+        ("naive", "3", lambda: gen_naive(3, 12, 7)),
+        ("controlled", "3", lambda: gen_controlled(3, 12, 0.01, frac_small=0.25, seed=7)),
+        # the partitioned family ignores --frac-small
+        ("partitioned", None, lambda: gen_partitioned(12, 7, delta_cap=0.01)),
+    ])
+    def test_matches_library_generator(self, tmp_path, family, m, expected):
+        out = tmp_path / "inst.json"
+        args = ["gen", "--family", family, "--n", "12", "--seed", "7",
+                "--delta-cap", "0.01", "--frac-small", "0.25", "--out", str(out)]
+        if m is not None:
+            args += ["--m", m]
+        assert run(*args) == 0
+        assert load_instance(out).A.tobytes() == expected().A.tobytes()
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

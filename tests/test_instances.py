@@ -9,6 +9,7 @@ from epra_kit.instances import (
     gen_naive,
     gen_partitioned,
     generate,
+    instance_seed,
     nullspace_basis,
 )
 
@@ -174,3 +175,11 @@ class TestGenSpecDispatch:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate(GenSpec("exotic", n=6, m=2, seed=1))
+
+
+class TestInstanceSeed:
+    def test_pinned_values(self):
+        # the seeds of oracle.monte_carlo_feasible_rate's trials and of the
+        # bench harness's instances; a change here changes every sample
+        assert instance_seed(7, 3) == 5061563556724077661
+        assert instance_seed(1, 2, 3) == 12997252459554536576
