@@ -296,8 +296,8 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
     simplex.  The prox map needs u only through P u, so u itself is never
     formed: P u and P z are tracked through the same recurrences, and the
     one matrix-vector product per iteration is P w.  All vectors are
-    updated in place; the callback sees the live iterate.  P z is never
-    refreshed between stop checks.
+    updated in place; the callback sees the live iterate.  Unlike the
+    vertex schemes, P z gets no periodic recomputation.
     """
     ub = _check_start(u_bar)
     n = ub.size
