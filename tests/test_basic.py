@@ -226,6 +226,31 @@ class TestSmooth:
         assert out.status in (INTERIOR_FOUND, RESCALE_READY)
 
 
+def reference_stop_check(Pz, z, epsilon):
+    """basic.stop_check as first written: the minimum and the full positive
+    sum on every call.  Frozen here so the bitwise reference runs below do
+    not change along with the code they check."""
+    Pz = np.asarray(Pz, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if float(Pz.min()) > 0.0:
+        return INTERIOR_FOUND
+    if float(np.maximum(Pz, 0.0).sum()) <= epsilon * float(z.max()):
+        return RESCALE_READY
+    return None
+
+
+def reference_project_simplex(y):
+    """basic.project_simplex as first written (sort-based, fresh arrays),
+    frozen like reference_stop_check."""
+    y = np.asarray(y, dtype=float)
+    u = np.sort(y)[::-1]
+    css = u.cumsum()
+    ks = np.arange(1, y.size + 1)
+    k = int(np.nonzero(u > (css - 1.0) / ks)[0][-1]) + 1
+    tau = (css[k - 1] - 1.0) / k
+    return np.maximum(y - tau, 0.0)
+
+
 def reference_smooth(P, u_bar, cfg):
     """The smooth perceptron written out with fresh arrays every step and
     the auxiliary iterate u formed explicitly; run_smooth must reproduce
@@ -233,26 +258,26 @@ def reference_smooth(P, u_bar, cfg):
     u = np.array(u_bar, dtype=float)
     mu = 2.0
     Pu = P @ u
-    w = simplex_prox(Pu, mu, u_bar)
+    w = reference_project_simplex(u_bar - Pu / mu)
     z = w.copy()
     Pw = P @ w
     Pz = Pw.copy()
     t = 0
     while True:
-        status = stop_check(Pz, z, cfg.epsilon)
+        status = reference_stop_check(Pz, z, cfg.epsilon)
         if status is not None:
             Pz = P @ z
-            status = stop_check(Pz, z, cfg.epsilon)
+            status = reference_stop_check(Pz, z, cfg.epsilon)
             if status is not None:
                 return status, z, Pz, t
         if cfg.max_iters and t >= cfg.max_iters:
             Pz = P @ z
-            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+            return reference_stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
         theta = 2.0 / (t + 3)
         u = (1.0 - theta) * (u + theta * z) + theta**2 * w
         Pu = (1.0 - theta) * (Pu + theta * Pz) + theta**2 * Pw
         mu = (1.0 - theta) * mu
-        w = simplex_prox(Pu, mu, u_bar)
+        w = reference_project_simplex(u_bar - Pu / mu)
         Pw = P @ w
         z = (1.0 - theta) * z + theta * w
         Pz = (1.0 - theta) * Pz + theta * Pw
@@ -293,17 +318,17 @@ def reference_perceptron(P, z0, cfg, seen):
     Pz = P @ z
     t = since_refresh = 0
     while True:
-        if stop_check(Pz, z, cfg.epsilon) is not None:
+        if reference_stop_check(Pz, z, cfg.epsilon) is not None:
             Pz = P @ z
             since_refresh = 0
-            status = stop_check(Pz, z, cfg.epsilon)
+            status = reference_stop_check(Pz, z, cfg.epsilon)
             if status is not None:
                 return status, z, Pz, t
             seen.add("false_alarm")
         if cfg.max_iters and t >= cfg.max_iters:
             seen.add("cap")
             Pz = P @ z
-            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+            return reference_stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
         i = int(np.argmin(Pz))
         beta = 1.0 / (t + 1)
         z = (1.0 - beta) * z
@@ -323,17 +348,17 @@ def reference_von_neumann(P, z0, cfg, seen):
     Pz = P @ z
     t = since_refresh = 0
     while True:
-        if stop_check(Pz, z, cfg.epsilon) is not None:
+        if reference_stop_check(Pz, z, cfg.epsilon) is not None:
             Pz = P @ z
             since_refresh = 0
-            status = stop_check(Pz, z, cfg.epsilon)
+            status = reference_stop_check(Pz, z, cfg.epsilon)
             if status is not None:
                 return status, z, Pz, t
             seen.add("false_alarm")
         if cfg.max_iters and t >= cfg.max_iters:
             seen.add("cap")
             Pz = P @ z
-            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+            return reference_stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
         i = int(np.argmin(Pz))
         Pu = P[:, i]
         pz2 = float(Pz @ Pz)
@@ -359,17 +384,17 @@ def reference_vna(P, z0, cfg, seen):
     Pz = P @ z
     t = since_refresh = 0
     while True:
-        if stop_check(Pz, z, cfg.epsilon) is not None:
+        if reference_stop_check(Pz, z, cfg.epsilon) is not None:
             Pz = P @ z
             since_refresh = 0
-            status = stop_check(Pz, z, cfg.epsilon)
+            status = reference_stop_check(Pz, z, cfg.epsilon)
             if status is not None:
                 return status, z, Pz, t
             seen.add("false_alarm")
         if cfg.max_iters and t >= cfg.max_iters:
             seen.add("cap")
             Pz = P @ z
-            return stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
+            return reference_stop_check(Pz, z, cfg.epsilon) or ITER_LIMIT, z, Pz, t
         pz2 = float(Pz @ Pz)
         iu = int(np.argmin(Pz))
         iv = int(np.argmax(np.where(z > 0, Pz, -np.inf)))
