@@ -80,19 +80,25 @@ def uniform_simplex(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def stop_check(Pz, z, epsilon: float) -> Optional[str]:
+def stop_check(Pz, z, epsilon: float, buf=None) -> Optional[str]:
     """Evaluate the two termination conditions.
 
     Returns INTERIOR_FOUND when min(Pz) > 0 (exact comparison: a positive
     tolerance could falsely reject genuine interior points), RESCALE_READY
     when the sum of the positive part of Pz is at most epsilon * max(z),
-    and None otherwise.  Assumes z >= 0, z != 0.
+    and None otherwise.  Assumes z >= 0, z != 0.  buf, when given, is a
+    scratch vector of Pz's size that receives the positive part.
     """
     Pz = np.asarray(Pz, dtype=float)
     z = np.asarray(z, dtype=float)
-    if float(Pz.min()) > 0.0:
+    if Pz[Pz.argmin()] > 0.0:
         return INTERIOR_FOUND
-    if float(np.maximum(Pz, 0.0).sum()) <= epsilon * float(z.max()):
+    bound = epsilon * z[z.argmax()]
+    # a rounded sum of nonnegative terms is never below its largest term,
+    # so the sum is needed only when max(Pz) is within the bound
+    if Pz[Pz.argmax()] > bound:
+        return None
+    if np.maximum(Pz, 0.0, out=buf).sum() <= bound:
         return RESCALE_READY
     return None
 
@@ -116,16 +122,31 @@ def away_vertex(z, Pz) -> int:
     return int(np.argmax(np.where(support, Pz, -np.inf)))
 
 
-def project_simplex(y, out=None) -> np.ndarray:
+def _simplex_work(n: int):
+    """Scratch vectors for project_simplex on vectors of length n: the
+    sorted copy, its cumulative sums, the thresholds, the comparison and
+    the divisors 1..n."""
+    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.arange(1.0, n + 1)
+
+
+def project_simplex(y, out=None, work=None) -> np.ndarray:
     """Euclidean projection onto the standard simplex (sort-based).
 
-    out, when given, receives the projection and is returned.
+    out, when given, receives the projection and is returned.  work, from
+    _simplex_work(len(y)), holds the temporaries of repeated calls.
     """
     y = np.asarray(y, dtype=float)
-    u = np.sort(y)[::-1]
-    css = u.cumsum()
-    ks = np.arange(1, y.size + 1)
-    k = int(np.nonzero(u > (css - 1.0) / ks)[0][-1]) + 1
+    u, css, ratio, above, ks = _simplex_work(y.size) if work is None else work
+    np.copyto(u, y)
+    u.sort()
+    u = u[::-1]
+    u.cumsum(out=css)
+    np.divide(np.subtract(css, 1.0, out=ratio), ks, out=ratio)
+    np.greater(u, ratio, out=above)
+    # k - 1 is the last index where u exceeds its threshold
+    k = above.size - int(above[::-1].argmax())
+    if not above[k - 1]:
+        raise IndexError("no component exceeds its simplex threshold")
     tau = (css[k - 1] - 1.0) / k
     out = np.subtract(y, tau, out=out)
     return np.maximum(out, 0.0, out=out)
@@ -161,19 +182,21 @@ def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutco
     lets the run continue.
     """
     eps = cfg.epsilon
+    max_iters = cfg.max_iters
+    buf = np.empty_like(Pz)  # the stop check's positive part
     t = since_refresh = 0
     while True:
         if callback is not None:
             callback(t, z, Pz)
-        if stop_check(Pz, z, eps) is not None:
+        if stop_check(Pz, z, eps, buf) is not None:
             np.matmul(P, z, out=Pz)
             since_refresh = 0
-            status = stop_check(Pz, z, eps)
+            status = stop_check(Pz, z, eps, buf)
             if status is not None:
                 return BpOutcome(status, z, Pz, t)
-        if cfg.max_iters and t >= cfg.max_iters:
+        if max_iters and t >= max_iters:
             np.matmul(P, z, out=Pz)
-            return BpOutcome(stop_check(Pz, z, eps) or ITER_LIMIT, z, Pz, t)
+            return BpOutcome(stop_check(Pz, z, eps, buf) or ITER_LIMIT, z, Pz, t)
         force_refresh = step(z, Pz, t)
         t += 1
         since_refresh += 1
@@ -191,7 +214,7 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
     """
 
     def step(z, Pz, t):
-        i = min_vertex(Pz)
+        i = int(Pz.argmin())
         if Pz[i] > 0.0:
             raise NoImprovingVertex(
                 "min(Pz) > 0 while the interior check failed; numerical anomaly"
@@ -200,9 +223,10 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
         z *= 1.0 - beta
         z[i] += beta
         Pz *= 1.0 - beta
-        Pz += beta * P[:, i]
+        Pz += np.multiply(P[:, i], beta, out=col)
 
     z = _check_start(z0)
+    col = np.empty(z.size)
     return _drive(P, z, P @ z, cfg, callback, step)
 
 
@@ -214,7 +238,7 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     """
 
     def step(z, Pz, t):
-        i = min_vertex(Pz)
+        i = int(Pz.argmin())
         Pu = P[:, i]
         pz2 = float(Pz @ Pz)
         upz = float(Pz[i])
@@ -228,9 +252,10 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
         z *= 1.0 - theta
         z[i] += theta
         Pz *= 1.0 - theta
-        Pz += theta * Pu
+        Pz += np.multiply(Pu, theta, out=col)
 
     z = _check_start(z0)
+    col = np.empty(z.size)
     return _drive(P, z, P @ z, cfg, callback, step)
 
 
@@ -247,17 +272,23 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
 
     def step(z, Pz, t):
         pz2 = float(Pz @ Pz)
-        iu = min_vertex(Pz)
-        iv = away_vertex(z, Pz)
+        iu = int(Pz.argmin())
+        # away_vertex(z, Pz) in the run's buffers
+        np.greater(z, 0.0, out=support)
+        if not support[support.argmax()]:
+            raise EmptySupport("z has no positive component")
+        masked.fill(-np.inf)
+        np.copyto(masked, Pz, where=support)
+        iv = int(masked.argmax())
+        vz = float(z[iv])
         away = not (pz2 - float(Pz[iu]) > float(Pz[iv]) - pz2)
-        if away and float(z[iv]) >= 1.0:
+        if away and vz >= 1.0:
             away = False  # away step from a vertex cannot move
         if away:
-            Pa = Pz - P[:, iv]
-            vz = float(z[iv])
+            np.subtract(Pz, P[:, iv], out=Pa)
             theta_max = vz / (1.0 - vz)
         else:
-            Pa = P[:, iu] - Pz
+            np.subtract(P[:, iu], Pz, out=Pa)
             theta_max = 1.0
         pa2 = float(Pa @ Pa)
         if pa2 <= 0.0:
@@ -268,17 +299,20 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
             z[iv] -= theta
             np.maximum(z, 0.0, out=z)  # clip roundoff when the cap binds
             Pz *= 1.0 + theta
-            Pz -= theta * P[:, iv]
+            Pz -= np.multiply(P[:, iv], theta, out=col)
         else:
             z *= 1.0 - theta
             z[iu] += theta
             Pz *= 1.0 - theta
-            Pz += theta * P[:, iu]
+            Pz += np.multiply(P[:, iu], theta, out=col)
         # away steps scale the tracked projection by 1 + theta, which can
         # amplify drift, so refresh eagerly after long ones
         return away and theta > 0.5
 
     z = _check_start(z0)
+    n = z.size
+    support = np.empty(n, dtype=bool)
+    masked, Pa, col = np.empty(n), np.empty(n), np.empty(n)
     return _drive(P, z, P @ z, cfg, callback, step)
 
 
@@ -307,6 +341,7 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
     Pw = P @ w
     y = np.empty(n)
     scaled = np.empty(n)
+    work = _simplex_work(n)
 
     def step(z, Pz, t):
         nonlocal mu, Pu
@@ -318,7 +353,7 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
         mu = (1.0 - theta) * mu
         # w <- simplex_prox(Pu, mu, ub), the projection of ub - Pu / mu
         np.subtract(ub, np.divide(Pu, mu, out=y), out=y)
-        project_simplex(y, out=w)
+        project_simplex(y, out=w, work=work)
         np.matmul(P, w, out=Pw)
         # z <- (1 - theta) z + theta w, and P z alike
         z *= 1.0 - theta

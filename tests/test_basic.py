@@ -1,5 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epra_kit.basic import (
     BpConfig,
@@ -7,6 +13,7 @@ from epra_kit.basic import (
     ITER_LIMIT,
     RESCALE_READY,
     SCHEMES,
+    _simplex_work,
     away_vertex,
     min_vertex,
     project_simplex,
@@ -514,3 +521,152 @@ class TestOutcomeSoundness:
             assert np.all(z >= -1e-15)
 
         run_scheme(P, uniform_simplex(10), BpConfig(epsilon=0.2, scheme=scheme), callback=cb)
+
+
+# stop-check inputs: a small pool makes ties, signed zeros and sums that
+# meet the bound exactly likely; wide floats and NaN cover the rest
+_POOL = st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.125, 0.25, 0.5, 1.0, np.nan])
+_ENTRY = st.one_of(_POOL, st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True))
+_Z_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan]), st.floats(0.0, 1e3)
+)
+_EPSILON = st.one_of(
+    st.sampled_from([0.25, 0.5, 0.75]),
+    st.floats(5e-324, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def stop_inputs(draw):
+    n = draw(st.integers(1, 12))
+    Pz = draw(hnp.arrays(np.float64, n, elements=_ENTRY))
+    shape = draw(st.sampled_from(["any", "nonpositive", "zeros"]))
+    if shape == "nonpositive":
+        Pz = -np.abs(Pz)
+    elif shape == "zeros":
+        Pz = np.zeros(n) * draw(st.sampled_from([1.0, -1.0]))
+    z = draw(hnp.arrays(np.float64, n, elements=_Z_ENTRY))
+    return Pz, z, draw(_EPSILON)
+
+
+class TestStopCheckMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(stop_inputs(), st.booleans())
+    def test_same_status(self, case, as_lists):
+        Pz, z, epsilon = case
+        expected = reference_stop_check(Pz, z, epsilon)
+        assert stop_check(Pz, z, epsilon, np.empty(Pz.size)) == expected
+        if as_lists:
+            Pz, z = Pz.tolist(), z.tolist()
+        assert stop_check(Pz, z, epsilon) == expected
+
+    def test_bound_met_exactly(self):
+        # the positive part sums to exactly epsilon * max(z), and its
+        # largest term alone is within the bound
+        Pz = np.array([0.25, -1.0, 0.25, 0.0])
+        z = np.array([0.5, 1.0, 0.0, 0.0])
+        assert reference_stop_check(Pz, z, 0.5) == RESCALE_READY
+        assert stop_check(Pz, z, 0.5) == RESCALE_READY
+        assert stop_check(Pz, z, np.nextafter(0.5, 0.0)) is None
+
+
+class TestProjectSimplexMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(1, 300),
+            elements=st.one_of(
+                st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]), st.floats(-1e12, 1e12)
+            ),
+        )
+    )
+    def test_same_bytes(self, y):
+        expected = reference_project_simplex(y).tobytes()
+        assert project_simplex(y).tobytes() == expected
+        assert project_simplex(y.tolist()).tobytes() == expected
+        out = np.empty(y.size)
+        assert project_simplex(y, out=out) is out
+        assert out.tobytes() == expected
+        work = _simplex_work(y.size)
+        for _ in range(2):  # a reused workspace carries nothing over
+            assert project_simplex(y, out=out, work=work).tobytes() == expected
+
+    @pytest.mark.parametrize("y", [[1e17, 1e17], [np.inf], [np.nan, 0.0]])
+    def test_no_threshold_index_raises_like_reference(self, y):
+        with pytest.raises(IndexError):
+            reference_project_simplex(y)
+        with pytest.raises(IndexError):
+            project_simplex(y)
+
+
+def _run_bytes(out):
+    return out.status, out.iterations, out.z.tobytes(), out.Pz.tobytes()
+
+
+class TestReentrancy:
+    """Every buffer lives for one run: a run started inside another run's
+    callback, or in another thread, changes no bit of either."""
+
+    CFG = dict(epsilon=1e-9, max_iters=150)
+
+    def test_nested_run_in_callback(self):
+        outer_P = random_projector(15, 30, seed=301)  # every scheme reaches the cap
+        inner_P = random_projector(5, 11, seed=301)
+        names = sorted(SCHEMES)
+        inner_expected = {
+            s: _run_bytes(run_scheme(inner_P, uniform_simplex(11), BpConfig(scheme=s, **self.CFG)))
+            for s in names
+        }
+        for scheme in names:
+            cfg = BpConfig(scheme=scheme, **self.CFG)
+            expected = _run_bytes(run_scheme(outer_P, uniform_simplex(30), cfg))
+            nested = []
+
+            def cb(t, z, Pz):
+                if t % 9 == 0:
+                    s = names[(t // 9) % len(names)]
+                    inner_cfg = BpConfig(scheme=s, **self.CFG)
+                    nested.append((s, _run_bytes(run_scheme(inner_P, uniform_simplex(11), inner_cfg))))
+
+            got = _run_bytes(run_scheme(outer_P, uniform_simplex(30), cfg, callback=cb))
+            assert got == expected
+            assert len(nested) >= 4
+            for s, result in nested:
+                assert result == inner_expected[s]
+
+    def test_concurrent_threads(self):
+        # one size for both, so a buffer cached per size would be shared
+        jobs = [(random_projector(15, 30, seed=s), 30) for s in (301, 302)]
+        expected = [
+            [_run_bytes(run_scheme(P, uniform_simplex(n), BpConfig(scheme=s, **self.CFG)))
+             for s in sorted(SCHEMES)]
+            for P, n in jobs
+        ]
+        got = [[], []]
+
+        def work(k):
+            P, n = jobs[k]
+            for _ in range(3):
+                for s in sorted(SCHEMES):
+                    cfg = BpConfig(scheme=s, **self.CFG)
+                    # sleep(0) hands the interpreter to the other thread at
+                    # every step, so the two runs interleave step by step
+                    out = run_scheme(P, uniform_simplex(n), cfg, callback=lambda *_: time.sleep(0))
+                    got[k].append(_run_bytes(out))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for k in range(2):
+            assert got[k] == expected[k] * 3
