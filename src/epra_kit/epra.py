@@ -17,7 +17,7 @@ import numpy as np
 from . import basic, serialize, subspace
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, uniform_simplex
 from .blas import small_problem_threads
-from .exceptions import BothSidesInterior, FullRankSquare
+from .exceptions import BothSidesInterior, DimensionMismatch, FullRankSquare
 from .subspace import DEFAULT_RANK_TOL, Instance, _svd_rank, rescaled_projectors
 
 TRIVIAL_PRIMAL = "trivial_primal"
@@ -34,6 +34,8 @@ SINGLE_DIRECTION = "single"
 # Guard against division by zero when Pz <= 0 exactly; the cap at U bounds
 # the rescaling factors regardless of how small this floor is.
 _ALPHA_FLOOR = 1e-300
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -126,7 +128,16 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
     Deterministic given (instance, config): every round restarts both
     basic procedures from the uniform simplex point.  Small instances run
     on one BLAS thread (see `blas.small_problem_threads`).
+
+    inst.A must have shape (inst.m, inst.n), else DimensionMismatch is
+    raised, and full row rank: the first factorization raises
+    RankDeficient when it does not.  `Instance.validate` checks both and
+    more, at the cost of a factorization.
     """
+    if np.shape(inst.A) != (inst.m, inst.n):
+        raise DimensionMismatch(
+            f"A has shape {np.shape(inst.A)}, expected ({inst.m}, {inst.n})"
+        )
     with small_problem_threads(inst.m, inst.n):
         return _solve(inst, cfg if cfg is not None else EpraConfig(), allow_refine=True)
 
@@ -169,9 +180,15 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         p_interior = out_p.status == INTERIOR_FOUND
         d_interior = out_d.status == INTERIOR_FOUND
         if p_interior and d_interior:
-            raise BothSidesInterior(
-                "both sides produced interior certificates; numerical anomaly"
-            )
+            # Gordan: at most one side is truly interior.  A certificate at
+            # the rounding level of P z (the primal side of A = [[1, 1]]
+            # has P z = 1.1e-16) is noise; keep the side that is not.
+            p_interior = not _rounding_noise(out_p, n)
+            d_interior = not _rounding_noise(out_d, n)
+            if p_interior == d_interior:
+                raise BothSidesInterior(
+                    "both sides produced interior certificates; numerical anomaly"
+                )
         if p_interior:
             x = out_p.Pz / D
             return result(TRIVIAL_PRIMAL, x, np.zeros(n), np.arange(n), np.arange(0))
@@ -214,6 +231,12 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         pair = None
         pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol)
         rounds += 1
+
+
+def _rounding_noise(out, n: int) -> bool:
+    """True when max(P z) <= n eps max(z): P z is no larger than the
+    rounding error of forming it."""
+    return float(out.Pz.max()) <= n * _EPS * float(out.z.max())
 
 
 def _reduced_rowspace(M: np.ndarray, rank_tol: float):

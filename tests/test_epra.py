@@ -17,7 +17,7 @@ from epra_kit.epra import (
     save_result,
     solve,
 )
-from epra_kit.exceptions import BothSidesInterior
+from epra_kit.exceptions import BothSidesInterior, DimensionMismatch, RankDeficient
 from epra_kit.instances import gen_controlled
 from epra_kit.oracle import condition_measure_1d, verify_relint_pair
 from epra_kit.subspace import Instance
@@ -221,6 +221,33 @@ class TestAnomalyPaths:
         with pytest.raises(BothSidesInterior):
             solve(inst)
 
+    def test_rounding_level_certificate_is_dropped(self):
+        # the primal side finds P z = (1.1e-16, 1.1e-16), rounding noise of
+        # the exact zero in ker(A) = span{(1, -1)}; the dual side's (0.5, 0.5)
+        # settles the instance
+        inst = Instance(n=2, m=1, A=np.array([[1.0, 1.0]]))
+        res = solve(inst)
+        assert res.status == TRIVIAL_DUAL
+        assert verify_relint_pair(inst, res, EpraConfig().U).relint_ok
+
+    @pytest.mark.parametrize("primal_pz, dual_pz, expected", [
+        (0.25, 1e-17, TRIVIAL_PRIMAL),
+        (1e-17, 0.25, TRIVIAL_DUAL),
+        (1e-17, 1e-17, None),
+    ])
+    def test_both_interior_keeps_the_side_above_rounding(self, monkeypatch, primal_pz, dual_pz,
+                                                         expected):
+        n = 4
+        z = np.full(n, 0.25)
+        outs = [BpOutcome(INTERIOR_FOUND, z, np.full(n, pz), 0) for pz in (primal_pz, dual_pz)]
+        monkeypatch.setitem(basic.SCHEMES, "smooth", self._fake_scheme(outs))
+        inst = Instance(n=n, m=1, A=np.array([[1.0, -1.0, 0.5, 0.25]]))
+        if expected is None:
+            with pytest.raises(BothSidesInterior):
+                solve(inst)
+        else:
+            assert solve(inst).status == expected
+
     def test_no_rescale_progress_is_stalled(self, monkeypatch):
         n = 4
         z = np.full(n, 0.25)
@@ -241,6 +268,18 @@ class TestAnomalyPaths:
         inst = Instance(n=n, m=1, A=np.array([[1.0, -1.0, 0.5, 0.25]]))
         res = solve(inst)
         assert res.status == STALLED
+
+
+class TestSolveInputChecks:
+    @pytest.mark.parametrize("n, m", [(5, 3), (6, 2), (6, 4)])
+    def test_shape_mismatch_raises(self, n, m):
+        A = np.random.default_rng(3).standard_normal((3, 6))
+        with pytest.raises(DimensionMismatch):
+            solve(Instance(n=n, m=m, A=A))
+
+    def test_rank_deficient_raises(self):
+        with pytest.raises(RankDeficient):
+            solve(Instance(n=3, m=2, A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])))
 
 
 class TestResultIO:
