@@ -112,14 +112,22 @@ def min_vertex(v) -> int:
     return int(np.argmin(v))
 
 
-def away_vertex(z, Pz) -> int:
-    """Index maximizing Pz over the support of z; ties by lowest index."""
+def away_vertex(z, Pz, support=None, masked=None) -> int:
+    """Index maximizing Pz over the support of z; ties by lowest index.
+
+    support (bool) and masked (float), when given, are scratch vectors of
+    z's size for the support mask and the masked copy of Pz.
+    """
     z = np.asarray(z, dtype=float)
     Pz = np.asarray(Pz, dtype=float)
-    support = z > 0
-    if not support.any():
+    support = np.greater(z, 0.0, out=support)
+    if not support.size or not support[support.argmax()]:
         raise EmptySupport("z has no positive component")
-    return int(np.argmax(np.where(support, Pz, -np.inf)))
+    if masked is None:
+        masked = np.empty(Pz.shape)
+    masked.fill(-np.inf)
+    np.copyto(masked, Pz, where=support)
+    return int(masked.argmax())
 
 
 def _simplex_work(n: int):
@@ -273,13 +281,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
     def step(z, Pz, t):
         pz2 = float(Pz @ Pz)
         iu = int(Pz.argmin())
-        # away_vertex(z, Pz) in the run's buffers
-        np.greater(z, 0.0, out=support)
-        if not support[support.argmax()]:
-            raise EmptySupport("z has no positive component")
-        masked.fill(-np.inf)
-        np.copyto(masked, Pz, where=support)
-        iv = int(masked.argmax())
+        iv = away_vertex(z, Pz, support, masked)
         vz = float(z[iv])
         away = not (pz2 - float(Pz[iu]) > float(Pz[iv]) - pz2)
         if away and vz >= 1.0:
