@@ -629,7 +629,8 @@ class TestReentrancy:
                 if t % 9 == 0:
                     s = names[(t // 9) % len(names)]
                     inner_cfg = BpConfig(scheme=s, **self.CFG)
-                    nested.append((s, _run_bytes(run_scheme(inner_P, uniform_simplex(11), inner_cfg))))
+                    inner = run_scheme(inner_P, uniform_simplex(11), inner_cfg)
+                    nested.append((s, _run_bytes(inner)))
 
             got = _run_bytes(run_scheme(outer_P, uniform_simplex(30), cfg, callback=cb))
             assert got == expected
