@@ -97,7 +97,7 @@ CSV_FIELDS = [f.name for f in fields(ResultRow)]
 
 
 def _cell_mn(manifest: ExperimentManifest, size) -> tuple:
-    size = list(np.atleast_1d(size))
+    size = np.atleast_1d(size).tolist()
     if manifest.experiment == EPRA_PARTITION:
         if len(size) != 1:
             raise ValueError(f"{EPRA_PARTITION} cells are [n], got {size}")
@@ -241,7 +241,7 @@ def _aggregate(manifest: ExperimentManifest, records: list) -> list:
                rec["n"], rec.get("scheme"))
         groups.setdefault(key, []).append(rec)
     for (m, n, scheme), recs in sorted(
-        groups.items(), key=lambda kv: (str(kv[0][0]), kv[0][1], str(kv[0][2]))
+        groups.items(), key=lambda kv: (kv[0][0] or 0, kv[0][1], str(kv[0][2]))
     ):
         is_bp = manifest.experiment in (BP_NAIVE, BP_CONTROLLED)
         rows.append(

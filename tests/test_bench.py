@@ -139,6 +139,35 @@ class TestEpraExperiments:
         records = load_records_jsonl(tmp_path / RECORDS_JSONL)
         assert len(records) == 1 and "error" in records[0]
 
+    def test_bad_cell_error_names_plain_ints(self, tmp_path):
+        man = ExperimentManifest(
+            experiment="EpraPartition", sizes=[[3, 8]], instances_per_cell=1,
+        )
+        run_experiment(man, out_dir=tmp_path)
+        (record,) = load_records_jsonl(tmp_path / RECORDS_JSONL)
+        assert record["error"] == (
+            "ValueError: EpraPartition cells are [n], got [3, 8]"
+        )
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("sizes", [
+        [[3, 8], [20, 40], [5, 10]],
+        [[5, 10], [20, 40]],
+    ])
+    def test_cells_sorted_numerically(self, sizes):
+        man = ExperimentManifest(experiment="EpraControlled", sizes=sizes,
+                                 instances_per_cell=1, base_seed=13)
+        rows = run_experiment(man)
+        assert [(r.m, r.n) for r in rows] == sorted(tuple(s) for s in sizes)
+
+    def test_schemes_stay_in_name_order_within_a_cell(self):
+        rows = run_experiment(bp_manifest(sizes=[[12, 24], [3, 6]], instances_per_cell=1))
+        schemes = ["perceptron", "smooth", "vn", "vna"]
+        assert [(r.m, r.n, r.scheme) for r in rows] == (
+            [(3, 6, s) for s in schemes] + [(12, 24, s) for s in schemes]
+        )
+
 
 class TestHistogram:
     def test_counts(self, tmp_path):
