@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -216,3 +218,57 @@ class TestTimeAccounting:
         assert all(row.avg_cpu_seconds == 0.25 for row in rows)
         with open(tmp_path / RESULTS_CSV) as fh:
             assert next(csv.reader(fh)) == CSV_FIELDS
+
+
+# Frozen outputs of every experiment kind.  Each case runs a small manifest
+# and hashes per_instance.jsonl and results.csv byte for byte, with only the
+# timing values masked, so key order, row order, number formatting and
+# error texts are all pinned.
+GOLDEN = [
+    ("bp-naive", dict(experiment="BpNaive", sizes=[[3, 6], [12, 24]],
+                      instances_per_cell=2, iter_limit=300, base_seed=3),
+     "48e0aa8d64f1a20e966163b6d699249c24d1880eeec9b515b249ef99a51924f2"),
+    ("bp-controlled", dict(experiment="BpControlled", sizes=[[10, 20], [3, 8]],
+                           instances_per_cell=2, epsilon=0.01, iter_limit=300,
+                           base_seed=4),
+     "98d4b5cbea687d88fd0ea2a0a26910d767b3cec17e0a1d58dce952e2ec667f9c"),
+    ("epra-controlled", dict(experiment="EpraControlled", sizes=[[3, 8], [10, 20]],
+                             instances_per_cell=2, base_seed=5),
+     "5c90d23b20a68d4329e5f4196e445c72ae669b8856c76042ba14e3eb5507d81a"),
+    ("epra-naive", dict(experiment="EpraNaive", sizes=[[2, 8], [12, 30]],
+                        instances_per_cell=3, base_seed=6),
+     "a382dc3dbf3e235ac759daa04a5274e454c405f89f097a0a27f883fdf4de2f74"),
+    ("epra-partition", dict(experiment="EpraPartition", sizes=[[8], [12], [8]],
+                            instances_per_cell=2, base_seed=7),
+     "0fad3fa2388cb4eb2806e47e07b7cdb2cd4bb7592f97949d786f5bed1814cfa6"),
+    ("rescale-mode-compare", dict(experiment="RescaleModeCompare",
+                                  sizes=[[3, 8], [10, 20]], instances_per_cell=2,
+                                  iter_limit=300, base_seed=8),
+     "a541e38a1704738c31b1af6409973e3bcda3da26a7ff0b342cc845eefa209bff"),
+    ("bad-cell", dict(experiment="EpraPartition", sizes=[[3, 8], [8]],
+                      instances_per_cell=2, base_seed=9),
+     "350987058d2178842c415f9b77e102d81af83ae0048d2c8f6c668909085515ac"),
+    ("bad-cell-mn", dict(experiment="BpNaive", sizes=[[8], [3, 6]],
+                         instances_per_cell=1, iter_limit=300, base_seed=10),
+     "f74f41c5d38dad8904098564d76a906cb936214fa02fcca35e5e85f8e284da04"),
+]
+
+_TIMING_VALUE = re.compile(r'("(?:cpu|wall)_seconds": )[^,}]+')
+_CPU_COLUMN = CSV_FIELDS.index("avg_cpu_seconds")
+
+
+def _masked_outputs(out_dir) -> bytes:
+    jsonl = (out_dir / RECORDS_JSONL).read_bytes().decode("utf-8")
+    lines = (out_dir / RESULTS_CSV).read_bytes().decode("utf-8").split("\r\n")
+    for k in range(1, len(lines)):
+        cols = lines[k].split(",")
+        if len(cols) > _CPU_COLUMN and cols[_CPU_COLUMN]:
+            cols[_CPU_COLUMN] = "T"
+        lines[k] = ",".join(cols)
+    return (_TIMING_VALUE.sub(r"\1T", jsonl) + "\n--\n" + "\r\n".join(lines)).encode()
+
+
+@pytest.mark.parametrize("name, manifest, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_outputs_match_golden(tmp_path, name, manifest, digest):
+    run_experiment(ExperimentManifest(**manifest), out_dir=tmp_path)
+    assert hashlib.sha256(_masked_outputs(tmp_path)).hexdigest() == digest
