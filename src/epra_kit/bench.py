@@ -1,8 +1,8 @@
 """Experiment harness: batches of generated instances, solver runs, and
 aggregated CSV rows.
 
-An experiment manifest names one of six experiment kinds, a list of size
-cells, and batch parameters.  Per-instance seeds are derived from
+An experiment manifest names one of the experiment kinds in the
+EXPERIMENTS table, a list of size cells, and batch parameters.  Per-instance seeds are derived from
 (base_seed, cell_index, instance_index) through numpy's SeedSequence, so
 results do not depend on scheduling order or the degree of parallelism.
 Every per-instance record is written to a JSON-lines log before any
@@ -13,6 +13,7 @@ import csv
 import os
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -29,15 +30,6 @@ EPRA_CONTROLLED = "EpraControlled"
 EPRA_PARTITION = "EpraPartition"
 EPRA_NAIVE = "EpraNaive"
 RESCALE_MODE_COMPARE = "RescaleModeCompare"
-
-EXPERIMENTS = (
-    BP_NAIVE,
-    BP_CONTROLLED,
-    EPRA_CONTROLLED,
-    EPRA_PARTITION,
-    EPRA_NAIVE,
-    RESCALE_MODE_COMPARE,
-)
 
 # the controlled generator's ill-conditioning parameter for benchmark runs
 BENCH_DELTA_CAP = 0.001
@@ -96,24 +88,19 @@ class ResultRow:
 CSV_FIELDS = [f.name for f in fields(ResultRow)]
 
 
-def _cell_mn(manifest: ExperimentManifest, size) -> tuple:
-    size = np.atleast_1d(size).tolist()
-    if manifest.experiment == EPRA_PARTITION:
-        if len(size) != 1:
-            raise ValueError(f"{EPRA_PARTITION} cells are [n], got {size}")
-        return None, int(size[0])
-    if len(size) != 2:
-        raise ValueError(f"{manifest.experiment} cells are [m, n], got {size}")
-    return int(size[0]), int(size[1])
+def _timed(fn, *args):
+    """fn(*args), with the process CPU seconds (all threads) and the wall
+    seconds it took."""
+    c0, t0 = time.process_time(), time.perf_counter()
+    out = fn(*args)
+    return out, {"cpu_seconds": time.process_time() - c0,
+                 "wall_seconds": time.perf_counter() - t0}
 
 
-def _bp_records(manifest, m, n, index, seed) -> list:
-    if manifest.experiment == BP_NAIVE:
-        inst = gen_naive(m, n, seed)
-    else:
-        inst = gen_controlled(m, n, delta_cap=BENCH_DELTA_CAP, seed=seed)
+def _run_schemes(manifest, inst, stamp) -> list:
+    """The four basic-procedure schemes on one projector."""
     P = projector_from_kernel(inst.A).P
-    z0 = basic.uniform_simplex(n)
+    z0 = basic.uniform_simplex(inst.n)
     records = []
     for scheme in basic.SCHEMES:
         cfg = BpConfig(epsilon=manifest.epsilon, max_iters=manifest.iter_limit, scheme=scheme)
@@ -121,10 +108,9 @@ def _bp_records(manifest, m, n, index, seed) -> list:
         records.append(
             {
                 "experiment": manifest.experiment,
-                "m": m,
-                "n": n,
-                "index": index,
-                "seed": seed,
+                "m": inst.m,
+                "n": inst.n,
+                **stamp,
                 "scheme": scheme,
                 "status": out.status,
                 "iterations": out.iterations,
@@ -135,96 +121,84 @@ def _bp_records(manifest, m, n, index, seed) -> list:
     return records
 
 
-def _timed(fn, *args):
-    """fn(*args), with the process CPU seconds (all threads) and the wall
-    seconds it took."""
-    c0, t0 = time.process_time(), time.perf_counter()
-    out = fn(*args)
-    return out, {"cpu_seconds": time.process_time() - c0,
-                 "wall_seconds": time.perf_counter() - t0}
+def _solves(outcome, modes=None):
+    """Runner for one solve per rescale mode (all-directions only when
+    modes is None, else each mode, named in the scheme column);
+    outcome(inst, res) gives the record's success fields."""
+
+    def run(manifest, inst, stamp) -> list:
+        records = []
+        for mode in modes or (ALL_DIRECTIONS,):
+            cfg = EpraConfig(
+                U=manifest.U,
+                epsilon=manifest.epsilon,
+                scheme=basic.SMOOTH_PERCEPTRON,
+                max_rounds=100,
+                bp_max_iters=manifest.iter_limit if manifest.iter_limit else 1_000_000,
+                rescale_mode=mode,
+            )
+            res, times = _timed(epra.solve, inst, cfg)
+            records.append(
+                {
+                    "experiment": manifest.experiment,
+                    "m": inst.m,
+                    "n": inst.n,
+                    "status": res.status,
+                    "rounds": res.rounds,
+                    "total_bp_iterations": res.bp_iters_primal + res.bp_iters_dual,
+                    **times,
+                    **({"scheme": mode} if modes else {}),
+                    **outcome(inst, res),
+                    **stamp,
+                }
+            )
+        return records
+
+    return run
 
 
-def _epra_config(manifest, rescale_mode=ALL_DIRECTIONS) -> EpraConfig:
-    return EpraConfig(
-        U=manifest.U,
-        epsilon=manifest.epsilon,
-        scheme=basic.SMOOTH_PERCEPTRON,
-        max_rounds=100,
-        bp_max_iters=manifest.iter_limit if manifest.iter_limit else 1_000_000,
-        rescale_mode=rescale_mode,
-    )
+def _primal_found(inst, res) -> dict:
+    return {"success": res.status == TRIVIAL_PRIMAL}
 
 
-def _epra_record(manifest, inst, res, times, extra=None) -> dict:
-    rec = {
-        "experiment": manifest.experiment,
-        "m": inst.m,
-        "n": inst.n,
-        "status": res.status,
-        "rounds": res.rounds,
-        "total_bp_iterations": res.bp_iters_primal + res.bp_iters_dual,
-        **times,
+def _naive_outcome(inst, res) -> dict:
+    return {
+        "success": res.status in epra.SUCCESS_STATUSES,
+        "primal_feasible": res.status == TRIVIAL_PRIMAL,
     }
-    if extra:
-        rec.update(extra)
-    return rec
+
+
+def _partition_recovered(inst, res) -> dict:
+    true_b, true_n = inst.meta.known_partition
+    return {"success": set(res.B.tolist()) == set(true_b) and set(res.N.tolist()) == set(true_n)}
+
+
+_gen_controlled = partial(gen_controlled, delta_cap=BENCH_DELTA_CAP)
+
+# experiment name -> (names of a size cell's entries, instance maker called
+# as make(*cell, seed=seed), runner called as run(manifest, inst, stamp)
+# that returns the instance's records)
+EXPERIMENTS = {
+    BP_NAIVE: (("m", "n"), gen_naive, _run_schemes),
+    BP_CONTROLLED: (("m", "n"), _gen_controlled, _run_schemes),
+    EPRA_CONTROLLED: (("m", "n"), _gen_controlled, _solves(_primal_found)),
+    EPRA_PARTITION: (("n",), gen_partitioned, _solves(_partition_recovered)),
+    EPRA_NAIVE: (("m", "n"), gen_naive, _solves(_naive_outcome)),
+    RESCALE_MODE_COMPARE: (
+        ("m", "n"), _gen_controlled, _solves(_primal_found, (ALL_DIRECTIONS, SINGLE_DIRECTION))
+    ),
+}
 
 
 def _run_cell_instance(manifest: ExperimentManifest, cell_index: int, size, index: int) -> list:
     """All per-instance records for one (cell, index) task."""
+    cell, make, run = EXPERIMENTS[manifest.experiment]
+    size = np.atleast_1d(size).tolist()
+    if len(size) != len(cell):
+        raise ValueError(f"{manifest.experiment} cells are [{', '.join(cell)}], got {size}")
     seed = instance_seed(manifest.base_seed, cell_index, index)
-    m, n = _cell_mn(manifest, size)
-    exp = manifest.experiment
-    if exp in (BP_NAIVE, BP_CONTROLLED):
-        return _bp_records(manifest, m, n, index, seed)
-    if exp == EPRA_CONTROLLED:
-        inst = gen_controlled(m, n, delta_cap=BENCH_DELTA_CAP, seed=seed)
-        res, times = _timed(epra.solve, inst, _epra_config(manifest))
-        rec = _epra_record(
-            manifest, inst, res, times, {"success": res.status == TRIVIAL_PRIMAL}
-        )
-    elif exp == EPRA_NAIVE:
-        inst = gen_naive(m, n, seed)
-        res, times = _timed(epra.solve, inst, _epra_config(manifest))
-        rec = _epra_record(
-            manifest,
-            inst,
-            res,
-            times,
-            {
-                "success": res.status in epra.SUCCESS_STATUSES,
-                "primal_feasible": res.status == TRIVIAL_PRIMAL,
-            },
-        )
-    elif exp == EPRA_PARTITION:
-        inst = gen_partitioned(n, seed)
-        res, times = _timed(epra.solve, inst, _epra_config(manifest))
-        true_b, true_n = inst.meta.known_partition
-        recovered = set(res.B.tolist()) == set(true_b) and set(res.N.tolist()) == set(true_n)
-        rec = _epra_record(manifest, inst, res, times, {"success": recovered})
-    elif exp == RESCALE_MODE_COMPARE:
-        records = []
-        for mode in (ALL_DIRECTIONS, SINGLE_DIRECTION):
-            inst = gen_controlled(m, n, delta_cap=BENCH_DELTA_CAP, seed=seed)
-            res, times = _timed(epra.solve, inst, _epra_config(manifest, rescale_mode=mode))
-            records.append(
-                _epra_record(
-                    manifest,
-                    inst,
-                    res,
-                    times,
-                    {"scheme": mode, "success": res.status == TRIVIAL_PRIMAL},
-                )
-            )
-        for r in records:
-            r["index"] = index
-            r["seed"] = seed
-        return records
-    else:  # pragma: no cover
-        raise ValueError(f"unknown experiment {exp!r}")
-    rec["index"] = index
-    rec["seed"] = seed
-    return [rec]
+    inst = make(*(int(v) for v in size), seed=seed)
+    return run(manifest, inst, {"index": index, "seed": seed})
 
 
 def _mean(values) -> Optional[float]:
@@ -233,36 +207,32 @@ def _mean(values) -> Optional[float]:
 
 
 def _aggregate(manifest: ExperimentManifest, records: list) -> list:
-    """One ResultRow per (size cell x scheme label)."""
-    rows = []
+    """One ResultRow per (size cell x scheme label).  Cells of [n] group
+    instances of every m and report m as an average."""
+    cells_are_n = "m" not in EXPERIMENTS[manifest.experiment][0]
     groups = {}
     for rec in records:
-        key = (rec["m"] if manifest.experiment != EPRA_PARTITION else None,
-               rec["n"], rec.get("scheme"))
+        key = (None if cells_are_n else rec["m"], rec["n"], rec.get("scheme"))
         groups.setdefault(key, []).append(rec)
+    rows = []
     for (m, n, scheme), recs in sorted(
         groups.items(), key=lambda kv: (kv[0][0] or 0, kv[0][1], str(kv[0][2]))
     ):
-        is_bp = manifest.experiment in (BP_NAIVE, BP_CONTROLLED)
         rows.append(
             ResultRow(
                 experiment=manifest.experiment,
                 m=m,
                 n=n,
                 scheme=scheme,
-                avg_iterations=_mean([r.get("iterations") for r in recs]) if is_bp else None,
+                avg_iterations=_mean([r.get("iterations") for r in recs]),
                 avg_cpu_seconds=_mean([r.get("cpu_seconds") for r in recs]),
                 success_rate=_mean([float(r["success"]) for r in recs if "success" in r]),
                 avg_rescaling_rounds=_mean([r.get("rounds") for r in recs]),
                 avg_total_bp_iterations=_mean([r.get("total_bp_iterations") for r in recs]),
                 fraction_primal_feasible=_mean(
                     [float(r["primal_feasible"]) for r in recs if "primal_feasible" in r]
-                )
-                if manifest.experiment == EPRA_NAIVE
-                else None,
-                avg_m=_mean([r.get("m") for r in recs])
-                if manifest.experiment == EPRA_PARTITION
-                else None,
+                ),
+                avg_m=_mean([r["m"] for r in recs]) if cells_are_n else None,
             )
         )
     return rows
