@@ -36,6 +36,7 @@ BENCH_DELTA_CAP = 0.001
 
 RESULTS_CSV = "results.csv"
 RECORDS_JSONL = "per_instance.jsonl"
+SUMMARY_JSON = "summary.json"
 
 
 @dataclass
@@ -264,34 +265,29 @@ def run_experiment(manifest: ExperimentManifest, out_dir=None) -> list:
     """Run the batch described by the manifest; returns the aggregate rows.
 
     When out_dir is given, writes the per-instance JSON-lines log first,
-    then the aggregate CSV.  Individual instance failures are recorded as
-    error records and never abort the batch.
+    then the aggregate CSV and a summary with the number of tasks (one per
+    cell and instance index) and of tasks that raised.  A task that raises
+    is logged as an error record, counts in no aggregate row and never
+    aborts the batch.
     """
     tasks = [
         (cell_index, size, index)
         for cell_index, size in enumerate(manifest.sizes)
         for index in range(manifest.instances_per_cell)
     ]
-    keyed = {}
     if manifest.parallelism > 1:
         # imported here: it pulls in multiprocessing, a seventh of the
         # package's import time, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=manifest.parallelism) as pool:
-            futures = {
-                pool.submit(_run_cell_instance, manifest, ci, size, idx): (ci, idx)
-                for ci, size, idx in tasks
-            }
-            for fut, key in futures.items():
-                keyed[key] = _collect(fut, manifest, key)
+            futures = [pool.submit(_run_cell_instance, manifest, *task) for task in tasks]
+            per_task = [_records_or_error(manifest, t, f.result) for t, f in zip(tasks, futures)]
     else:
-        for ci, size, idx in tasks:
-            try:
-                keyed[(ci, idx)] = _run_cell_instance(manifest, ci, size, idx)
-            except Exception as exc:  # noqa: BLE001 - record, don't abort
-                keyed[(ci, idx)] = [_error_record(manifest, ci, idx, exc)]
-    records = [rec for key in sorted(keyed) for rec in keyed[key]]
+        per_task = [_records_or_error(manifest, task, partial(_run_cell_instance, manifest, *task))
+                    for task in tasks]
+    records = [rec for recs in per_task for rec in recs]
+    errored = sum("error" in rec for rec in records)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -302,23 +298,27 @@ def run_experiment(manifest: ExperimentManifest, out_dir=None) -> list:
     rows = _aggregate(manifest, [r for r in records if "error" not in r])
     if out_dir is not None:
         write_rows_csv(rows, os.path.join(out_dir, RESULTS_CSV))
+        serialize.dump(
+            {"experiment": manifest.experiment, "tasks": len(tasks), "errored": errored},
+            os.path.join(out_dir, SUMMARY_JSON),
+        )
     return rows
 
 
-def _collect(future, manifest, key):
+def _records_or_error(manifest, task, call) -> list:
+    """call(), or one error record for the task when it raises."""
     try:
-        return future.result()
-    except Exception as exc:  # noqa: BLE001
-        return [_error_record(manifest, key[0], key[1], exc)]
-
-
-def _error_record(manifest, cell_index, index, exc) -> dict:
-    return {
-        "experiment": manifest.experiment,
-        "cell": cell_index,
-        "index": index,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
+        return call()
+    except Exception as exc:  # noqa: BLE001 - record, don't abort
+        cell_index, _, index = task
+        return [
+            {
+                "experiment": manifest.experiment,
+                "cell": cell_index,
+                "index": index,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        ]
 
 
 def emit_histogram(results: list, field: str, out_path=None) -> list:

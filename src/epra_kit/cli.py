@@ -85,8 +85,10 @@ def _cmd_bench(args) -> int:
     if args.parallelism is not None:
         manifest.parallelism = args.parallelism
     rows = bench.run_experiment(manifest, out_dir=args.out_dir)
+    summary = serialize.load(os.path.join(args.out_dir, bench.SUMMARY_JSON))
     print(
-        f"{manifest.experiment}: {len(rows)} result rows -> "
+        f"{manifest.experiment}: {len(rows)} result rows, {summary['errored']} of "
+        f"{summary['tasks']} instances errored -> "
         f"{os.path.join(args.out_dir, bench.RESULTS_CSV)}"
     )
     return EXIT_OK
