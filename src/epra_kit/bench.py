@@ -24,13 +24,6 @@ from .epra import EpraConfig, ALL_DIRECTIONS, SINGLE_DIRECTION, TRIVIAL_PRIMAL
 from .instances import gen_controlled, gen_naive, gen_partitioned, instance_seed
 from .subspace import projector_from_kernel
 
-BP_NAIVE = "BpNaive"
-BP_CONTROLLED = "BpControlled"
-EPRA_CONTROLLED = "EpraControlled"
-EPRA_PARTITION = "EpraPartition"
-EPRA_NAIVE = "EpraNaive"
-RESCALE_MODE_COMPARE = "RescaleModeCompare"
-
 # the controlled generator's ill-conditioning parameter for benchmark runs
 BENCH_DELTA_CAP = 0.001
 
@@ -180,12 +173,12 @@ _gen_controlled = partial(gen_controlled, delta_cap=BENCH_DELTA_CAP)
 # as make(*cell, seed=seed), runner called as run(manifest, inst, stamp)
 # that returns the instance's records)
 EXPERIMENTS = {
-    BP_NAIVE: (("m", "n"), gen_naive, _run_schemes),
-    BP_CONTROLLED: (("m", "n"), _gen_controlled, _run_schemes),
-    EPRA_CONTROLLED: (("m", "n"), _gen_controlled, _solves(_primal_found)),
-    EPRA_PARTITION: (("n",), gen_partitioned, _solves(_partition_recovered)),
-    EPRA_NAIVE: (("m", "n"), gen_naive, _solves(_naive_outcome)),
-    RESCALE_MODE_COMPARE: (
+    "BpNaive": (("m", "n"), gen_naive, _run_schemes),
+    "BpControlled": (("m", "n"), _gen_controlled, _run_schemes),
+    "EpraControlled": (("m", "n"), _gen_controlled, _solves(_primal_found)),
+    "EpraPartition": (("n",), gen_partitioned, _solves(_partition_recovered)),
+    "EpraNaive": (("m", "n"), gen_naive, _solves(_naive_outcome)),
+    "RescaleModeCompare": (
         ("m", "n"), _gen_controlled, _solves(_primal_found, (ALL_DIRECTIONS, SINGLE_DIRECTION))
     ),
 }
