@@ -3,67 +3,18 @@
     find x in L intersected with the nonnegative orthant, and
     find x_hat in L-perp intersected with the nonnegative orthant,
 
-for a linear subspace L = ker(A), via projection and rescaling."""
+for a linear subspace L = ker(A), via projection and rescaling.
 
-from .basic import (
-    BpConfig,
-    BpOutcome,
-    INTERIOR_FOUND,
-    ITER_LIMIT,
-    PERCEPTRON,
-    RESCALE_READY,
-    SMOOTH_PERCEPTRON,
-    VON_NEUMANN,
-    VON_NEUMANN_AWAY,
-    away_vertex,
-    min_vertex,
-    project_simplex,
-    run_perceptron,
-    run_scheme,
-    run_smooth,
-    run_von_neumann,
-    run_vna,
-    simplex_prox,
-    stop_check,
-    uniform_simplex,
-)
-from .bench import ExperimentManifest, ResultRow, emit_histogram, run_experiment
-from .epra import (
-    ALL_DIRECTIONS,
-    EpraConfig,
-    EpraResult,
-    PARTITION_FOUND,
-    ROUND_LIMIT,
-    SINGLE_DIRECTION,
-    STALLED,
-    TRIVIAL_DUAL,
-    TRIVIAL_PRIMAL,
-    identify_partition,
-    rescale_update,
-    solve,
-)
-from .instances import (
-    GenSpec,
-    gen_controlled,
-    gen_naive,
-    gen_partitioned,
-    generate,
-    nullspace_basis,
-)
-from .oracle import (
-    VerificationReport,
-    condition_measure_1d,
-    condition_measure_search,
-    monte_carlo_feasible_rate,
-    verify_membership,
-    verify_relint_pair,
-    wendel_probability,
-)
+The names below are the documented API (see the README); everything else
+is reached through its module, e.g. epra_kit.oracle or epra_kit.basic."""
+
+from .basic import BpConfig, run_perceptron, run_smooth, run_von_neumann, run_vna
+from .bench import ExperimentManifest, run_experiment
+from .epra import EpraConfig, EpraResult, solve
+from .instances import gen_controlled, gen_naive, gen_partitioned
+from .oracle import verify_relint_pair
 from .subspace import (
     Instance,
-    InstanceMeta,
-    ProjectorPair,
-    apply_projector,
     load_instance,
     projector_from_kernel,
     rescaled_projectors,

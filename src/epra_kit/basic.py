@@ -103,15 +103,6 @@ def stop_check(Pz, z, epsilon: float, buf=None) -> Optional[str]:
     return None
 
 
-def min_vertex(v) -> int:
-    """Index of a minimal component (the simplex vertex minimizing <u, v>);
-    ties broken by lowest index."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ValueError("empty vector")
-    return int(np.argmin(v))
-
-
 def away_vertex(z, Pz, support=None, masked=None) -> int:
     """Index maximizing Pz over the support of z; ties by lowest index.
 

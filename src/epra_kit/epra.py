@@ -46,7 +46,6 @@ class EpraConfig:
     max_rounds: int = 100
     bp_max_iters: int = 1_000_000
     rescale_mode: str = ALL_DIRECTIONS
-    membership_tol: float = 1e-8
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):

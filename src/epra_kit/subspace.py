@@ -209,17 +209,6 @@ def _complement(G: np.ndarray) -> np.ndarray:
     return G
 
 
-def apply_projector(P, z) -> np.ndarray:
-    """Return P @ z with a shape check."""
-    P = as_matrix(P)
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or P.shape[1] != z.shape[0]:
-        raise DimensionMismatch(
-            f"cannot apply {P.shape} projector to vector of shape {z.shape}"
-        )
-    return P @ z
-
-
 # ---------------------------------------------------------------------------
 # Instance file format (shared by every tool in the package):
 #   { "n": int, "m": int, "A": [[row floats] ...],

@@ -15,7 +15,6 @@ from epra_kit.basic import (
     SCHEMES,
     _simplex_work,
     away_vertex,
-    min_vertex,
     project_simplex,
     run_perceptron,
     run_scheme,
@@ -53,11 +52,6 @@ class TestStopCheck:
 
 
 class TestVertexMaps:
-    def test_min_vertex(self):
-        assert min_vertex([0.3, -0.2, 0.1]) == 1
-        assert min_vertex([0.0, 0.0, 1.0]) == 0  # tie -> lowest index
-        assert min_vertex([5.0]) == 0
-
     def test_away_vertex_support_restriction(self):
         assert away_vertex([0.5, 0.0, 0.5], [0.2, 0.9, -0.1]) == 0
         assert away_vertex([1.0], [-3.0]) == 0

@@ -7,7 +7,6 @@ from epra_kit.subspace import (
     InstanceMeta,
     INFEASIBLE,
     _complement,
-    apply_projector,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -129,19 +128,6 @@ class TestRescaledProjectors:
 
 
 class TestApplyProjector:
-    def test_examples(self):
-        assert np.allclose(
-            apply_projector(np.diag([0.0, 1.0]), [0.5, 0.5]), [0.0, 0.5]
-        )
-        z = np.array([0.3, -0.8, 1.1])
-        assert np.array_equal(apply_projector(np.eye(3), z), z)
-        P = projector_from_kernel(np.array([[1.0, 1.0]])).P
-        assert np.allclose(apply_projector(P, [1.0, 0.0]), [0.5, -0.5])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_projector(np.eye(3), np.ones(4))
-
     def test_contraction(self):
         rng = np.random.default_rng(23)
         A = rng.standard_normal((3, 7))
