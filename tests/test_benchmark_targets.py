@@ -1,11 +1,19 @@
-"""The benchmark's tracer wraps library functions by module and attribute
-name, so a function that is renamed or moved fails only in a traced
-benchmark run.  This checks every target from the test suite."""
+"""The benchmark reaches the library by module and attribute name, so a
+function that is renamed or moved fails only inside a benchmark run.
+These tests check from the test suite that every such name resolves:
+the tracer's wrap targets, and every attribute the benchmark scripts read
+on an epra_kit module."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
+from types import ModuleType
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+import epra_kit
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 
 def test_every_traced_target_resolves():
@@ -15,3 +23,33 @@ def test_every_traced_target_resolves():
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in spans.TARGETS
                if not callable(getattr(module, attr, None))]
     assert spans.TARGETS and not missing
+
+
+def _library_reads(tree):
+    """(module, attribute, line) for each `name.attr` in the tree where name
+    is bound by `from epra_kit import <module>` or `import epra_kit`."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "epra_kit":
+            for alias in node.names:
+                if isinstance(getattr(epra_kit, alias.name, None), ModuleType):
+                    bound[alias.asname or alias.name] = f"epra_kit.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "epra_kit":
+                    bound[alias.asname or alias.name] = "epra_kit"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            yield bound[node.value.id], node.attr, node.lineno
+
+
+def test_every_library_attribute_the_benchmarks_read_resolves():
+    reads = [(path.name, *read) for path in sorted(BENCHMARKS.glob("*.py"))
+             for read in _library_reads(ast.parse(path.read_text(), str(path)))]
+    missing = [f"{name}:{line}: {module}.{attr}" for name, module, attr, line in reads
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing
+    assert {module for _, module, _, _ in reads} >= {
+        f"epra_kit.{m}" for m in ("basic", "bench", "epra", "instances", "oracle", "subspace")
+    }
