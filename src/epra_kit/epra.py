@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basic, serialize, subspace
+from . import basic, serialize
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, uniform_simplex
 from .blas import small_problem_threads
 from .exceptions import BothSidesInterior, DimensionMismatch, FullRankSquare
-from .subspace import DEFAULT_RANK_TOL, Instance, _svd_rank, rescaled_projectors
+from .subspace import Instance, _svd_rank, rescaled_projectors
 
 TRIVIAL_PRIMAL = "trivial_primal"
 TRIVIAL_DUAL = "trivial_dual"
@@ -46,7 +46,6 @@ class EpraConfig:
     max_rounds: int = 100
     bp_max_iters: int = 1_000_000
     rescale_mode: str = ALL_DIRECTIONS
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if not self.U > 1.0:
@@ -145,8 +144,6 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
     t_start = time.perf_counter()
     A = inst.A
     n = inst.n
-    # D = D_hat = 1: both projectors come from one factorization
-    pair = subspace.projector_from_kernel(A, cfg.rank_tol)
     D = np.ones(n)
     D_hat = np.ones(n)
     bp_cfg = BpConfig(epsilon=cfg.epsilon, max_iters=cfg.bp_max_iters, scheme=cfg.scheme)
@@ -172,6 +169,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         )
 
     while True:
+        pair = rescaled_projectors(A, D, D_hat)
         out_p = basic.run_scheme(pair.P, z0, bp_cfg)
         out_d = basic.run_scheme(pair.P_hat, z0, bp_cfg)
         iters_p += out_p.iterations
@@ -226,9 +224,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         if np.array_equal(D_new, D) and np.array_equal(D_hat_new, D_hat):
             return result(STALLED, x, x_hat, B, N)
         D, D_hat = D_new, D_hat_new
-        # drop the old projectors before the new ones are built
-        pair = None
-        pair = rescaled_projectors(A, D, D_hat, cfg.rank_tol)
+        pair = None  # drop the old projectors before the new ones are built
         rounds += 1
 
 
@@ -238,14 +234,14 @@ def _rounding_noise(out, n: int) -> bool:
     return float(out.Pz.max()) <= n * _EPS * float(out.z.max())
 
 
-def _reduced_rowspace(M: np.ndarray, rank_tol: float):
+def _reduced_rowspace(M: np.ndarray):
     """Full-row-rank matrix with the same kernel as M (orthonormal rows),
     or None when the kernel is trivial."""
     if M.shape[1] == 0:
         return None
     if M.shape[0] == 0:
         return M.copy()
-    rank, Vh = _svd_rank(M, rank_tol)
+    rank, Vh = _svd_rank(M)
     if rank >= M.shape[1]:
         return None
     return Vh[:rank]
@@ -265,7 +261,7 @@ def _refine_partition(A, B, N, cfg: EpraConfig):
     """
     from .instances import nullspace_basis
 
-    M_p = _reduced_rowspace(A[:, B], cfg.rank_tol)
+    M_p = _reduced_rowspace(A[:, B])
     if M_p is None:
         return None
     res_p = _solve(
@@ -275,10 +271,10 @@ def _refine_partition(A, B, N, cfg: EpraConfig):
     if res_p.status != TRIVIAL_PRIMAL:
         return None
     try:
-        K = nullspace_basis(A, cfg.rank_tol)
+        K = nullspace_basis(A)
     except FullRankSquare:
         return None
-    M_d = _reduced_rowspace(K[:, N], cfg.rank_tol)
+    M_d = _reduced_rowspace(K[:, N])
     if M_d is None:
         return None
     res_d = _solve(

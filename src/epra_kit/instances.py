@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateMax, FullRankSquare
-from .subspace import DEFAULT_RANK_TOL, Instance, InstanceMeta, _svd_rank, as_matrix
+from .subspace import Instance, InstanceMeta, _svd_rank, as_matrix
 
 NAIVE = "naive"
 CONTROLLED = "controlled"
@@ -40,7 +40,6 @@ class GenSpec:
     seed: int = 0
     delta_cap: float = 0.001
     frac_small: Optional[float] = None  # None: drawn uniformly in [0.2, 0.8]
-    size_split: Optional[int] = None  # partitioned only: |B|
 
 
 def instance_seed(*keys) -> int:
@@ -61,7 +60,6 @@ def generate(spec: GenSpec) -> Instance:
         return gen_partitioned(
             spec.n,
             spec.seed,
-            size_split=spec.size_split,
             delta_cap=spec.delta_cap,
             frac_small=0.0 if spec.frac_small is None else spec.frac_small,
         )
@@ -145,10 +143,10 @@ def gen_controlled(
     return Instance(n=n, m=m, A=A, meta=meta)
 
 
-def nullspace_basis(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace_basis(M) -> np.ndarray:
     """Orthonormal basis of ker(M), returned as the rows of a matrix."""
     M = as_matrix(M)
-    rank, Vh = _svd_rank(M, rank_tol)
+    rank, Vh = _svd_rank(M)
     if rank >= M.shape[1]:
         raise FullRankSquare("matrix has a trivial kernel")
     return Vh[rank:]

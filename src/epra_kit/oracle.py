@@ -9,8 +9,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import epra
-from .basic import SMOOTH_PERCEPTRON
-from .epra import EpraConfig, EpraResult, TRIVIAL_PRIMAL
+from .epra import EpraResult, TRIVIAL_PRIMAL
 from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
 from .instances import gen_naive, instance_seed
 from .subspace import Instance, as_matrix, projector_from_kernel
@@ -41,20 +40,16 @@ def wendel_probability(m: int, n: int) -> float:
     return float(Fraction(num, 2 ** (n - 1)))
 
 
-def monte_carlo_feasible_rate(
-    m: int, n: int, trials: int, seed: int, cfg: EpraConfig = None
-) -> float:
-    """Fraction of naive random instances on which the solver certifies a
-    strictly feasible primal.  Converges to the complement of
-    wendel_probability(m, n) as trials grow."""
+def monte_carlo_feasible_rate(m: int, n: int, trials: int, seed: int) -> float:
+    """Fraction of naive random instances on which the solver, with the
+    default EpraConfig, certifies a strictly feasible primal.  Converges to
+    the complement of wendel_probability(m, n) as trials grow."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if cfg is None:
-        cfg = EpraConfig(scheme=SMOOTH_PERCEPTRON)
     hits = 0
     for i in range(trials):
         inst = gen_naive(m, n, instance_seed(seed, i))
-        res = epra.solve(inst, cfg)
+        res = epra.solve(inst)
         hits += res.status == TRIVIAL_PRIMAL
     return hits / trials
 

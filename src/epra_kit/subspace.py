@@ -18,7 +18,9 @@ from . import serialize
 from .blas import small_problem_threads
 from .exceptions import DimensionMismatch, RankDeficient
 
-DEFAULT_RANK_TOL = 1e-10
+# relative tolerance of every rank test: the QR diagonal against its
+# largest entry, and singular values against the largest
+RANK_TOL = 1e-10
 
 INFEASIBLE = float("-inf")  # known_delta value for a provably infeasible primal
 
@@ -59,7 +61,7 @@ class Instance:
     A: np.ndarray
     meta: Optional[InstanceMeta] = None
 
-    def validate(self, tol: float = 1e-8, rank_tol: float = DEFAULT_RANK_TOL) -> None:
+    def validate(self, tol: float = 1e-8) -> None:
         """Check the structural invariants; raises on violation."""
         A = as_matrix(self.A)
         if A.shape != (self.m, self.n):
@@ -70,7 +72,7 @@ class Instance:
             raise DimensionMismatch(f"m={self.m} exceeds n={self.n}")
         if self.m > 0:
             # raises RankDeficient when A is not full row rank
-            _orthonormal_range_basis(A.T, rank_tol)
+            _orthonormal_range_basis(A.T)
         if self.meta is None:
             return
         x = self.meta.known_interior_point
@@ -104,14 +106,14 @@ class ProjectorPair:
     P_hat: np.ndarray
 
 
-def _orthonormal_range_basis(M: np.ndarray, rank_tol: float) -> np.ndarray:
+def _orthonormal_range_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of M via QR.
 
     Columns are normalized to unit length first: this leaves the column
     space (and therefore the projector built from the basis) unchanged but
     keeps the rank test meaningful when rescaling has scaled columns by
     many orders of magnitude.  M must then have full column rank within
-    rank_tol, measured on the diagonal of the triangular factor relative
+    RANK_TOL, measured on the diagonal of the triangular factor relative
     to its largest magnitude entry.
     """
     n, m = M.shape
@@ -123,56 +125,40 @@ def _orthonormal_range_basis(M: np.ndarray, rank_tol: float) -> np.ndarray:
     Q, R = np.linalg.qr(M / norms, mode="reduced")
     diag = np.abs(np.diag(R))
     dmax = np.max(diag)
-    if dmax == 0.0 or np.min(diag) < rank_tol * dmax:
+    if dmax == 0.0 or np.min(diag) < RANK_TOL * dmax:
         raise RankDeficient(
-            f"matrix is rank deficient within rank_tol={rank_tol:g} "
+            f"matrix is rank deficient within {RANK_TOL:g} "
             f"(diagonal range [{np.min(diag):.3e}, {dmax:.3e}])"
         )
     return Q
 
 
-def _svd_rank(M: np.ndarray, rank_tol: float):
+def _svd_rank(M: np.ndarray):
     """Full SVD of M as (rank, Vh).  The rank counts the singular values
-    above rank_tol times the largest; the first rank rows of Vh span the
+    above RANK_TOL times the largest; the first rank rows of Vh span the
     row space of M and the remaining rows span its kernel."""
     _, s, Vh = np.linalg.svd(M)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
     return rank, Vh
 
 
-def projector_from_kernel(A, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectorPair:
-    """Projectors onto ker(A) and Im(A^T).
-
-    Parameters
-    ----------
-    A : (m, n) array
-        Kernel representation of the subspace; must be full row rank.
-    rank_tol : float
-        Relative tolerance on the triangular factor's diagonal below which
-        A is reported as rank deficient.
-
-    Returns
-    -------
-    ProjectorPair with P + P_hat = I up to rounding.
-    """
-    A = as_matrix(A)
-    m, n = A.shape
-    if m > n:
-        raise DimensionMismatch(f"kernel matrix must have m <= n, got {m} x {n}")
-    with small_problem_threads(m, n):
-        P_hat = _range_projector(A.T, rank_tol)
-    P = _complement(P_hat.copy())
-    return ProjectorPair(P=P, P_hat=P_hat)
+def projector_from_kernel(A) -> ProjectorPair:
+    """Projectors onto ker(A) and Im(A^T), for a full-row-rank (m, n) A:
+    the unit-diagonal case of rescaled_projectors.  P + P_hat = I up to
+    rounding."""
+    ones = np.ones(np.shape(A)[-1:])
+    return rescaled_projectors(A, ones, ones)
 
 
-def rescaled_projectors(
-    A, D, D_hat, rank_tol: float = DEFAULT_RANK_TOL
-) -> ProjectorPair:
+def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
     """Projectors onto the rescaled subspaces D(L) and D_hat(L-perp).
 
     D and D_hat are positive diagonals given as length-n vectors.  The
     primal side factors (A D^{-1})^T, the dual side factors D_hat A^T; the
-    two projectors are complementary only when D = D_hat = I.
+    two projectors are complementary only when D = D_hat = I.  Then both
+    sides would factor the same matrix, so one QR serves both and P is
+    formed as I - P_hat, with the bits the two factorizations would give.
+    A that is not full row rank raises RankDeficient.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -186,15 +172,18 @@ def rescaled_projectors(
         raise ValueError("rescaling diagonals must be strictly positive")
     At = A.T
     with small_problem_threads(m, n):
-        P = _complement(_range_projector(At / D[:, None], rank_tol))
-        P_hat = _range_projector(At * D_hat[:, None], rank_tol)
+        if np.all(D == 1.0) and np.all(D_hat == 1.0):
+            P_hat = _range_projector(At)
+            return ProjectorPair(P=_complement(P_hat.copy()), P_hat=P_hat)
+        P = _complement(_range_projector(At / D[:, None]))
+        P_hat = _range_projector(At * D_hat[:, None])
     return ProjectorPair(P=P, P_hat=P_hat)
 
 
-def _range_projector(M: np.ndarray, rank_tol: float) -> np.ndarray:
+def _range_projector(M: np.ndarray) -> np.ndarray:
     """Q Q^T for an orthonormal basis Q of M's column space; Q is freed
     on return, before the caller factors its other side."""
-    Q = _orthonormal_range_basis(M, rank_tol)
+    Q = _orthonormal_range_basis(M)
     return Q @ Q.T
 
 

@@ -11,18 +11,37 @@ from pathlib import Path
 from types import ModuleType
 
 import epra_kit
+from epra_kit import epra
+from epra_kit.instances import gen_controlled
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
 
 
-def test_every_traced_target_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_target_resolves():
+    spans = _load_spans()
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in spans.TARGETS
                if not callable(getattr(module, attr, None))]
     assert spans.TARGETS and not missing
+
+
+def test_solve_records_one_projector_span_per_round():
+    # the tracer counts projector builds where solve looks its builder up;
+    # a build it cannot see would drop out of subspace.projectors.calls
+    spans = _load_spans()
+    with spans.Tracer() as tracer:
+        res = epra.solve(gen_controlled(10, 30, seed=1))
+    names = [spans.NAMES[i] for i in tracer.name]
+    assert res.rounds > 0
+    assert names.count(spans.PROJECTORS) == res.rounds + 1
+    assert names.count(spans.RUN_SCHEME) == 2 * (res.rounds + 1)
 
 
 def _library_reads(tree):

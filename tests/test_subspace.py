@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from epra_kit.epra import solve
 from epra_kit.exceptions import DimensionMismatch, RankDeficient
+from epra_kit.instances import gen_controlled
 from epra_kit.subspace import (
     Instance,
     InstanceMeta,
     INFEASIBLE,
     _complement,
+    _range_projector,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -125,6 +128,47 @@ class TestRescaledProjectors:
             rescaled_projectors(A, [1.0, -1.0], [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             rescaled_projectors(A, [1.0], [1.0, 1.0])
+
+
+class TestFactorizationCount:
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        return calls
+
+    def test_unit_diagonals_factor_once(self, qr_calls):
+        A = np.random.default_rng(29).standard_normal((4, 9))
+        rescaled_projectors(A, np.ones(9), np.ones(9))
+        assert qr_calls == [(9, 4)]
+
+    @pytest.mark.parametrize("side", ["D", "D_hat"])
+    def test_non_unit_diagonal_factors_each_side(self, qr_calls, side):
+        A = np.random.default_rng(31).standard_normal((4, 9))
+        scaled = np.ones(9)
+        scaled[5] = 2.0
+        diagonals = {"D": np.ones(9), "D_hat": np.ones(9), side: scaled}
+        rescaled_projectors(A, diagonals["D"], diagonals["D_hat"])
+        assert qr_calls == [(9, 4), (9, 4)]
+
+    def test_solve_factors_once_then_twice_per_rescaling_round(self, qr_calls):
+        res = solve(gen_controlled(10, 30, seed=1))
+        assert res.status == "trivial_primal" and res.rounds > 0
+        assert len(qr_calls) == 1 + 2 * res.rounds
+
+    def test_one_factorization_gives_the_bits_of_two(self):
+        rng = np.random.default_rng(37)
+        A = rng.standard_normal((6, 15))
+        ones = np.ones(15)
+        pair = rescaled_projectors(A, ones, ones)
+        assert pair.P.tobytes() == _complement(_range_projector(A.T / ones[:, None])).tobytes()
+        assert pair.P_hat.tobytes() == _range_projector(A.T * ones[:, None]).tobytes()
 
 
 class TestApplyProjector:
