@@ -204,6 +204,16 @@ def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutco
             since_refresh = 0
 
 
+def _vertex_move(z, Pz, i: int, theta: float, Pi, col) -> None:
+    """z <- (1 - theta) z + theta e_i and Pz <- (1 - theta) Pz + theta Pi,
+    in place, where Pi is column i of P and col a scratch vector.  A
+    negative theta is the away step from e_i."""
+    z *= 1.0 - theta
+    z[i] += theta
+    Pz *= 1.0 - theta
+    Pz += np.multiply(Pi, theta, out=col)
+
+
 def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
     """Perceptron scheme.
 
@@ -218,11 +228,7 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
             raise NoImprovingVertex(
                 "min(Pz) > 0 while the interior check failed; numerical anomaly"
             )
-        beta = 1.0 / (t + 1)
-        z *= 1.0 - beta
-        z[i] += beta
-        Pz *= 1.0 - beta
-        Pz += np.multiply(P[:, i], beta, out=col)
+        _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i], col)
 
     z = _check_start(z0)
     col = np.empty(z.size)
@@ -247,11 +253,7 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
                 "line-search denominator is nonpositive; numerical anomaly"
             )
         theta = (pz2 - upz) / denom
-        theta = min(1.0, max(0.0, theta))
-        z *= 1.0 - theta
-        z[i] += theta
-        Pz *= 1.0 - theta
-        Pz += np.multiply(Pu, theta, out=col)
+        _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu, col)
 
     z = _check_start(z0)
     col = np.empty(z.size)
@@ -288,16 +290,10 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
             raise DegenerateStep("||P a||^2 = 0 while the stop conditions failed")
         theta = min(theta_max, -float(z @ Pa) / pa2)
         if away:
-            z *= 1.0 + theta
-            z[iv] -= theta
+            _vertex_move(z, Pz, iv, -theta, P[:, iv], col)
             np.maximum(z, 0.0, out=z)  # clip roundoff when the cap binds
-            Pz *= 1.0 + theta
-            Pz -= np.multiply(P[:, iv], theta, out=col)
         else:
-            z *= 1.0 - theta
-            z[iu] += theta
-            Pz *= 1.0 - theta
-            Pz += np.multiply(P[:, iu], theta, out=col)
+            _vertex_move(z, Pz, iu, theta, P[:, iu], col)
         # away steps scale the tracked projection by 1 + theta, which can
         # amplify drift, so refresh eagerly after long ones
         return away and theta > 0.5
