@@ -190,6 +190,8 @@ def _run_cell_instance(manifest: ExperimentManifest, cell_index: int, size, inde
     size = np.atleast_1d(size).tolist()
     if len(size) != len(cell):
         raise ValueError(f"{manifest.experiment} cells are [{', '.join(cell)}], got {size}")
+    if any(v != int(v) for v in size):
+        raise ValueError(f"cell {cell_index} entries must be integers, got {size}")
     seed = instance_seed(manifest.base_seed, cell_index, index)
     inst = make(*(int(v) for v in size), seed=seed)
     return run(manifest, inst, {"index": index, "seed": seed})

@@ -91,7 +91,7 @@ def _cmd_bench(args) -> int:
         f"{summary['tasks']} instances errored -> "
         f"{os.path.join(args.out_dir, bench.RESULTS_CSV)}"
     )
-    return EXIT_OK
+    return EXIT_SOLVER_FAILURE if summary["errored"] else EXIT_OK
 
 
 def _cmd_hist(args) -> int:

@@ -151,6 +151,23 @@ class TestEpraExperiments:
             "ValueError: EpraPartition cells are [n], got [3, 8]"
         )
 
+    def test_non_integral_cell_is_recorded_not_truncated(self, tmp_path):
+        man = ExperimentManifest(
+            experiment="EpraControlled", sizes=[[4, 10], [3.7, 8]], instances_per_cell=1,
+        )
+        rows = run_experiment(man, out_dir=tmp_path)
+        assert [(r.m, r.n) for r in rows] == [(4, 10)]
+        records = load_records_jsonl(tmp_path / RECORDS_JSONL)
+        assert [r["error"] for r in records if "error" in r] == [
+            "ValueError: cell 1 entries must be integers, got [3.7, 8.0]"
+        ]
+
+    def test_integral_float_cell_runs_as_its_integer(self):
+        as_ints = run_experiment(bp_manifest(sizes=[[3, 6]], instances_per_cell=1))
+        as_floats = run_experiment(bp_manifest(sizes=[[3.0, 6.0]], instances_per_cell=1))
+        strip = lambda rows: [(r.m, r.n, r.scheme, r.avg_iterations) for r in rows]
+        assert strip(as_floats) == strip(as_ints)
+
 
 class TestRowOrder:
     @pytest.mark.parametrize("sizes", [

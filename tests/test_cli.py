@@ -196,12 +196,12 @@ class TestBenchAndHist:
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_bench_counts_errored_instances(self, tmp_path, capsys, parallelism):
         # one [m, n] cell in an experiment whose cells are [n]: both of its
-        # instances raise, the [n] cell's two solve
+        # instances raise, the [n] cell's two solve; the batch exits 1
         man = self._manifest(tmp_path, experiment="EpraPartition",
                              sizes=[[3, 8], [8]], instances_per_cell=2)
         out_dir = tmp_path / "out"
         assert run("bench", "--manifest", str(man), "--out-dir", str(out_dir),
-                   "--parallelism", parallelism) == 0
+                   "--parallelism", parallelism) == 1
         assert "1 result rows, 2 of 4 instances errored" in capsys.readouterr().out
         assert json.loads((out_dir / "summary.json").read_text()) == {
             "experiment": "EpraPartition", "tasks": 4, "errored": 2,
