@@ -146,6 +146,8 @@ def projector_from_kernel(A) -> ProjectorPair:
     """Projectors onto ker(A) and Im(A^T), for a full-row-rank (m, n) A:
     the unit-diagonal case of rescaled_projectors.  P + P_hat = I up to
     rounding."""
+    # the last axis, not a column count: an A that is not a matrix goes on
+    # to as_matrix's DimensionMismatch
     ones = np.ones(np.shape(A)[-1:])
     return rescaled_projectors(A, ones, ones)
 

@@ -61,6 +61,11 @@ class TestProjectorFromKernel:
         with pytest.raises(ValueError):
             projector_from_kernel(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("A", [3.0, [1.0, 2.0], np.ones((1, 2, 3))])
+    def test_non_matrix_rejected(self, A):
+        with pytest.raises(DimensionMismatch):
+            projector_from_kernel(A)
+
 
 class TestRescaledProjectors:
     def test_identity_rescaling_matches_plain(self):
