@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epra_kit.blas import small_problem_threads
 from epra_kit.epra import solve
 from epra_kit.exceptions import DimensionMismatch, RankDeficient
 from epra_kit.instances import gen_controlled
@@ -174,6 +175,97 @@ class TestFactorizationCount:
         pair = rescaled_projectors(A, ones, ones)
         assert pair.P.tobytes() == _complement(_range_projector(A.T / ones[:, None])).tobytes()
         assert pair.P_hat.tobytes() == _range_projector(A.T * ones[:, None]).tobytes()
+
+
+def reference_rescaled_projectors(A, D, D_hat):
+    """The dense builder as (P, P_hat), written out with today's exact
+    operations: normalize the columns, QR, Q Q^T, and I - G in G's storage.
+    Frozen here so the builder below may change how it holds its factors
+    but not a bit of the projectors it forms."""
+
+    def basis(M):
+        if M.shape[1] == 0:
+            return np.zeros((M.shape[0], 0))
+        Q, _ = np.linalg.qr(M / np.linalg.norm(M, axis=0), mode="reduced")
+        return Q
+
+    def complement(G):
+        np.subtract(0.0, G, out=G)
+        G.flat[:: G.shape[0] + 1] += 1.0
+        return G
+
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    At = A.T
+    with small_problem_threads(m, n):
+        if np.all(D == 1.0) and np.all(D_hat == 1.0):
+            Q = basis(At)
+            P_hat = Q @ Q.T
+            return complement(P_hat.copy()), P_hat
+        Q = basis(At / D[:, None])
+        P = complement(Q @ Q.T)
+        Q = basis(At * D_hat[:, None])
+        return P, Q @ Q.T
+
+
+def _diagonals(kind, n, rng):
+    spread = np.exp(rng.uniform(0.0, np.log(1e6), n))
+    return {
+        "unit": (np.ones(n), np.ones(n)),
+        "primal": (spread, np.ones(n)),
+        "dual": (np.ones(n), spread),
+        "both": (spread, np.exp(rng.uniform(0.0, np.log(1e6), n))),
+    }[kind]
+
+
+class TestDenseProjectorsMatchReference:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["unit", "primal", "dual", "both"])
+    @pytest.mark.parametrize("m, n", [(0, 5), (1, 2), (5, 12), (30, 70), (100, 200)])
+    def test_same_bytes(self, m, n, kind, order):
+        rng = np.random.default_rng(1000 * m + n)
+        A = np.asarray(rng.standard_normal((m, n)), order=order)
+        D, D_hat = _diagonals(kind, n, rng)
+        P, P_hat = reference_rescaled_projectors(A, D, D_hat)
+        pair = rescaled_projectors(A, D, D_hat)
+        assert pair.P.tobytes() == P.tobytes()
+        assert pair.P_hat.tobytes() == P_hat.tobytes()
+        if kind == "unit":
+            plain = projector_from_kernel(A)
+            assert plain.P.tobytes() == P.tobytes()
+            assert plain.P_hat.tobytes() == P_hat.tobytes()
+
+
+class TestCallerMatrixUnchanged:
+    """The builders may scale and normalize copies they own, never A."""
+
+    @staticmethod
+    def _snapshot(A):
+        return A.tobytes(order="A"), A.strides, A.flags.c_contiguous, A.flags.f_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["unit", "primal", "dual", "both"])
+    def test_rescaled_projectors(self, kind, order):
+        rng = np.random.default_rng(41)
+        A = np.asarray(rng.standard_normal((6, 14)), order=order)
+        before = self._snapshot(A)
+        rescaled_projectors(A, *_diagonals(kind, 14, rng))
+        assert self._snapshot(A) == before
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_projector_from_kernel(self, order):
+        A = np.asarray(np.random.default_rng(43).standard_normal((6, 14)), order=order)
+        before = self._snapshot(A)
+        projector_from_kernel(A)
+        assert self._snapshot(A) == before
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_validate(self, order):
+        inst = gen_controlled(6, 14, seed=3)
+        inst.A = np.asarray(inst.A, order=order)
+        before = self._snapshot(inst.A)
+        inst.validate()
+        assert self._snapshot(inst.A) == before
 
 
 class TestApplyProjector:
