@@ -127,11 +127,14 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
     basic procedures from the uniform simplex point.  Small instances run
     on one BLAS thread (see `blas.small_problem_threads`).
 
-    inst.A must have shape (inst.m, inst.n), else DimensionMismatch is
-    raised, and full row rank: the first factorization raises
-    RankDeficient when it does not.  `Instance.validate` checks both and
-    more, at the cost of a factorization.
+    inst.n must be at least 1 and inst.A must have shape (inst.m, inst.n),
+    else DimensionMismatch is raised; A must have full row rank: the first
+    factorization raises RankDeficient when it does not.
+    `Instance.validate` checks all of this and more, at the cost of a
+    factorization.
     """
+    if inst.n < 1:
+        raise DimensionMismatch(f"n={inst.n}: an instance needs at least one coordinate")
     if np.shape(inst.A) != (inst.m, inst.n):
         raise DimensionMismatch(
             f"A has shape {np.shape(inst.A)}, expected ({inst.m}, {inst.n})"
@@ -169,9 +172,13 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         )
 
     while True:
+        # each side's dense projector is formed for its own run and freed
+        # when the run returns; the round's factors go before refinement
+        # or the next build
         pair = rescaled_projectors(A, D, D_hat)
         out_p = basic.run_scheme(pair.P, z0, bp_cfg)
         out_d = basic.run_scheme(pair.P_hat, z0, bp_cfg)
+        pair = None
         iters_p += out_p.iterations
         iters_d += out_d.iterations
         p_interior = out_p.status == INTERIOR_FOUND
@@ -224,7 +231,6 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         if np.array_equal(D_new, D) and np.array_equal(D_hat_new, D_hat):
             return result(STALLED, x, x_hat, B, N)
         D, D_hat = D_new, D_hat_new
-        pair = None  # drop the old projectors before the new ones are built
         rounds += 1
 
 

@@ -64,6 +64,8 @@ class Instance:
     def validate(self, tol: float = 1e-8) -> None:
         """Check the structural invariants; raises on violation."""
         A = as_matrix(self.A)
+        if self.n < 1:
+            raise DimensionMismatch(f"n={self.n}: an instance needs at least one coordinate")
         if A.shape != (self.m, self.n):
             raise DimensionMismatch(
                 f"A has shape {A.shape}, expected ({self.m}, {self.n})"
@@ -98,15 +100,31 @@ class Instance:
                 raise ValueError("known_partition must partition the index set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectorPair:
-    """Orthogonal projectors onto the working primal and dual subspaces."""
+    """Orthogonal projectors onto the working primal and dual subspaces,
+    held as orthonormal bases (columns) of the two rescaled row spaces.
 
-    P: np.ndarray
-    P_hat: np.ndarray
+    Q spans Im((A D^{-1})^T), so P = I - Q Q^T projects onto D(L); Q_hat
+    spans Im(D_hat A^T), so P_hat = Q_hat Q_hat^T projects onto
+    D_hat(L-perp).  When D = D_hat = 1 the two are one array.  Each access
+    of P or P_hat forms a new dense n x n matrix: keep it when it is
+    needed twice.
+    """
+
+    Q: np.ndarray
+    Q_hat: np.ndarray
+
+    @property
+    def P(self) -> np.ndarray:
+        return _complement(_outer(self.Q))
+
+    @property
+    def P_hat(self) -> np.ndarray:
+        return _outer(self.Q_hat)
 
 
-def _orthonormal_range_basis(M: np.ndarray) -> np.ndarray:
+def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of M via QR.
 
     Columns are normalized to unit length first: this leaves the column
@@ -114,7 +132,8 @@ def _orthonormal_range_basis(M: np.ndarray) -> np.ndarray:
     keeps the rank test meaningful when rescaling has scaled columns by
     many orders of magnitude.  M must then have full column rank within
     RANK_TOL, measured on the diagonal of the triangular factor relative
-    to its largest magnitude entry.
+    to its largest magnitude entry.  With owned=True M is a scratch array
+    of the caller's and is normalized in place.
     """
     n, m = M.shape
     if m == 0:
@@ -122,7 +141,7 @@ def _orthonormal_range_basis(M: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(M, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficient("matrix has a zero column")
-    Q, R = np.linalg.qr(M / norms, mode="reduced")
+    Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
     diag = np.abs(np.diag(R))
     dmax = np.max(diag)
     if dmax == 0.0 or np.min(diag) < RANK_TOL * dmax:
@@ -158,9 +177,10 @@ def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
     D and D_hat are positive diagonals given as length-n vectors.  The
     primal side factors (A D^{-1})^T, the dual side factors D_hat A^T; the
     two projectors are complementary only when D = D_hat = I.  Then both
-    sides would factor the same matrix, so one QR serves both and P is
-    formed as I - P_hat, with the bits the two factorizations would give.
-    A that is not full row rank raises RankDeficient.
+    sides would factor the same matrix, so one QR serves both, with the
+    bits the two factorizations would give.  The pair holds the bases;
+    see ProjectorPair for forming the dense projectors.  A that is not
+    full row rank raises RankDeficient.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -175,18 +195,25 @@ def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
     At = A.T
     with small_problem_threads(m, n):
         if np.all(D == 1.0) and np.all(D_hat == 1.0):
-            P_hat = _range_projector(At)
-            return ProjectorPair(P=_complement(P_hat.copy()), P_hat=P_hat)
-        P = _complement(_range_projector(At / D[:, None]))
-        P_hat = _range_projector(At * D_hat[:, None])
-    return ProjectorPair(P=P, P_hat=P_hat)
+            Q = _orthonormal_range_basis(At)
+            return ProjectorPair(Q=Q, Q_hat=Q)
+        # the scaled transposes are this call's own, so each is normalized
+        # in place; A itself is never written
+        Q = _orthonormal_range_basis(At / D[:, None], owned=True)
+        Q_hat = _orthonormal_range_basis(At * D_hat[:, None], owned=True)
+    return ProjectorPair(Q=Q, Q_hat=Q_hat)
+
+
+def _outer(Q: np.ndarray) -> np.ndarray:
+    """Q Q^T, on the thread policy of the factorization Q came from."""
+    n, m = Q.shape
+    with small_problem_threads(m, n):
+        return Q @ Q.T
 
 
 def _range_projector(M: np.ndarray) -> np.ndarray:
-    """Q Q^T for an orthonormal basis Q of M's column space; Q is freed
-    on return, before the caller factors its other side."""
-    Q = _orthonormal_range_basis(M)
-    return Q @ Q.T
+    """Q Q^T for an orthonormal basis Q of M's column space."""
+    return _outer(_orthonormal_range_basis(M))
 
 
 def _complement(G: np.ndarray) -> np.ndarray:

@@ -2,11 +2,15 @@
 function that is renamed or moved fails only inside a benchmark run.
 These tests check from the test suite that every such name resolves:
 the tracer's wrap targets, and every attribute the benchmark scripts read
-on an epra_kit module."""
+on an epra_kit module.  The benchmark's own self-test runs here too, so a
+change that breaks a workload in a way no name check sees (an attribute
+read on a returned object, say) fails the suite."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -72,3 +76,11 @@ def test_every_library_attribute_the_benchmarks_read_resolves():
     assert {module for _, module, _, _ in reads} >= {
         f"epra_kit.{m}" for m in ("basic", "bench", "epra", "instances", "oracle", "subspace")
     }
+
+
+def test_benchmark_selftest_passes():
+    # every workload at a tiny size, untraced and traced (about 10 s)
+    proc = subprocess.run([sys.executable, str(BENCHMARKS / "selftest.py")],
+                          cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest passed" in proc.stdout

@@ -136,6 +136,15 @@ class TestSolveAndVerify:
         out.write_text(json.dumps(doc))
         assert run("verify", "--instance", str(inst), "--result", str(out)) == 1
 
+    def test_empty_instance_is_one_error_line(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"n": 0, "m": 0, "A": [], "meta": None}))
+        code = run("solve", "--instance", str(inst), "--out", str(tmp_path / "res.json"))
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "DimensionMismatch" in err[0]
+        assert not (tmp_path / "res.json").exists()
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         code = run("solve", "--instance", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "res.json"))

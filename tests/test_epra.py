@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import epra_kit.basic as basic
+import epra_kit.epra as epra
 from epra_kit.basic import BpOutcome, INTERIOR_FOUND, ITER_LIMIT, RESCALE_READY
 from epra_kit.epra import (
     EpraConfig,
@@ -18,7 +21,7 @@ from epra_kit.epra import (
     solve,
 )
 from epra_kit.exceptions import BothSidesInterior, DimensionMismatch, RankDeficient
-from epra_kit.instances import gen_controlled
+from epra_kit.instances import gen_controlled, gen_partitioned
 from epra_kit.oracle import condition_measure_1d, verify_relint_pair
 from epra_kit.subspace import Instance
 
@@ -277,9 +280,51 @@ class TestSolveInputChecks:
         with pytest.raises(DimensionMismatch):
             solve(Instance(n=n, m=m, A=A))
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_empty_instance_raises(self, m):
+        with pytest.raises(DimensionMismatch):
+            solve(Instance(n=0, m=m, A=np.zeros((m, 0))))
+
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficient):
             solve(Instance(n=3, m=2, A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])))
+
+
+class TestProjectorLifetime:
+    """A solve holds one dense n x n projector at a time: each side's P is
+    freed when its basic procedure returns, and a round's projectors and
+    factors are freed before refinement or the next build."""
+
+    def test_one_dense_projector_alive_at_a_time(self, monkeypatch):
+        builds, runs, refines = [], [], []
+        build, run_scheme, refine = epra.rescaled_projectors, basic.run_scheme, epra._refine_partition
+
+        def recording_build(*args):
+            pair = build(*args)
+            arrays = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
+            builds.append([weakref.ref(pair)] + [weakref.ref(a) for a in arrays])
+            return pair
+
+        def recording_run(P, z0, cfg, callback=None):
+            previous_alive = bool(runs) and runs[-1]() is not None
+            assert not previous_alive, "the previous side's projector is still alive"
+            out = run_scheme(P, z0, cfg, callback=callback)
+            runs.append(weakref.ref(P))
+            return out
+
+        def recording_refine(*args):
+            alive = [ref for refs in builds for ref in refs if ref() is not None]
+            alive += [ref for ref in runs if ref() is not None]
+            refines.append(len(alive))
+            return refine(*args)
+
+        monkeypatch.setattr(epra, "rescaled_projectors", recording_build)
+        monkeypatch.setattr(basic, "run_scheme", recording_run)
+        monkeypatch.setattr(epra, "_refine_partition", recording_refine)
+        res = solve(gen_partitioned(30, seed=14))
+        assert res.status == PARTITION_FOUND and res.rounds > 0
+        assert refines == [0]
+        assert len(runs) > 2 * (res.rounds + 1)  # the refinement's sub-solves ran too
 
 
 class TestResultIO:
