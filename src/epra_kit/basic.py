@@ -239,15 +239,19 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     """Von Neumann scheme: greedy perceptron with exact line search.
 
     z <- z + theta (e_i - z) with theta minimizing ||P(z + theta(e_i - z))||^2
-    over [0, 1]; the norm ||Pz|| is nonincreasing.
+    over [0, 1]; the norm ||Pz|| is nonincreasing.  ||P e_i||^2 is computed
+    the first time the run picks column i and reused after that.
     """
 
     def step(z, Pz, t):
         i = int(Pz.argmin())
         Pu = P[:, i]
+        pu2 = col_norm2[i]
+        if pu2 is None:
+            pu2 = col_norm2[i] = float(Pu @ Pu)
         pz2 = float(Pz @ Pz)
         upz = float(Pz[i])
-        denom = pz2 + float(Pu @ Pu) - 2.0 * upz
+        denom = pz2 + pu2 - 2.0 * upz
         if denom <= 0.0:
             raise DegenerateStep(
                 "line-search denominator is nonpositive; numerical anomaly"
@@ -257,6 +261,7 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
 
     z = _check_start(z0)
     col = np.empty(z.size)
+    col_norm2 = [None] * z.size
     return _drive(P, z, P @ z, cfg, callback, step)
 
 

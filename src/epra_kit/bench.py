@@ -46,8 +46,18 @@ class ExperimentManifest:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if not self.sizes:
+            raise ValueError("sizes must list at least one cell")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be at least 1")
+        # the ranges BpConfig and EpraConfig enforce, checked here so a bad
+        # value stops the batch instead of turning every task into an error
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.iter_limit < 0:
+            raise ValueError(f"iter_limit must be nonnegative, got {self.iter_limit}")
+        if not self.U > 1.0:
+            raise ValueError(f"U must exceed 1, got {self.U}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
 
@@ -321,13 +331,17 @@ def emit_histogram(results: list, field: str, out_path=None) -> list:
 
     Returns sorted (value, count) pairs; writes them as CSV when out_path
     is given.  Records missing the field are skipped; an empty input yields
-    a header-only CSV.
+    a header-only CSV.  A value that is not integral (cpu_seconds, say)
+    raises ValueError rather than landing in the bin it truncates to.
     """
     from collections import Counter
 
-    counts = Counter(
-        int(rec[field]) for rec in results if rec.get(field) is not None
-    )
+    values = [rec[field] for rec in results if rec.get(field) is not None]
+    for value in values:
+        if not float(value).is_integer():
+            raise ValueError(f"field {field!r} has the non-integral value {value!r}; "
+                             "a histogram needs integer values")
+    counts = Counter(int(value) for value in values)
     pairs = sorted(counts.items())
     if out_path is not None:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:

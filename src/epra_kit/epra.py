@@ -172,12 +172,14 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         )
 
     while True:
-        # each side's dense projector is formed for its own run and freed
-        # when the run returns; the round's factors go before refinement
-        # or the next build
-        pair = rescaled_projectors(A, D, D_hat)
-        out_p = basic.run_scheme(pair.P, z0, bp_cfg)
-        out_d = basic.run_scheme(pair.P_hat, z0, bp_cfg)
+        # Round 0 (D = D_hat = 1) takes both sides from one factorization.
+        # Every later round factors each side just before its run, so the
+        # primal side's basis and projector are gone before the dual side
+        # is factored.  A dense projector is formed for its own run and
+        # freed when the run returns.
+        pair = rescaled_projectors(A, D, D_hat) if rounds == 0 else None
+        out_p = basic.run_scheme((pair or rescaled_projectors(A, D, None)).P, z0, bp_cfg)
+        out_d = basic.run_scheme((pair or rescaled_projectors(A, None, D_hat)).P_hat, z0, bp_cfg)
         pair = None
         iters_p += out_p.iterations
         iters_d += out_d.iterations

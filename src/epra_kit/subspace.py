@@ -107,21 +107,28 @@ class ProjectorPair:
 
     Q spans Im((A D^{-1})^T), so P = I - Q Q^T projects onto D(L); Q_hat
     spans Im(D_hat A^T), so P_hat = Q_hat Q_hat^T projects onto
-    D_hat(L-perp).  When D = D_hat = 1 the two are one array.  Each access
-    of P or P_hat forms a new dense n x n matrix: keep it when it is
-    needed twice.
+    D_hat(L-perp).  When D = D_hat = 1 the two are one array.  A side that
+    was not built is None, and reading its projector raises ValueError.
+    Each access of P or P_hat forms a new dense n x n matrix: keep it when
+    it is needed twice.
     """
 
-    Q: np.ndarray
-    Q_hat: np.ndarray
+    Q: Optional[np.ndarray]
+    Q_hat: Optional[np.ndarray]
 
     @property
     def P(self) -> np.ndarray:
-        return _complement(_outer(self.Q))
+        return _complement(_outer(_built(self.Q, "primal")))
 
     @property
     def P_hat(self) -> np.ndarray:
-        return _outer(self.Q_hat)
+        return _outer(_built(self.Q_hat, "dual"))
+
+
+def _built(Q: Optional[np.ndarray], side: str) -> np.ndarray:
+    if Q is None:
+        raise ValueError(f"the {side} side of this projector pair was not built")
+    return Q
 
 
 def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -178,30 +185,44 @@ def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
     primal side factors (A D^{-1})^T, the dual side factors D_hat A^T; the
     two projectors are complementary only when D = D_hat = I.  Then both
     sides would factor the same matrix, so one QR serves both, with the
-    bits the two factorizations would give.  The pair holds the bases;
-    see ProjectorPair for forming the dense projectors.  A that is not
-    full row rank raises RankDeficient.
+    bits the two factorizations would give.  A diagonal given as None
+    leaves its side unbuilt (at least one must be given), so a caller can
+    factor each side just before it needs it; a built side has the bits
+    of the two-sided call.  The pair holds the bases; see ProjectorPair
+    for forming the dense projectors.  A that is not full row rank raises
+    RankDeficient.
     """
     A = as_matrix(A)
     m, n = A.shape
     if m > n:
         raise DimensionMismatch(f"kernel matrix must have m <= n, got {m} x {n}")
-    D = np.asarray(D, dtype=float)
-    D_hat = np.asarray(D_hat, dtype=float)
-    if D.shape != (n,) or D_hat.shape != (n,):
-        raise DimensionMismatch("rescaling diagonals must have length n")
-    if np.any(D <= 0) or np.any(D_hat <= 0):
-        raise ValueError("rescaling diagonals must be strictly positive")
+    if D is None and D_hat is None:
+        raise ValueError("at least one rescaling diagonal is needed")
+    D = _diagonal(D, n)
+    D_hat = _diagonal(D_hat, n)
     At = A.T
     with small_problem_threads(m, n):
-        if np.all(D == 1.0) and np.all(D_hat == 1.0):
+        if D is not None and D_hat is not None and np.all(D == 1.0) and np.all(D_hat == 1.0):
             Q = _orthonormal_range_basis(At)
             return ProjectorPair(Q=Q, Q_hat=Q)
         # the scaled transposes are this call's own, so each is normalized
         # in place; A itself is never written
-        Q = _orthonormal_range_basis(At / D[:, None], owned=True)
-        Q_hat = _orthonormal_range_basis(At * D_hat[:, None], owned=True)
+        Q = None if D is None else _orthonormal_range_basis(At / D[:, None], owned=True)
+        Q_hat = None if D_hat is None else _orthonormal_range_basis(
+            At * D_hat[:, None], owned=True)
     return ProjectorPair(Q=Q, Q_hat=Q_hat)
+
+
+def _diagonal(D, n: int) -> Optional[np.ndarray]:
+    """D as a positive length-n float vector; None stays None."""
+    if D is None:
+        return None
+    D = np.asarray(D, dtype=float)
+    if D.shape != (n,):
+        raise DimensionMismatch("rescaling diagonals must have length n")
+    if np.any(D <= 0):
+        raise ValueError("rescaling diagonals must be strictly positive")
+    return D
 
 
 def _outer(Q: np.ndarray) -> np.ndarray:

@@ -40,6 +40,26 @@ class TestManifest:
         with pytest.raises(ValueError):
             ExperimentManifest.from_dict({"experiment": "BpNaive", "sizes": [], "junk": 1})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sizes", [], "sizes"),
+        ("epsilon", 1.5, "epsilon"),
+        ("epsilon", 0.0, "epsilon"),
+        ("iter_limit", -3, "iter_limit"),
+        ("U", 0.5, "U must exceed 1"),
+        ("U", 1.0, "U must exceed 1"),
+    ])
+    def test_rejects_values_every_task_would_fail_on(self, field, value, message):
+        # each of these used to run nothing, or turn every task into an
+        # error record
+        with pytest.raises(ValueError, match=message):
+            ExperimentManifest(**{"experiment": "EpraControlled", "sizes": [[3, 8]],
+                                  field: value})
+
+    def test_range_ends_accepted(self):
+        man = ExperimentManifest(experiment="EpraControlled", sizes=[[3, 8]],
+                                 epsilon=0.999, iter_limit=0, U=1.5)
+        assert (man.epsilon, man.iter_limit, man.U) == (0.999, 0, 1.5)
+
     def test_load(self, tmp_path):
         path = tmp_path / "man.json"
         path.write_text(
@@ -205,6 +225,18 @@ class TestHistogram:
 
     def test_single_bin_at_zero(self):
         assert emit_histogram([{"rounds": 0}] * 5, "rounds") == [(0, 5)]
+
+    def test_integral_floats_share_the_integer_bin(self):
+        assert emit_histogram([{"rounds": 2.0}, {"rounds": 2}], "rounds") == [(2, 2)]
+
+    @pytest.mark.parametrize("value", [0.25, 0.75, 1.9, float("inf"), float("nan")])
+    def test_non_integral_value_rejected(self, tmp_path, value):
+        # truncating would put 0.25 and 0.75 in bin 0 and 1.9 in bin 1
+        out = tmp_path / "hist.csv"
+        with pytest.raises(ValueError, match="non-integral"):
+            emit_histogram([{"cpu_seconds": 1.0}, {"cpu_seconds": value}], "cpu_seconds",
+                           out_path=out)
+        assert not out.exists()
 
 
 class TestTimeAccounting:

@@ -36,15 +36,17 @@ def test_every_traced_target_resolves():
     assert spans.TARGETS and not missing
 
 
-def test_solve_records_one_projector_span_per_round():
+def test_solve_records_one_projector_span_per_side_build():
     # the tracer counts projector builds where solve looks its builder up;
-    # a build it cannot see would drop out of subspace.projectors.calls
+    # a build it cannot see would drop out of subspace.projectors.calls.
+    # Round 0 builds both sides in one call, every later round one call
+    # per side.
     spans = _load_spans()
     with spans.Tracer() as tracer:
         res = epra.solve(gen_controlled(10, 30, seed=1))
     names = [spans.NAMES[i] for i in tracer.name]
     assert res.rounds > 0
-    assert names.count(spans.PROJECTORS) == res.rounds + 1
+    assert names.count(spans.PROJECTORS) == 1 + 2 * res.rounds
     assert names.count(spans.RUN_SCHEME) == 2 * (res.rounds + 1)
 
 

@@ -202,6 +202,27 @@ class TestBenchAndHist:
         assert run("bench", "--manifest", str(man),
                    "--out-dir", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("extra", [
+        {"epsilon": 1.5}, {"iter_limit": -3}, {"U": 0.5}, {"sizes": []},
+    ])
+    def test_out_of_range_manifest_is_invalid_input(self, tmp_path, capsys, extra):
+        man = self._manifest(tmp_path, **extra)
+        out_dir = tmp_path / "o"
+        assert run("bench", "--manifest", str(man), "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("epra-kit: invalid input:") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_hist_of_non_integral_field_is_invalid_input(self, tmp_path, capsys):
+        records = tmp_path / RECORDS_JSONL
+        records.write_text("".join(json.dumps({"cpu_seconds": v}) + "\n"
+                                   for v in (0.25, 0.75, 1.9)))
+        hist = tmp_path / "hist.csv"
+        assert run("hist", "--results", str(records), "--field", "cpu_seconds",
+                   "--out", str(hist)) == 2
+        assert "non-integral" in capsys.readouterr().err
+        assert not hist.exists()
+
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_bench_counts_errored_instances(self, tmp_path, capsys, parallelism):
         # one [m, n] cell in an experiment whose cells are [n]: both of its

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -293,7 +294,9 @@ class TestSolveInputChecks:
 class TestProjectorLifetime:
     """A solve holds one dense n x n projector at a time: each side's P is
     freed when its basic procedure returns, and a round's projectors and
-    factors are freed before refinement or the next build."""
+    factors are freed before refinement or the next build.  After round 0
+    each side is factored just before its run, so one side's factors are
+    alive at a time."""
 
     def test_one_dense_projector_alive_at_a_time(self, monkeypatch):
         builds, runs, refines = [], [], []
@@ -326,6 +329,55 @@ class TestProjectorLifetime:
         assert refines == [0]
         assert len(runs) > 2 * (res.rounds + 1)  # the refinement's sub-solves ran too
 
+
+    def test_each_side_factored_after_the_other_is_freed(self, monkeypatch):
+        events, refs = [], []
+        build, run_scheme = epra.rescaled_projectors, basic.run_scheme
+
+        def recording_build(A, D, D_hat):
+            side = "dual" if D is None else "primal" if D_hat is None else "both"
+            events.append((side, sum(ref() is not None for ref in refs)))
+            pair = build(A, D, D_hat)
+            refs.extend(weakref.ref(v) for v in vars(pair).values()
+                        if isinstance(v, np.ndarray))
+            return pair
+
+        def recording_run(P, z0, cfg, callback=None):
+            events.append(("run", None))
+            refs.append(weakref.ref(P))
+            return run_scheme(P, z0, cfg, callback=callback)
+
+        monkeypatch.setattr(epra, "rescaled_projectors", recording_build)
+        monkeypatch.setattr(basic, "run_scheme", recording_run)
+        res = solve(gen_controlled(10, 30, seed=1))
+        assert res.status == TRIVIAL_PRIMAL and res.rounds > 0
+        # round 0 shares one factorization; every later round builds the
+        # primal side, runs it, and only then builds the dual side, with
+        # no array of an earlier build or run alive at either build
+        ran = ("run", None)
+        assert events == ([("both", 0), ran, ran]
+                          + [("primal", 0), ran, ("dual", 0), ran] * res.rounds)
+
+    def test_solve_peaks_below_one_two_sided_build(self):
+        inst = gen_controlled(100, 200, delta_cap=1e-3, seed=3)
+        rng = np.random.default_rng(5)
+        D, D_hat = 1.0 + rng.random(200), 1.0 + rng.random(200)
+        solve(gen_controlled(3, 8, seed=1))  # first-call allocations
+
+        def peak(fn):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn()
+            return tracemalloc.get_traced_memory()[1] - live, out
+
+        tracemalloc.start()
+        try:
+            build_peak, _ = peak(lambda: epra.rescaled_projectors(inst.A, D, D_hat))
+            solve_peak, res = peak(lambda: solve(inst))
+        finally:
+            tracemalloc.stop()
+        assert res.status == TRIVIAL_PRIMAL and res.rounds > 0
+        assert solve_peak < build_peak
 
 class TestResultIO:
     def test_round_trip(self, tmp_path):

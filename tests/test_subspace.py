@@ -163,6 +163,13 @@ class TestFactorizationCount:
         rescaled_projectors(A, diagonals["D"], diagonals["D_hat"])
         assert qr_calls == [(9, 4), (9, 4)]
 
+    @pytest.mark.parametrize("side", ["D", "D_hat"])
+    def test_one_sided_build_factors_its_side_only(self, qr_calls, side):
+        A = np.random.default_rng(43).standard_normal((4, 9))
+        diagonals = {"D": None, "D_hat": None, side: np.ones(9)}
+        rescaled_projectors(A, diagonals["D"], diagonals["D_hat"])
+        assert qr_calls == [(9, 4)]
+
     def test_solve_factors_once_then_twice_per_rescaling_round(self, qr_calls):
         res = solve(gen_controlled(10, 30, seed=1))
         assert res.status == "trivial_primal" and res.rounds > 0
@@ -234,6 +241,44 @@ class TestDenseProjectorsMatchReference:
             plain = projector_from_kernel(A)
             assert plain.P.tobytes() == P.tobytes()
             assert plain.P_hat.tobytes() == P_hat.tobytes()
+
+
+class TestOneSidedBuilds:
+    """A diagonal given as None leaves its side unbuilt; the side that is
+    built has the bytes of the two-sided call."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["unit", "primal", "dual", "both"])
+    @pytest.mark.parametrize("m, n", [(0, 5), (1, 2), (5, 12), (30, 70)])
+    def test_built_side_matches_the_two_sided_call(self, m, n, kind, order):
+        rng = np.random.default_rng(1000 * m + n)
+        A = np.asarray(rng.standard_normal((m, n)), order=order)
+        D, D_hat = _diagonals(kind, n, rng)
+        pair = rescaled_projectors(A, D, D_hat)
+        primal = rescaled_projectors(A, D, None)
+        dual = rescaled_projectors(A, None, D_hat)
+        assert primal.Q_hat is None and dual.Q is None
+        assert primal.P.tobytes() == pair.P.tobytes()
+        assert dual.P_hat.tobytes() == pair.P_hat.tobytes()
+
+    def test_reading_the_unbuilt_side_raises(self):
+        A = np.random.default_rng(41).standard_normal((3, 7))
+        D = np.linspace(1.0, 5.0, 7)
+        with pytest.raises(ValueError, match="dual side .* not built"):
+            rescaled_projectors(A, D, None).P_hat
+        with pytest.raises(ValueError, match="primal side .* not built"):
+            rescaled_projectors(A, None, D).P
+
+    def test_no_side_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            rescaled_projectors(np.array([[1.0, -2.0]]), None, None)
+
+    def test_bad_diagonal_of_the_built_side_rejected(self):
+        A = np.array([[1.0, -2.0]])
+        with pytest.raises(ValueError):
+            rescaled_projectors(A, None, [1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            rescaled_projectors(A, [1.0], None)
 
 
 class TestCallerMatrixUnchanged:
