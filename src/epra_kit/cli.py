@@ -5,6 +5,7 @@ Subcommands: gen, solve, verify, bench, hist.  Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -83,7 +84,8 @@ def _cmd_bench(args) -> int:
     if env_seed is not None:
         manifest.base_seed = int(env_seed)
     if args.parallelism is not None:
-        manifest.parallelism = args.parallelism
+        # replace, not assignment, so the manifest's checks see the value
+        manifest = dataclasses.replace(manifest, parallelism=args.parallelism)
     rows = bench.run_experiment(manifest, out_dir=args.out_dir)
     summary = serialize.load(os.path.join(args.out_dir, bench.SUMMARY_JSON))
     print(

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import serialize
+from . import blas, serialize
 from .blas import small_problem_threads
 from .exceptions import DimensionMismatch, RankDeficient
 
@@ -140,16 +140,17 @@ def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
     many orders of magnitude.  M must then have full column rank within
     RANK_TOL, measured on the diagonal of the triangular factor relative
     to its largest magnitude entry.  With owned=True M is a scratch array
-    of the caller's and is normalized in place.
+    of the caller's and may be normalized and factored in place.
     """
     n, m = M.shape
     if m == 0:
         return np.zeros((n, 0))
+    # the norms are taken on M as laid out, which fixes their bits
     norms = np.linalg.norm(M, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficient("matrix has a zero column")
-    Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
-    diag = np.abs(np.diag(R))
+    Q, diag = _householder_qr(M, norms, owned)
+    diag = np.abs(diag)
     dmax = np.max(diag)
     if dmax == 0.0 or np.min(diag) < RANK_TOL * dmax:
         raise RankDeficient(
@@ -157,6 +158,25 @@ def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
             f"(diagonal range [{np.min(diag):.3e}, {dmax:.3e}])"
         )
     return Q
+
+
+def _householder_qr(M: np.ndarray, norms: np.ndarray, owned: bool):
+    """(Q, diagonal of R) of the reduced QR factorization of M with its
+    columns divided by norms: the one factorization of every build.
+
+    With numpy's bundled LAPACK (`blas.lapack_qr`) the normalized matrix
+    is factored in its own storage, which becomes Q: M itself when it is
+    owned and Fortran-contiguous (the scaled transpose of a C-ordered A),
+    else one fresh Fortran-ordered array.  Otherwise `np.linalg.qr`
+    factors a copy.  Both give the same bits.
+    """
+    qr_in_place = blas.lapack_qr()
+    if qr_in_place is None:
+        Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
+        return Q, np.diagonal(R)
+    out = M if owned and M.flags.f_contiguous else np.empty(M.shape, order="F")
+    np.divide(M, norms, out=out)
+    return out, qr_in_place(out)
 
 
 def _svd_rank(M: np.ndarray):
@@ -206,7 +226,8 @@ def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
             Q = _orthonormal_range_basis(At)
             return ProjectorPair(Q=Q, Q_hat=Q)
         # the scaled transposes are this call's own, so each is normalized
-        # in place; A itself is never written
+        # (and, for a C-ordered A, factored) in place; A itself is never
+        # written
         Q = None if D is None else _orthonormal_range_basis(At / D[:, None], owned=True)
         Q_hat = None if D_hat is None else _orthonormal_range_basis(
             At * D_hat[:, None], owned=True)

@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 import time
@@ -86,9 +87,11 @@ class TestRestoresCallerThreads:
         # that entered second leaves last: a per-call save and restore
         # would put back the one thread the first solve had set
         inst = gen_controlled(10, 20, seed=3)
+        sequential = solve(inst)
         both_inside = threading.Barrier(2, timeout=30)
         first_done = threading.Event()
         names = {}
+        results = {}
         synced = set()
         seen = []
         errors = []
@@ -107,7 +110,7 @@ class TestRestoresCallerThreads:
         def worker(name):
             names[threading.get_ident()] = name
             try:
-                solve(inst)
+                results[name] = solve(inst)
             except Exception as exc:
                 errors.append(exc)
             finally:
@@ -129,7 +132,12 @@ class TestRestoresCallerThreads:
         assert errors == []
         assert seen == [1, 1]
         assert current_threads() == caller_threads
-
+        # the factorizations run without the interpreter lock, so the two
+        # solves overlap inside LAPACK; each must still give the bits of a
+        # solve run alone
+        for res in (results["first"], results["second"]):
+            assert res.x.tobytes() == sequential.x.tobytes()
+            assert res.x_hat.tobytes() == sequential.x_hat.tobytes()
 
     def test_many_threads_entering_and_leaving(self, caller_threads):
         # more threads than cores, switching often: inside a block the count
@@ -194,3 +202,57 @@ def test_no_op_without_setter(monkeypatch):
     res = solve(gen_controlled(10, 20, seed=3))
     assert res.status == "trivial_primal"
     assert current_threads() == before
+
+
+@pytest.mark.skipif(blas._openblas() is None, reason="numpy has no bundled OpenBLAS")
+def test_bundled_openblas_binds_lapack_qr():
+    # fails, not skips: a numpy whose OpenBLAS renamed its LAPACK symbols
+    # would otherwise drop every build to np.linalg.qr without a word
+    assert blas.lapack_qr() is not None
+
+
+@pytest.mark.skipif(blas.lapack_qr() is None, reason="numpy's LAPACK is not bound")
+class TestQrInPlace:
+    @pytest.mark.parametrize("M", [
+        np.ones((4, 2)),                        # C-ordered
+        np.ones((4, 2), dtype=np.float32, order="F"),
+        np.ones((2, 4), order="F"),             # wide
+        np.ones((4, 0), order="F"),
+        np.ones(4),
+    ])
+    def test_rejects_what_lapack_cannot_take_in_place(self, M):
+        with pytest.raises(ValueError):
+            blas.lapack_qr()(M)
+
+    def test_rejects_read_only(self):
+        M = np.ones((4, 2), order="F")
+        M.flags.writeable = False
+        with pytest.raises(ValueError):
+            blas.lapack_qr()(M)
+
+    def test_raises_on_negative_info(self):
+        def rejecting(*args):
+            args[-1]._obj.value = -4  # INFO: the fourth argument is illegal
+
+        with pytest.raises(ValueError, match="dgeqrf rejected argument 4"):
+            blas._qr_in_place(rejecting, rejecting, np.ones((4, 2), order="F"))
+
+    def test_leaves_nothing_for_the_cyclic_collector(self):
+        # ndarray.ctypes objects form reference cycles: a call that made
+        # them would leave garbage, and tracemalloc peaks, at every build
+        M = np.asfortranarray(np.eye(6, 3) + 1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            blas.lapack_qr()(M)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_matches_numpy_qr_bitwise(self):
+        M = np.random.default_rng(3).standard_normal((260, 130))
+        Q, R = np.linalg.qr(M, mode="reduced")
+        F = np.asfortranarray(M)
+        diag = blas.lapack_qr()(F)
+        assert F.tobytes(order="C") == Q.tobytes()
+        assert diag.tobytes() == np.diagonal(R).tobytes()

@@ -197,6 +197,17 @@ class TestBenchAndHist:
         ) == 0
         assert len(load_records_jsonl(out_dir / RECORDS_JSONL)) == 3
 
+    @pytest.mark.parametrize("parallelism", ["0", "-1"])
+    def test_out_of_range_parallelism_is_invalid_input(self, tmp_path, capsys, parallelism):
+        man = self._manifest(tmp_path)
+        out_dir = tmp_path / "o"
+        assert run("bench", "--manifest", str(man), "--out-dir", str(out_dir),
+                   "--parallelism", parallelism) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("epra-kit: invalid input:") and err.count("\n") == 1
+        assert "parallelism" in err
+        assert not out_dir.exists()
+
     def test_bad_manifest_is_invalid_input(self, tmp_path):
         man = self._manifest(tmp_path, experiment="Bogus")
         assert run("bench", "--manifest", str(man),

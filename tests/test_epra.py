@@ -6,6 +6,7 @@ import pytest
 
 import epra_kit.basic as basic
 import epra_kit.epra as epra
+from epra_kit import blas
 from epra_kit.basic import BpOutcome, INTERIOR_FOUND, ITER_LIMIT, RESCALE_READY
 from epra_kit.epra import (
     EpraConfig,
@@ -358,26 +359,44 @@ class TestProjectorLifetime:
         assert events == ([("both", 0), ran, ran]
                           + [("primal", 0), ran, ("dual", 0), ran] * res.rounds)
 
-    def test_solve_peaks_below_one_two_sided_build(self):
-        inst = gen_controlled(100, 200, delta_cap=1e-3, seed=3)
-        rng = np.random.default_rng(5)
-        D, D_hat = 1.0 + rng.random(200), 1.0 + rng.random(200)
-        solve(gen_controlled(3, 8, seed=1))  # first-call allocations
-
-        def peak(fn):
+    @staticmethod
+    def _peak(fn):
+        """(bytes fn allocates at its peak beyond what was live, fn's result)"""
+        tracemalloc.start()
+        try:
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out = fn()
             return tracemalloc.get_traced_memory()[1] - live, out
-
-        tracemalloc.start()
-        try:
-            build_peak, _ = peak(lambda: epra.rescaled_projectors(inst.A, D, D_hat))
-            solve_peak, res = peak(lambda: solve(inst))
         finally:
             tracemalloc.stop()
+
+    def _controlled_solve_peak(self):
+        inst = gen_controlled(100, 200, delta_cap=1e-3, seed=3)
+        solve(gen_controlled(3, 8, seed=1))  # first-call allocations
+        solve_peak, res = self._peak(lambda: solve(inst))
         assert res.status == TRIVIAL_PRIMAL and res.rounds > 0
-        assert solve_peak < build_peak
+        return inst, solve_peak
+
+    def test_solve_peaks_below_both_bases_and_one_projector(self):
+        # what a solve that built both sides at once would hold while it
+        # forms one side's dense projector
+        inst, solve_peak = self._controlled_solve_peak()
+        rng = np.random.default_rng(5)
+        D, D_hat = 1.0 + rng.random(200), 1.0 + rng.random(200)
+        both_peak, _ = self._peak(lambda: epra.rescaled_projectors(inst.A, D, D_hat).P)
+        assert solve_peak < both_peak
+
+    @pytest.mark.skipif(blas.lapack_qr() is None, reason="np.linalg.qr factors a copy")
+    def test_solve_peaks_at_one_basis_and_one_projector(self):
+        # one n x m basis and one dense n x n projector, plus 64 KiB for the
+        # basic procedure's work vectors and the solve's own n-vectors
+        # (1.6 KB each at n = 200); a side factored on a copy of its scaled
+        # transpose, as np.linalg.qr does, peaks about 110 KiB above the bound
+        _, solve_peak = self._controlled_solve_peak()
+        n, m = 200, 100
+        assert solve_peak <= 8 * (n * m + n * n) + 64 * 1024
+
 
 class TestResultIO:
     def test_round_trip(self, tmp_path):

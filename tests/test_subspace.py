@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epra_kit import blas, subspace
 from epra_kit.blas import small_problem_threads
 from epra_kit.epra import solve
 from epra_kit.exceptions import DimensionMismatch, RankDeficient
@@ -139,14 +140,15 @@ class TestRescaledProjectors:
 class TestFactorizationCount:
     @pytest.fixture
     def qr_calls(self, monkeypatch):
+        # the factorization both paths share, LAPACK in place or np.linalg.qr
         calls = []
-        qr = np.linalg.qr
+        factor = subspace._householder_qr
 
-        def counting_qr(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return qr(*args, **kwargs)
+        def counting_factor(M, *args):
+            calls.append(M.shape)
+            return factor(M, *args)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(subspace, "_householder_qr", counting_factor)
         return calls
 
     def test_unit_diagonals_factor_once(self, qr_calls):
@@ -228,7 +230,10 @@ def _diagonals(kind, n, rng):
 class TestDenseProjectorsMatchReference:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("kind", ["unit", "primal", "dual", "both"])
-    @pytest.mark.parametrize("m, n", [(0, 5), (1, 2), (5, 12), (30, 70), (100, 200)])
+    # m = 130 is past LAPACK's 128-column crossover to blocked Householder
+    # steps, whose block size follows the workspace size
+    @pytest.mark.parametrize("m, n", [(0, 5), (1, 2), (5, 12), (30, 70), (100, 200),
+                                      (130, 260)])
     def test_same_bytes(self, m, n, kind, order):
         rng = np.random.default_rng(1000 * m + n)
         A = np.asarray(rng.standard_normal((m, n)), order=order)
@@ -241,6 +246,17 @@ class TestDenseProjectorsMatchReference:
             plain = projector_from_kernel(A)
             assert plain.P.tobytes() == P.tobytes()
             assert plain.P_hat.tobytes() == P_hat.tobytes()
+
+
+@pytest.fixture
+def numpy_qr(monkeypatch):
+    """Factor through np.linalg.qr, as on a numpy whose LAPACK is not bound."""
+    monkeypatch.setattr(blas, "lapack_qr", lambda: None)
+
+
+@pytest.mark.usefixtures("numpy_qr")
+class TestDenseProjectorsMatchReferenceNumpyQR(TestDenseProjectorsMatchReference):
+    pass
 
 
 class TestOneSidedBuilds:
@@ -311,6 +327,16 @@ class TestCallerMatrixUnchanged:
         before = self._snapshot(inst.A)
         inst.validate()
         assert self._snapshot(inst.A) == before
+
+
+@pytest.mark.usefixtures("numpy_qr")
+class TestOneSidedBuildsNumpyQR(TestOneSidedBuilds):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_qr")
+class TestCallerMatrixUnchangedNumpyQR(TestCallerMatrixUnchanged):
+    pass
 
 
 class TestApplyProjector:
