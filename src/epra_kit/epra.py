@@ -17,7 +17,7 @@ import numpy as np
 from . import basic, serialize
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, uniform_simplex
 from .blas import small_problem_threads
-from .exceptions import BothSidesInterior, DimensionMismatch, FullRankSquare
+from .exceptions import BothSidesInterior, DimensionMismatch
 from .subspace import Instance, _svd_rank, rescaled_projectors
 
 TRIVIAL_PRIMAL = "trivial_primal"
@@ -252,7 +252,19 @@ def _reduced_rowspace(M: np.ndarray):
     rank, Vh = _svd_rank(M)
     if rank >= M.shape[1]:
         return None
-    return Vh[:rank]
+    # a copy: a view would keep the whole square factor alive
+    return Vh[:rank].copy()
+
+
+def _kernel_columns(A: np.ndarray, N: np.ndarray):
+    """Columns N of the orthonormal basis of ker(A) that
+    `instances.nullspace_basis` returns (its rows), or None when the
+    kernel is trivial.  Only those columns are copied out of the n x n
+    factor, which is freed on return."""
+    rank, Vh = _svd_rank(A)
+    if rank >= A.shape[1]:
+        return None
+    return Vh[rank:, N]
 
 
 def _refine_partition(A, B, N, cfg: EpraConfig):
@@ -267,27 +279,23 @@ def _refine_partition(A, B, N, cfg: EpraConfig):
     short-circuit with a strictly positive point.  Returns
     (x, x_hat, primal_iters, dual_iters) or None when either side fails.
     """
-    from .instances import nullspace_basis
-
-    M_p = _reduced_rowspace(A[:, B])
-    if M_p is None:
+    # M is rebound side by side, so each matrix is freed before the next
+    # is formed: the refinement holds one side's matrices at a time and
+    # peaks below the solve's own builds
+    M = _reduced_rowspace(A[:, B])
+    if M is None:
         return None
-    res_p = _solve(
-        Instance(n=len(B), m=M_p.shape[0], A=M_p), cfg, allow_refine=False
-    )
+    res_p = _solve(Instance(n=len(B), m=M.shape[0], A=M), cfg, allow_refine=False)
     extra_p = res_p.bp_iters_primal + res_p.bp_iters_dual
     if res_p.status != TRIVIAL_PRIMAL:
         return None
-    try:
-        K = nullspace_basis(A)
-    except FullRankSquare:
+    M = _kernel_columns(A, N)
+    if M is None:
         return None
-    M_d = _reduced_rowspace(K[:, N])
-    if M_d is None:
+    M = _reduced_rowspace(M)
+    if M is None:
         return None
-    res_d = _solve(
-        Instance(n=len(N), m=M_d.shape[0], A=M_d), cfg, allow_refine=False
-    )
+    res_d = _solve(Instance(n=len(N), m=M.shape[0], A=M), cfg, allow_refine=False)
     extra_d = res_d.bp_iters_primal + res_d.bp_iters_dual
     if res_d.status != TRIVIAL_PRIMAL:
         return None

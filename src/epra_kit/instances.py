@@ -149,7 +149,8 @@ def nullspace_basis(M) -> np.ndarray:
     rank, Vh = _svd_rank(M)
     if rank >= M.shape[1]:
         raise FullRankSquare("matrix has a trivial kernel")
-    return Vh[rank:]
+    # a copy: a view would keep the whole n x n factor alive
+    return Vh[rank:].copy()
 
 
 def gen_partitioned(

@@ -397,6 +397,31 @@ class TestProjectorLifetime:
         n, m = 200, 100
         assert solve_peak <= 8 * (n * m + n * n) + 64 * 1024
 
+    @pytest.mark.parametrize("n, seed", [(60, 1), (100, 6)])
+    def test_refinement_peaks_below_the_rounds(self, monkeypatch, n, seed):
+        # the refinement frees each side's matrices before the next side's
+        # and never keeps A's n x n SVD factor, so the rounds' builds set
+        # the solve's peak whether or not the instance refines; a
+        # refinement that held the kernel basis and both sides' factors
+        # peaked 12-42 KB above the rounds on these instances
+        peaks = []
+        refine = epra._refine_partition
+
+        def measured_refine(*args):
+            rounds_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out = refine(*args)
+            peaks.append((rounds_peak, tracemalloc.get_traced_memory()[1]))
+            return out
+
+        monkeypatch.setattr(epra, "_refine_partition", measured_refine)
+        inst = gen_partitioned(n, seed=seed)
+        solve(gen_controlled(3, 8, seed=1))  # first-call allocations
+        _, res = self._peak(lambda: solve(inst))
+        assert res.status == PARTITION_FOUND and len(peaks) == 1
+        rounds_peak, refine_peak = peaks[0]
+        assert refine_peak < rounds_peak
+
 
 class TestResultIO:
     def test_round_trip(self, tmp_path):

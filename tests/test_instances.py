@@ -103,6 +103,8 @@ class TestNullspaceBasis:
         M = rng.standard_normal((2, 5))
         basis = nullspace_basis(M)
         assert basis.shape == (3, 5)
+        # its own storage, not a view that keeps the 5 x 5 factor alive
+        assert basis.base is None
         assert np.max(np.abs(M @ basis.T)) <= 1e-10
         assert np.max(np.abs(basis @ basis.T - np.eye(3))) <= 1e-10
 
