@@ -18,13 +18,21 @@ scheme's iterate moves by a convex (or, for away steps, affine) combination
 of the current point and a simplex vertex, so P z is tracked incrementally
 at O(n) cost per iteration and recomputed from scratch every _REFRESH
 steps.
+
+A run without a callback on a C-contiguous float64 (n, n) projector goes
+through the same driver and steps compiled (`bploop`), which give the
+same bits and raise the same errors; `_drive` with the Python steps is
+the reference, the fallback where no compiled loop can be built, and the
+path that calls a callback at every step.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import bploop
 from .exceptions import (
     DegenerateStep,
     EmptySupport,
@@ -42,6 +50,31 @@ SMOOTH_PERCEPTRON = "smooth"
 
 # steps between full recomputations of the tracked projection
 _REFRESH = 128
+
+# the failures of a step, by the codes the compiled loop returns for them
+_NO_VERTEX, _LINE_SEARCH, _ZERO_DIRECTION, _EMPTY_SUPPORT, _NO_THRESHOLD = range(-1, -6, -1)
+_FAILURES = {
+    _NO_VERTEX: (NoImprovingVertex,
+                 "min(Pz) > 0 while the interior check failed; numerical anomaly"),
+    _LINE_SEARCH: (DegenerateStep, "line-search denominator is nonpositive; numerical anomaly"),
+    _ZERO_DIRECTION: (DegenerateStep, "||P a||^2 = 0 while the stop conditions failed"),
+    _EMPTY_SUPPORT: (EmptySupport, "z has no positive component"),
+    _NO_THRESHOLD: (IndexError, "no component exceeds its simplex threshold"),
+}
+
+
+def _failure(code: int) -> Exception:
+    cls, message = _FAILURES[code]
+    return cls(message)
+
+
+def check_count(name: str, value, least: int = 0):
+    """Raise ValueError unless value is an integer (not a bool) of at
+    least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -62,8 +95,7 @@ class BpConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        check_count("max_iters", self.max_iters)
 
 
 @dataclass
@@ -113,7 +145,7 @@ def away_vertex(z, Pz, support=None, masked=None) -> int:
     Pz = np.asarray(Pz, dtype=float)
     support = np.greater(z, 0.0, out=support)
     if not support.size or not support[support.argmax()]:
-        raise EmptySupport("z has no positive component")
+        raise _failure(_EMPTY_SUPPORT)
     if masked is None:
         masked = np.empty(Pz.shape)
     masked.fill(-np.inf)
@@ -145,7 +177,7 @@ def project_simplex(y, out=None, work=None) -> np.ndarray:
     # k - 1 is the last index where u exceeds its threshold
     k = above.size - int(above[::-1].argmax())
     if not above[k - 1]:
-        raise IndexError("no component exceeds its simplex threshold")
+        raise _failure(_NO_THRESHOLD)
     tau = (css[k - 1] - 1.0) / k
     out = np.subtract(y, tau, out=out)
     return np.maximum(out, 0.0, out=out)
@@ -165,9 +197,28 @@ def simplex_prox(v, mu: float, u_bar) -> np.ndarray:
 
 def _check_start(z0) -> np.ndarray:
     z = np.array(z0, dtype=float)
-    if z.ndim != 1 or np.any(z < 0) or abs(z.sum() - 1.0) > 1e-9:
+    if (z.ndim != 1 or not np.all(np.isfinite(z)) or np.any(z < 0)
+            or abs(z.sum() - 1.0) > 1e-9):
         raise ValueError("starting point must lie on the standard simplex")
     return z
+
+
+# the schemes' numbers in the compiled loop
+_PERCEPTRON_ID, _VON_NEUMANN_ID, _VON_NEUMANN_AWAY_ID, _SMOOTH_ID = range(4)
+_STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
+
+
+def _run(scheme: int, P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH,
+         vectors=(), mu=0.0) -> BpOutcome:
+    """Run scheme number `scheme` from z and Pz = P z: the compiled loop,
+    given the scheme's vectors and mu (bploop.c names them), when there is
+    no callback and it accepts P, else _drive with the Python step."""
+    if callback is not None or not bploop.accepts(P, z.size):
+        return _drive(P, z, Pz, cfg, callback, step, refresh)
+    code, t = bploop.run(scheme, P, z, Pz, cfg.epsilon, cfg.max_iters, vectors, mu)
+    if code < 0:
+        raise _failure(code)
+    return BpOutcome(_STATUSES[code], z, Pz, t)
 
 
 def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutcome:
@@ -225,14 +276,12 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
     def step(z, Pz, t):
         i = int(Pz.argmin())
         if Pz[i] > 0.0:
-            raise NoImprovingVertex(
-                "min(Pz) > 0 while the interior check failed; numerical anomaly"
-            )
+            raise _failure(_NO_VERTEX)
         _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i], col)
 
     z = _check_start(z0)
     col = np.empty(z.size)
-    return _drive(P, z, P @ z, cfg, callback, step)
+    return _run(_PERCEPTRON_ID, P, z, P @ z, cfg, callback, step)
 
 
 def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -253,16 +302,17 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
         upz = float(Pz[i])
         denom = pz2 + pu2 - 2.0 * upz
         if denom <= 0.0:
-            raise DegenerateStep(
-                "line-search denominator is nonpositive; numerical anomaly"
-            )
+            raise _failure(_LINE_SEARCH)
         theta = (pz2 - upz) / denom
         _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu, col)
 
     z = _check_start(z0)
-    col = np.empty(z.size)
-    col_norm2 = [None] * z.size
-    return _drive(P, z, P @ z, cfg, callback, step)
+    n = z.size
+    col = np.empty(n)
+    col_norm2 = [None] * n
+    # the compiled loop's cache: the norms and whether each is known
+    vectors = (np.empty(n), np.zeros(n, dtype=np.uint8))
+    return _run(_VON_NEUMANN_ID, P, z, P @ z, cfg, callback, step, vectors=vectors)
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -292,7 +342,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
             theta_max = 1.0
         pa2 = float(Pa @ Pa)
         if pa2 <= 0.0:
-            raise DegenerateStep("||P a||^2 = 0 while the stop conditions failed")
+            raise _failure(_ZERO_DIRECTION)
         theta = min(theta_max, -float(z @ Pa) / pa2)
         if away:
             _vertex_move(z, Pz, iv, -theta, P[:, iv], col)
@@ -307,7 +357,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
     n = z.size
     support = np.empty(n, dtype=bool)
     masked, Pa, col = np.empty(n), np.empty(n), np.empty(n)
-    return _drive(P, z, P @ z, cfg, callback, step)
+    return _run(_VON_NEUMANN_AWAY_ID, P, z, P @ z, cfg, callback, step, vectors=(Pa,))
 
 
 def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -355,7 +405,9 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
         Pz *= 1.0 - theta
         Pz += np.multiply(Pw, theta, out=scaled)
 
-    return _drive(P, w.copy(), Pw.copy(), cfg, callback, step, refresh=None)
+    vectors = (Pu, w, Pw, ub, y, work[0], scaled)
+    return _run(_SMOOTH_ID, P, w.copy(), Pw.copy(), cfg, callback, step, refresh=None,
+                vectors=vectors, mu=mu)
 
 
 SCHEMES = {

@@ -54,8 +54,7 @@ class ExperimentManifest:
         # value stops the batch instead of turning every task into an error
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.iter_limit < 0:
-            raise ValueError(f"iter_limit must be nonnegative, got {self.iter_limit}")
+        basic.check_count("iter_limit", self.iter_limit)
         if not self.U > 1.0:
             raise ValueError(f"U must exceed 1, got {self.U}")
         if self.parallelism < 1:

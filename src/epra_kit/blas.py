@@ -22,8 +22,10 @@ two threads gave the same result bits.
 The same library's LAPACK `dgeqrf` and `dorgqr` are bound here too, so
 that a caller can factor a matrix in its own storage (`lapack_qr`):
 `np.linalg.qr` calls the same two routines, but on a copy of its input,
-and returns Q and R as two more arrays.  This module is the one place
-that knows the symbol names and the integer width of numpy's build.
+and returns Q and R as two more arrays.  `cblas` gives the addresses of
+the CBLAS `dgemv` and `ddot` that numpy's matmul calls, for the compiled
+basic-procedure loop (`bploop`).  This module is the one place that knows
+the symbol names and the integer width of numpy's build.
 """
 
 import ctypes
@@ -106,6 +108,19 @@ def small_problem_threads(m: int, n: int):
 # and exports its LAPACK under these names.
 _INT = ctypes.c_int64
 _GEQRF, _ORGQR = "scipy_dgeqrf_64_", "scipy_dorgqr_64_"
+_GEMV, _DOT = "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_"
+
+
+@functools.lru_cache(maxsize=None)
+def cblas() -> Optional[tuple]:
+    """The addresses of numpy's bundled CBLAS `dgemv` and `ddot` (64-bit
+    integer arguments), or None when the library or either routine is not
+    found."""
+    lib = _openblas()
+    fns = None if lib is None else [getattr(lib, name, None) for name in (_GEMV, _DOT)]
+    if fns is None or None in fns:
+        return None
+    return tuple(ctypes.cast(fn, ctypes.c_void_p).value for fn in fns)
 
 
 @functools.lru_cache(maxsize=None)

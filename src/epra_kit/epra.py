@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import basic, serialize
-from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, uniform_simplex
+from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, check_count, uniform_simplex
 from .blas import small_problem_threads
 from .exceptions import BothSidesInterior, DimensionMismatch
 from .subspace import Instance, _svd_rank, rescaled_projectors
@@ -52,8 +52,8 @@ class EpraConfig:
             raise ValueError("U must exceed 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        check_count("max_rounds", self.max_rounds, least=1)
+        check_count("bp_max_iters", self.bp_max_iters)
         if self.rescale_mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):
             raise ValueError(f"unknown rescale_mode {self.rescale_mode!r}")
 

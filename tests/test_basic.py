@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from epra_kit import bploop
 from epra_kit.basic import (
     BpConfig,
     INTERIOR_FOUND,
@@ -127,6 +128,27 @@ class TestSchemesTrivialCases:
     def test_start_must_be_on_simplex(self):
         with pytest.raises(ValueError):
             run_perceptron(np.eye(2), np.array([0.9, 0.3]), BpConfig())
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("z0", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0],
+                                    [0.5, 0.5, np.nan]])
+    def test_start_must_be_finite(self, scheme, z0):
+        # a NaN makes the sum test pass: such a start used to run to the cap
+        n = len(z0)
+        with pytest.raises(ValueError):
+            run_scheme(np.eye(n), np.array(z0), BpConfig(scheme=scheme, max_iters=50))
+
+
+class TestConfigCounts:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "3", None, -1])
+    def test_max_iters_must_be_a_nonnegative_integer(self, bad):
+        # a cap of 1.5 used to run two steps
+        with pytest.raises(ValueError):
+            BpConfig(max_iters=bad)
+
+    @pytest.mark.parametrize("good", [0, 1, np.int64(7), 10**30])
+    def test_integer_caps_are_accepted(self, good):
+        assert BpConfig(max_iters=good).max_iters == good
 
 
 class TestPerceptron:
@@ -493,6 +515,24 @@ class TestVertexSchemesMatchReference:
         assert expected <= seen
 
 
+@pytest.fixture
+def python_driver(monkeypatch):
+    """Run every scheme through basic._drive, as where no compiled loop
+    can be built."""
+    monkeypatch.setattr(bploop, "library", lambda: None)
+    assert not bploop.accepts(np.eye(2), 2)
+
+
+@pytest.mark.usefixtures("python_driver")
+class TestSmoothMatchesReferencePythonDriver(TestSmoothMatchesReference):
+    pass
+
+
+@pytest.mark.usefixtures("python_driver")
+class TestVertexSchemesMatchReferencePythonDriver(TestVertexSchemesMatchReference):
+    pass
+
+
 class TestOutcomeSoundness:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_returned_status_repasses_stop_check(self, scheme):
@@ -515,6 +555,11 @@ class TestOutcomeSoundness:
             assert np.all(z >= -1e-15)
 
         run_scheme(P, uniform_simplex(10), BpConfig(epsilon=0.2, scheme=scheme), callback=cb)
+
+
+@pytest.mark.usefixtures("python_driver")
+class TestOutcomeSoundnessPythonDriver(TestOutcomeSoundness):
+    pass
 
 
 # stop-check inputs: a small pool makes ties, signed zeros and sums that

@@ -45,6 +45,8 @@ class TestManifest:
         ("epsilon", 1.5, "epsilon"),
         ("epsilon", 0.0, "epsilon"),
         ("iter_limit", -3, "iter_limit"),
+        ("iter_limit", 2.5, "iter_limit"),
+        ("iter_limit", True, "iter_limit"),
         ("U", 0.5, "U must exceed 1"),
         ("U", 1.0, "U must exceed 1"),
     ])

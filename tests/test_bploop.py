@@ -1,0 +1,245 @@
+"""The compiled basic-procedure loop (bploop) against the Python driver,
+and how the compiled library is built, cached and found."""
+
+import os
+import subprocess
+import sys
+import threading
+import tomllib
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from epra_kit import basic, blas, bploop
+from epra_kit.basic import BpConfig, SCHEMES, run_scheme, uniform_simplex
+from epra_kit.exceptions import DegenerateStep, EmptySupport
+from epra_kit.subspace import projector_from_kernel
+
+SRC = Path(bploop.__file__).resolve().parent.parent
+
+
+def can_build() -> bool:
+    return bploop.compiler() is not None and blas.cblas() is not None
+
+
+needs_build = pytest.mark.skipif(
+    not can_build(), reason="no C compiler, or numpy's OpenBLAS lacks the CBLAS symbols")
+
+
+def outcome(P, z0, cfg):
+    """A run's status, step count and the bytes of z and P z, or the type
+    and message of the error it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NaN and overflow
+            out = run_scheme(P, z0, cfg)
+    except Exception as e:  # noqa: BLE001 - the two paths must fail alike
+        return type(e), str(e)
+    return out.status, out.iterations, out.z.tobytes(), out.Pz.tobytes()
+
+
+def both_paths(P, z0, cfg):
+    compiled = outcome(P, z0, cfg)
+    with mock.patch.object(bploop, "library", lambda: None):
+        python = outcome(P, z0, cfg)
+    return compiled, python
+
+
+@st.composite
+def loop_cases(draw):
+    """A projector (or a matrix that is not one, with zero, NaN or
+    underflowing entries), a start, epsilon and a cap."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["projector", "symmetric", "general"]))
+    if kind == "projector":
+        P = projector_from_kernel(rng.standard_normal((draw(st.integers(0, n - 1)), n))).P
+    else:
+        P = rng.standard_normal((n, n))
+        if kind == "symmetric":
+            P = (P + P.T) / 2.0
+    holes = draw(st.sampled_from(["none", "zeros", "nan"]))
+    cut = rng.random((n, n))
+    if holes != "none":
+        P[cut < 0.2] = 0.0
+    if holes == "nan":
+        P[cut > 0.9] = np.nan
+    P = np.ascontiguousarray(P * draw(st.sampled_from([1.0, 1.0, 1e-200])))
+    start = draw(st.sampled_from(["uniform", "random", "vertex", "leaning"]))
+    if start == "uniform":
+        z0 = uniform_simplex(n)
+    elif start == "random":
+        z0 = rng.dirichlet(np.ones(n))
+    else:
+        z0 = np.zeros(n)
+        z0[rng.integers(n)] = 1.0
+        if start == "leaning" and n > 1:
+            z0 = 0.5 * z0 + 0.5 * uniform_simplex(n)
+    epsilon = draw(st.one_of(st.sampled_from([1e-300, 1e-12, 0.5, 1.0 - 1e-12]),
+                             st.floats(1e-6, 0.999)))
+    max_iters = draw(st.sampled_from([0, 1, 127, 128, 129, 1000]))
+    # uncapped runs only where the schemes are known to stop
+    if max_iters == 0 and not (kind == "projector" and holes == "none" and epsilon >= 0.1):
+        max_iters = 1000
+    return P, z0, epsilon, max_iters
+
+
+@needs_build
+class TestSameBitsAsPythonDriver:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(loop_cases())
+    def test_all_schemes(self, case):
+        P, z0, epsilon, max_iters = case
+        for scheme in SCHEMES:
+            cfg = BpConfig(epsilon=epsilon, max_iters=max_iters, scheme=scheme)
+            compiled, python = both_paths(P, z0, cfg)
+            assert compiled == python
+
+    # matrices on which each failure of a step happens inside the loop
+    TINY = [[0.0, 0.0], [1e-200, 1e-200]]  # ||P e_0||^2 and ||P z||^2 underflow
+    EMPTY_SUPPORT = [
+        [0.0, -1.1036092659277856e-200, -1.1278871762586363e-200, -5.555192078005338e-201],
+        [np.nan, 1.0903023917272097e-200, 1.3755382979701784e-200, np.nan],
+        [3.5786889003106335e-201, -4.282382078446079e-201, 5.448321092024565e-202,
+         8.847070060285458e-201],
+        [2.1309722337233126e-200, 9.128992053017934e-201, -2.8041214429472392e-201,
+         3.802507577088776e-202],
+    ]
+    EMPTY_SUPPORT_START = [0.4748215668065211, 0.34074774151446785, 0.0261542074336222,
+                           0.15827648424538873]
+    HUGE = [[7e16, -1.2e17, 4e16], [0.0, 5e16, 2e16], [7e16, 0.0, -2e16]]
+
+    @pytest.mark.parametrize("scheme, P, z0, error", [
+        ("vn", TINY, [0.5, 0.5], DegenerateStep),
+        ("vna", TINY, [0.5, 0.5], DegenerateStep),
+        ("vna", EMPTY_SUPPORT, EMPTY_SUPPORT_START, EmptySupport),
+        ("smooth", HUGE, [1 / 3] * 3, IndexError),
+    ])
+    def test_failures(self, scheme, P, z0, error):
+        cfg = BpConfig(epsilon=1e-300, max_iters=1000, scheme=scheme)
+        compiled, python = both_paths(np.array(P), np.array(z0), cfg)
+        assert compiled == python
+        assert compiled[0] is error
+
+
+@needs_build
+def test_threads_without_callback_match_sequential_runs():
+    jobs = [(projector_from_kernel(np.random.default_rng(s).standard_normal((15, 30))).P, 30)
+            for s in (301, 302)]
+    cfgs = [BpConfig(epsilon=1e-9, max_iters=400, scheme=s) for s in SCHEMES]
+    expected = [[outcome(P, uniform_simplex(n), cfg) for cfg in cfgs] for P, n in jobs]
+    got = [[], []]
+
+    def work(k):
+        P, n = jobs[k]
+        for _ in range(5):
+            got[k].extend(outcome(P, uniform_simplex(n), cfg) for cfg in cfgs)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads)
+    for k in range(2):
+        assert got[k] == expected[k] * 5
+
+
+@pytest.fixture
+def fresh(monkeypatch, tmp_path):
+    """A library loaded anew in this process, cached under tmp_path."""
+    monkeypatch.setattr(bploop, "CACHE_DIR", str(tmp_path / "__pycache__"))
+    monkeypatch.setattr(bploop, "_loaded", None)
+    return tmp_path / "__pycache__"
+
+
+class TestLoading:
+    def test_loads_wherever_it_can_be_built(self):
+        # a silent fall back to the Python driver must fail here, not skip
+        if not can_build():
+            pytest.skip("no C compiler, or numpy's OpenBLAS lacks the CBLAS symbols")
+        assert bploop.library() is not None
+        assert bploop.accepts(np.eye(3), 3)
+
+    @needs_build
+    def test_only_runs_it_cannot_take_use_the_python_driver(self, monkeypatch):
+        def python_driver(*args, **kwargs):
+            raise AssertionError("the Python driver ran")
+
+        monkeypatch.setattr(basic, "_drive", python_driver)
+        P = projector_from_kernel(np.random.default_rng(5).standard_normal((4, 9))).P
+        for scheme in SCHEMES:
+            run_scheme(P, uniform_simplex(9), BpConfig(scheme=scheme))
+        strided = np.zeros((9, 18))
+        strided[:, ::2] = P
+        unaligned = np.zeros(P.nbytes + 1, dtype=np.uint8)[1:].view(np.float64).reshape(9, 9)
+        unaligned[...] = P
+        for other in (np.asfortranarray(P), P.astype(np.float32), strided[:, ::2], unaligned,
+                      P.tolist()):
+            with pytest.raises(AssertionError, match="Python driver"):
+                run_scheme(other, uniform_simplex(9), BpConfig())
+        with pytest.raises(AssertionError, match="Python driver"):
+            run_scheme(P, uniform_simplex(9), BpConfig(), callback=lambda *_: None)
+
+    @pytest.mark.parametrize("missing", ["compiler", "cblas"])
+    def test_without_compiler_or_symbols_the_python_driver_runs(self, fresh, monkeypatch,
+                                                                missing):
+        owner = bploop if missing == "compiler" else blas
+        monkeypatch.setattr(owner, missing, lambda: None)
+        assert bploop.library() is None
+        out = run_scheme(np.eye(3), uniform_simplex(3), BpConfig())
+        assert out.status == basic.INTERIOR_FOUND
+        assert not fresh.exists()
+
+    @needs_build
+    def test_second_process_reuses_the_build(self, fresh):
+        path = Path(bploop.library()._name)
+        assert path.parent == fresh
+        before = path.stat()
+        # the compiler's own permissions, so other users can load it too
+        umask = os.umask(0)
+        os.umask(umask)
+        assert before.st_mode & 0o777 == 0o777 & ~umask
+        child = (f"from epra_kit import bploop; bploop.CACHE_DIR = {str(fresh)!r}; "
+                 "print(bploop.library()._name)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                             capture_output=True, text=True).stdout.strip()
+        assert out == str(path)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert os.listdir(fresh) == [path.name]  # no temporary left behind
+
+    @needs_build
+    def test_changed_source_is_rebuilt(self, fresh, monkeypatch, tmp_path):
+        first = Path(bploop.library()._name)
+        changed = tmp_path / "bploop.c"
+        changed.write_text(Path(bploop.SOURCE).read_text() + "\n/* changed */\n")
+        monkeypatch.setattr(bploop, "SOURCE", str(changed))
+        monkeypatch.setattr(bploop, "_loaded", None)
+        second = Path(bploop.library()._name)
+        assert second != first
+        assert sorted(os.listdir(fresh)) == sorted([first.name, second.name])
+        P = projector_from_kernel(np.random.default_rng(6).standard_normal((5, 12))).P
+        cfg = BpConfig(epsilon=1e-9, max_iters=300)
+        compiled, python = both_paths(P, uniform_simplex(12), cfg)
+        assert compiled == python
+
+    @needs_build
+    def test_unwritable_cache_dir_falls_back_to_a_private_dir(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")  # a cache directory under a file cannot be made
+        monkeypatch.setattr(bploop, "CACHE_DIR", str(blocker / "__pycache__"))
+        monkeypatch.setattr(bploop, "_loaded", None)
+        lib = bploop.library()
+        assert lib is not None
+        assert Path(lib._name).parent.name.startswith("epra_kit-bploop-")
+
+    def test_source_ships_with_the_package(self):
+        with open(SRC.parent / "pyproject.toml", "rb") as f:
+            data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        assert "bploop.c" in data["epra_kit"]

@@ -445,3 +445,17 @@ class TestResultIO:
         doc = json.loads(path.read_text())
         assert doc["B"] == [1]
         assert doc["N"] == [2]
+
+
+class TestConfigCounts:
+    @pytest.mark.parametrize("field, least", [("max_rounds", 1), ("bp_max_iters", 0)])
+    @pytest.mark.parametrize("bad", [1.5, 3.0, True, "4", None])
+    def test_counts_must_be_integers(self, field, least, bad):
+        with pytest.raises(ValueError, match=field):
+            EpraConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field, least", [("max_rounds", 1), ("bp_max_iters", 0)])
+    def test_counts_have_a_floor(self, field, least):
+        assert getattr(EpraConfig(**{field: np.int64(least)}), field) == least
+        with pytest.raises(ValueError, match=field):
+            EpraConfig(**{field: least - 1})
