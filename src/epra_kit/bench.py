@@ -135,9 +135,7 @@ def _solves(outcome, modes=None):
             cfg = EpraConfig(
                 U=manifest.U,
                 epsilon=manifest.epsilon,
-                scheme=basic.SMOOTH_PERCEPTRON,
-                max_rounds=100,
-                bp_max_iters=manifest.iter_limit if manifest.iter_limit else 1_000_000,
+                bp_max_iters=manifest.iter_limit or EpraConfig.bp_max_iters,
                 rescale_mode=mode,
             )
             res, times = _timed(epra.solve, inst, cfg)

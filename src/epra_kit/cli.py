@@ -120,14 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
+    defaults = EpraConfig()
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--scheme", choices=tuple(basic.SCHEMES), default="smooth")
-    p.add_argument("--U", type=float, default=1e10)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--max-rounds", type=int, default=100, dest="max_rounds")
-    p.add_argument("--rescale-mode", choices=("all", "single"), default="all",
-                   dest="rescale_mode")
+    p.add_argument("--scheme", choices=tuple(basic.SCHEMES), default=defaults.scheme)
+    p.add_argument("--U", type=float, default=defaults.U)
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    p.add_argument("--max-rounds", type=int, default=defaults.max_rounds, dest="max_rounds")
+    p.add_argument("--rescale-mode", choices=(epra.ALL_DIRECTIONS, epra.SINGLE_DIRECTION),
+                   default=defaults.rescale_mode, dest="rescale_mode")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 

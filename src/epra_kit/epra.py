@@ -17,8 +17,8 @@ import numpy as np
 from . import basic, serialize
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, check_count, uniform_simplex
 from .blas import small_problem_threads
-from .exceptions import BothSidesInterior, DimensionMismatch
-from .subspace import Instance, _svd_rank, rescaled_projectors
+from .exceptions import BothSidesInterior
+from .subspace import Instance, _check_dimensions, _svd_rank, rescaled_projectors
 
 TRIVIAL_PRIMAL = "trivial_primal"
 TRIVIAL_DUAL = "trivial_dual"
@@ -133,17 +133,16 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
     `Instance.validate` checks all of this and more, at the cost of a
     factorization.
     """
-    if inst.n < 1:
-        raise DimensionMismatch(f"n={inst.n}: an instance needs at least one coordinate")
-    if np.shape(inst.A) != (inst.m, inst.n):
-        raise DimensionMismatch(
-            f"A has shape {np.shape(inst.A)}, expected ({inst.m}, {inst.n})"
-        )
+    _check_dimensions(inst)
     with small_problem_threads(inst.m, inst.n):
         return _solve(inst, cfg if cfg is not None else EpraConfig(), allow_refine=True)
 
 
 def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
+    """The rounds of `solve`.  Each round is one `_round`, then the
+    interior, partition and refinement tests on its two outcomes, then
+    the rescaling of each side whose trigger fired.  A refinement's
+    sub-solves run here with allow_refine=False."""
     t_start = time.perf_counter()
     A = inst.A
     n = inst.n
@@ -172,15 +171,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         )
 
     while True:
-        # Round 0 (D = D_hat = 1) takes both sides from one factorization.
-        # Every later round factors each side just before its run, so the
-        # primal side's basis and projector are gone before the dual side
-        # is factored.  A dense projector is formed for its own run and
-        # freed when the run returns.
-        pair = rescaled_projectors(A, D, D_hat) if rounds == 0 else None
-        out_p = basic.run_scheme((pair or rescaled_projectors(A, D, None)).P, z0, bp_cfg)
-        out_d = basic.run_scheme((pair or rescaled_projectors(A, None, D_hat)).P_hat, z0, bp_cfg)
-        pair = None
+        out_p, out_d = _round(A, D, D_hat, rounds == 0, z0, bp_cfg)
         iters_p += out_p.iterations
         iters_d += out_d.iterations
         p_interior = out_p.status == INTERIOR_FOUND
@@ -236,6 +227,23 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         rounds += 1
 
 
+def _round(A, D, D_hat, shared: bool, z0, bp_cfg):
+    """One round: (primal outcome, dual outcome) of `_run_side`.  With
+    shared (round 0, D = D_hat = 1) one factorization serves both sides."""
+    pair = rescaled_projectors(A, D, D_hat) if shared else None
+    return _run_side(A, D, None, pair, z0, bp_cfg), _run_side(A, None, D_hat, pair, z0, bp_cfg)
+
+
+def _run_side(A, D, D_hat, pair, z0, bp_cfg):
+    """The basic procedure on the side whose diagonal is given, built just
+    before its run unless pair holds it.  The side's basis is dropped once
+    its dense projector is formed and the projector when the run returns,
+    so the other side is built with nothing of this one alive."""
+    P = pair or rescaled_projectors(A, D, D_hat)
+    P = P.P if D is not None else P.P_hat
+    return basic.run_scheme(P, z0, bp_cfg)
+
+
 def _rounding_noise(out, n: int) -> bool:
     """True when max(P z) <= n eps max(z): P z is no larger than the
     rounding error of forming it."""
@@ -245,10 +253,6 @@ def _rounding_noise(out, n: int) -> bool:
 def _reduced_rowspace(M: np.ndarray):
     """Full-row-rank matrix with the same kernel as M (orthonormal rows),
     or None when the kernel is trivial."""
-    if M.shape[1] == 0:
-        return None
-    if M.shape[0] == 0:
-        return M.copy()
     rank, Vh = _svd_rank(M)
     if rank >= M.shape[1]:
         return None
@@ -256,55 +260,41 @@ def _reduced_rowspace(M: np.ndarray):
     return Vh[:rank].copy()
 
 
-def _kernel_columns(A: np.ndarray, N: np.ndarray):
-    """Columns N of the orthonormal basis of ker(A) that
-    `instances.nullspace_basis` returns (its rows), or None when the
-    kernel is trivial.  Only those columns are copied out of the n x n
-    factor, which is freed on return."""
-    rank, Vh = _svd_rank(A)
-    if rank >= A.shape[1]:
-        return None
-    return Vh[rank:, N]
-
-
 def _refine_partition(A, B, N, cfg: EpraConfig):
     """Strictly positive certificates for a candidate partition (B, N).
 
-    The restriction of the primal cone to B is the kernel of A's B-columns,
-    and the restriction of the dual cone to N is the orthogonal complement
-    of the N-coordinates of ker(A); both restricted problems are strictly
-    feasible exactly when (B, N) is the true partition (and by uniqueness
-    of the partition, two interior certificates prove it).  Each one is
-    handed back to the solver, where it terminates through the trivial
-    short-circuit with a strictly positive point.  Returns
-    (x, x_hat, primal_iters, dual_iters) or None when either side fails.
+    The restriction of the primal cone to B is ker(A_B), and the
+    restriction of the dual cone to N is ker(K_N) for K an orthonormal
+    basis (rows) of ker(A); both restricted problems are strictly feasible
+    exactly when (B, N) is the true partition (and by uniqueness of the
+    partition, two interior certificates prove it).  One pass per side
+    forms that side's matrix, reduces it to full row rank and hands it back
+    to the solver, where it must end through the trivial short-circuit
+    with a strictly positive point.  Returns (x, x_hat, primal_iters,
+    dual_iters) or None when either side fails.
     """
-    # M is rebound side by side, so each matrix is freed before the next
-    # is formed: the refinement holds one side's matrices at a time and
-    # peaks below the solve's own builds
-    M = _reduced_rowspace(A[:, B])
-    if M is None:
-        return None
-    res_p = _solve(Instance(n=len(B), m=M.shape[0], A=M), cfg, allow_refine=False)
-    extra_p = res_p.bp_iters_primal + res_p.bp_iters_dual
-    if res_p.status != TRIVIAL_PRIMAL:
-        return None
-    M = _kernel_columns(A, N)
-    if M is None:
-        return None
-    M = _reduced_rowspace(M)
-    if M is None:
-        return None
-    res_d = _solve(Instance(n=len(N), m=M.shape[0], A=M), cfg, allow_refine=False)
-    extra_d = res_d.bp_iters_primal + res_d.bp_iters_dual
-    if res_d.status != TRIVIAL_PRIMAL:
-        return None
-    n = A.shape[1]
-    x = np.zeros(n)
-    x[B] = res_p.x
-    x_hat = np.zeros(n)
-    x_hat[N] = res_d.x
-    return x, x_hat, extra_p, extra_d
+    subs = []
+    for side in (B, N):
+        # M is rebound at each step, so each matrix (the n x n factor
+        # included) is freed before the next is formed and the refinement
+        # peaks below the solve's own builds.  ker(A) is not trivial here,
+        # as ker(A_B) was not.
+        if side is B:
+            M = A[:, B]
+        else:
+            rank, M = _svd_rank(A)
+            M = M[rank:, N]
+        M = _reduced_rowspace(M)
+        if M is None:
+            return None
+        res = _solve(Instance(n=len(side), m=M.shape[0], A=M), cfg, allow_refine=False)
+        if res.status != TRIVIAL_PRIMAL:
+            return None
+        subs.append(res)
+    x, x_hat = np.zeros(A.shape[1]), np.zeros(A.shape[1])
+    x[B] = subs[0].x
+    x_hat[N] = subs[1].x
+    return x, x_hat, *(res.bp_iters_primal + res.bp_iters_dual for res in subs)
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,7 @@ class Instance:
     def validate(self, tol: float = 1e-8) -> None:
         """Check the structural invariants; raises on violation."""
         A = as_matrix(self.A)
-        if self.n < 1:
-            raise DimensionMismatch(f"n={self.n}: an instance needs at least one coordinate")
-        if A.shape != (self.m, self.n):
-            raise DimensionMismatch(
-                f"A has shape {A.shape}, expected ({self.m}, {self.n})"
-            )
+        _check_dimensions(self)
         if self.m > self.n:
             raise DimensionMismatch(f"m={self.m} exceeds n={self.n}")
         if self.m > 0:
@@ -98,6 +93,17 @@ class Instance:
             B, N = set(int(i) for i in B), set(int(i) for i in N)
             if B & N or (B | N) != set(range(self.n)):
                 raise ValueError("known_partition must partition the index set")
+
+
+def _check_dimensions(inst: Instance) -> None:
+    """DimensionMismatch unless n >= 1 and A has shape (m, n); A is not
+    coerced, so `solve` can check before anything else."""
+    if inst.n < 1:
+        raise DimensionMismatch(f"n={inst.n}: an instance needs at least one coordinate")
+    if np.shape(inst.A) != (inst.m, inst.n):
+        raise DimensionMismatch(
+            f"A has shape {np.shape(inst.A)}, expected ({inst.m}, {inst.n})"
+        )
 
 
 @dataclass(frozen=True)
@@ -251,11 +257,6 @@ def _outer(Q: np.ndarray) -> np.ndarray:
     n, m = Q.shape
     with small_problem_threads(m, n):
         return Q @ Q.T
-
-
-def _range_projector(M: np.ndarray) -> np.ndarray:
-    """Q Q^T for an orthonormal basis Q of M's column space."""
-    return _outer(_orthonormal_range_basis(M))
 
 
 def _complement(G: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from epra_kit.bench import RECORDS_JSONL, RESULTS_CSV, load_records_jsonl
-from epra_kit.cli import main
-from epra_kit.epra import load_result
+from epra_kit.cli import build_parser, main
+from epra_kit.epra import EpraConfig, load_result
 from epra_kit.instances import gen_controlled, gen_naive, gen_partitioned
 from epra_kit.subspace import load_instance
 
@@ -106,6 +107,13 @@ class TestSolveAndVerify:
             "--rescale-mode", "all", "--out", str(out),
         )
         assert code == 0
+
+    def test_solve_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["solve", "--instance", "i.json", "--out", "r.json"])
+        defaults = dataclasses.asdict(EpraConfig())
+        flags = {name: getattr(args, name)
+                 for name in ("U", "epsilon", "scheme", "max_rounds", "rescale_mode")}
+        assert flags == {name: defaults[name] for name in flags}
 
     def test_solver_failure_exit_code(self, tmp_path):
         inst = self._gen(tmp_path, seed="6")

@@ -332,8 +332,8 @@ class TestProjectorLifetime:
 
 
     def test_each_side_factored_after_the_other_is_freed(self, monkeypatch):
-        events, refs = [], []
-        build, run_scheme = epra.rescaled_projectors, basic.run_scheme
+        events, refs, rounds = [], [], []
+        build, run_scheme, inner = epra.rescaled_projectors, basic.run_scheme, epra._solve
 
         def recording_build(A, D, D_hat):
             side = "dual" if D is None else "primal" if D_hat is None else "both"
@@ -348,16 +348,35 @@ class TestProjectorLifetime:
             refs.append(weakref.ref(P))
             return run_scheme(P, z0, cfg, callback=callback)
 
+        def recording_solve(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            rounds.append(res.rounds)
+            return res
+
         monkeypatch.setattr(epra, "rescaled_projectors", recording_build)
         monkeypatch.setattr(basic, "run_scheme", recording_run)
+        monkeypatch.setattr(epra, "_solve", recording_solve)
+        ran = ("run", None)
+
+        def one_solve(r):
+            # round 0 shares one factorization; every later round builds the
+            # primal side, runs it, and only then builds the dual side, with
+            # no array of an earlier build or run alive at either build
+            return [("both", 0), ran, ran] + [("primal", 0), ran, ("dual", 0), ran] * r
+
         res = solve(gen_controlled(10, 30, seed=1))
         assert res.status == TRIVIAL_PRIMAL and res.rounds > 0
-        # round 0 shares one factorization; every later round builds the
-        # primal side, runs it, and only then builds the dual side, with
-        # no array of an earlier build or run alive at either build
-        ran = ("run", None)
-        assert events == ([("both", 0), ran, ran]
-                          + [("primal", 0), ran, ("dual", 0), ran] * res.rounds)
+        assert events == one_solve(res.rounds)
+
+        # the refinement's two sub-solves follow the last round, each built
+        # and run like a solve of its own; here one rescales and one does not
+        events.clear()
+        rounds.clear()
+        res = solve(gen_partitioned(30, seed=14))
+        *sub_rounds, solve_rounds = rounds
+        assert res.status == PARTITION_FOUND and solve_rounds == res.rounds
+        assert len(sub_rounds) == 2 and min(sub_rounds) == 0 and max(sub_rounds) > 0
+        assert events == sum(map(one_solve, [res.rounds] + sub_rounds), [])
 
     @staticmethod
     def _peak(fn):
@@ -421,6 +440,25 @@ class TestProjectorLifetime:
         assert res.status == PARTITION_FOUND and len(peaks) == 1
         rounds_peak, refine_peak = peaks[0]
         assert refine_peak < rounds_peak
+
+
+class TestReducedRowspace:
+    def test_no_rows_keeps_every_column_free(self):
+        M = epra._reduced_rowspace(np.zeros((0, 4)))
+        assert M.shape == (0, 4)
+
+    def test_full_column_rank_has_a_trivial_kernel(self):
+        M = np.random.default_rng(3).standard_normal((6, 4))
+        assert epra._reduced_rowspace(M) is None
+
+    def test_keeps_the_kernel_with_orthonormal_rows(self):
+        M = np.random.default_rng(4).standard_normal((2, 7))
+        M = np.vstack([M, M[0] + M[1]])  # rank 2 from three rows
+        R = epra._reduced_rowspace(M)
+        assert R.shape == (2, 7)
+        assert np.allclose(R @ R.T, np.eye(2))
+        # the same row space, so the same kernel
+        assert np.allclose(M - M @ R.T @ R, 0.0)
 
 
 class TestResultIO:

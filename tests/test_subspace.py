@@ -11,7 +11,6 @@ from epra_kit.subspace import (
     InstanceMeta,
     INFEASIBLE,
     _complement,
-    _range_projector,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -23,6 +22,11 @@ from epra_kit.subspace import (
 
 def max_abs(M):
     return float(np.max(np.abs(M)))
+
+
+def _range_projector(M: np.ndarray) -> np.ndarray:
+    """Q Q^T for an orthonormal basis Q of M's column space."""
+    return subspace._outer(subspace._orthonormal_range_basis(M))
 
 
 class TestProjectorFromKernel:
