@@ -20,10 +20,10 @@ at O(n) cost per iteration and recomputed from scratch every _REFRESH
 steps.
 
 A run without a callback on a C-contiguous float64 (n, n) projector goes
-through the same driver and steps compiled (`bploop`), which give the
-same bits and raise the same errors; `_drive` with the Python steps is
-the reference, the fallback where no compiled loop can be built, and the
-path that calls a callback at every step.
+through the same driver and steps compiled (`bploop`).  `_drive` with
+the plain NumPy steps is the reference for their bits and errors, the
+fallback where no compiled loop can be built, and the path that calls a
+callback; neither path raises floating-point warnings once a run starts.
 """
 
 import numbers
@@ -112,14 +112,13 @@ def uniform_simplex(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def stop_check(Pz, z, epsilon: float, buf=None) -> Optional[str]:
+def stop_check(Pz, z, epsilon: float) -> Optional[str]:
     """Evaluate the two termination conditions.
 
     Returns INTERIOR_FOUND when min(Pz) > 0 (exact comparison: a positive
     tolerance could falsely reject genuine interior points), RESCALE_READY
     when the sum of the positive part of Pz is at most epsilon * max(z),
-    and None otherwise.  Assumes z >= 0, z != 0.  buf, when given, is a
-    scratch vector of Pz's size that receives the positive part.
+    and None otherwise.  Assumes z >= 0, z != 0.
     """
     Pz = np.asarray(Pz, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -130,57 +129,31 @@ def stop_check(Pz, z, epsilon: float, buf=None) -> Optional[str]:
     # so the sum is needed only when max(Pz) is within the bound
     if Pz[Pz.argmax()] > bound:
         return None
-    if np.maximum(Pz, 0.0, out=buf).sum() <= bound:
+    if np.maximum(Pz, 0.0).sum() <= bound:
         return RESCALE_READY
     return None
 
 
-def away_vertex(z, Pz, support=None, masked=None) -> int:
-    """Index maximizing Pz over the support of z; ties by lowest index.
-
-    support (bool) and masked (float), when given, are scratch vectors of
-    z's size for the support mask and the masked copy of Pz.
-    """
-    z = np.asarray(z, dtype=float)
-    Pz = np.asarray(Pz, dtype=float)
-    support = np.greater(z, 0.0, out=support)
+def away_vertex(z, Pz) -> int:
+    """Index maximizing Pz over the support of z; ties by lowest index."""
+    support = np.asarray(z, dtype=float) > 0.0
     if not support.size or not support[support.argmax()]:
         raise _failure(_EMPTY_SUPPORT)
-    if masked is None:
-        masked = np.empty(Pz.shape)
-    masked.fill(-np.inf)
-    np.copyto(masked, Pz, where=support)
-    return int(masked.argmax())
+    return int(np.where(support, np.asarray(Pz, dtype=float), -np.inf).argmax())
 
 
-def _simplex_work(n: int):
-    """Scratch vectors for project_simplex on vectors of length n: the
-    sorted copy, its cumulative sums, the thresholds, the comparison and
-    the divisors 1..n."""
-    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.arange(1.0, n + 1)
-
-
-def project_simplex(y, out=None, work=None) -> np.ndarray:
-    """Euclidean projection onto the standard simplex (sort-based).
-
-    out, when given, receives the projection and is returned.  work, from
-    _simplex_work(len(y)), holds the temporaries of repeated calls.
-    """
+def project_simplex(y) -> np.ndarray:
+    """Euclidean projection onto the standard simplex (sort-based)."""
     y = np.asarray(y, dtype=float)
-    u, css, ratio, above, ks = _simplex_work(y.size) if work is None else work
-    np.copyto(u, y)
-    u.sort()
-    u = u[::-1]
-    u.cumsum(out=css)
-    np.divide(np.subtract(css, 1.0, out=ratio), ks, out=ratio)
-    np.greater(u, ratio, out=above)
+    u = np.sort(y)[::-1]
+    css = u.cumsum()
+    above = u > (css - 1.0) / np.arange(1.0, y.size + 1)
     # k - 1 is the last index where u exceeds its threshold
     k = above.size - int(above[::-1].argmax())
     if not above[k - 1]:
         raise _failure(_NO_THRESHOLD)
     tau = (css[k - 1] - 1.0) / k
-    out = np.subtract(y, tau, out=out)
-    return np.maximum(out, 0.0, out=out)
+    return np.maximum(y - tau, 0.0)
 
 
 def simplex_prox(v, mu: float, u_bar) -> np.ndarray:
@@ -190,9 +163,7 @@ def simplex_prox(v, mu: float, u_bar) -> np.ndarray:
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    v = np.asarray(v, dtype=float)
-    u_bar = np.asarray(u_bar, dtype=float)
-    return project_simplex(u_bar - v / mu)
+    return project_simplex(np.asarray(u_bar, dtype=float) - np.asarray(v, dtype=float) / mu)
 
 
 def _check_start(z0) -> np.ndarray:
@@ -229,40 +200,44 @@ def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutco
     also recomputed every `refresh` steps (never when refresh is None).  Any
     candidate status is re-verified against a freshly computed projection;
     a false alarm caused by tracking drift just corrects the projection and
-    lets the run continue.
+    lets the run continue.  All but the callback runs with overflow, invalid
+    and divide warnings off: the compiled loop raises none.
     """
-    eps = cfg.epsilon
-    max_iters = cfg.max_iters
-    buf = np.empty_like(Pz)  # the stop check's positive part
+    eps, max_iters = cfg.epsilon, cfg.max_iters
     t = since_refresh = 0
     while True:
         if callback is not None:
             callback(t, z, Pz)
-        if stop_check(Pz, z, eps, buf) is not None:
-            np.matmul(P, z, out=Pz)
-            since_refresh = 0
-            status = stop_check(Pz, z, eps, buf)
-            if status is not None:
-                return BpOutcome(status, z, Pz, t)
-        if max_iters and t >= max_iters:
-            np.matmul(P, z, out=Pz)
-            return BpOutcome(stop_check(Pz, z, eps, buf) or ITER_LIMIT, z, Pz, t)
-        force_refresh = step(z, Pz, t)
-        t += 1
-        since_refresh += 1
-        if force_refresh or since_refresh == refresh:
-            np.matmul(P, z, out=Pz)
-            since_refresh = 0
+        # one block per step with a callback, one per run without
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while True:
+                if stop_check(Pz, z, eps) is not None:
+                    np.matmul(P, z, out=Pz)
+                    since_refresh = 0
+                    status = stop_check(Pz, z, eps)
+                    if status is not None:
+                        return BpOutcome(status, z, Pz, t)
+                if max_iters and t >= max_iters:
+                    np.matmul(P, z, out=Pz)
+                    return BpOutcome(stop_check(Pz, z, eps) or ITER_LIMIT, z, Pz, t)
+                force_refresh = step(z, Pz, t)
+                t += 1
+                since_refresh += 1
+                if force_refresh or since_refresh == refresh:
+                    np.matmul(P, z, out=Pz)
+                    since_refresh = 0
+                if callback is not None:
+                    break
 
 
-def _vertex_move(z, Pz, i: int, theta: float, Pi, col) -> None:
+def _vertex_move(z, Pz, i: int, theta: float, Pi) -> None:
     """z <- (1 - theta) z + theta e_i and Pz <- (1 - theta) Pz + theta Pi,
-    in place, where Pi is column i of P and col a scratch vector.  A
-    negative theta is the away step from e_i."""
+    in place, where Pi is column i of P.  A negative theta is the away
+    step from e_i."""
     z *= 1.0 - theta
     z[i] += theta
     Pz *= 1.0 - theta
-    Pz += np.multiply(Pi, theta, out=col)
+    Pz += Pi * theta
 
 
 def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -277,10 +252,9 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
         i = int(Pz.argmin())
         if Pz[i] > 0.0:
             raise _failure(_NO_VERTEX)
-        _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i], col)
+        _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i])
 
     z = _check_start(z0)
-    col = np.empty(z.size)
     return _run(_PERCEPTRON_ID, P, z, P @ z, cfg, callback, step)
 
 
@@ -295,24 +269,22 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     def step(z, Pz, t):
         i = int(Pz.argmin())
         Pu = P[:, i]
-        pu2 = col_norm2[i]
-        if pu2 is None:
-            pu2 = col_norm2[i] = float(Pu @ Pu)
+        if not known[i]:
+            norm2[i] = Pu @ Pu
+            known[i] = 1
+        pu2 = float(norm2[i])
         pz2 = float(Pz @ Pz)
         upz = float(Pz[i])
         denom = pz2 + pu2 - 2.0 * upz
         if denom <= 0.0:
             raise _failure(_LINE_SEARCH)
         theta = (pz2 - upz) / denom
-        _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu, col)
+        _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu)
 
     z = _check_start(z0)
-    n = z.size
-    col = np.empty(n)
-    col_norm2 = [None] * n
-    # the compiled loop's cache: the norms and whether each is known
-    vectors = (np.empty(n), np.zeros(n, dtype=np.uint8))
-    return _run(_VON_NEUMANN_ID, P, z, P @ z, cfg, callback, step, vectors=vectors)
+    # ||P e_i||^2 in norm2[i] once known[i] is set
+    norm2, known = np.empty(z.size), np.zeros(z.size, dtype=np.uint8)
+    return _run(_VON_NEUMANN_ID, P, z, P @ z, cfg, callback, step, vectors=(norm2, known))
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -329,11 +301,10 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
     def step(z, Pz, t):
         pz2 = float(Pz @ Pz)
         iu = int(Pz.argmin())
-        iv = away_vertex(z, Pz, support, masked)
+        iv = away_vertex(z, Pz)
         vz = float(z[iv])
-        away = not (pz2 - float(Pz[iu]) > float(Pz[iv]) - pz2)
-        if away and vz >= 1.0:
-            away = False  # away step from a vertex cannot move
+        # an away step from a vertex cannot move
+        away = not (pz2 - float(Pz[iu]) > float(Pz[iv]) - pz2 or vz >= 1.0)
         if away:
             np.subtract(Pz, P[:, iv], out=Pa)
             theta_max = vz / (1.0 - vz)
@@ -345,18 +316,16 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
             raise _failure(_ZERO_DIRECTION)
         theta = min(theta_max, -float(z @ Pa) / pa2)
         if away:
-            _vertex_move(z, Pz, iv, -theta, P[:, iv], col)
+            _vertex_move(z, Pz, iv, -theta, P[:, iv])
             np.maximum(z, 0.0, out=z)  # clip roundoff when the cap binds
         else:
-            _vertex_move(z, Pz, iu, theta, P[:, iu], col)
+            _vertex_move(z, Pz, iu, theta, P[:, iu])
         # away steps scale the tracked projection by 1 + theta, which can
         # amplify drift, so refresh eagerly after long ones
         return away and theta > 0.5
 
     z = _check_start(z0)
-    n = z.size
-    support = np.empty(n, dtype=bool)
-    masked, Pa, col = np.empty(n), np.empty(n), np.empty(n)
+    Pa = np.empty(z.size)  # the direction's projection
     return _run(_VON_NEUMANN_AWAY_ID, P, z, P @ z, cfg, callback, step, vectors=(Pa,))
 
 
@@ -373,39 +342,31 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
     The u-update coefficients sum to one, so every iterate stays on the
     simplex.  The prox map needs u only through P u, so u itself is never
     formed: P u and P z are tracked through the same recurrences, and the
-    one matrix-vector product per iteration is P w.  All vectors are
-    updated in place; the callback sees the live iterate.  Unlike the
-    vertex schemes, P z gets no periodic recomputation.
+    one matrix-vector product per iteration is P w.  z and P z are updated
+    in place, so the callback sees the live iterate; the Python step forms
+    P u, w and P w anew.  Unlike the vertex schemes, P z gets no periodic
+    recomputation.
     """
     ub = _check_start(u_bar)
-    n = ub.size
     mu = 2.0
     Pu = P @ ub
     w = simplex_prox(Pu, mu, ub)
     Pw = P @ w
-    y = np.empty(n)
-    scaled = np.empty(n)
-    work = _simplex_work(n)
 
     def step(z, Pz, t):
-        nonlocal mu, Pu
+        nonlocal mu, Pu, w, Pw
         theta = 2.0 / (t + 3)
-        # Pu <- (1 - theta) (Pu + theta Pz) + theta^2 Pw
-        Pu += np.multiply(Pz, theta, out=scaled)
-        Pu *= 1.0 - theta
-        Pu += np.multiply(Pw, theta**2, out=scaled)
+        Pu = (Pu + Pz * theta) * (1.0 - theta) + Pw * theta**2
         mu = (1.0 - theta) * mu
-        # w <- simplex_prox(Pu, mu, ub), the projection of ub - Pu / mu
-        np.subtract(ub, np.divide(Pu, mu, out=y), out=y)
-        project_simplex(y, out=w, work=work)
-        np.matmul(P, w, out=Pw)
-        # z <- (1 - theta) z + theta w, and P z alike
+        w = simplex_prox(Pu, mu, ub)
+        Pw = P @ w
         z *= 1.0 - theta
-        z += np.multiply(w, theta, out=scaled)
+        z += w * theta
         Pz *= 1.0 - theta
-        Pz += np.multiply(Pw, theta, out=scaled)
+        Pz += Pw * theta
 
-    vectors = (Pu, w, Pw, ub, y, work[0], scaled)
+    # the compiled loop's scratch: the prox argument, sorted copy, merge buffer
+    vectors = (Pu, w, Pw, ub, *np.empty((3, ub.size)))
     return _run(_SMOOTH_ID, P, w.copy(), Pw.copy(), cfg, callback, step, refresh=None,
                 vectors=vectors, mu=mu)
 

@@ -12,7 +12,8 @@ import sys
 from . import basic, bench, epra, oracle, serialize
 from .epra import EpraConfig, SUCCESS_STATUSES
 from .exceptions import EpraKitError
-from .instances import CONTROLLED, NAIVE, PARTITIONED, GenSpec, generate
+from .instances import (CONTROLLED, NAIVE, PARTITIONED, gen_controlled, gen_naive,
+                        gen_partitioned)
 from .subspace import load_instance, save_instance
 
 EXIT_OK = 0
@@ -27,13 +28,14 @@ def _cmd_gen(args) -> int:
     if args.family != PARTITIONED and args.m is None:
         print(f"gen: --m is required for the {args.family} family", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    # --frac-small is passed on for the controlled family only; partitioned
-    # instances keep their plain uniform blocks
-    frac_small = args.frac_small if args.family == CONTROLLED else None
-    inst = generate(GenSpec(
-        family=args.family, n=args.n, m=args.m, seed=args.seed,
-        delta_cap=args.delta_cap, frac_small=frac_small,
-    ))
+    if args.family == NAIVE:
+        inst = gen_naive(args.m, args.n, args.seed)
+    elif args.family == CONTROLLED:
+        inst = gen_controlled(args.m, args.n, args.delta_cap, args.frac_small, args.seed)
+    else:
+        # --frac-small is for the controlled family only; partitioned
+        # instances keep their plain uniform blocks
+        inst = gen_partitioned(args.n, args.seed, delta_cap=args.delta_cap)
     save_instance(inst, args.out)
     print(f"wrote {args.family} instance (m={inst.m}, n={inst.n}) to {args.out}")
     return EXIT_OK
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a result file against its instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--result", required=True)
-    p.add_argument("--U", type=float, default=1e10)
+    p.add_argument("--U", type=float, default=defaults.U)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 

@@ -52,6 +52,8 @@ class EpraConfig:
             raise ValueError("U must exceed 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if self.scheme not in basic.SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         check_count("max_rounds", self.max_rounds, least=1)
         check_count("bp_max_iters", self.bp_max_iters)
         if self.rescale_mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):

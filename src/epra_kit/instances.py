@@ -15,7 +15,6 @@ Three families:
 Generators are deterministic functions of their seed.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,40 +29,11 @@ PARTITIONED = "partitioned"
 _MAX_REDRAWS = 100
 
 
-@dataclass
-class GenSpec:
-    """Declarative description of one instance draw."""
-
-    family: str
-    n: int
-    m: Optional[int] = None
-    seed: int = 0
-    delta_cap: float = 0.001
-    frac_small: Optional[float] = None  # None: drawn uniformly in [0.2, 0.8]
-
-
 def instance_seed(*keys) -> int:
     """Deterministic 64-bit seed derived from integer keys through numpy's
     SeedSequence, so a seed depends on its keys and not on run order."""
     ss = np.random.SeedSequence([int(k) for k in keys])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def generate(spec: GenSpec) -> Instance:
-    if spec.family in (NAIVE, CONTROLLED) and spec.m is None:
-        raise ValueError(f"the {spec.family} family requires m")
-    if spec.family == NAIVE:
-        return gen_naive(spec.m, spec.n, spec.seed)
-    if spec.family == CONTROLLED:
-        return gen_controlled(spec.m, spec.n, spec.delta_cap, spec.frac_small, spec.seed)
-    if spec.family == PARTITIONED:
-        return gen_partitioned(
-            spec.n,
-            spec.seed,
-            delta_cap=spec.delta_cap,
-            frac_small=0.0 if spec.frac_small is None else spec.frac_small,
-        )
-    raise ValueError(f"unknown instance family {spec.family!r}")
 
 
 def gen_naive(m: int, n: int, seed: int) -> Instance:

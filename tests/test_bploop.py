@@ -149,6 +149,58 @@ def test_threads_without_callback_match_sequential_runs():
         assert got[k] == expected[k] * 5
 
 
+def warned(P, z0, cfg, callback=None):
+    """outcome(P, z0, cfg), and the warnings the run raised, recorded
+    instead of silenced."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run_scheme(P, z0, cfg, callback)
+        except Exception as e:  # noqa: BLE001 - the two paths must fail alike
+            result = type(e), str(e)
+        else:
+            result = out.status, out.iterations, out.z.tobytes(), out.Pz.tobytes()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# entries near the largest double: the steps overflow and then subtract
+# infinities
+with np.errstate(over="ignore"):
+    LOUD = np.random.default_rng(0).standard_normal((6, 6)) * 1e308
+
+
+def loud_cfg(scheme):
+    return BpConfig(max_iters=50, scheme=scheme)
+
+
+@pytest.fixture(scope="module")
+def compiled_loud():
+    """Each scheme's compiled run on LOUD, taken before a test's
+    python_driver fixture patches the library away."""
+    return {s: warned(LOUD, uniform_simplex(6), loud_cfg(s)) for s in SCHEMES}
+
+
+@needs_build
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+class TestWarningsAlike:
+    def test_with_a_callback(self, compiled_loud, scheme):
+        got = warned(LOUD, uniform_simplex(6), loud_cfg(scheme), callback=lambda *_: None)
+        assert got == compiled_loud[scheme]
+
+    def test_without_the_library(self, compiled_loud, python_driver, scheme):
+        assert warned(LOUD, uniform_simplex(6), loud_cfg(scheme)) == compiled_loud[scheme]
+
+    def test_the_callback_keeps_its_own_warnings(self, scheme):
+        def callback(t, z, Pz):
+            np.float64(1e308) * 10.0
+
+        P = projector_from_kernel(np.random.default_rng(5).standard_normal((4, 9))).P
+        (status, iterations, *_), caught = warned(P, uniform_simplex(9), loud_cfg(scheme),
+                                                  callback)
+        assert caught == [(RuntimeWarning, "overflow encountered in scalar multiply")] * (
+            iterations + 1)
+
+
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
     """A library loaded anew in this process, cached under tmp_path."""

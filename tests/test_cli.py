@@ -114,6 +114,8 @@ class TestSolveAndVerify:
         flags = {name: getattr(args, name)
                  for name in ("U", "epsilon", "scheme", "max_rounds", "rescale_mode")}
         assert flags == {name: defaults[name] for name in flags}
+        args = build_parser().parse_args(["verify", "--instance", "i.json", "--result", "r.json"])
+        assert args.U == defaults["U"]
 
     def test_solver_failure_exit_code(self, tmp_path):
         inst = self._gen(tmp_path, seed="6")

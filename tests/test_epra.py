@@ -497,3 +497,8 @@ class TestConfigCounts:
         assert getattr(EpraConfig(**{field: np.int64(least)}), field) == least
         with pytest.raises(ValueError, match=field):
             EpraConfig(**{field: least - 1})
+
+
+def test_config_rejects_an_unknown_scheme_when_built():
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        EpraConfig(scheme="bogus")

@@ -3,12 +3,10 @@ import pytest
 
 from epra_kit.exceptions import FullRankSquare
 from epra_kit.instances import (
-    GenSpec,
     controlled_from_interior,
     gen_controlled,
     gen_naive,
     gen_partitioned,
-    generate,
     instance_seed,
     nullspace_basis,
 )
@@ -156,27 +154,6 @@ class TestPartitioned:
             gen_partitioned(3, seed=0)
         with pytest.raises(ValueError):
             gen_partitioned(10, seed=0, size_split=9)
-
-
-class TestGenSpecDispatch:
-    def test_each_family(self):
-        assert generate(GenSpec("naive", n=6, m=2, seed=1)).meta.generator == "naive"
-        assert (
-            generate(GenSpec("controlled", n=6, m=2, seed=1)).meta.generator
-            == "controlled"
-        )
-        assert (
-            generate(GenSpec("partitioned", n=8, seed=1)).meta.generator
-            == "partitioned"
-        )
-
-    def test_missing_m_rejected(self):
-        with pytest.raises(ValueError):
-            generate(GenSpec("naive", n=6, seed=1))
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            generate(GenSpec("exotic", n=6, m=2, seed=1))
 
 
 class TestInstanceSeed:
