@@ -10,6 +10,22 @@
  * and dot product goes through the same OpenBLAS routines NumPy's matmul
  * calls, with the arguments it passes; bploop.py hands their addresses
  * to bp_bind.
+ *
+ * The stop check and the vertex choice share one scan per step.  It reads
+ * P z and z once, into four independent lanes, and yields min(P z), the
+ * index of that minimum, max(P z), max(z) and whether either vector holds
+ * a NaN.  Without NaN the result is exact in any order: the min or max of
+ * doubles is the same value whatever order they are compared in, except
+ * for the sign of a zero, and nothing that reads these values tells -0.0
+ * from 0.0 (the check compares with > 0.0, > bound and <= bound, and the
+ * index is chosen with < and ==).  The index is NumPy's argmin, the first
+ * index whose value equals the minimum: each lane keeps the first index of
+ * its own minimum, and of equal lane minima the lowest index wins.  A NaN
+ * in either vector, or n below the lane count, sends the check to the
+ * scalar argmin/argmax, whose first-NaN rule the NumPy check follows.  The
+ * perceptron, von Neumann and away steps take the index from the check
+ * run just before them (after a drift re-check, from the re-check), and
+ * do not scan for it again.
  */
 
 #include <math.h>
@@ -128,17 +144,95 @@ static double pos_sum(const double *a, int64_t n)
     return pos_sum(a, n2) + pos_sum(a + n2, n - n2);
 }
 
-/* basic.stop_check */
-static int stop_check(const double *Pz, const double *z, int64_t n, double eps)
+/* The stop check's scan: min(P z) with its first index, max(P z) and
+ * max(z), in one pass over LANES independent accumulators.  A lane is
+ * indexed by constants only, so the compiler keeps it in registers. */
+enum { LANES = 4 };
+
+struct lane {
+    double lo, hi, zhi;
+    int64_t ilo;
+    int nan;
+};
+
+static inline void lane_init(struct lane *a, double v, double w, int64_t i)
 {
-    if (Pz[argmin(Pz, n)] > 0.0)
+    a->lo = a->hi = v;
+    a->zhi = w;
+    a->ilo = i;
+    a->nan = isnan(v) | isnan(w);
+}
+
+/* element i, with v of P z and w of z; a lane keeps the first index of
+ * its minimum */
+static inline void lane_take(struct lane *a, double v, double w, int64_t i)
+{
+    a->ilo = v < a->lo ? i : a->ilo;
+    a->lo = v < a->lo ? v : a->lo;
+    a->hi = v > a->hi ? v : a->hi;
+    a->zhi = w > a->zhi ? w : a->zhi;
+    a->nan |= isnan(v) | isnan(w);
+}
+
+/* lane b into lane a: of equal minima the lower index */
+static inline void lane_join(struct lane *a, const struct lane *b)
+{
+    if (b->lo < a->lo || (b->lo == a->lo && b->ilo < a->ilo)) {
+        a->lo = b->lo;
+        a->ilo = b->ilo;
+    }
+    a->hi = b->hi > a->hi ? b->hi : a->hi;
+    a->zhi = b->zhi > a->zhi ? b->zhi : a->zhi;
+}
+
+/* the joined lanes of P z and z into *out, n >= LANES; 0 when either
+ * holds a NaN */
+static int scan(const double *Pz, const double *z, int64_t n, struct lane *out)
+{
+    struct lane a[LANES];
+    lane_init(&a[0], Pz[0], z[0], 0);
+    lane_init(&a[1], Pz[1], z[1], 1);
+    lane_init(&a[2], Pz[2], z[2], 2);
+    lane_init(&a[3], Pz[3], z[3], 3);
+    int64_t i = LANES;
+    for (; i + LANES <= n; i += LANES) {
+        lane_take(&a[0], Pz[i], z[i], i);
+        lane_take(&a[1], Pz[i + 1], z[i + 1], i + 1);
+        lane_take(&a[2], Pz[i + 2], z[i + 2], i + 2);
+        lane_take(&a[3], Pz[i + 3], z[i + 3], i + 3);
+    }
+    for (; i < n; i++)
+        lane_take(&a[0], Pz[i], z[i], i);
+    if (a[0].nan | a[1].nan | a[2].nan | a[3].nan)
+        return 0;
+    lane_join(&a[0], &a[1]);
+    lane_join(&a[2], &a[3]);
+    lane_join(&a[0], &a[2]);
+    *out = a[0];
+    return 1;
+}
+
+/* basic.stop_check, which also leaves argmin(P z) in *imin when it
+ * returns RUNNING, for the step that follows */
+static int stop_check(const double *Pz, const double *z, int64_t n, double eps,
+                      int64_t *imin)
+{
+    struct lane s;
+    if (n < LANES || !scan(Pz, z, n, &s)) {
+        s.ilo = argmin(Pz, n);
+        s.lo = Pz[s.ilo];
+        s.zhi = z[argmax(z, n)];
+        s.hi = Pz[argmax(Pz, n)];
+    }
+    if (s.lo > 0.0)
         return INTERIOR_FOUND;
-    double bound = eps * z[argmax(z, n)];
-    if (Pz[argmax(Pz, n)] > bound)
-        return RUNNING;
+    double bound = eps * s.zhi;
     /* NumPy's sum adds its pairwise total to 0.0, which changes no
      * comparison */
-    return pos_sum(Pz, n) <= bound ? RESCALE_READY : RUNNING;
+    if (!(s.hi > bound) && pos_sum(Pz, n) <= bound)
+        return RESCALE_READY;
+    *imin = s.ilo;
+    return RUNNING;
 }
 
 /* Python's max(0.0, x) and min(1.0, x): the first argument unless the
@@ -151,16 +245,17 @@ static void vertex_move(double *z, double *Pz, int64_t n, int64_t i, double thet
                         const double *P)
 {
     double c = 1.0 - theta;
-    for (int64_t j = 0; j < n; j++)
+    for (int64_t j = 0; j < n; j++) {
         z[j] *= c;
-    z[i] += theta;
-    for (int64_t j = 0; j < n; j++)
         Pz[j] = Pz[j] * c + P[j * n + i] * theta;
+    }
+    z[i] += theta;
 }
 
-static int perceptron_step(const double *P, double *z, double *Pz, int64_t n, int64_t t)
+/* i is argmin(P z), from the stop check before the step */
+static int perceptron_step(const double *P, double *z, double *Pz, int64_t n, int64_t t,
+                           int64_t i)
 {
-    int64_t i = argmin(Pz, n);
     if (Pz[i] > 0.0)
         return NO_IMPROVING_VERTEX;
     vertex_move(z, Pz, n, i, 1.0 / (double)(t + 1), P);
@@ -168,10 +263,9 @@ static int perceptron_step(const double *P, double *z, double *Pz, int64_t n, in
 }
 
 /* norm2[i] holds ||P e_i||^2 once known[i] is set */
-static int vn_step(const double *P, double *z, double *Pz, int64_t n,
+static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i,
                    double *norm2, unsigned char *known)
 {
-    int64_t i = argmin(Pz, n);
     if (!known[i]) {
         norm2[i] = dot(n, P + i, n, P + i, n);
         known[i] = 1;
@@ -187,32 +281,39 @@ static int vn_step(const double *P, double *z, double *Pz, int64_t n,
     return 0;
 }
 
-/* Pa is a scratch vector; *force is set when the step asks for a refresh */
-static int vna_step(const double *P, double *z, double *Pz, int64_t n, double *Pa, int *force)
+/* basic.away_vertex in one pass: argmax of Pz with -inf off the support
+ * of z, or -1 when the support is empty.  A NaN of Pz lies on the support,
+ * so the scan may stop at the first one. */
+static int64_t away_vertex(const double *z, const double *Pz, int64_t n)
+{
+    int64_t iv = 0;
+    int support = z[0] > 0.0;
+    double best = support ? Pz[0] : -INFINITY;
+    if (isnan(best))
+        return 0;
+    for (int64_t j = 1; j < n; j++) {
+        int on = z[j] > 0.0;
+        double v = on ? Pz[j] : -INFINITY;
+        support |= on;
+        if (!(v <= best)) {
+            iv = j;
+            if (isnan(v))
+                return iv;
+            best = v;
+        }
+    }
+    return support ? iv : -1;
+}
+
+/* iu is argmin(P z), from the stop check; Pa is a scratch vector; *force
+ * is set when the step asks for a refresh */
+static int vna_step(const double *P, double *z, double *Pz, int64_t n, int64_t iu, double *Pa,
+                    int *force)
 {
     double pz2 = dot(n, Pz, 1, Pz, 1);
-    int64_t iu = argmin(Pz, n);
-    /* basic.away_vertex: argmax of Pz with -inf off the support */
-    int64_t iv = -1;
-    for (int64_t j = 0; j < n; j++)
-        if (z[j] > 0.0) {
-            iv = j;
-            break;
-        }
+    int64_t iv = away_vertex(z, Pz, n);
     if (iv < 0)
         return EMPTY_SUPPORT;
-    iv = 0;
-    double best = z[0] > 0.0 ? Pz[0] : -INFINITY;
-    if (!isnan(best))
-        for (int64_t j = 1; j < n; j++) {
-            double v = z[j] > 0.0 ? Pz[j] : -INFINITY;
-            if (!(v <= best)) {
-                iv = j;
-                if (isnan(v))
-                    break;
-                best = v;
-            }
-        }
     double vz = z[iv];
     int away = !(pz2 - Pz[iu] > Pz[iv] - pz2);
     if (away && vz >= 1.0)
@@ -277,16 +378,13 @@ static void sort_decreasing(double *a, double *tmp, int64_t n)
         memcpy(a, src, (size_t)n * sizeof(double));
 }
 
-/* basic.project_simplex of y into out; u and tmp hold n doubles.  The order
- * in which equal values (and so signed zeros) sort changes no bit of the
- * result, and a NaN anywhere in y leaves no threshold index, as in the
- * NumPy code, where NaN sorts first. */
+/* basic.project_simplex of y, which holds no NaN, into out; u holds a copy
+ * of y and tmp n doubles.  The order in which equal values (and so signed
+ * zeros) sort changes no bit of the result.  A NaN anywhere in y leaves no
+ * threshold index in the NumPy code, where NaN sorts first; the caller
+ * returns that failure before the sort. */
 static int project_simplex(const double *y, double *out, int64_t n, double *u, double *tmp)
 {
-    for (int64_t j = 0; j < n; j++)
-        if (isnan(y[j]))
-            return NO_SIMPLEX_THRESHOLD;
-    memcpy(u, y, (size_t)n * sizeof(double));
     sort_decreasing(u, tmp, n);
     /* k is one past the last index where u exceeds its threshold */
     int64_t k = 0;
@@ -324,19 +422,26 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
     double theta = 2.0 / (double)(t + 3);
     double c = 1.0 - theta;
     double theta2 = pow(theta, two);
-    for (int64_t j = 0; j < n; j++)
-        s->Pu[j] = (s->Pu[j] + Pz[j] * theta) * c + s->Pw[j] * theta2;
-    s->mu = c * s->mu;
-    for (int64_t j = 0; j < n; j++)
-        s->y[j] = s->ub[j] - s->Pu[j] / s->mu;
-    int err = project_simplex(s->y, s->w, n, s->u, s->tmp);
+    double mu = s->mu = c * s->mu;
+    double *Pu = s->Pu, *w = s->w, *Pw = s->Pw, *y = s->y, *u = s->u;
+    const double *ub = s->ub;
+    /* P u, then the prox argument y = u_bar - P u / mu and its copy to sort */
+    int nan = 0;
+    for (int64_t j = 0; j < n; j++) {
+        Pu[j] = (Pu[j] + Pz[j] * theta) * c + Pw[j] * theta2;
+        u[j] = y[j] = ub[j] - Pu[j] / mu;
+        nan |= isnan(y[j]);
+    }
+    if (nan)
+        return NO_SIMPLEX_THRESHOLD;
+    int err = project_simplex(y, w, n, u, s->tmp);
     if (err)
         return err;
-    matvec(P, s->w, s->Pw, n);
-    for (int64_t j = 0; j < n; j++)
-        z[j] = z[j] * c + s->w[j] * theta;
-    for (int64_t j = 0; j < n; j++)
-        Pz[j] = Pz[j] * c + s->Pw[j] * theta;
+    matvec(P, w, Pw, n);
+    for (int64_t j = 0; j < n; j++) {
+        z[j] = z[j] * c + w[j] * theta;
+        Pz[j] = Pz[j] * c + Pw[j] * theta;
+    }
     return 0;
 }
 
@@ -355,17 +460,19 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
     int64_t refresh = scheme == SMOOTH ? -1 : REFRESH;
     int64_t t = 0, since_refresh = 0;
     int status;
+    /* argmin(P z), from the check before each step */
+    int64_t i = 0;
     for (;;) {
-        if (stop_check(Pz, z, n, eps)) {
+        if (stop_check(Pz, z, n, eps, &i)) {
             matvec(P, z, Pz, n);
             since_refresh = 0;
-            status = stop_check(Pz, z, n, eps);
+            status = stop_check(Pz, z, n, eps, &i);
             if (status)
                 break;
         }
         if (max_iters && t >= max_iters) {
             matvec(P, z, Pz, n);
-            status = stop_check(Pz, z, n, eps);
+            status = stop_check(Pz, z, n, eps, &i);
             if (!status)
                 status = ITER_LIMIT;
             break;
@@ -373,13 +480,13 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
         int force = 0, err;
         switch (scheme) {
         case PERCEPTRON:
-            err = perceptron_step(P, z, Pz, n, t);
+            err = perceptron_step(P, z, Pz, n, t, i);
             break;
         case VON_NEUMANN:
-            err = vn_step(P, z, Pz, n, a, b);
+            err = vn_step(P, z, Pz, n, i, a, b);
             break;
         case VON_NEUMANN_AWAY:
-            err = vna_step(P, z, Pz, n, a, &force);
+            err = vna_step(P, z, Pz, n, i, a, &force);
             break;
         default:
             err = smooth_step(P, z, Pz, n, t, &s);

@@ -51,8 +51,8 @@ def both_paths(P, z0, cfg):
 
 @st.composite
 def loop_cases(draw):
-    """A projector (or a matrix that is not one, with zero, NaN or
-    underflowing entries), a start, epsilon and a cap."""
+    """A projector (or a matrix that is not one, with zero, NaN, infinite
+    or underflowing entries), a start, epsilon and a cap."""
     n = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["projector", "symmetric", "general"]))
@@ -62,12 +62,14 @@ def loop_cases(draw):
         P = rng.standard_normal((n, n))
         if kind == "symmetric":
             P = (P + P.T) / 2.0
-    holes = draw(st.sampled_from(["none", "zeros", "nan"]))
+    holes = draw(st.sampled_from(["none", "zeros", "nan", "inf"]))
     cut = rng.random((n, n))
     if holes != "none":
         P[cut < 0.2] = 0.0
     if holes == "nan":
         P[cut > 0.9] = np.nan
+    if holes == "inf":
+        P[cut > 0.9] = np.where(cut[cut > 0.9] > 0.95, np.inf, -np.inf)
     P = np.ascontiguousarray(P * draw(st.sampled_from([1.0, 1.0, 1e-200])))
     start = draw(st.sampled_from(["uniform", "random", "vertex", "leaning"]))
     if start == "uniform":
@@ -124,6 +126,120 @@ class TestSameBitsAsPythonDriver:
         compiled, python = both_paths(np.array(P), np.array(z0), cfg)
         assert compiled == python
         assert compiled[0] is error
+
+
+def seen(P, z0, cfg, probe) -> bool:
+    """Whether probe(z, Pz) held at some stop check of the Python driver's
+    run: the callback sees the state that the check then reads."""
+    hits = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            run_scheme(P, z0, cfg, lambda t, z, Pz: hits.append(bool(probe(z, Pz))))
+        except Exception:  # noqa: BLE001 - only the states before the failure count
+            pass
+    return any(hits)
+
+
+def signed_zero_minimum(plus: int, minus: int) -> np.ndarray:
+    """An 8 x 8 matrix on which the perceptron's first step (theta = 1)
+    leaves P z = column 0 of P: 1 everywhere but 0.0 at `plus` and -0.0
+    at `minus`, where P z was negative before (its product with 0.0 is
+    -0.0, and -0.0 + -0.0 is -0.0)."""
+    P = np.ones((8, 8))
+    P[0, 1:] = -1.0  # min(P z) at 0 from the uniform start
+    P[minus, 1:] = -0.5
+    P[plus, 0], P[minus, 0] = 0.0, -0.0
+    return P
+
+
+def near_equal_columns(seed: int) -> np.ndarray:
+    """Columns that differ by far less than their size, scaled down: a von
+    Neumann step with away steps can then take a huge negative step, and z
+    overflows into infinities and NaN."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    P = (np.tile(rng.standard_normal(n)[:, None], (1, n))
+         + rng.standard_normal((n, n)) * 10.0 ** -float(rng.integers(3, 12)))
+    return P * 10.0 ** -float(rng.integers(0, 140))
+
+
+@needs_build
+class TestScan:
+    """The stop check's one-pass scan (min(P z) with its index, max(P z),
+    max(z)) and the index the vertex steps take from it, bytewise against
+    the Python driver on the cases its exactness rests on."""
+
+    @staticmethod
+    def same_bits(P, z0, epsilon=1e-9, max_iters=300):
+        for scheme in SCHEMES:
+            cfg = BpConfig(epsilon=epsilon, max_iters=max_iters, scheme=scheme)
+            compiled, python = both_paths(np.ascontiguousarray(P), np.asarray(z0), cfg)
+            assert compiled == python, scheme
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("kind", ["projector", "general"])
+    def test_every_lane_remainder(self, n, kind):
+        rng = np.random.default_rng(100 + n)
+        if kind == "projector":
+            P = projector_from_kernel(rng.standard_normal((n // 2, n))).P
+        else:
+            P = rng.standard_normal((n, n))
+        self.same_bits(P, uniform_simplex(n))
+        self.same_bits(P, rng.dirichlet(np.ones(n)))
+
+    @pytest.mark.parametrize("kind", ["projector", "symmetric"])
+    def test_tied_minima_across_lanes(self, kind):
+        # every row of P is repeated at i, i + 5 and i + 10: three lanes
+        if kind == "projector":
+            Q = projector_from_kernel(np.random.default_rng(7).standard_normal((2, 5))).P
+        else:
+            R = np.random.default_rng(2).standard_normal((5, 5))
+            Q = (R + R.T) / 2.0
+        groups = np.tile(np.arange(5), 3)
+        P = np.ascontiguousarray(Q[np.ix_(groups, groups)])
+        for scheme in SCHEMES:
+            cfg = BpConfig(epsilon=1e-9, max_iters=300, scheme=scheme)
+            # min(P z) in more than one of the scan's lanes (index mod 4)
+            assert seen(P, uniform_simplex(15), cfg,
+                        lambda z, Pz: len({i % 4 for i in np.flatnonzero(Pz == Pz.min())}) > 1)
+        self.same_bits(P, uniform_simplex(15))
+
+    @pytest.mark.parametrize("plus, minus", [(2, 5), (5, 2), (1, 5), (5, 1)],
+                             ids=["+0-lanes-apart", "-0-lanes-apart", "+0-one-lane",
+                                  "-0-one-lane"])
+    def test_signed_zero_minima(self, plus, minus):
+        P = signed_zero_minimum(plus, minus)
+
+        def both_zeros(z, Pz):
+            return (Pz.min() == 0.0 == Pz[plus] == Pz[minus]
+                    and not np.signbit(Pz[plus]) and np.signbit(Pz[minus]))
+
+        assert seen(P, uniform_simplex(8), BpConfig(max_iters=300, scheme="perceptron"),
+                    both_zeros)
+        self.same_bits(P, uniform_simplex(8))
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_infinite_entries(self, n):
+        P = projector_from_kernel(np.random.default_rng(n).standard_normal((n // 2, n))).P
+        P[n - 1, 1] = np.inf  # P z: +inf
+        P[2, 0] = -np.inf  # P z: -inf, and NaN after the perceptron's first step
+        cfg = BpConfig(max_iters=300, scheme="perceptron")
+        assert seen(P, uniform_simplex(n), cfg,
+                    lambda z, Pz: np.isinf(Pz).any() and not np.isnan(Pz).any())
+        assert seen(P, uniform_simplex(n), cfg, lambda z, Pz: np.isnan(Pz).any())
+        self.same_bits(P, uniform_simplex(n))
+        P[2, 3] = np.inf  # P z: inf - inf from the start
+        assert seen(P, uniform_simplex(n), cfg, lambda z, Pz: np.isnan(Pz[2]))
+        self.same_bits(P, uniform_simplex(n))
+
+    @pytest.mark.parametrize("seed", [4, 1517])
+    def test_nan_reaching_z_through_vna(self, seed):
+        P = near_equal_columns(seed)
+        z0 = uniform_simplex(P.shape[0])
+        cfg = BpConfig(epsilon=1e-300, max_iters=300, scheme="vna")
+        assert seen(P, z0, cfg, lambda z, Pz: np.isnan(z).any() and not np.isnan(z).all())
+        self.same_bits(P, z0, epsilon=1e-300)
 
 
 @needs_build
