@@ -17,7 +17,8 @@ computed P z; a scheme supplies only its set-up and its step.  A vertex
 scheme's iterate moves by a convex (or, for away steps, affine) combination
 of the current point and a simplex vertex, so P z is tracked incrementally
 at O(n) cost per iteration and recomputed from scratch every _REFRESH
-steps.
+steps.  A step's failure carries the number of steps completed before it
+as its `iterations` attribute.
 
 A run without a callback on a C-contiguous float64 (n, n) projector goes
 through the same driver and steps compiled (`bploop`).  `_drive` with
@@ -33,11 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bploop
-from .exceptions import (
-    DegenerateStep,
-    EmptySupport,
-    NoImprovingVertex,
-)
+from .exceptions import DegenerateStep, EmptySupport, EpraKitError, NoImprovingVertex
 
 INTERIOR_FOUND = "interior_found"
 RESCALE_READY = "rescale_ready"
@@ -186,9 +183,11 @@ def _run(scheme: int, P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH,
     no callback and it accepts P, else _drive with the Python step."""
     if callback is not None or not bploop.accepts(P, z.size):
         return _drive(P, z, Pz, cfg, callback, step, refresh)
-    code, t = bploop.run(scheme, P, z, Pz, cfg.epsilon, cfg.max_iters, vectors, mu)
+    code, t = bploop.run(scheme, P, z, Pz, cfg.epsilon, cfg.max_iters, refresh, vectors, mu)
     if code < 0:
-        raise _failure(code)
+        error = _failure(code)
+        error.iterations = t
+        raise error
     return BpOutcome(_STATUSES[code], z, Pz, t)
 
 
@@ -197,7 +196,7 @@ def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutco
 
     step(z, Pz, t) advances z and its tracked projection Pz in place by one
     iteration; a true return asks for Pz to be recomputed at once.  Pz is
-    also recomputed every `refresh` steps (never when refresh is None).  Any
+    also recomputed every `refresh` steps (never when refresh is 0).  Any
     candidate status is re-verified against a freshly computed projection;
     a false alarm caused by tracking drift just corrects the projection and
     lets the run continue.  All but the callback runs with overflow, invalid
@@ -220,7 +219,11 @@ def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutco
                 if max_iters and t >= max_iters:
                     np.matmul(P, z, out=Pz)
                     return BpOutcome(stop_check(Pz, z, eps) or ITER_LIMIT, z, Pz, t)
-                force_refresh = step(z, Pz, t)
+                try:
+                    force_refresh = step(z, Pz, t)
+                except (EpraKitError, IndexError) as error:
+                    error.iterations = t
+                    raise
                 t += 1
                 since_refresh += 1
                 if force_refresh or since_refresh == refresh:
@@ -269,9 +272,8 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     def step(z, Pz, t):
         i = int(Pz.argmin())
         Pu = P[:, i]
-        if not known[i]:
+        if norm2[i] < 0.0:
             norm2[i] = Pu @ Pu
-            known[i] = 1
         pu2 = float(norm2[i])
         pz2 = float(Pz @ Pz)
         upz = float(Pz[i])
@@ -282,9 +284,9 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
         _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu)
 
     z = _check_start(z0)
-    # ||P e_i||^2 in norm2[i] once known[i] is set
-    norm2, known = np.empty(z.size), np.zeros(z.size, dtype=np.uint8)
-    return _run(_VON_NEUMANN_ID, P, z, P @ z, cfg, callback, step, vectors=(norm2, known))
+    # ||P e_i||^2, or -1 until computed (a computed entry is >= 0 or NaN)
+    norm2 = np.full(z.size, -1.0)
+    return _run(_VON_NEUMANN_ID, P, z, P @ z, cfg, callback, step, vectors=(norm2,))
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -367,7 +369,7 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
 
     # the compiled loop's scratch: the prox argument, sorted copy, merge buffer
     vectors = (Pu, w, Pw, ub, *np.empty((3, ub.size)))
-    return _run(_SMOOTH_ID, P, w.copy(), Pw.copy(), cfg, callback, step, refresh=None,
+    return _run(_SMOOTH_ID, P, w.copy(), Pw.copy(), cfg, callback, step, refresh=0,
                 vectors=vectors, mu=mu)
 
 

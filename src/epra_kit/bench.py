@@ -37,9 +37,9 @@ class ExperimentManifest:
     experiment: str
     sizes: list  # [m, n] pairs, or [n] singletons for EpraPartition
     instances_per_cell: int = 100
-    epsilon: float = 0.5
-    iter_limit: int = 10000  # 0 = no cap
-    U: float = 1e10
+    epsilon: float = EpraConfig.epsilon
+    iter_limit: int = BpConfig.max_iters  # 0 = no cap
+    U: float = EpraConfig.U
     base_seed: int = 0
     parallelism: int = 1
 
@@ -50,13 +50,10 @@ class ExperimentManifest:
             raise ValueError("sizes must list at least one cell")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be at least 1")
-        # the ranges BpConfig and EpraConfig enforce, checked here so a bad
-        # value stops the batch instead of turning every task into an error
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        # checked here so a bad value stops the batch instead of turning
+        # every task into an error
+        EpraConfig(U=self.U, epsilon=self.epsilon)
         basic.check_count("iter_limit", self.iter_limit)
-        if not self.U > 1.0:
-            raise ValueError(f"U must exceed 1, got {self.U}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
 

@@ -49,8 +49,6 @@ enum { RUNNING = 0, INTERIOR_FOUND = 1, RESCALE_READY = 2, ITER_LIMIT = 3 };
 enum { NO_IMPROVING_VERTEX = -1, LINE_SEARCH = -2, ZERO_DIRECTION = -3,
        EMPTY_SUPPORT = -4, NO_SIMPLEX_THRESHOLD = -5 };
 
-#define REFRESH 128
-
 static gemv_fn gemv;
 static dot_fn dot_;
 
@@ -262,14 +260,11 @@ static int perceptron_step(const double *P, double *z, double *Pz, int64_t n, in
     return 0;
 }
 
-/* norm2[i] holds ||P e_i||^2 once known[i] is set */
-static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i,
-                   double *norm2, unsigned char *known)
+/* norm2[i] is ||P e_i||^2 once computed (>= 0 or NaN), -1 before */
+static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i, double *norm2)
 {
-    if (!known[i]) {
+    if (norm2[i] < 0.0)
         norm2[i] = dot(n, P + i, n, P + i, n);
-        known[i] = 1;
-    }
     double pu2 = norm2[i];
     double pz2 = dot(n, Pz, 1, Pz, 1);
     double upz = Pz[i];
@@ -446,18 +441,19 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
 }
 
 /* basic._drive for one scheme.  P is C-ordered (n, n); z and Pz are
- * updated in place.  a..f are the scheme's vectors:
- *   vn      a: ||P e_i||^2 cache (n doubles), b: its flags (n bytes)
+ * updated in place, and Pz is recomputed every `refresh` steps (never when
+ * refresh is 0).  a..g are the scheme's vectors:
+ *   vn      a: ||P e_i||^2 cache (n doubles, -1 until computed)
  *   vna     a: scratch (n doubles)
  *   smooth  a: P u, b: w, c: P w, d: u_bar, e, f, g: scratch (n doubles
  *           each); mu is the smoothing parameter
- * Returns a status or a failure code; *iters receives the step count. */
+ * Returns a status or a failure code; *iters receives the number of steps
+ * completed, before the failure for a failure code. */
 int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz,
-               double eps, int64_t max_iters, int64_t *iters,
+               double eps, int64_t max_iters, int64_t refresh, int64_t *iters,
                void *a, void *b, void *c, void *d, void *e, void *f, void *g, double mu)
 {
     struct smooth s = {a, b, c, d, e, f, g, mu};
-    int64_t refresh = scheme == SMOOTH ? -1 : REFRESH;
     int64_t t = 0, since_refresh = 0;
     int status;
     /* argmin(P z), from the check before each step */
@@ -483,7 +479,7 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
             err = perceptron_step(P, z, Pz, n, t, i);
             break;
         case VON_NEUMANN:
-            err = vn_step(P, z, Pz, n, i, a, b);
+            err = vn_step(P, z, Pz, n, i, a);
             break;
         case VON_NEUMANN_AWAY:
             err = vna_step(P, z, Pz, n, i, a, &force);

@@ -107,8 +107,8 @@ def _load():
     lib.bp_bind(*addresses)
     d, i, p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     lib.bp_run.restype = i
-    # scheme, n, P, z, Pz, eps, max_iters, iters, seven vectors, mu
-    lib.bp_run.argtypes = [i, i, p, p, p, d, i, p] + [p] * 7 + [d]
+    # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, seven vectors, mu
+    lib.bp_run.argtypes = [i, i, p, p, p, d, i, i, p] + [p] * 7 + [d]
     return lib
 
 
@@ -132,16 +132,17 @@ def accepts(P, n: int) -> bool:
 _MAX_ITERS = 2**63 - 1
 
 
-def run(scheme: int, P, z, Pz, epsilon: float, max_iters: int, vectors=(), mu=0.0):
+def run(scheme: int, P, z, Pz, epsilon: float, max_iters: int, refresh: int, vectors=(),
+        mu=0.0):
     """`bp_run` (bploop.c) on arrays that `accepts` allows: returns its
     status or failure code and the number of steps taken.  z and Pz
-    (float64, contiguous) are updated in place; vectors are the scheme's
-    own, up to seven."""
+    (float64, contiguous) are updated in place, Pz recomputed every
+    `refresh` steps (never for 0); vectors are the scheme's own, up to 7."""
     iters = ctypes.c_int64()
     address = blas._address
     addresses = [address(v) for v in vectors]
     addresses += [None] * (7 - len(addresses))
     code = library().bp_run(scheme, z.size, address(P), address(z), address(Pz),
-                            epsilon, min(max_iters, _MAX_ITERS), ctypes.byref(iters),
+                            epsilon, min(max_iters, _MAX_ITERS), refresh, ctypes.byref(iters),
                             *addresses, mu)
     return code, iters.value

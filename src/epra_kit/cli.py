@@ -14,7 +14,7 @@ from .epra import EpraConfig, SUCCESS_STATUSES
 from .exceptions import EpraKitError
 from .instances import (CONTROLLED, NAIVE, PARTITIONED, gen_controlled, gen_naive,
                         gen_partitioned)
-from .subspace import load_instance, save_instance
+from .subspace import RESIDUAL_TOL, load_instance, save_instance
 
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 1
@@ -33,9 +33,8 @@ def _cmd_gen(args) -> int:
     elif args.family == CONTROLLED:
         inst = gen_controlled(args.m, args.n, args.delta_cap, args.frac_small, args.seed)
     else:
-        # --frac-small is for the controlled family only; partitioned
-        # instances keep their plain uniform blocks
-        inst = gen_partitioned(args.n, args.seed, delta_cap=args.delta_cap)
+        # --delta-cap and --frac-small are for the controlled family only
+        inst = gen_partitioned(args.n, args.seed)
     save_instance(inst, args.out)
     print(f"wrote {args.family} instance (m={inst.m}, n={inst.n}) to {args.out}")
     return EXIT_OK
@@ -65,17 +64,7 @@ def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     res = epra.load_result(args.result)
     report = oracle.verify_relint_pair(inst, res, U=args.U, tol=args.tol)
-    print(
-        serialize.dumps(
-            {
-                "membership_ok": report.membership_ok,
-                "positivity_ok": report.positivity_ok,
-                "relint_ok": report.relint_ok,
-                "partition_matches_ground_truth": report.partition_matches_ground_truth,
-                "max_residual": report.max_residual,
-            }
-        )
-    )
+    print(serialize.dumps(dataclasses.asdict(report)))
     ok = report.relint_ok and report.partition_matches_ground_truth is not False
     return EXIT_OK if ok else EXIT_SOLVER_FAILURE
 
@@ -138,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--result", required=True)
     p.add_argument("--U", type=float, default=defaults.U)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="run an experiment manifest")

@@ -40,24 +40,27 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass
 class EpraConfig:
+    """Solver settings; epsilon and scheme are checked by `BpConfig`."""
+
     U: float = 1e10
-    epsilon: float = 0.5
-    scheme: str = basic.SMOOTH_PERCEPTRON
+    epsilon: float = BpConfig.epsilon
+    scheme: str = BpConfig.scheme
     max_rounds: int = 100
     bp_max_iters: int = 1_000_000
     rescale_mode: str = ALL_DIRECTIONS
 
     def __post_init__(self):
         if not self.U > 1.0:
-            raise ValueError("U must exceed 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.scheme not in basic.SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"U must exceed 1, got {self.U}")
         check_count("max_rounds", self.max_rounds, least=1)
         check_count("bp_max_iters", self.bp_max_iters)
         if self.rescale_mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):
             raise ValueError(f"unknown rescale_mode {self.rescale_mode!r}")
+        self.bp_config()
+
+    def bp_config(self) -> BpConfig:
+        """The basic procedure's settings for each side of each round."""
+        return BpConfig(epsilon=self.epsilon, max_iters=self.bp_max_iters, scheme=self.scheme)
 
 
 @dataclass
@@ -150,7 +153,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
     n = inst.n
     D = np.ones(n)
     D_hat = np.ones(n)
-    bp_cfg = BpConfig(epsilon=cfg.epsilon, max_iters=cfg.bp_max_iters, scheme=cfg.scheme)
+    bp_cfg = cfg.bp_config()
     z0 = uniform_simplex(n)
     iters_p = 0
     iters_d = 0

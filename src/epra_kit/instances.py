@@ -123,13 +123,7 @@ def nullspace_basis(M) -> np.ndarray:
     return Vh[rank:].copy()
 
 
-def gen_partitioned(
-    n: int,
-    seed: int,
-    size_split: Optional[int] = None,
-    delta_cap: float = 0.001,
-    frac_small: float = 0.0,
-) -> Instance:
+def gen_partitioned(n: int, seed: int, size_split: Optional[int] = None) -> Instance:
     """Instance whose primal and dual cones both have non-trivial relative
     interiors, with the partition recorded in the metadata.
 
@@ -139,9 +133,8 @@ def gen_partitioned(
     orthonormal nullspace basis of another controlled matrix, so the row
     space of the N-block meets the positive orthant of R^N and the block is
     full row rank.  The off-diagonal block is Gaussian and the lower-left
-    block is exactly zero.  By default the blocks' interior points are plain
-    uniform draws (no forced-small entries); pass frac_small > 0 to make the
-    blocks ill-conditioned as well.
+    block is exactly zero.  The blocks' interior points are plain uniform
+    draws (no forced-small entries).
     """
     if n < 4:
         raise ValueError("partitioned instances need n >= 4")
@@ -158,11 +151,8 @@ def gen_partitioned(
     m_inner = max(1, nn // 2)
     seed_b = int(rng.integers(2**63))
     seed_n = int(rng.integers(2**63))
-    A_bb = gen_controlled(m_b, nb, delta_cap=delta_cap, frac_small=frac_small, seed=seed_b).A
-    inner = gen_controlled(
-        m_inner, nn, delta_cap=delta_cap, frac_small=frac_small, seed=seed_n
-    ).A
-    A_nn = nullspace_basis(inner)
+    A_bb = gen_controlled(m_b, nb, frac_small=0.0, seed=seed_b).A
+    A_nn = nullspace_basis(gen_controlled(m_inner, nn, frac_small=0.0, seed=seed_n).A)
     m_n = A_nn.shape[0]
     A_nb = rng.standard_normal((m_b, nn))
     A = np.block(

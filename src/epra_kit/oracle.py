@@ -12,7 +12,7 @@ from . import epra
 from .epra import EpraResult, TRIVIAL_PRIMAL
 from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
 from .instances import gen_naive, instance_seed
-from .subspace import Instance, as_matrix, projector_from_kernel
+from .subspace import RESIDUAL_TOL, Instance, as_matrix, projector_from_kernel
 
 
 @dataclass
@@ -54,7 +54,7 @@ def monte_carlo_feasible_rate(m: int, n: int, trials: int, seed: int) -> float:
     return hits / trials
 
 
-def verify_membership(A, x, tol: float = 1e-8) -> Tuple[bool, float]:
+def verify_membership(A, x, tol: float = RESIDUAL_TOL) -> Tuple[bool, float]:
     """Check x in ker(A); returns (flag, max residual).
 
     The flag is true iff ||A x||_inf <= tol * max(1, ||x||_inf ||A||_max).
@@ -78,7 +78,7 @@ def _max_abs(v: np.ndarray, idx: np.ndarray) -> float:
 
 
 def verify_relint_pair(
-    inst: Instance, result: EpraResult, U: float, tol: float = 1e-8
+    inst: Instance, result: EpraResult, U: float, tol: float = RESIDUAL_TOL
 ) -> VerificationReport:
     """Check a solver result against the U-approximate relative-interior
     conditions:

@@ -22,6 +22,9 @@ from .exceptions import DimensionMismatch, RankDeficient
 # largest entry, and singular values against the largest
 RANK_TOL = 1e-10
 
+# relative tolerance of every kernel-membership residual ||A x||_inf
+RESIDUAL_TOL = 1e-8
+
 INFEASIBLE = float("-inf")  # known_delta value for a provably infeasible primal
 
 
@@ -61,7 +64,7 @@ class Instance:
     A: np.ndarray
     meta: Optional[InstanceMeta] = None
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raises on violation."""
         A = as_matrix(self.A)
         _check_dimensions(self)
@@ -83,7 +86,7 @@ class Instance:
                 raise ValueError("known_interior_point must have max-norm 1")
             if self.m > 0:
                 resid = np.max(np.abs(A @ x))
-                if resid > tol * max(1.0, np.max(np.abs(A))):
+                if resid > RESIDUAL_TOL * max(1.0, np.max(np.abs(A))):
                     raise ValueError(
                         f"known_interior_point is not in ker(A): residual {resid:g}"
                     )

@@ -49,6 +49,8 @@ class TestManifest:
         ("iter_limit", True, "iter_limit"),
         ("U", 0.5, "U must exceed 1"),
         ("U", 1.0, "U must exceed 1"),
+        ("epsilon", float("nan"), "epsilon"),
+        ("U", float("nan"), "U must exceed 1"),
     ])
     def test_rejects_values_every_task_would_fail_on(self, field, value, message):
         # each of these used to run nothing, or turn every task into an

@@ -32,13 +32,14 @@ needs_build = pytest.mark.skipif(
 
 def outcome(P, z0, cfg):
     """A run's status, step count and the bytes of z and P z, or the type
-    and message of the error it raised."""
+    and message of the error it raised with the steps completed before it
+    (None for an error raised before the loop)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # NaN and overflow
             out = run_scheme(P, z0, cfg)
     except Exception as e:  # noqa: BLE001 - the two paths must fail alike
-        return type(e), str(e)
+        return type(e), str(e), getattr(e, "iterations", None)
     return out.status, out.iterations, out.z.tobytes(), out.Pz.tobytes()
 
 
@@ -114,18 +115,24 @@ class TestSameBitsAsPythonDriver:
     EMPTY_SUPPORT_START = [0.4748215668065211, 0.34074774151446785, 0.0261542074336222,
                            0.15827648424538873]
     HUGE = [[7e16, -1.2e17, 4e16], [0.0, 5e16, 2e16], [7e16, 0.0, -2e16]]
+    # the smooth step's prox argument takes a NaN at the second step, which
+    # must end the run there on both paths
+    INF_COLUMN = np.random.default_rng(10).standard_normal((10, 10))
+    INF_COLUMN[[1, 3], 8] = np.inf
 
     @pytest.mark.parametrize("scheme, P, z0, error", [
         ("vn", TINY, [0.5, 0.5], DegenerateStep),
         ("vna", TINY, [0.5, 0.5], DegenerateStep),
         ("vna", EMPTY_SUPPORT, EMPTY_SUPPORT_START, EmptySupport),
         ("smooth", HUGE, [1 / 3] * 3, IndexError),
+        ("smooth", INF_COLUMN, uniform_simplex(10), IndexError),
     ])
     def test_failures(self, scheme, P, z0, error):
         cfg = BpConfig(epsilon=1e-300, max_iters=1000, scheme=scheme)
         compiled, python = both_paths(np.array(P), np.array(z0), cfg)
         assert compiled == python
         assert compiled[0] is error
+        assert compiled[2] is not None  # failed inside the loop
 
 
 def seen(P, z0, cfg, probe) -> bool:
@@ -273,7 +280,7 @@ def warned(P, z0, cfg, callback=None):
         try:
             out = run_scheme(P, z0, cfg, callback)
         except Exception as e:  # noqa: BLE001 - the two paths must fail alike
-            result = type(e), str(e)
+            result = type(e), str(e), getattr(e, "iterations", None)
         else:
             result = out.status, out.iterations, out.z.tobytes(), out.Pz.tobytes()
     return result, [(w.category, str(w.message)) for w in caught]

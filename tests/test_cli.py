@@ -51,6 +51,14 @@ class TestGen:
         )
         assert code == 2
 
+    def test_partitioned_ignores_the_controlled_knobs(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(
+            "gen", "--family", "partitioned", "--n", "12", "--delta-cap", "0",
+            "--frac-small", "2", "--seed", "4", "--out", str(out),
+        ) == 0
+        assert load_instance(out).A.tobytes() == gen_partitioned(12, 4).A.tobytes()
+
     def test_missing_m_rejected(self, tmp_path):
         code = run(
             "gen", "--family", "naive", "--n", "8", "--seed", "1",
@@ -61,8 +69,8 @@ class TestGen:
     @pytest.mark.parametrize("family, m, expected", [
         ("naive", "3", lambda: gen_naive(3, 12, 7)),
         ("controlled", "3", lambda: gen_controlled(3, 12, 0.01, frac_small=0.25, seed=7)),
-        # the partitioned family ignores --frac-small
-        ("partitioned", None, lambda: gen_partitioned(12, 7, delta_cap=0.01)),
+        # the partitioned family ignores --delta-cap and --frac-small
+        ("partitioned", None, lambda: gen_partitioned(12, 7)),
     ])
     def test_matches_library_generator(self, tmp_path, family, m, expected):
         out = tmp_path / "inst.json"
@@ -136,6 +144,17 @@ class TestSolveAndVerify:
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert report["relint_ok"] is True
         assert report["partition_matches_ground_truth"] is True
+
+    def test_verify_prints_the_report_fields_in_order(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        out = tmp_path / "res.json"
+        assert run("solve", "--instance", str(inst), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--result", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["membership_ok", "positivity_ok", "relint_ok",
+                                              "partition_matches_ground_truth", "max_residual"]
 
     def test_verify_rejects_corrupted_result(self, tmp_path):
         inst = self._gen(tmp_path)

@@ -499,6 +499,18 @@ class TestConfigCounts:
             EpraConfig(**{field: least - 1})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", 0.0, "epsilon"),
+    ("epsilon", 1.0, "epsilon"),
+    ("epsilon", float("nan"), "epsilon"),
+    ("U", 1.0, "U must exceed 1"),
+    ("U", float("nan"), "U must exceed 1"),
+])
+def test_config_rejects_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EpraConfig(**{field: value})
+
+
 def test_config_rejects_an_unknown_scheme_when_built():
     with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
         EpraConfig(scheme="bogus")
