@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bploop
-from .exceptions import DegenerateStep, EmptySupport, EpraKitError, NoImprovingVertex
+from .exceptions import DegenerateStep, EmptySupport, EpraKitError
 
 INTERIOR_FOUND = "interior_found"
 RESCALE_READY = "rescale_ready"
@@ -49,10 +49,8 @@ SMOOTH_PERCEPTRON = "smooth"
 _REFRESH = 128
 
 # the failures of a step, by the codes the compiled loop returns for them
-_NO_VERTEX, _LINE_SEARCH, _ZERO_DIRECTION, _EMPTY_SUPPORT, _NO_THRESHOLD = range(-1, -6, -1)
+_LINE_SEARCH, _ZERO_DIRECTION, _EMPTY_SUPPORT, _NO_THRESHOLD = range(-2, -6, -1)
 _FAILURES = {
-    _NO_VERTEX: (NoImprovingVertex,
-                 "min(Pz) > 0 while the interior check failed; numerical anomaly"),
     _LINE_SEARCH: (DegenerateStep, "line-search denominator is nonpositive; numerical anomaly"),
     _ZERO_DIRECTION: (DegenerateStep, "||P a||^2 = 0 while the stop conditions failed"),
     _EMPTY_SUPPORT: (EmptySupport, "z has no positive component"),
@@ -74,9 +72,9 @@ def check_count(name: str, value, least: int = 0):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BpConfig:
-    """Basic-procedure settings.
+    """Basic-procedure settings, frozen once checked.
 
     max_iters = 0 disables the iteration cap.  The default cap of 10000
     matches the standalone benchmark convention; the rescaling solver
@@ -246,15 +244,13 @@ def _vertex_move(z, Pz, i: int, theta: float, Pi) -> None:
 def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
     """Perceptron scheme.
 
-    At each step pick the vertex e_i with i minimizing (Pz)_i (a vertex u
-    with <u, Pz> <= 0 always exists while the stop conditions fail) and set
-    z <- (1 - 1/(t+1)) z + (1/(t+1)) e_i.
+    At each step pick the vertex e_i with i minimizing (Pz)_i and set
+    z <- (1 - 1/(t+1)) z + (1/(t+1)) e_i.  (Pz)_i <= 0 (or NaN): the stop
+    check that ran on the same Pz would otherwise have returned interior.
     """
 
     def step(z, Pz, t):
         i = int(Pz.argmin())
-        if Pz[i] > 0.0:
-            raise _failure(_NO_VERTEX)
         _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i])
 
     z = _check_start(z0)

@@ -32,7 +32,7 @@ RECORDS_JSONL = "per_instance.jsonl"
 SUMMARY_JSON = "summary.json"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentManifest:
     experiment: str
     sizes: list  # [m, n] pairs, or [n] singletons for EpraPartition
@@ -48,14 +48,12 @@ class ExperimentManifest:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.sizes:
             raise ValueError("sizes must list at least one cell")
-        if self.instances_per_cell < 1:
-            raise ValueError("instances_per_cell must be at least 1")
         # checked here so a bad value stops the batch instead of turning
         # every task into an error
+        for name, least in (("instances_per_cell", 1), ("iter_limit", 0), ("base_seed", 0),
+                            ("parallelism", 1)):
+            basic.check_count(name, getattr(self, name), least)
         EpraConfig(U=self.U, epsilon=self.epsilon)
-        basic.check_count("iter_limit", self.iter_limit)
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentManifest":

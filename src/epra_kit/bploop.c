@@ -46,8 +46,7 @@ enum { PERCEPTRON = 0, VON_NEUMANN = 1, VON_NEUMANN_AWAY = 2, SMOOTH = 3 };
 
 /* statuses, and the failures of basic._FAILURES (negative codes) */
 enum { RUNNING = 0, INTERIOR_FOUND = 1, RESCALE_READY = 2, ITER_LIMIT = 3 };
-enum { NO_IMPROVING_VERTEX = -1, LINE_SEARCH = -2, ZERO_DIRECTION = -3,
-       EMPTY_SUPPORT = -4, NO_SIMPLEX_THRESHOLD = -5 };
+enum { LINE_SEARCH = -2, ZERO_DIRECTION = -3, EMPTY_SUPPORT = -4, NO_SIMPLEX_THRESHOLD = -5 };
 
 static gemv_fn gemv;
 static dot_fn dot_;
@@ -248,16 +247,6 @@ static void vertex_move(double *z, double *Pz, int64_t n, int64_t i, double thet
         Pz[j] = Pz[j] * c + P[j * n + i] * theta;
     }
     z[i] += theta;
-}
-
-/* i is argmin(P z), from the stop check before the step */
-static int perceptron_step(const double *P, double *z, double *Pz, int64_t n, int64_t t,
-                           int64_t i)
-{
-    if (Pz[i] > 0.0)
-        return NO_IMPROVING_VERTEX;
-    vertex_move(z, Pz, n, i, 1.0 / (double)(t + 1), P);
-    return 0;
 }
 
 /* norm2[i] is ||P e_i||^2 once computed (>= 0 or NaN), -1 before */
@@ -473,10 +462,11 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
                 status = ITER_LIMIT;
             break;
         }
-        int force = 0, err;
+        int force = 0, err = 0;
         switch (scheme) {
         case PERCEPTRON:
-            err = perceptron_step(P, z, Pz, n, t, i);
+            /* P z at i is not positive: the check just before said so */
+            vertex_move(z, Pz, n, i, 1.0 / (double)(t + 1), P);
             break;
         case VON_NEUMANN:
             err = vn_step(P, z, Pz, n, i, a);

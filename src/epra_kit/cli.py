@@ -72,11 +72,11 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     manifest = bench.ExperimentManifest.load(args.manifest)
     env_seed = os.environ.get("EPRA_SEED")
-    if env_seed is not None:
-        manifest.base_seed = int(env_seed)
+    overrides = {} if env_seed is None else {"base_seed": int(env_seed)}
     if args.parallelism is not None:
-        # replace, not assignment, so the manifest's checks see the value
-        manifest = dataclasses.replace(manifest, parallelism=args.parallelism)
+        overrides["parallelism"] = args.parallelism
+    # the manifest is frozen; replace checks the overriding values
+    manifest = dataclasses.replace(manifest, **overrides)
     rows = bench.run_experiment(manifest, out_dir=args.out_dir)
     summary = serialize.load(os.path.join(args.out_dir, bench.SUMMARY_JSON))
     print(

@@ -38,9 +38,9 @@ _ALPHA_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpraConfig:
-    """Solver settings; epsilon and scheme are checked by `BpConfig`."""
+    """Solver settings, frozen once checked; `BpConfig` checks epsilon and scheme."""
 
     U: float = 1e10
     epsilon: float = BpConfig.epsilon
@@ -132,8 +132,8 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
     basic procedures from the uniform simplex point.  Small instances run
     on one BLAS thread (see `blas.small_problem_threads`).
 
-    inst.n must be at least 1 and inst.A must have shape (inst.m, inst.n),
-    else DimensionMismatch is raised; A must have full row rank: the first
+    inst.A must be a matrix with at least one column, else
+    DimensionMismatch is raised; it must have full row rank: the first
     factorization raises RankDeficient when it does not.
     `Instance.validate` checks all of this and more, at the cost of a
     factorization.
@@ -292,7 +292,7 @@ def _refine_partition(A, B, N, cfg: EpraConfig):
         M = _reduced_rowspace(M)
         if M is None:
             return None
-        res = _solve(Instance(n=len(side), m=M.shape[0], A=M), cfg, allow_refine=False)
+        res = _solve(Instance(M), cfg, allow_refine=False)
         if res.status != TRIVIAL_PRIMAL:
             return None
         subs.append(res)

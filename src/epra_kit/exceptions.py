@@ -17,11 +17,6 @@ class EmptySupport(EpraKitError):
     """Away-step vertex requested for a vector with no positive component."""
 
 
-class NoImprovingVertex(EpraKitError):
-    """No simplex vertex with nonpositive inner product exists although the
-    stop conditions failed; impossible in exact arithmetic."""
-
-
 class DegenerateStep(EpraKitError):
     """Line-search denominator vanished while the stop conditions failed."""
 

@@ -42,7 +42,7 @@ def gen_naive(m: int, n: int, seed: int) -> Instance:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    return Instance(n=n, m=m, A=A, meta=InstanceMeta(generator=NAIVE, seed=int(seed)))
+    return Instance(A, InstanceMeta(generator=NAIVE, seed=int(seed)))
 
 
 def controlled_from_interior(x_bar, m: int, rng) -> np.ndarray:
@@ -80,14 +80,15 @@ def gen_controlled(
     from (0, delta_cap], the rest from (0, 1]; the vector is then scaled to
     have max-norm exactly 1.  When frac_small is None a fraction is drawn
     uniformly from [0.2, 0.8] per instance; frac_small = 0 disables the
-    forced-small entries entirely (plain uniform interior point).
+    forced-small entries entirely (plain uniform interior point), and then
+    delta_cap, which changes no drawn number, is not checked.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    if delta_cap <= 0:
-        raise ValueError("delta_cap must be positive")
     if frac_small is not None and not 0.0 <= frac_small < 1.0:
         raise ValueError("frac_small must lie in [0, 1)")
+    if frac_small != 0.0 and not delta_cap > 0:
+        raise ValueError("delta_cap must be positive")
     rng = np.random.default_rng(seed)
     frac = rng.uniform(0.2, 0.8) if frac_small is None else frac_small
     k_small = int(np.floor(frac * n))
@@ -110,7 +111,7 @@ def gen_controlled(
         known_delta=float(np.prod(x)),
         known_interior_point=x,
     )
-    return Instance(n=n, m=m, A=A, meta=meta)
+    return Instance(A, meta)
 
 
 def nullspace_basis(M) -> np.ndarray:
@@ -153,12 +154,11 @@ def gen_partitioned(n: int, seed: int, size_split: Optional[int] = None) -> Inst
     seed_n = int(rng.integers(2**63))
     A_bb = gen_controlled(m_b, nb, frac_small=0.0, seed=seed_b).A
     A_nn = nullspace_basis(gen_controlled(m_inner, nn, frac_small=0.0, seed=seed_n).A)
-    m_n = A_nn.shape[0]
     A_nb = rng.standard_normal((m_b, nn))
     A = np.block(
         [
             [A_bb, A_nb],
-            [np.zeros((m_n, nb)), A_nn],
+            [np.zeros((len(A_nn), nb)), A_nn],
         ]
     )
     meta = InstanceMeta(
@@ -166,4 +166,4 @@ def gen_partitioned(n: int, seed: int, size_split: Optional[int] = None) -> Inst
         seed=int(seed),
         known_partition=(list(range(nb)), list(range(nb, n))),
     )
-    return Instance(n=n, m=m_b + m_n, A=A, meta=meta)
+    return Instance(A, meta)

@@ -57,12 +57,18 @@ class InstanceMeta:
 
 @dataclass
 class Instance:
-    """A feasibility instance: L = ker(A) for a full-row-rank A (m x n)."""
+    """A feasibility instance: L = ker(A) for a full-row-rank A, of shape (m, n)."""
 
-    n: int
-    m: int
     A: np.ndarray
     meta: Optional[InstanceMeta] = None
+
+    @property
+    def m(self) -> int:
+        return np.shape(self.A)[0]
+
+    @property
+    def n(self) -> int:
+        return np.shape(self.A)[1]
 
     def validate(self) -> None:
         """Check the structural invariants; raises on violation."""
@@ -99,14 +105,11 @@ class Instance:
 
 
 def _check_dimensions(inst: Instance) -> None:
-    """DimensionMismatch unless n >= 1 and A has shape (m, n); A is not
-    coerced, so `solve` can check before anything else."""
-    if inst.n < 1:
-        raise DimensionMismatch(f"n={inst.n}: an instance needs at least one coordinate")
-    if np.shape(inst.A) != (inst.m, inst.n):
-        raise DimensionMismatch(
-            f"A has shape {np.shape(inst.A)}, expected ({inst.m}, {inst.n})"
-        )
+    """DimensionMismatch unless A is a matrix with at least one column; A
+    is not coerced, so `solve` can check before anything else."""
+    shape = np.shape(inst.A)
+    if len(shape) != 2 or shape[1] < 1:
+        raise DimensionMismatch(f"A has shape {shape}: an instance needs a matrix with a column")
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,8 @@ def _complement(G: np.ndarray) -> np.ndarray:
 
 def instance_to_dict(inst: Instance) -> dict:
     A = as_matrix(inst.A)
-    doc = {"n": int(inst.n), "m": int(inst.m), "A": A.tolist(), "meta": None}
+    m, n = A.shape
+    doc = {"n": n, "m": m, "A": A.tolist(), "meta": None}
     meta = inst.meta
     if meta is not None:
         if meta.known_delta is None:
@@ -314,7 +318,12 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(doc: dict) -> Instance:
     n = int(doc["n"])
     m = int(doc["m"])
-    A = np.asarray(doc["A"], dtype=float).reshape(m, n)
+    A = np.asarray(doc["A"], dtype=float)
+    if A.size == 0 and m * n == 0:
+        # an empty A holds no shape: a file with m = 0 gives n only here
+        A = A.reshape(m, n)
+    if A.shape != (m, n):
+        raise ValueError(f"A has shape {A.shape}, but the file gives (m, n) = ({m}, {n})")
     meta = None
     mdoc = doc.get("meta")
     if mdoc is not None:
@@ -339,7 +348,7 @@ def instance_from_dict(doc: dict) -> Instance:
             known_interior_point=point,
             known_partition=part,
         )
-    return Instance(n=n, m=m, A=A, meta=meta)
+    return Instance(A, meta)
 
 
 def save_instance(inst: Instance, path) -> None:

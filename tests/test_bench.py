@@ -51,6 +51,10 @@ class TestManifest:
         ("U", 1.0, "U must exceed 1"),
         ("epsilon", float("nan"), "epsilon"),
         ("U", float("nan"), "U must exceed 1"),
+        ("instances_per_cell", 2.5, "instances_per_cell"),
+        ("parallelism", 1.5, "parallelism"),
+        ("base_seed", -1, "base_seed"),
+        ("base_seed", 1.5, "base_seed"),
     ])
     def test_rejects_values_every_task_would_fail_on(self, field, value, message):
         # each of these used to run nothing, or turn every task into an

@@ -46,7 +46,7 @@ def caller_threads():
 
 def rank_deficient_instance():
     A = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]])
-    return Instance(n=4, m=2, A=A)
+    return Instance(A=A)
 
 
 def threads_seen_by_basic_procedure(monkeypatch, inst):

@@ -44,6 +44,17 @@ class TestGen:
         inst = load_instance(out)
         assert inst.meta.known_partition is not None
 
+    def test_delta_cap_is_free_without_forced_entries(self, tmp_path):
+        # at --frac-small 0 no entry is drawn below --delta-cap, so any cap
+        # gives the same instance
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for cap, path in (("0", a), ("0.7", b)):
+            assert run(
+                "gen", "--family", "controlled", "--n", "8", "--m", "3", "--frac-small", "0",
+                "--delta-cap", cap, "--seed", "1", "--out", str(path),
+            ) == 0
+        assert a.read_text() == b.read_text()
+
     def test_partitioned_rejects_m(self, tmp_path):
         code = run(
             "gen", "--family", "partitioned", "--n", "12", "--m", "5",
@@ -174,6 +185,20 @@ class TestSolveAndVerify:
         assert len(err) == 1 and "DimensionMismatch" in err[0]
         assert not (tmp_path / "res.json").exists()
 
+    @pytest.mark.parametrize("n, m, A", [
+        (2, 2, [[1.0, -2.0, 3.0, 4.0]]),
+        (4, 1, [[1.0, -2.0], [3.0, 4.0]]),
+    ])
+    def test_misshaped_instance_is_invalid_input(self, tmp_path, capsys, n, m, A):
+        # the file's n and m are checked against A, not used to reshape it
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"n": n, "m": m, "A": A, "meta": None}))
+        code = run("solve", "--instance", str(inst), "--out", str(tmp_path / "res.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("epra-kit: invalid input:") and err.count("\n") == 1
+        assert not (tmp_path / "res.json").exists()
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         code = run("solve", "--instance", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "res.json"))
@@ -217,6 +242,18 @@ class TestBenchAndHist:
         seeds_b = {r["seed"] for r in load_records_jsonl(out_b / RECORDS_JSONL)}
         assert seeds_a != seeds_b
 
+    def test_out_of_range_env_seed_is_invalid_input(self, tmp_path, capsys, monkeypatch):
+        # EPRA_SEED is checked like the manifest's base_seed; -1 used to
+        # turn every task into an error
+        man = self._manifest(tmp_path)
+        out_dir = tmp_path / "o"
+        monkeypatch.setenv("EPRA_SEED", "-1")
+        assert run("bench", "--manifest", str(man), "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("epra-kit: invalid input:") and err.count("\n") == 1
+        assert "base_seed" in err
+        assert not out_dir.exists()
+
     def test_parallelism_flag(self, tmp_path):
         man = self._manifest(tmp_path)
         out_dir = tmp_path / "out_par"
@@ -244,6 +281,8 @@ class TestBenchAndHist:
 
     @pytest.mark.parametrize("extra", [
         {"epsilon": 1.5}, {"iter_limit": -3}, {"U": 0.5}, {"sizes": []},
+        {"instances_per_cell": 2.5}, {"parallelism": 1.5}, {"base_seed": -1},
+        {"base_seed": 1.5},
     ])
     def test_out_of_range_manifest_is_invalid_input(self, tmp_path, capsys, extra):
         man = self._manifest(tmp_path, **extra)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -7,7 +8,8 @@ import pytest
 import epra_kit.basic as basic
 import epra_kit.epra as epra
 from epra_kit import blas
-from epra_kit.basic import BpOutcome, INTERIOR_FOUND, ITER_LIMIT, RESCALE_READY
+from epra_kit.basic import BpConfig, BpOutcome, INTERIOR_FOUND, ITER_LIMIT, RESCALE_READY
+from epra_kit.bench import ExperimentManifest
 from epra_kit.epra import (
     EpraConfig,
     PARTITION_FOUND,
@@ -90,14 +92,14 @@ class TestRescaleUpdate:
 
 class TestSolveSmallInstances:
     def test_free_subspace_is_trivially_primal(self):
-        res = solve(Instance(n=3, m=0, A=np.zeros((0, 3))))
+        res = solve(Instance(A=np.zeros((0, 3))))
         assert res.status == TRIVIAL_PRIMAL
         assert res.rounds == 0
         assert np.all(res.x > 0)
         assert res.B.tolist() == [0, 1, 2] and res.N.size == 0
 
     def test_one_dimensional_feasible_kernel(self):
-        inst = Instance(n=2, m=1, A=np.array([[1.0, -2.0]]))
+        inst = Instance(A=np.array([[1.0, -2.0]]))
         res = solve(inst)
         assert res.status == TRIVIAL_PRIMAL
         assert res.B.tolist() == [0, 1]
@@ -107,7 +109,7 @@ class TestSolveSmallInstances:
         assert np.allclose(res.x_hat, 0.0)
 
     def test_axis_partition(self):
-        inst = Instance(n=2, m=1, A=np.array([[0.0, 1.0]]))
+        inst = Instance(A=np.array([[0.0, 1.0]]))
         res = solve(inst)
         assert res.status == PARTITION_FOUND
         assert res.B.tolist() == [0]
@@ -117,7 +119,7 @@ class TestSolveSmallInstances:
 
     def test_result_invariants_on_trivial_dual(self):
         # ker(A) = span{(2, -1)}: primal infeasible, dual strictly feasible
-        inst = Instance(n=2, m=1, A=np.array([[1.0, 2.0]]))
+        inst = Instance(A=np.array([[1.0, 2.0]]))
         res = solve(inst)
         assert res.status == TRIVIAL_DUAL
         assert np.all(res.x_hat > 0)
@@ -126,7 +128,7 @@ class TestSolveSmallInstances:
 
     def test_membership_tolerances(self):
         rng = np.random.default_rng(19)
-        inst = Instance(n=8, m=3, A=rng.standard_normal((3, 8)))
+        inst = Instance(A=rng.standard_normal((3, 8)))
         res = solve(inst)
         assert res.status in (TRIVIAL_PRIMAL, TRIVIAL_DUAL, PARTITION_FOUND)
         if res.x.any():
@@ -222,7 +224,7 @@ class TestAnomalyPaths:
         n = 4
         good = BpOutcome(INTERIOR_FOUND, np.full(n, 0.25), np.full(n, 0.25), 0)
         monkeypatch.setitem(basic.SCHEMES, "smooth", self._fake_scheme([good]))
-        inst = Instance(n=n, m=1, A=np.array([[1.0, -1.0, 0.5, 0.25]]))
+        inst = Instance(A=np.array([[1.0, -1.0, 0.5, 0.25]]))
         with pytest.raises(BothSidesInterior):
             solve(inst)
 
@@ -230,7 +232,7 @@ class TestAnomalyPaths:
         # the primal side finds P z = (1.1e-16, 1.1e-16), rounding noise of
         # the exact zero in ker(A) = span{(1, -1)}; the dual side's (0.5, 0.5)
         # settles the instance
-        inst = Instance(n=2, m=1, A=np.array([[1.0, 1.0]]))
+        inst = Instance(A=np.array([[1.0, 1.0]]))
         res = solve(inst)
         assert res.status == TRIVIAL_DUAL
         assert verify_relint_pair(inst, res, EpraConfig().U).relint_ok
@@ -246,7 +248,7 @@ class TestAnomalyPaths:
         z = np.full(n, 0.25)
         outs = [BpOutcome(INTERIOR_FOUND, z, np.full(n, pz), 0) for pz in (primal_pz, dual_pz)]
         monkeypatch.setitem(basic.SCHEMES, "smooth", self._fake_scheme(outs))
-        inst = Instance(n=n, m=1, A=np.array([[1.0, -1.0, 0.5, 0.25]]))
+        inst = Instance(A=np.array([[1.0, -1.0, 0.5, 0.25]]))
         if expected is None:
             with pytest.raises(BothSidesInterior):
                 solve(inst)
@@ -260,7 +262,7 @@ class TestAnomalyPaths:
         Pz = np.array([0.3, -1.0, -1.0, -1.0])
         out = BpOutcome(RESCALE_READY, z, Pz, 2)
         monkeypatch.setitem(basic.SCHEMES, "smooth", self._fake_scheme([out]))
-        inst = Instance(n=n, m=1, A=np.array([[1.0, -1.0, 0.5, 0.25]]))
+        inst = Instance(A=np.array([[1.0, -1.0, 0.5, 0.25]]))
         res = solve(inst)
         assert res.status == STALLED
         assert res.rounds == 0
@@ -270,26 +272,20 @@ class TestAnomalyPaths:
         z = np.full(n, 0.25)
         out = BpOutcome(ITER_LIMIT, z, np.array([0.5, -0.5, 0.5, -0.5]), 10)
         monkeypatch.setitem(basic.SCHEMES, "smooth", self._fake_scheme([out]))
-        inst = Instance(n=n, m=1, A=np.array([[1.0, -1.0, 0.5, 0.25]]))
+        inst = Instance(A=np.array([[1.0, -1.0, 0.5, 0.25]]))
         res = solve(inst)
         assert res.status == STALLED
 
 
 class TestSolveInputChecks:
-    @pytest.mark.parametrize("n, m", [(5, 3), (6, 2), (6, 4)])
-    def test_shape_mismatch_raises(self, n, m):
-        A = np.random.default_rng(3).standard_normal((3, 6))
-        with pytest.raises(DimensionMismatch):
-            solve(Instance(n=n, m=m, A=A))
-
     @pytest.mark.parametrize("m", [0, 1])
     def test_empty_instance_raises(self, m):
         with pytest.raises(DimensionMismatch):
-            solve(Instance(n=0, m=m, A=np.zeros((m, 0))))
+            solve(Instance(A=np.zeros((m, 0))))
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficient):
-            solve(Instance(n=3, m=2, A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])))
+            solve(Instance(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])))
 
 
 class TestProjectorLifetime:
@@ -463,7 +459,7 @@ class TestReducedRowspace:
 
 class TestResultIO:
     def test_round_trip(self, tmp_path):
-        inst = Instance(n=2, m=1, A=np.array([[0.0, 1.0]]))
+        inst = Instance(A=np.array([[0.0, 1.0]]))
         res = solve(inst)
         path = tmp_path / "result.json"
         save_result(res, path)
@@ -476,7 +472,7 @@ class TestResultIO:
     def test_one_based_indices_on_disk(self, tmp_path):
         import json
 
-        inst = Instance(n=2, m=1, A=np.array([[0.0, 1.0]]))
+        inst = Instance(A=np.array([[0.0, 1.0]]))
         res = solve(inst)
         path = tmp_path / "result.json"
         save_result(res, path)
@@ -514,3 +510,23 @@ def test_config_rejects_out_of_range_values(field, value, message):
 def test_config_rejects_an_unknown_scheme_when_built():
     with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
         EpraConfig(scheme="bogus")
+
+
+@pytest.mark.parametrize("config", [
+    BpConfig(), EpraConfig(), ExperimentManifest(experiment="EpraControlled", sizes=[[3, 8]]),
+], ids=lambda config: type(config).__name__)
+def test_configs_are_frozen(config):
+    # a setting checked when the config was built holds for its whole life
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
+def test_replace_checks_the_new_value():
+    cfg = EpraConfig()
+    # assigning used to skip the check: U = 0.5 solved as `stalled`
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.U = 0.5
+    assert dataclasses.replace(cfg, U=2.0).U == 2.0
+    with pytest.raises(ValueError, match="U must exceed 1"):
+        dataclasses.replace(cfg, U=0.5)

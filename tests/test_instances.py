@@ -77,6 +77,20 @@ class TestControlled:
     def test_validates(self):
         gen_controlled(5, 11, seed=21).validate()
 
+    def test_delta_cap_unchecked_without_forced_entries(self):
+        # at frac_small = 0 delta_cap changes no drawn number
+        ref = gen_controlled(3, 12, delta_cap=1e-3, frac_small=0.0, seed=1)
+        for cap in (0.0, 0.7, float("nan")):
+            inst = gen_controlled(3, 12, delta_cap=cap, frac_small=0.0, seed=1)
+            assert inst.A.tobytes() == ref.A.tobytes()
+            assert inst.meta.known_delta == ref.meta.known_delta
+
+    @pytest.mark.parametrize("frac_small", [None, 0.5])
+    def test_nan_delta_cap_rejected(self, frac_small):
+        # it used to end in DegenerateMax after every redraw
+        with pytest.raises(ValueError, match="delta_cap"):
+            gen_controlled(2, 5, delta_cap=float("nan"), frac_small=frac_small, seed=0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             gen_controlled(0, 5, seed=0)
@@ -145,7 +159,7 @@ class TestPartitioned:
         m_b = max(1, len(B) // 2)
         from epra_kit.subspace import Instance
 
-        block = Instance(n=len(B), m=m_b, A=inst.A[:m_b, : len(B)])
+        block = Instance(A=inst.A[:m_b, : len(B)])
         res = solve(block)
         assert res.status == "trivial_primal"
 

@@ -107,7 +107,7 @@ class TestConditionMeasureSearch:
 
 class TestVerifyRelintPair:
     def test_trivial_primal_certificate(self):
-        inst = Instance(n=2, m=1, A=np.array([[1.0, -2.0]]))
+        inst = Instance(A=np.array([[1.0, -2.0]]))
         res = solve(inst)
         rep = verify_relint_pair(inst, res, U=1e10)
         assert rep.membership_ok
@@ -117,12 +117,12 @@ class TestVerifyRelintPair:
         assert rep.max_residual <= 1e-10
 
     def test_axis_partition_certificate(self):
-        inst = Instance(n=2, m=1, A=np.array([[0.0, 1.0]]))
+        inst = Instance(A=np.array([[0.0, 1.0]]))
         res = solve(inst)
         assert verify_relint_pair(inst, res, U=1e10).relint_ok
 
     def test_corrupted_small_block_fails(self):
-        inst = Instance(n=2, m=1, A=np.array([[0.0, 1.0]]))
+        inst = Instance(A=np.array([[0.0, 1.0]]))
         res = solve(inst)
         res.x = res.x.copy()
         res.x[1] = 0.1 * res.x[0]  # no longer below the U-threshold
@@ -130,7 +130,7 @@ class TestVerifyRelintPair:
         assert not rep.relint_ok
 
     def test_negative_entry_on_support_fails(self):
-        inst = Instance(n=2, m=1, A=np.array([[1.0, -2.0]]))
+        inst = Instance(A=np.array([[1.0, -2.0]]))
         res = solve(inst)
         res.x = -res.x
         rep = verify_relint_pair(inst, res, U=1e10)

@@ -363,7 +363,7 @@ class TestInstanceIO:
             known_interior_point=np.array([0.5, 1.0, 0.25]),
             known_partition=([0, 2], [1]),
         )
-        return Instance(n=3, m=2, A=A, meta=meta)
+        return Instance(A=A, meta=meta)
 
     def test_round_trip_bit_exact(self, tmp_path):
         inst = self._instance()
@@ -394,9 +394,33 @@ class TestInstanceIO:
         doc = json.loads(path.read_text())
         assert doc["meta"]["known_partition"] == {"B": [1, 3], "N": [2]}
 
+    def test_load_checks_the_shape_the_file_gives(self, tmp_path):
+        # A is not reshaped to the file's m and n: a 1 x 4 A given as 2 x 2
+        # used to load as [[1, -2], [3, 4]], and a 2 x 2 given as 1 x 4 as
+        # [[1, -2, 3, 4]]
+        import json
+
+        path = tmp_path / "inst.json"
+        for n, m, A in [(2, 2, [[1.0, -2.0, 3.0, 4.0]]), (4, 1, [[1.0, -2.0], [3.0, 4.0]])]:
+            path.write_text(json.dumps({"n": n, "m": m, "A": A, "meta": None}))
+            with pytest.raises(ValueError, match=rf"shape \(.*\(m, n\) = \({m}, {n}\)"):
+                load_instance(path)
+        # an empty A has no shape of its own and takes the file's
+        for n, m in [(3, 0), (0, 0)]:
+            path.write_text(json.dumps({"n": n, "m": m, "A": [], "meta": None}))
+            assert load_instance(path).A.shape == (m, n)
+
+    def test_shape_is_read_from_the_matrix(self):
+        inst = Instance(A=np.zeros((2, 5)))
+        assert (inst.m, inst.n) == (2, 5)
+        inst.A = np.zeros((0, 3))
+        assert (inst.m, inst.n) == (0, 3)
+        with pytest.raises(AttributeError):
+            inst.n = 4
+
     def test_infeasible_delta_encoding(self):
         meta = InstanceMeta(generator="x", seed=0, known_delta=INFEASIBLE)
-        inst = Instance(n=2, m=1, A=np.array([[1.0, 1.0]]), meta=meta)
+        inst = Instance(A=np.array([[1.0, 1.0]]), meta=meta)
         doc = instance_to_dict(inst)
         assert doc["meta"]["known_delta"] == "infeasible"
         back = instance_from_dict(doc)
@@ -420,14 +444,12 @@ class TestInstanceIO:
             inst.validate()
 
     def test_validate_rejects_rank_deficient(self):
-        inst = Instance(
-            n=3, m=2, A=np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), meta=None
-        )
+        inst = Instance(A=np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), meta=None)
         with pytest.raises(RankDeficient):
             inst.validate()
 
     def test_zero_row_instance(self):
-        inst = Instance(n=3, m=0, A=np.zeros((0, 3)), meta=None)
+        inst = Instance(A=np.zeros((0, 3)), meta=None)
         inst.validate()
         pair = projector_from_kernel(inst.A)
         assert np.array_equal(pair.P, np.eye(3))
