@@ -64,12 +64,13 @@ def _failure(code: int) -> Exception:
 
 
 def check_count(name: str, value, least: int = 0):
-    """Raise ValueError unless value is an integer (not a bool) of at
-    least `least`."""
+    """value, checked: ValueError unless it is an integer (not a bool) of
+    at least `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

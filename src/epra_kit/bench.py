@@ -22,6 +22,7 @@ from . import basic, epra, serialize
 from .basic import BpConfig
 from .epra import EpraConfig, ALL_DIRECTIONS, SINGLE_DIRECTION, TRIVIAL_PRIMAL
 from .instances import gen_controlled, gen_naive, gen_partitioned, instance_seed
+from .oracle import partition_matches
 from .subspace import projector_from_kernel
 
 # the controlled generator's ill-conditioning parameter for benchmark runs
@@ -165,8 +166,7 @@ def _naive_outcome(inst, res) -> dict:
 
 
 def _partition_recovered(inst, res) -> dict:
-    true_b, true_n = inst.meta.known_partition
-    return {"success": set(res.B.tolist()) == set(true_b) and set(res.N.tolist()) == set(true_n)}
+    return {"success": partition_matches(inst, res.B, res.N)}
 
 
 _gen_controlled = partial(gen_controlled, delta_cap=BENCH_DELTA_CAP)

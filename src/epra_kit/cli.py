@@ -42,7 +42,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    inst.validate()
     cfg = EpraConfig(
         U=args.U,
         epsilon=args.epsilon,

@@ -18,7 +18,7 @@ from . import basic, serialize
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, check_count, uniform_simplex
 from .blas import small_problem_threads
 from .exceptions import BothSidesInterior
-from .subspace import Instance, _check_dimensions, _svd_rank, rescaled_projectors
+from .subspace import Instance, _svd_rank, one_based, rescaled_projectors
 
 TRIVIAL_PRIMAL = "trivial_primal"
 TRIVIAL_DUAL = "trivial_dual"
@@ -132,13 +132,9 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
     basic procedures from the uniform simplex point.  Small instances run
     on one BLAS thread (see `blas.small_problem_threads`).
 
-    inst.A must be a matrix with at least one column, else
-    DimensionMismatch is raised; it must have full row rank: the first
-    factorization raises RankDeficient when it does not.
-    `Instance.validate` checks all of this and more, at the cost of a
-    factorization.
+    An `Instance` is checked when it is made; an A without full row rank
+    raises RankDeficient at the first factorization.
     """
-    _check_dimensions(inst)
     with small_problem_threads(inst.m, inst.n):
         return _solve(inst, cfg if cfg is not None else EpraConfig(), allow_refine=True)
 
@@ -329,11 +325,11 @@ def result_from_dict(doc: dict) -> EpraResult:
         status=str(doc["status"]),
         x=np.asarray(doc["x"], dtype=float),
         x_hat=np.asarray(doc["x_hat"], dtype=float),
-        B=np.asarray([int(i) - 1 for i in doc["B"]], dtype=int),
-        N=np.asarray([int(i) - 1 for i in doc["N"]], dtype=int),
-        rounds=int(doc["rounds"]),
-        bp_iters_primal=int(doc["bp_iters_primal"]),
-        bp_iters_dual=int(doc["bp_iters_dual"]),
+        B=np.asarray(one_based("B", doc["B"]), dtype=int),
+        N=np.asarray(one_based("N", doc["N"]), dtype=int),
+        rounds=check_count("rounds", doc["rounds"]),
+        bp_iters_primal=check_count("bp_iters_primal", doc["bp_iters_primal"]),
+        bp_iters_dual=check_count("bp_iters_dual", doc["bp_iters_dual"]),
         wall_time=float(doc["wall_time"]),
         D=None if doc.get("D") is None else np.asarray(doc["D"], dtype=float),
         D_hat=None if doc.get("D_hat") is None else np.asarray(doc["D_hat"], dtype=float),

@@ -83,6 +83,18 @@ def gen_controlled(
     forced-small entries entirely (plain uniform interior point), and then
     delta_cap, which changes no drawn number, is not checked.
     """
+    A, x = _controlled_draw(m, n, delta_cap, frac_small, seed)
+    meta = InstanceMeta(
+        generator=CONTROLLED,
+        seed=int(seed),
+        known_delta=float(np.prod(x)),
+        known_interior_point=x,
+    )
+    return Instance(A, meta)
+
+
+def _controlled_draw(m: int, n: int, delta_cap: float, frac_small: Optional[float], seed: int):
+    """(A, x_bar) of `gen_controlled`, drawn without making the instance."""
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     if frac_small is not None and not 0.0 <= frac_small < 1.0:
@@ -104,14 +116,7 @@ def gen_controlled(
             f"could not draw an interior point with a unique maximum in "
             f"{_MAX_REDRAWS} attempts"
         )
-    A = controlled_from_interior(x, m, rng)
-    meta = InstanceMeta(
-        generator=CONTROLLED,
-        seed=int(seed),
-        known_delta=float(np.prod(x)),
-        known_interior_point=x,
-    )
-    return Instance(A, meta)
+    return controlled_from_interior(x, m, rng), x
 
 
 def nullspace_basis(M) -> np.ndarray:
@@ -152,8 +157,11 @@ def gen_partitioned(n: int, seed: int, size_split: Optional[int] = None) -> Inst
     m_inner = max(1, nn // 2)
     seed_b = int(rng.integers(2**63))
     seed_n = int(rng.integers(2**63))
-    A_bb = gen_controlled(m_b, nb, frac_small=0.0, seed=seed_b).A
-    A_nn = nullspace_basis(gen_controlled(m_inner, nn, frac_small=0.0, seed=seed_n).A)
+    # only the blocks' matrices are kept, so no instance is made (and
+    # checked) for them; frac_small = 0 leaves delta_cap unused
+    A_bb, _ = _controlled_draw(m_b, nb, 0.001, 0.0, seed_b)
+    A_nn, _ = _controlled_draw(m_inner, nn, 0.001, 0.0, seed_n)
+    A_nn = nullspace_basis(A_nn)
     A_nb = rng.standard_normal((m_b, nn))
     A = np.block(
         [

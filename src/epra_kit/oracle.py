@@ -77,6 +77,16 @@ def _max_abs(v: np.ndarray, idx: np.ndarray) -> float:
     return float(np.max(np.abs(v[idx]))) if len(idx) else 0.0
 
 
+def partition_matches(inst: Instance, B, N) -> Optional[bool]:
+    """Whether (B, N) is the instance's known partition, as sets; None
+    when the instance carries none."""
+    if inst.meta is None or inst.meta.known_partition is None:
+        return None
+    true_b, true_n = inst.meta.known_partition
+    return all({int(i) for i in found} == {int(i) for i in true}
+               for found, true in ((B, true_b), (N, true_n)))
+
+
 def verify_relint_pair(
     inst: Instance, result: EpraResult, U: float, tol: float = RESIDUAL_TOL
 ) -> VerificationReport:
@@ -112,18 +122,11 @@ def verify_relint_pair(
     )
     relint_ok = membership_ok and positivity_ok and small_ok
 
-    matches = None
-    if inst.meta is not None and inst.meta.known_partition is not None:
-        true_b, true_n = inst.meta.known_partition
-        matches = set(B.tolist()) == set(int(i) for i in true_b) and set(
-            N.tolist()
-        ) == set(int(i) for i in true_n)
-
     return VerificationReport(
         membership_ok=membership_ok,
         positivity_ok=positivity_ok,
         relint_ok=relint_ok,
-        partition_matches_ground_truth=matches,
+        partition_matches_ground_truth=partition_matches(inst, B, N),
         max_residual=max(res_x, res_xh),
     )
 

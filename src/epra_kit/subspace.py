@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas, serialize
+from .basic import check_count
 from .blas import small_problem_threads
 from .exceptions import DimensionMismatch, RankDeficient
 
@@ -38,7 +39,7 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceMeta:
     """Ground-truth metadata attached by the instance generators.
 
@@ -55,61 +56,52 @@ class InstanceMeta:
     known_partition: Optional[tuple] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
-    """A feasibility instance: L = ker(A) for a full-row-rank A, of shape (m, n)."""
+    """A feasibility instance: L = ker(A) for a full-row-rank A, of shape (m, n).
+
+    Checked when made (by `dataclasses.replace` too): A is a finite matrix
+    with a column and m <= n, and the metadata fits it.  The rank is left
+    to the first factorization of A, which raises RankDeficient.
+    """
 
     A: np.ndarray
     meta: Optional[InstanceMeta] = None
 
-    @property
-    def m(self) -> int:
-        return np.shape(self.A)[0]
-
-    @property
-    def n(self) -> int:
-        return np.shape(self.A)[1]
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises on violation."""
+    def __post_init__(self):
         A = as_matrix(self.A)
-        _check_dimensions(self)
-        if self.m > self.n:
-            raise DimensionMismatch(f"m={self.m} exceeds n={self.n}")
-        if self.m > 0:
-            # raises RankDeficient when A is not full row rank
-            _orthonormal_range_basis(A.T)
-        if self.meta is None:
-            return
-        x = self.meta.known_interior_point
+        object.__setattr__(self, "A", A)
+        m, n = A.shape
+        if n < 1:
+            raise DimensionMismatch(f"A has shape {A.shape}: an instance needs a matrix with a column")
+        if m > n:
+            raise DimensionMismatch(f"m={m} exceeds n={n}")
+        meta = self.meta or InstanceMeta()
+        x = meta.known_interior_point
         if x is not None:
             x = np.asarray(x, dtype=float)
-            if x.shape != (self.n,):
+            if x.shape != (n,):
                 raise DimensionMismatch("known_interior_point has wrong length")
             if not np.all(x > 0):
                 raise ValueError("known_interior_point must be strictly positive")
             if abs(np.max(x) - 1.0) > 1e-12:
                 raise ValueError("known_interior_point must have max-norm 1")
-            if self.m > 0:
+            if m > 0:
                 resid = np.max(np.abs(A @ x))
                 if resid > RESIDUAL_TOL * max(1.0, np.max(np.abs(A))):
-                    raise ValueError(
-                        f"known_interior_point is not in ker(A): residual {resid:g}"
-                    )
-        part = self.meta.known_partition
-        if part is not None:
-            B, N = part
-            B, N = set(int(i) for i in B), set(int(i) for i in N)
-            if B & N or (B | N) != set(range(self.n)):
+                    raise ValueError(f"known_interior_point is not in ker(A): residual {resid:g}")
+        if meta.known_partition is not None:
+            B, N = (set(int(i) for i in side) for side in meta.known_partition)
+            if B & N or (B | N) != set(range(n)):
                 raise ValueError("known_partition must partition the index set")
 
+    @property
+    def m(self) -> int:
+        return self.A.shape[0]
 
-def _check_dimensions(inst: Instance) -> None:
-    """DimensionMismatch unless A is a matrix with at least one column; A
-    is not coerced, so `solve` can check before anything else."""
-    shape = np.shape(inst.A)
-    if len(shape) != 2 or shape[1] < 1:
-        raise DimensionMismatch(f"A has shape {shape}: an instance needs a matrix with a column")
+    @property
+    def n(self) -> int:
+        return self.A.shape[1]
 
 
 @dataclass(frozen=True)
@@ -287,9 +279,7 @@ def _complement(G: np.ndarray) -> np.ndarray:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    A = as_matrix(inst.A)
-    m, n = A.shape
-    doc = {"n": n, "m": m, "A": A.tolist(), "meta": None}
+    doc = {"n": inst.n, "m": inst.m, "A": inst.A.tolist(), "meta": None}
     meta = inst.meta
     if meta is not None:
         if meta.known_delta is None:
@@ -315,9 +305,13 @@ def instance_to_dict(inst: Instance) -> dict:
     return doc
 
 
+def one_based(name: str, indices) -> list:
+    """0-based copies of 1-based file indices, each an integer of at least 1."""
+    return [check_count(name, i, least=1) - 1 for i in indices]
+
+
 def instance_from_dict(doc: dict) -> Instance:
-    n = int(doc["n"])
-    m = int(doc["m"])
+    n, m = check_count("n", doc["n"]), check_count("m", doc["m"])
     A = np.asarray(doc["A"], dtype=float)
     if A.size == 0 and m * n == 0:
         # an empty A holds no shape: a file with m = 0 gives n only here
@@ -337,13 +331,10 @@ def instance_from_dict(doc: dict) -> Instance:
             point = np.asarray(point, dtype=float)
         part = mdoc.get("known_partition")
         if part is not None:
-            part = (
-                [int(i) - 1 for i in part["B"]],
-                [int(i) - 1 for i in part["N"]],
-            )
+            part = (one_based("B", part["B"]), one_based("N", part["N"]))
         meta = InstanceMeta(
             generator=mdoc.get("generator", ""),
-            seed=int(mdoc.get("seed", 0)),
+            seed=check_count("seed", mdoc.get("seed", 0)),
             known_delta=delta,
             known_interior_point=point,
             known_partition=part,

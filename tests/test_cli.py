@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from epra_kit import epra, subspace
 from epra_kit.bench import RECORDS_JSONL, RESULTS_CSV, load_records_jsonl
 from epra_kit.cli import build_parser, main
 from epra_kit.epra import EpraConfig, load_result
@@ -22,8 +23,7 @@ class TestGen:
             "--delta-cap", "0.01", "--seed", "3", "--out", str(out),
         )
         assert code == 0
-        inst = load_instance(out)
-        inst.validate()
+        inst = load_instance(out)  # checked as it loads
         assert inst.meta.generator == "controlled"
 
     def test_deterministic_output(self, tmp_path):
@@ -198,6 +198,46 @@ class TestSolveAndVerify:
         err = capsys.readouterr().err
         assert err.startswith("epra-kit: invalid input:") and err.count("\n") == 1
         assert not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2.7, "m": 1.9, "A": [[1.0, -2.0]], "meta": {"seed": 3.9}},
+        {"n": True, "m": 0, "A": [], "meta": None},
+        # a known interior point off ker(A)
+        {"n": 2, "m": 1, "A": [[1.0, -2.0]], "meta": {"known_interior_point": [1.0, 1.0]}},
+    ], ids=["float counts", "bool n", "inconsistent meta"])
+    def test_invalid_instance_file_is_invalid_input(self, tmp_path, capsys, doc):
+        good = self._gen(tmp_path)
+        res = tmp_path / "res.json"
+        assert run("solve", "--instance", str(good), "--out", str(res)) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve", "--instance", str(bad), "--out", str(tmp_path / "r2.json")) == 2
+        assert run("verify", "--instance", str(bad), "--result", str(res)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("epra-kit: invalid input:") for line in err)
+        assert not (tmp_path / "r2.json").exists()
+
+    def test_rank_deficient_file_is_one_error_line(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"n": 3, "m": 2, "A": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]}))
+        code = run("solve", "--instance", str(inst), "--out", str(tmp_path / "res.json"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "epra-kit: RankDeficient: matrix is rank deficient within 1e-10 "
+            "(diagonal range [1.911e-16, 1.000e+00])\n")
+
+    def test_solve_factors_as_often_as_the_library(self, tmp_path, monkeypatch):
+        # the instance is checked as it loads, with no factorization of its own
+        path = self._gen(tmp_path, family="partitioned", n="20", seed="3")
+        calls = []
+        qr = subspace._orthonormal_range_basis
+        monkeypatch.setattr(subspace, "_orthonormal_range_basis",
+                            lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+        assert run("solve", "--instance", str(path), "--out", str(tmp_path / "res.json")) == 0
+        from_cli = len(calls)
+        epra.solve(load_instance(path), EpraConfig())
+        assert from_cli == len(calls) - from_cli > 0
 
     def test_missing_file_is_invalid_input(self, tmp_path):
         code = run("solve", "--instance", str(tmp_path / "nope.json"),

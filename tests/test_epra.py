@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import weakref
 
@@ -470,8 +471,6 @@ class TestResultIO:
         assert back.rounds == res.rounds
 
     def test_one_based_indices_on_disk(self, tmp_path):
-        import json
-
         inst = Instance(A=np.array([[0.0, 1.0]]))
         res = solve(inst)
         path = tmp_path / "result.json"
@@ -479,6 +478,20 @@ class TestResultIO:
         doc = json.loads(path.read_text())
         assert doc["B"] == [1]
         assert doc["N"] == [2]
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 2.5), ("bp_iters_primal", True), ("bp_iters_dual", -1), ("B", [1.5]),
+        ("N", [0]),
+    ])
+    def test_load_rejects_non_integral_counts_and_indices(self, tmp_path, field, value):
+        # int() used to truncate them
+        path = tmp_path / "result.json"
+        save_result(solve(Instance(A=np.array([[0.0, 1.0]]))), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            load_result(path)
 
 
 class TestConfigCounts:

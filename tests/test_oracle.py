@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,8 +144,8 @@ class TestVerifyRelintPair:
         assert rep.partition_matches_ground_truth is True
         # tamper with the metadata: comparison must notice
         B, N = inst.meta.known_partition
-        inst.meta.known_partition = (list(N), list(B))
-        rep2 = verify_relint_pair(inst, res, U=1e10)
+        swapped = dataclasses.replace(inst.meta, known_partition=(list(N), list(B)))
+        rep2 = verify_relint_pair(dataclasses.replace(inst, meta=swapped), res, U=1e10)
         assert rep2.partition_matches_ground_truth is False
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -326,11 +329,12 @@ class TestCallerMatrixUnchanged:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_validate(self, order):
+        # the check an instance runs when it is made reads A and keeps it
         inst = gen_controlled(6, 14, seed=3)
-        inst.A = np.asarray(inst.A, order=order)
-        before = self._snapshot(inst.A)
-        inst.validate()
-        assert self._snapshot(inst.A) == before
+        A = np.asarray(inst.A, order=order)
+        before = self._snapshot(A)
+        assert Instance(A, inst.meta).A is A
+        assert self._snapshot(A) == before
 
 
 @pytest.mark.usefixtures("numpy_qr")
@@ -356,11 +360,13 @@ class TestApplyProjector:
 class TestInstanceIO:
     def _instance(self):
         A = np.array([[1.0, -2.0, 0.125], [0.25, 1.0 / 3.0, -1.0]])
+        # ker(A) is spanned by the cross product of the rows, which is positive
+        x = np.cross(A[0], A[1])
         meta = InstanceMeta(
             generator="controlled",
             seed=42,
             known_delta=0.12345678901234567,
-            known_interior_point=np.array([0.5, 1.0, 0.25]),
+            known_interior_point=x / np.max(x),
             known_partition=([0, 2], [1]),
         )
         return Instance(A=A, meta=meta)
@@ -389,8 +395,6 @@ class TestInstanceIO:
     def test_partition_one_based_on_disk(self, tmp_path):
         path = tmp_path / "inst.json"
         save_instance(self._instance(), path)
-        import json
-
         doc = json.loads(path.read_text())
         assert doc["meta"]["known_partition"] == {"B": [1, 3], "N": [2]}
 
@@ -398,22 +402,23 @@ class TestInstanceIO:
         # A is not reshaped to the file's m and n: a 1 x 4 A given as 2 x 2
         # used to load as [[1, -2], [3, 4]], and a 2 x 2 given as 1 x 4 as
         # [[1, -2, 3, 4]]
-        import json
-
         path = tmp_path / "inst.json"
         for n, m, A in [(2, 2, [[1.0, -2.0, 3.0, 4.0]]), (4, 1, [[1.0, -2.0], [3.0, 4.0]])]:
             path.write_text(json.dumps({"n": n, "m": m, "A": A, "meta": None}))
             with pytest.raises(ValueError, match=rf"shape \(.*\(m, n\) = \({m}, {n}\)"):
                 load_instance(path)
         # an empty A has no shape of its own and takes the file's
-        for n, m in [(3, 0), (0, 0)]:
-            path.write_text(json.dumps({"n": n, "m": m, "A": [], "meta": None}))
-            assert load_instance(path).A.shape == (m, n)
+        path.write_text(json.dumps({"n": 3, "m": 0, "A": [], "meta": None}))
+        assert load_instance(path).A.shape == (0, 3)
+        # a matrix with no column is no instance
+        path.write_text(json.dumps({"n": 0, "m": 0, "A": [], "meta": None}))
+        with pytest.raises(DimensionMismatch, match=r"shape \(0, 0\)"):
+            load_instance(path)
 
     def test_shape_is_read_from_the_matrix(self):
         inst = Instance(A=np.zeros((2, 5)))
         assert (inst.m, inst.n) == (2, 5)
-        inst.A = np.zeros((0, 3))
+        inst = dataclasses.replace(inst, A=np.zeros((0, 3)))
         assert (inst.m, inst.n) == (0, 3)
         with pytest.raises(AttributeError):
             inst.n = 4
@@ -428,28 +433,105 @@ class TestInstanceIO:
 
     def test_validate_accepts_generated(self):
         inst = self._instance()
-        inst.meta.known_interior_point = None  # not in ker(A); drop it
-        inst.validate()
+        assert dataclasses.replace(inst).meta is inst.meta
 
     def test_validate_rejects_bad_interior_point(self):
         inst = self._instance()
-        with pytest.raises(ValueError):
-            inst.validate()  # stored point is not in ker(A)
+        off_kernel = dataclasses.replace(inst.meta, known_interior_point=np.array([0.5, 1.0, 0.25]))
+        with pytest.raises(ValueError, match="not in ker"):
+            Instance(inst.A, off_kernel)
 
     def test_validate_rejects_bad_partition(self):
         inst = self._instance()
-        inst.meta.known_interior_point = None
-        inst.meta.known_partition = ([0, 1], [1, 2])
-        with pytest.raises(ValueError):
-            inst.validate()
+        with pytest.raises(ValueError, match="partition the index set"):
+            dataclasses.replace(inst, meta=dataclasses.replace(
+                inst.meta, known_partition=([0, 1], [1, 2])))
 
     def test_validate_rejects_rank_deficient(self):
+        # rank costs a factorization, so it is left to the first one
         inst = Instance(A=np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), meta=None)
         with pytest.raises(RankDeficient):
-            inst.validate()
+            projector_from_kernel(inst.A)
+        with pytest.raises(RankDeficient):
+            solve(inst)
 
     def test_zero_row_instance(self):
         inst = Instance(A=np.zeros((0, 3)), meta=None)
-        inst.validate()
         pair = projector_from_kernel(inst.A)
         assert np.array_equal(pair.P, np.eye(3))
+
+
+# The kernel of _GOOD_A holds the positive point (1, 1, 1).
+_GOOD_A = [[1.0, -2.0, 1.0]]
+_NAN, _INF = float("nan"), float("inf")
+
+# (case, A, interior point, partition, error): each one fails the check an
+# instance runs when it is made
+_INVALID = [
+    ("nan entry", [[_NAN, -2.0, 1.0]], None, None, ValueError),
+    ("inf entry", [[1.0, -_INF, 1.0]], None, None, ValueError),
+    ("m > n", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], None, None, DimensionMismatch),
+    ("no column", [[]], None, None, DimensionMismatch),
+    ("point of wrong length", _GOOD_A, [1.0, 1.0], None, DimensionMismatch),
+    ("point not positive", _GOOD_A, [1.0, 0.5, 0.0], None, ValueError),
+    ("point max not 1", _GOOD_A, [0.5, 0.5, 0.5], None, ValueError),
+    ("point off ker(A)", _GOOD_A, [1.0, 0.5, 0.5], None, ValueError),
+    ("overlapping partition", _GOOD_A, None, ([0, 1], [1, 2]), ValueError),
+    ("partition not covering", _GOOD_A, None, ([0], [2]), ValueError),
+]
+
+
+class TestConstructionCheck:
+    """An instance that exists is a valid one, however it was made."""
+
+    @staticmethod
+    def _good():
+        meta = InstanceMeta(known_interior_point=np.ones(3), known_partition=([0, 1], [2]))
+        return Instance(np.array(_GOOD_A), meta)
+
+    @pytest.mark.parametrize("A, point, part, error",
+                             [case[1:] for case in _INVALID], ids=[case[0] for case in _INVALID])
+    def test_every_way_in_raises_alike(self, tmp_path, A, point, part, error):
+        A = np.array(A)
+        meta = InstanceMeta(known_interior_point=None if point is None else np.array(point),
+                            known_partition=part)
+        raised = []
+        with pytest.raises(error) as made:
+            Instance(A, meta)
+        raised.append(made.value)
+        with pytest.raises(error) as replaced:
+            dataclasses.replace(self._good(), A=A, meta=meta)
+        raised.append(replaced.value)
+        path = tmp_path / "inst.json"
+        doc = {"n": A.shape[1], "m": A.shape[0], "A": A.tolist(), "meta": {
+            "generator": "", "seed": 0, "known_delta": None, "known_interior_point": point,
+            "known_partition": None if part is None else {
+                "B": [i + 1 for i in part[0]], "N": [i + 1 for i in part[1]]}}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as loaded:
+            load_instance(path)
+        raised.append(loaded.value)
+        assert len({(type(exc), str(exc)) for exc in raised}) == 1
+
+    def test_assignment_raises(self):
+        inst = self._good()
+        for obj, name in ((inst, "A"), (inst, "meta"), (inst.meta, "known_interior_point")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+
+    def test_a_list_is_stored_as_a_float_matrix(self):
+        A = Instance([[1, -2, 1]]).A
+        assert isinstance(A, np.ndarray) and A.dtype == np.float64
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2.7, "m": 1.9, "A": [[1.0, -2.0]], "meta": {"seed": 3.9}},
+        {"n": 2, "m": 1, "A": [[1.0, -2.0]], "meta": {"seed": 3.9}},
+        {"n": True, "m": 0, "A": []},
+        {"n": 2, "m": 1, "A": [[1.0, -2.0]], "meta": {"known_partition": {"B": [1.0], "N": [2]}}},
+        {"n": 2, "m": 1, "A": [[1.0, -2.0]], "meta": {"known_partition": {"B": [0], "N": [1, 2]}}},
+    ], ids=["float n and m", "float seed", "bool n", "float index", "zero index"])
+    def test_loader_rejects_non_integers(self, doc):
+        # int() used to truncate them: n 2.7 and m 1.9 loaded as a 1 x 2
+        # instance of seed 3, and n true as a 0 x 1 matrix
+        with pytest.raises(ValueError, match="must be"):
+            instance_from_dict(doc)
