@@ -13,18 +13,22 @@ deterministic.
 
 All four run through one driver that owns the stop check, the iteration
 cap and the re-verification of a returned status against a freshly
-computed P z; a scheme supplies only its set-up and its step.  A vertex
+computed P z; a scheme supplies only its set-up (the starting P z, and
+for the smooth perceptron its first prox point) and its step.  A vertex
 scheme's iterate moves by a convex (or, for away steps, affine) combination
 of the current point and a simplex vertex, so P z is tracked incrementally
 at O(n) cost per iteration and recomputed from scratch every _REFRESH
 steps.  A step's failure carries the number of steps completed before it
-as its `iterations` attribute.
+as its `iterations` attribute, and a set-up's failure carries 0.
 
-A run without a callback on a C-contiguous float64 (n, n) projector goes
-through the same driver and steps compiled (`bploop`).  `_drive` with
-the plain NumPy steps is the reference for their bits and errors, the
-fallback where no compiled loop can be built, and the path that calls a
-callback; neither path raises floating-point warnings once a run starts.
+A run without a callback on a C-contiguous float64 (n, n) projector is
+one call to the compiled loop (`bploop`), which does the scheme's set-up
+and then takes the driver's steps; between the start's check and the
+loop NumPy only allocates the run's arrays.  The Python set-up and
+`_drive` with the plain NumPy steps are the reference for their bits and
+errors, the fallback where no compiled loop can be built, and the path
+that calls a callback; neither path raises floating-point warnings in
+the set-up or the run.
 """
 
 import numbers
@@ -47,6 +51,8 @@ SMOOTH_PERCEPTRON = "smooth"
 
 # steps between full recomputations of the tracked projection
 _REFRESH = 128
+# the smooth perceptron's first smoothing parameter, mu_0
+_MU_0 = 2.0
 
 # the failures of a step, by the codes the compiled loop returns for them
 _LINE_SEARCH, _ZERO_DIRECTION, _EMPTY_SUPPORT, _NO_THRESHOLD = range(-2, -6, -1)
@@ -175,19 +181,30 @@ _PERCEPTRON_ID, _VON_NEUMANN_ID, _VON_NEUMANN_AWAY_ID, _SMOOTH_ID = range(4)
 _STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
 
 
-def _run(scheme: int, P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH,
-         vectors=(), mu=0.0) -> BpOutcome:
-    """Run scheme number `scheme` from z and Pz = P z: the compiled loop,
-    given the scheme's vectors and mu (bploop.c names them), when there is
-    no callback and it accepts P, else _drive with the Python step."""
-    if callback is not None or not bploop.accepts(P, z.size):
-        return _drive(P, z, Pz, cfg, callback, step, refresh)
-    code, t = bploop.run(scheme, P, z, Pz, cfg.epsilon, cfg.max_iters, refresh, vectors, mu)
-    if code < 0:
-        error = _failure(code)
-        error.iterations = t
-        raise error
-    return BpOutcome(_STATUSES[code], z, Pz, t)
+def _run(scheme: int, P, z, cfg: BpConfig, callback, start, rows=0,
+         refresh=_REFRESH) -> BpOutcome:
+    """Run scheme number `scheme` from the checked start z.  Without a
+    callback, on a P it accepts, the compiled loop does the scheme's set-up
+    itself, with `rows` n-vectors of state (bploop.c names them); else
+    start(z) makes the set-up's z and P z and the step for _drive.  A
+    set-up failure carries iterations = 0 on both paths, and neither path
+    raises floating-point warnings in the set-up."""
+    if callback is None and bploop.accepts(P, z.size):
+        Pz = np.empty(z.size)
+        code, t = bploop.run(scheme, P, z, Pz, np.empty((rows, z.size)), cfg.epsilon,
+                             cfg.max_iters, refresh, _MU_0)
+        if code < 0:
+            error = _failure(code)
+            error.iterations = t
+            raise error
+        return BpOutcome(_STATUSES[code], z, Pz, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            z, Pz, step = start(z)
+        except IndexError as error:
+            error.iterations = 0
+            raise
+    return _drive(P, z, Pz, cfg, callback, step, refresh)
 
 
 def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutcome:
@@ -250,12 +267,14 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
     check that ran on the same Pz would otherwise have returned interior.
     """
 
-    def step(z, Pz, t):
-        i = int(Pz.argmin())
-        _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i])
+    def start(z):
+        def step(z, Pz, t):
+            i = int(Pz.argmin())
+            _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i])
 
-    z = _check_start(z0)
-    return _run(_PERCEPTRON_ID, P, z, P @ z, cfg, callback, step)
+        return z, P @ z, step
+
+    return _run(_PERCEPTRON_ID, P, _check_start(z0), cfg, callback, start)
 
 
 def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -266,24 +285,27 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     the first time the run picks column i and reused after that.
     """
 
-    def step(z, Pz, t):
-        i = int(Pz.argmin())
-        Pu = P[:, i]
-        if norm2[i] < 0.0:
-            norm2[i] = Pu @ Pu
-        pu2 = float(norm2[i])
-        pz2 = float(Pz @ Pz)
-        upz = float(Pz[i])
-        denom = pz2 + pu2 - 2.0 * upz
-        if denom <= 0.0:
-            raise _failure(_LINE_SEARCH)
-        theta = (pz2 - upz) / denom
-        _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu)
+    def start(z):
+        # ||P e_i||^2, or -1 until computed (a computed entry is >= 0 or NaN)
+        norm2 = np.full(z.size, -1.0)
 
-    z = _check_start(z0)
-    # ||P e_i||^2, or -1 until computed (a computed entry is >= 0 or NaN)
-    norm2 = np.full(z.size, -1.0)
-    return _run(_VON_NEUMANN_ID, P, z, P @ z, cfg, callback, step, vectors=(norm2,))
+        def step(z, Pz, t):
+            i = int(Pz.argmin())
+            Pu = P[:, i]
+            if norm2[i] < 0.0:
+                norm2[i] = Pu @ Pu
+            pu2 = float(norm2[i])
+            pz2 = float(Pz @ Pz)
+            upz = float(Pz[i])
+            denom = pz2 + pu2 - 2.0 * upz
+            if denom <= 0.0:
+                raise _failure(_LINE_SEARCH)
+            theta = (pz2 - upz) / denom
+            _vertex_move(z, Pz, i, min(1.0, max(0.0, theta)), Pu)
+
+        return z, P @ z, step
+
+    return _run(_VON_NEUMANN_ID, P, _check_start(z0), cfg, callback, start, rows=1)
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -297,35 +319,38 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
     move, so a regular step is taken instead.
     """
 
-    def step(z, Pz, t):
-        pz2 = float(Pz @ Pz)
-        iu = int(Pz.argmin())
-        iv = away_vertex(z, Pz)
-        vz = float(z[iv])
-        # an away step from a vertex cannot move
-        away = not (pz2 - float(Pz[iu]) > float(Pz[iv]) - pz2 or vz >= 1.0)
-        if away:
-            np.subtract(Pz, P[:, iv], out=Pa)
-            theta_max = vz / (1.0 - vz)
-        else:
-            np.subtract(P[:, iu], Pz, out=Pa)
-            theta_max = 1.0
-        pa2 = float(Pa @ Pa)
-        if pa2 <= 0.0:
-            raise _failure(_ZERO_DIRECTION)
-        theta = min(theta_max, -float(z @ Pa) / pa2)
-        if away:
-            _vertex_move(z, Pz, iv, -theta, P[:, iv])
-            np.maximum(z, 0.0, out=z)  # clip roundoff when the cap binds
-        else:
-            _vertex_move(z, Pz, iu, theta, P[:, iu])
-        # away steps scale the tracked projection by 1 + theta, which can
-        # amplify drift, so refresh eagerly after long ones
-        return away and theta > 0.5
+    def start(z):
+        Pa = np.empty(z.size)  # the direction's projection
 
-    z = _check_start(z0)
-    Pa = np.empty(z.size)  # the direction's projection
-    return _run(_VON_NEUMANN_AWAY_ID, P, z, P @ z, cfg, callback, step, vectors=(Pa,))
+        def step(z, Pz, t):
+            pz2 = float(Pz @ Pz)
+            iu = int(Pz.argmin())
+            iv = away_vertex(z, Pz)
+            vz = float(z[iv])
+            # an away step from a vertex cannot move
+            away = not (pz2 - float(Pz[iu]) > float(Pz[iv]) - pz2 or vz >= 1.0)
+            if away:
+                np.subtract(Pz, P[:, iv], out=Pa)
+                theta_max = vz / (1.0 - vz)
+            else:
+                np.subtract(P[:, iu], Pz, out=Pa)
+                theta_max = 1.0
+            pa2 = float(Pa @ Pa)
+            if pa2 <= 0.0:
+                raise _failure(_ZERO_DIRECTION)
+            theta = min(theta_max, -float(z @ Pa) / pa2)
+            if away:
+                _vertex_move(z, Pz, iv, -theta, P[:, iv])
+                np.maximum(z, 0.0, out=z)  # clip roundoff when the cap binds
+            else:
+                _vertex_move(z, Pz, iu, theta, P[:, iu])
+            # away steps scale the tracked projection by 1 + theta, which can
+            # amplify drift, so refresh eagerly after long ones
+            return away and theta > 0.5
+
+        return z, P @ z, step
+
+    return _run(_VON_NEUMANN_AWAY_ID, P, _check_start(z0), cfg, callback, start, rows=1)
 
 
 def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -339,35 +364,35 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
         z_{t+1} = (1-theta_t) z_t + theta_t w(mu_{t+1}, P u_{t+1})
 
     The u-update coefficients sum to one, so every iterate stays on the
-    simplex.  The prox map needs u only through P u, so u itself is never
-    formed: P u and P z are tracked through the same recurrences, and the
-    one matrix-vector product per iteration is P w.  z and P z are updated
-    in place, so the callback sees the live iterate; the Python step forms
-    P u, w and P w anew.  Unlike the vertex schemes, P z gets no periodic
-    recomputation.
+    simplex.  The run starts from z_0 = w(mu_0, P u_bar), mu_0 = 2.  The
+    prox map needs u only through P u, so u itself is never formed: P u
+    and P z are tracked through the same recurrences, and the one
+    matrix-vector product per iteration is P w.  z and P z are updated in place, so the
+    callback sees the live iterate; the Python step forms P u, w and P w
+    anew.  Unlike the vertex schemes, P z gets no periodic recomputation.
     """
-    ub = _check_start(u_bar)
-    mu = 2.0
-    Pu = P @ ub
-    w = simplex_prox(Pu, mu, ub)
-    Pw = P @ w
 
-    def step(z, Pz, t):
-        nonlocal mu, Pu, w, Pw
-        theta = 2.0 / (t + 3)
-        Pu = (Pu + Pz * theta) * (1.0 - theta) + Pw * theta**2
-        mu = (1.0 - theta) * mu
+    def start(ub):
+        mu = _MU_0
+        Pu = P @ ub
         w = simplex_prox(Pu, mu, ub)
         Pw = P @ w
-        z *= 1.0 - theta
-        z += w * theta
-        Pz *= 1.0 - theta
-        Pz += Pw * theta
 
-    # the compiled loop's scratch: the prox argument, sorted copy, merge buffer
-    vectors = (Pu, w, Pw, ub, *np.empty((3, ub.size)))
-    return _run(_SMOOTH_ID, P, w.copy(), Pw.copy(), cfg, callback, step, refresh=0,
-                vectors=vectors, mu=mu)
+        def step(z, Pz, t):
+            nonlocal mu, Pu, w, Pw
+            theta = 2.0 / (t + 3)
+            Pu = (Pu + Pz * theta) * (1.0 - theta) + Pw * theta**2
+            mu = (1.0 - theta) * mu
+            w = simplex_prox(Pu, mu, ub)
+            Pw = P @ w
+            z *= 1.0 - theta
+            z += w * theta
+            Pz *= 1.0 - theta
+            Pz += Pw * theta
+
+        return w.copy(), Pw.copy(), step
+
+    return _run(_SMOOTH_ID, P, _check_start(u_bar), cfg, callback, start, rows=7, refresh=0)
 
 
 SCHEMES = {

@@ -26,6 +26,12 @@
  * perceptron, von Neumann and away steps take the index from the check
  * run just before them (after a drift re-check, from the re-check), and
  * do not scan for it again.
+ *
+ * A run's set-up is done here too, with the same matvec and simplex
+ * projection as its steps: the starting P z, and for the smooth perceptron
+ * P u_bar, the first prox point w and P w.  So a run is one call from
+ * Python, given P, z, P z and one block that holds the scheme's state and
+ * scratch.
  */
 
 #include <math.h>
@@ -388,13 +394,40 @@ static int project_simplex(const double *y, double *out, int64_t n, double *u, d
     return 0;
 }
 
-/* the state of a smooth run after basic.run_smooth's set-up */
+/* the state of a smooth run, in the rows of its block */
 struct smooth {
-    double *Pu, *w, *Pw;
-    const double *ub;
-    double *y, *u, *tmp;
+    double *Pu, *w, *Pw, *ub, *y, *u, *tmp;
     double mu;
 };
+
+/* w = basic.simplex_prox(P u, mu, u_bar), through y = u_bar - P u / mu
+ * and its copy u to sort */
+static int prox(struct smooth *s, int64_t n)
+{
+    int nan = 0;
+    for (int64_t j = 0; j < n; j++) {
+        s->u[j] = s->y[j] = s->ub[j] - s->Pu[j] / s->mu;
+        nan |= isnan(s->y[j]);
+    }
+    if (nan)
+        return NO_SIMPLEX_THRESHOLD;
+    return project_simplex(s->y, s->w, n, s->u, s->tmp);
+}
+
+/* basic.run_smooth's set-up from u_bar in z: P u_bar, w and P w, then
+ * z = w and P z = P w */
+static int smooth_start(const double *P, double *z, double *Pz, int64_t n, struct smooth *s)
+{
+    memcpy(s->ub, z, (size_t)n * sizeof(double));
+    matvec(P, s->ub, s->Pu, n);
+    int err = prox(s, n);
+    if (err)
+        return err;
+    matvec(P, s->w, s->Pw, n);
+    memcpy(z, s->w, (size_t)n * sizeof(double));
+    memcpy(Pz, s->Pw, (size_t)n * sizeof(double));
+    return 0;
+}
 
 /* the exponent of theta**2, unknown to the compiler so that pow(x, 2.0)
  * is not rewritten as x * x, which may round differently */
@@ -406,19 +439,11 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
     double theta = 2.0 / (double)(t + 3);
     double c = 1.0 - theta;
     double theta2 = pow(theta, two);
-    double mu = s->mu = c * s->mu;
-    double *Pu = s->Pu, *w = s->w, *Pw = s->Pw, *y = s->y, *u = s->u;
-    const double *ub = s->ub;
-    /* P u, then the prox argument y = u_bar - P u / mu and its copy to sort */
-    int nan = 0;
-    for (int64_t j = 0; j < n; j++) {
+    s->mu = c * s->mu;
+    double *Pu = s->Pu, *w = s->w, *Pw = s->Pw;
+    for (int64_t j = 0; j < n; j++)
         Pu[j] = (Pu[j] + Pz[j] * theta) * c + Pw[j] * theta2;
-        u[j] = y[j] = ub[j] - Pu[j] / mu;
-        nan |= isnan(y[j]);
-    }
-    if (nan)
-        return NO_SIMPLEX_THRESHOLD;
-    int err = project_simplex(y, w, n, u, s->tmp);
+    int err = prox(s, n);
     if (err)
         return err;
     matvec(P, w, Pw, n);
@@ -429,22 +454,38 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
     return 0;
 }
 
-/* basic._drive for one scheme.  P is C-ordered (n, n); z and Pz are
- * updated in place, and Pz is recomputed every `refresh` steps (never when
- * refresh is 0).  a..g are the scheme's vectors:
- *   vn      a: ||P e_i||^2 cache (n doubles, -1 until computed)
- *   vna     a: scratch (n doubles)
- *   smooth  a: P u, b: w, c: P w, d: u_bar, e, f, g: scratch (n doubles
- *           each); mu is the smoothing parameter
+/* basic._run for one scheme: its set-up, then basic._drive.  P is
+ * C-ordered (n, n); z holds the checked start, Pz receives P z, and both
+ * are updated in place, Pz recomputed every `refresh` steps (never when
+ * refresh is 0).  mu0 is the smooth perceptron's first smoothing
+ * parameter (basic._MU_0).  block holds the scheme's rows of n doubles:
+ *   perceptron  none
+ *   vn          1: ||P e_i||^2 cache, -1 until computed
+ *   vna         1: scratch
+ *   smooth      7: P u, w, P w, u_bar and three of scratch
  * Returns a status or a failure code; *iters receives the number of steps
- * completed, before the failure for a failure code. */
+ * completed, before the failure for a failure code (0 when the set-up
+ * fails). */
 int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz,
-               double eps, int64_t max_iters, int64_t refresh, int64_t *iters,
-               void *a, void *b, void *c, void *d, void *e, void *f, void *g, double mu)
+               double eps, int64_t max_iters, int64_t refresh, int64_t *iters, double *block,
+               double mu0)
 {
-    struct smooth s = {a, b, c, d, e, f, g, mu};
+    struct smooth s = {0};
     int64_t t = 0, since_refresh = 0;
     int status;
+    *iters = 0;
+    if (scheme == SMOOTH) {
+        s = (struct smooth){block, block + n, block + 2 * n, block + 3 * n, block + 4 * n,
+                            block + 5 * n, block + 6 * n, mu0};
+        status = smooth_start(P, z, Pz, n, &s);
+        if (status)
+            return status;
+    } else {
+        matvec(P, z, Pz, n);
+    }
+    if (scheme == VON_NEUMANN)
+        for (int64_t j = 0; j < n; j++)
+            block[j] = -1.0;
     /* argmin(P z), from the check before each step */
     int64_t i = 0;
     for (;;) {
@@ -469,10 +510,10 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
             vertex_move(z, Pz, n, i, 1.0 / (double)(t + 1), P);
             break;
         case VON_NEUMANN:
-            err = vn_step(P, z, Pz, n, i, a);
+            err = vn_step(P, z, Pz, n, i, block);
             break;
         case VON_NEUMANN_AWAY:
-            err = vna_step(P, z, Pz, n, i, a, &force);
+            err = vna_step(P, z, Pz, n, i, block, &force);
             break;
         default:
             err = smooth_step(P, z, Pz, n, t, &s);

@@ -2,8 +2,9 @@
 
 `basic` runs a scheme through `run` when `accepts(P, n)`: the library
 loaded and P is an aligned C-contiguous float64 (n, n) array.  The compiled loop
-takes the same steps as the Python driver `basic._drive`, with every bit
-of its results and the same failures.
+does the scheme's set-up and takes the same steps as the Python set-up and
+driver `basic._drive`, with every bit of its results and the same
+failures.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached beside the source in `__pycache__` under a name
@@ -107,8 +108,8 @@ def _load():
     lib.bp_bind(*addresses)
     d, i, p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     lib.bp_run.restype = i
-    # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, seven vectors, mu
-    lib.bp_run.argtypes = [i, i, p, p, p, d, i, i, p] + [p] * 7 + [d]
+    # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, block, mu0
+    lib.bp_run.argtypes = [i, i, p, p, p, d, i, i, p, p, d]
     return lib
 
 
@@ -132,17 +133,18 @@ def accepts(P, n: int) -> bool:
 _MAX_ITERS = 2**63 - 1
 
 
-def run(scheme: int, P, z, Pz, epsilon: float, max_iters: int, refresh: int, vectors=(),
-        mu=0.0):
-    """`bp_run` (bploop.c) on arrays that `accepts` allows: returns its
-    status or failure code and the number of steps taken.  z and Pz
-    (float64, contiguous) are updated in place, Pz recomputed every
-    `refresh` steps (never for 0); vectors are the scheme's own, up to 7."""
+def run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: int,
+        mu0: float):
+    """`bp_run` (bploop.c) on arrays that `accepts` allows: the scheme's
+    set-up and its loop, from the start z into the empty Pz, with block
+    (C-contiguous float64, the rows of n doubles that bploop.c names) for
+    its state and mu0 for the smooth perceptron's first smoothing
+    parameter.  Returns the status or failure code and the number of steps
+    taken.  z and Pz (float64, contiguous) are updated in place, Pz
+    recomputed every `refresh` steps (never for 0)."""
     iters = ctypes.c_int64()
     address = blas._address
-    addresses = [address(v) for v in vectors]
-    addresses += [None] * (7 - len(addresses))
-    code = library().bp_run(scheme, z.size, address(P), address(z), address(Pz),
-                            epsilon, min(max_iters, _MAX_ITERS), refresh, ctypes.byref(iters),
-                            *addresses, mu)
+    code = library().bp_run(scheme, z.size, address(P), address(z), address(Pz), epsilon,
+                            min(max_iters, _MAX_ITERS), refresh, ctypes.byref(iters),
+                            address(block), mu0)
     return code, iters.value

@@ -11,7 +11,7 @@ import sys
 
 from . import basic, bench, epra, oracle, serialize
 from .epra import EpraConfig, SUCCESS_STATUSES
-from .exceptions import EpraKitError
+from .exceptions import DimensionMismatch, EpraKitError
 from .instances import (CONTROLLED, NAIVE, PARTITIONED, gen_controlled, gen_naive,
                         gen_partitioned)
 from .subspace import RESIDUAL_TOL, load_instance, save_instance
@@ -151,6 +151,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"epra-kit: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except DimensionMismatch as exc:
+        # a shape that no instance or result can have
+        print(f"epra-kit: invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except EpraKitError as exc:
         print(f"epra-kit: {type(exc).__name__}: {exc}", file=sys.stderr)

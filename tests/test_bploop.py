@@ -324,6 +324,69 @@ class TestWarningsAlike:
             iterations + 1)
 
 
+def setup_failure(kind: str) -> np.ndarray:
+    """A 6 x 6 matrix whose P u_bar, at the uniform u_bar, holds a NaN, a
+    -inf (+inf in the prox argument) or both infinities (whose sum in the
+    simplex projection's cumulative sum is NaN)."""
+    P = projector_from_kernel(np.random.default_rng(12).standard_normal((2, 6))).P
+    if kind == "nan":
+        P[2, 4] = np.nan
+    else:
+        P[2, 3] = -np.inf
+    if kind == "both":
+        P[4, 1] = np.inf
+    return P
+
+
+@needs_build
+class TestSetUp:
+    """Each scheme's set-up (P z, and for the smooth perceptron P u_bar,
+    the first prox point and P w), done inside the compiled loop."""
+
+    @pytest.mark.parametrize("kind", ["nan", "-inf", "both"])
+    def test_failures_carry_no_steps_and_no_warnings(self, kind, monkeypatch):
+        P, z0, cfg = setup_failure(kind), uniform_simplex(6), loud_cfg("smooth")
+        compiled = warned(P, z0, cfg)
+        with_callback = warned(P, z0, cfg, callback=lambda *_: None)
+        monkeypatch.setattr(bploop, "library", lambda: None)
+        python = warned(P, z0, cfg)
+        assert compiled == with_callback == python
+        assert compiled == ((IndexError, "no component exceeds its simplex threshold", 0), [])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(loop_cases())
+    def test_smooth_runs_alike_with_their_warnings(self, case):
+        # NaN and infinite holes in P reach P u_bar, where the set-up fails
+        P, z0, epsilon, max_iters = case
+        cfg = BpConfig(epsilon=epsilon, max_iters=max_iters, scheme="smooth")
+        compiled = warned(P, z0, cfg)
+        with mock.patch.object(bploop, "library", lambda: None):
+            assert warned(P, z0, cfg) == compiled
+        assert compiled[1] == []
+
+    def test_compiled_run_calls_no_simplex_projection(self, monkeypatch):
+        P = projector_from_kernel(np.random.default_rng(13).standard_normal((8, 20))).P
+        cfg = BpConfig(epsilon=1e-9, max_iters=300)
+        expected = outcome(P, uniform_simplex(20), cfg)
+
+        def python_projection(*args):
+            raise AssertionError("a NumPy simplex projection ran")
+
+        monkeypatch.setattr(basic, "project_simplex", python_projection)
+        monkeypatch.setattr(basic, "simplex_prox", python_projection)
+        assert outcome(P, uniform_simplex(20), cfg) == expected
+        with pytest.raises(AssertionError, match="simplex projection"):
+            run_scheme(P, uniform_simplex(20), cfg, callback=lambda *_: None)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_outcome_owns_its_vectors(self, scheme):
+        # a view of the run's state block would keep the block alive for
+        # as long as the caller keeps the outcome
+        P = projector_from_kernel(np.random.default_rng(14).standard_normal((5, 12))).P
+        out = run_scheme(P, uniform_simplex(12), BpConfig(max_iters=50, scheme=scheme))
+        assert out.z.base is None and out.Pz.base is None
+
+
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
     """A library loaded anew in this process, cached under tmp_path."""

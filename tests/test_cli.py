@@ -177,13 +177,15 @@ class TestSolveAndVerify:
         assert run("verify", "--instance", str(inst), "--result", str(out)) == 1
 
     def test_empty_instance_is_one_error_line(self, tmp_path, capsys):
+        # a shape no instance can have is invalid input, as a NaN entry is
         inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps({"n": 0, "m": 0, "A": [], "meta": None}))
-        code = run("solve", "--instance", str(inst), "--out", str(tmp_path / "res.json"))
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "DimensionMismatch" in err[0]
-        assert not (tmp_path / "res.json").exists()
+        for n, m, A in [(0, 0, []), (2, 3, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])]:
+            inst.write_text(json.dumps({"n": n, "m": m, "A": A, "meta": None}))
+            code = run("solve", "--instance", str(inst), "--out", str(tmp_path / "res.json"))
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "DimensionMismatch" in err[0]
+            assert not (tmp_path / "res.json").exists()
 
     @pytest.mark.parametrize("n, m, A", [
         (2, 2, [[1.0, -2.0, 3.0, 4.0]]),
