@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bploop
-from .exceptions import DegenerateStep, EmptySupport, EpraKitError
+from .exceptions import DegenerateStep, EmptySupport, EpraKitError, NoThreshold
 
 INTERIOR_FOUND = "interior_found"
 RESCALE_READY = "rescale_ready"
@@ -60,7 +60,7 @@ _FAILURES = {
     _LINE_SEARCH: (DegenerateStep, "line-search denominator is nonpositive; numerical anomaly"),
     _ZERO_DIRECTION: (DegenerateStep, "||P a||^2 = 0 while the stop conditions failed"),
     _EMPTY_SUPPORT: (EmptySupport, "z has no positive component"),
-    _NO_THRESHOLD: (IndexError, "no component exceeds its simplex threshold"),
+    _NO_THRESHOLD: (NoThreshold, "no component exceeds its simplex threshold"),
 }
 
 
@@ -170,8 +170,8 @@ def simplex_prox(v, mu: float, u_bar) -> np.ndarray:
 
 def _check_start(z0) -> np.ndarray:
     z = np.array(z0, dtype=float)
-    if (z.ndim != 1 or not np.all(np.isfinite(z)) or np.any(z < 0)
-            or abs(z.sum() - 1.0) > 1e-9):
+    # a NaN or -inf fails the minimum's test and +inf the sum's
+    if z.ndim != 1 or not (z.size and z.min() >= 0.0) or abs(z.sum() - 1.0) > 1e-9:
         raise ValueError("starting point must lie on the standard simplex")
     return z
 
@@ -201,7 +201,7 @@ def _run(scheme: int, P, z, cfg: BpConfig, callback, start, rows=0,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             z, Pz, step = start(z)
-        except IndexError as error:
+        except EpraKitError as error:
             error.iterations = 0
             raise
     return _drive(P, z, Pz, cfg, callback, step, refresh)
@@ -237,7 +237,7 @@ def _drive(P, z, Pz, cfg: BpConfig, callback, step, refresh=_REFRESH) -> BpOutco
                     return BpOutcome(stop_check(Pz, z, eps) or ITER_LIMIT, z, Pz, t)
                 try:
                     force_refresh = step(z, Pz, t)
-                except (EpraKitError, IndexError) as error:
+                except EpraKitError as error:
                     error.iterations = t
                     raise
                 t += 1

@@ -21,6 +21,12 @@ class DegenerateStep(EpraKitError):
     """Line-search denominator vanished while the stop conditions failed."""
 
 
+class NoThreshold(EpraKitError, IndexError):
+    """The simplex projection found no component above its threshold, as
+    when its argument holds a NaN or overflows.  Also an IndexError: the
+    threshold's index does not exist."""
+
+
 class FullRankSquare(EpraKitError):
     """Matrix has a trivial kernel; no nullspace basis exists."""
 
@@ -30,7 +36,7 @@ class ZeroVector(EpraKitError):
 
 
 class NoFeasibleStart(EpraKitError):
-    """No strictly positive kernel point was found after seeded restarts."""
+    """No strictly positive kernel point was found."""
 
 
 class DegenerateMax(EpraKitError):

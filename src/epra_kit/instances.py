@@ -12,13 +12,15 @@ Three families:
 * partitioned -- block-triangular kernel matrix giving a known non-trivial
                  Goldman-Tucker partition (B, N).
 
-Generators are deterministic functions of their seed.
+Generators are deterministic functions of their seed.  Sizes and seeds
+must be integers (not bools); a seed must be nonnegative.
 """
 
 from typing import Optional
 
 import numpy as np
 
+from .basic import check_count
 from .exceptions import DegenerateMax, FullRankSquare
 from .subspace import Instance, InstanceMeta, _svd_rank, as_matrix
 
@@ -36,8 +38,14 @@ def instance_seed(*keys) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        check_count(name, value)
+
+
 def gen_naive(m: int, n: int, seed: int) -> Instance:
     """Kernel matrix with i.i.d. standard-normal entries."""
+    _check_counts(m=m, n=n, seed=seed)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
@@ -95,6 +103,7 @@ def gen_controlled(
 
 def _controlled_draw(m: int, n: int, delta_cap: float, frac_small: Optional[float], seed: int):
     """(A, x_bar) of `gen_controlled`, drawn without making the instance."""
+    _check_counts(m=m, n=n, seed=seed)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     if frac_small is not None and not 0.0 <= frac_small < 1.0:
@@ -129,7 +138,7 @@ def nullspace_basis(M) -> np.ndarray:
     return Vh[rank:].copy()
 
 
-def gen_partitioned(n: int, seed: int, size_split: Optional[int] = None) -> Instance:
+def gen_partitioned(n: int, seed: int) -> Instance:
     """Instance whose primal and dual cones both have non-trivial relative
     interiors, with the partition recorded in the metadata.
 
@@ -142,16 +151,11 @@ def gen_partitioned(n: int, seed: int, size_split: Optional[int] = None) -> Inst
     block is exactly zero.  The blocks' interior points are plain uniform
     draws (no forced-small entries).
     """
+    _check_counts(n=n, seed=seed)
     if n < 4:
         raise ValueError("partitioned instances need n >= 4")
     rng = np.random.default_rng(seed)
-    lo, hi = max(2, n // 4), min(n - 2, (3 * n) // 4)
-    if size_split is None:
-        nb = int(rng.integers(lo, hi + 1))
-    else:
-        nb = int(size_split)
-        if not 2 <= nb <= n - 2:
-            raise ValueError(f"size_split must lie in [2, n-2], got {nb}")
+    nb = int(rng.integers(max(2, n // 4), min(n - 2, (3 * n) // 4) + 1))
     nn = n - nb
     m_b = max(1, nb // 2)
     m_inner = max(1, nn // 2)

@@ -1,5 +1,5 @@
 """Independent verification: certificates, partition checks, Wendel's
-coverage probability, and condition-measure oracles for small instances."""
+coverage probability, and the exact condition measure of small instances."""
 
 import math
 from dataclasses import dataclass
@@ -9,9 +9,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import epra
+from .basic import check_count
 from .epra import EpraResult, TRIVIAL_PRIMAL
 from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
-from .instances import gen_naive, instance_seed
+from .instances import gen_naive, instance_seed, nullspace_basis
 from .subspace import RESIDUAL_TOL, Instance, as_matrix, projector_from_kernel
 
 
@@ -32,8 +33,10 @@ def wendel_probability(m: int, n: int) -> float:
 
     Evaluated in exact rational arithmetic (Python integers are unbounded,
     so no log-domain fallback is needed); the primal-side probability is
-    the complement.
+    the complement.  m and n must be integers (not bools).
     """
+    check_count("m", m)
+    check_count("n", n)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     num = sum(math.comb(n - 1, k) for k in range(m))
@@ -43,9 +46,10 @@ def wendel_probability(m: int, n: int) -> float:
 def monte_carlo_feasible_rate(m: int, n: int, trials: int, seed: int) -> float:
     """Fraction of naive random instances on which the solver, with the
     default EpraConfig, certifies a strictly feasible primal.  Converges to
-    the complement of wendel_probability(m, n) as trials grow."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    the complement of wendel_probability(m, n) as trials grow.  The four
+    arguments must be integers (not bools)."""
+    check_count("trials", trials, least=1)
+    check_count("seed", seed)
     hits = 0
     for i in range(trials):
         inst = gen_naive(m, n, instance_seed(seed, i))
@@ -147,109 +151,55 @@ def condition_measure_1d(v) -> float:
     return float(np.prod(w / np.max(w)))
 
 
-def _pinned_max_newton(A: np.ndarray, x: np.ndarray, iters: int = 25) -> np.ndarray:
-    """Maximize sum(log x) over the affine slice {x in ker(A), x_k = 1}
-    with k the current argmax, by equality-constrained Newton steps.
+def condition_measure_search(A) -> float:
+    """Primal condition measure of ker(A), exact up to rounding: the largest
+    product of the entries of a kernel point with max-norm 1.
 
-    Generic optima have a unique unit entry, so pinning the max turns the
-    box-constrained problem into a strictly concave equality-constrained
-    one.  Returns the (feasible, strictly positive) improved point; falls
-    back to the input when the KKT system is singular.
-    """
-    n = x.size
-    k = int(np.argmax(x))
-    x = x / x[k]
-    C = np.vstack([A, np.zeros((1, n))])
-    C[-1, k] = 1.0
-    mc = C.shape[0]
-    zero = np.zeros((mc, mc))
-    rhs = np.zeros(n + mc)
-    for _ in range(iters):
-        H = np.diag(1.0 / x**2)
-        rhs[:n] = 1.0 / x
-        try:
-            sol = np.linalg.solve(np.block([[H, C.T], [C, zero]]), rhs)
-        except np.linalg.LinAlgError:
-            return x
-        dx = sol[:n]
-        f0 = float(np.sum(np.log(x)))
-        t = 1.0
-        for _ in range(50):
-            xn = x + t * dx
-            if np.min(xn) > 0.0 and float(np.sum(np.log(xn))) > f0:
-                break
-            t *= 0.5
-        else:
-            return x
-        x = xn
-    return x
+    Its log is the optimum of the strictly concave max sum(log x_j) over x
+    in ker(A), x <= 1.  Douglas-Rachford reflections between the kernel and
+    the shifted cone {x >= 1}, from the all-ones start, find a strictly
+    positive kernel point (the shifted intersection is nonempty exactly when
+    the cone has interior).  From it one log-barrier path ends at the
+    optimum: damped Newton steps on sum(log x_j) + mu sum(log(1 - x_j)) in
+    an orthonormal kernel basis, with mu from 1 down to 1e-12 by factors of
+    10 and backtracking that keeps 0 < x < 1.
 
-
-def condition_measure_search(
-    A, iters: int = 500, seed: int = 0, restarts: int = 20
-) -> float:
-    """Heuristic lower bound on the primal condition measure.
-
-    Maximizes sum(log x_j) over x in ker(A) with 0 < x and ||x||_inf = 1.
-    Per seeded restart: (1) find a strictly positive kernel point with
-    reflection (Douglas-Rachford) iterations between the kernel and the
-    shifted cone {x >= 1} -- the shifted intersection is nonempty exactly
-    when the cone has interior, reflections handle thin cones far better
-    than plain alternating projection, and a strictly positive candidate
-    well above roundoff is accepted as soon as it appears; (2) projected
-    gradient ascent with steps inside the kernel, clipping to the unit box
-    and renormalizing by the max-norm; (3) a Newton polish on the slice
-    that pins the maximal entry at one.  Intended for desk-scale sanity
-    checks (n up to ~50); the returned product never exceeds the true
-    measure beyond roundoff.
+    Raises RankDeficient when A is not full row rank, and NoFeasibleStart
+    when 3000 reflections find no strictly positive kernel point: always
+    when the kernel misses the open orthant, sometimes when it meets it
+    only thinly.
     """
     A = as_matrix(A)
-    n = A.shape[1]
     P = projector_from_kernel(A).P
-    rng = np.random.default_rng(seed)
-    best = None
+    x = np.ones(A.shape[1])
+    for _ in range(3000):
+        onto_cone = np.maximum(x, 1.0)
+        x = x + P @ (2.0 * onto_cone - x) - onto_cone
+        y = P @ onto_cone
+        # relative to the cone point's size: a collapsed projection is rounding noise
+        if np.min(y) > 1e-10 * max(float(np.max(np.abs(onto_cone))), 1.0):
+            break
+    else:
+        raise NoFeasibleStart("no strictly positive kernel point found in 3000 reflections")
+    K = nullspace_basis(A).T
+    x = y / (2.0 * np.max(y))
 
-    for _ in range(restarts):
-        x = rng.random(n) + 1e-3
-        start = None
-        for _ in range(3000):
-            onto_cone = np.maximum(x, 1.0)
-            onto_kernel = P @ (2.0 * onto_cone - x)
-            x = x + onto_kernel - onto_cone
-            y = P @ onto_cone
-            # threshold relative to the pre-projection magnitude: a nearly
-            # collapsed projection is roundoff noise, not a kernel point
-            if np.min(y) > 1e-10 * max(float(np.max(np.abs(onto_cone))), 1.0):
-                start = y
+    def barrier(x, mu):
+        return float(np.sum(np.log(x)) + mu * np.sum(np.log1p(-x)))
+
+    for mu in 10.0 ** -np.arange(13.0):
+        for _ in range(100):  # a few dozen steps at most in practice
+            w, v = 1.0 / x, mu / (1.0 - x)
+            g = K.T @ (w - v)
+            c = np.linalg.solve((K.T * (w * w + v / (1.0 - x))) @ K, g)
+            if g @ c <= 1e-20:  # the squared Newton decrement
                 break
-        if start is None:
-            continue
-        x = start / np.max(start)
-        step = 1.0 / n
-        for _ in range(iters):
-            f0 = float(np.sum(np.log(x)))
-            d = P @ (1.0 / x)
-            accepted = False
-            for _ in range(50):
-                xn = P @ np.minimum(x + step * d, 1.0)
-                if np.min(xn) > 0.0:
-                    xn = xn / np.max(xn)
-                    if float(np.sum(np.log(xn))) > f0:
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                break
+            dx, f0 = K @ c, barrier(x, mu)
+            for t in 0.5 ** np.arange(67.0):
+                xn = x + t * dx
+                if np.min(xn) > 0.0 and np.max(xn) < 1.0 and barrier(xn, mu) > f0:
+                    break
+            else:
+                break  # no ascent left at rounding level
             x = xn
-            step *= 2.0
-        x = _pinned_max_newton(A, x)
-        if np.min(x) > 0.0:
-            value = float(np.prod(x / np.max(x)))
-            if best is None or value > best:
-                best = value
-
-    if best is None:
-        raise NoFeasibleStart(
-            f"no strictly positive kernel point found in {restarts} restarts"
-        )
-    return best
+    return float(np.prod(x / np.max(x)))

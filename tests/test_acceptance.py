@@ -273,7 +273,7 @@ def test_criterion_9_condition_measure_oracles():
         n = int(rng.integers(8, 21))
         m = int(rng.integers(2, max(3, n // 2)))
         inst = gen_controlled(m, n, delta_cap=0.2, seed=BASE_SEED + 1000 + i)
-        val = condition_measure_search(inst.A, iters=300, seed=i)
+        val = condition_measure_search(inst.A)
         if val > inst.meta.known_delta + 1e-6:
             bound_ok = False
     ray_ok = True

@@ -24,7 +24,7 @@ from epra_kit.basic import (
     stop_check,
     uniform_simplex,
 )
-from epra_kit.exceptions import EmptySupport
+from epra_kit.exceptions import EmptySupport, NoThreshold
 from epra_kit.subspace import projector_from_kernel
 
 LINE_P = np.array([[0.5, -0.5], [-0.5, 0.5]])  # projector onto span{(1,-1)}
@@ -135,6 +135,18 @@ class TestSchemesTrivialCases:
         n = len(z0)
         with pytest.raises(ValueError):
             run_scheme(np.eye(n), np.array(z0), BpConfig(scheme=scheme, max_iters=50))
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("callback", [None, lambda *_: None], ids=["compiled", "callback"])
+    @pytest.mark.parametrize("z0", [
+        [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf], [1.5, -0.5],
+        [], [[0.5, 0.5]], [0.5, 0.4], [1.0, 1.0],
+    ], ids=["nan", "inf", "-inf", "both-inf", "negative", "empty", "2-d", "below", "above"])
+    def test_start_off_the_simplex_is_rejected(self, scheme, callback, z0):
+        z0 = np.array(z0)
+        n = z0.shape[-1]
+        with pytest.raises(ValueError, match="standard simplex"):
+            run_scheme(np.eye(n), z0, BpConfig(scheme=scheme, max_iters=50), callback)
 
 
 class TestConfigCounts:
@@ -614,7 +626,7 @@ class TestProjectSimplexMatchesReference:
     def test_no_threshold_index_raises_like_reference(self, y):
         with pytest.raises(IndexError):
             reference_project_simplex(y)
-        with pytest.raises(IndexError):
+        with pytest.raises(NoThreshold):  # typed, and still an IndexError
             project_simplex(y)
 
 

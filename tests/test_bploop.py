@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from epra_kit import basic, blas, bploop
 from epra_kit.basic import BpConfig, SCHEMES, run_scheme, uniform_simplex
-from epra_kit.exceptions import DegenerateStep, EmptySupport
+from epra_kit.exceptions import DegenerateStep, EmptySupport, NoThreshold
 from epra_kit.subspace import projector_from_kernel
 
 SRC = Path(bploop.__file__).resolve().parent.parent
@@ -124,8 +124,8 @@ class TestSameBitsAsPythonDriver:
         ("vn", TINY, [0.5, 0.5], DegenerateStep),
         ("vna", TINY, [0.5, 0.5], DegenerateStep),
         ("vna", EMPTY_SUPPORT, EMPTY_SUPPORT_START, EmptySupport),
-        ("smooth", HUGE, [1 / 3] * 3, IndexError),
-        ("smooth", INF_COLUMN, uniform_simplex(10), IndexError),
+        ("smooth", HUGE, [1 / 3] * 3, NoThreshold),
+        ("smooth", INF_COLUMN, uniform_simplex(10), NoThreshold),
     ])
     def test_failures(self, scheme, P, z0, error):
         cfg = BpConfig(epsilon=1e-300, max_iters=1000, scheme=scheme)
@@ -351,7 +351,7 @@ class TestSetUp:
         monkeypatch.setattr(bploop, "library", lambda: None)
         python = warned(P, z0, cfg)
         assert compiled == with_callback == python
-        assert compiled == ((IndexError, "no component exceeds its simplex threshold", 0), [])
+        assert compiled == ((NoThreshold, "no component exceeds its simplex threshold", 0), [])
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(loop_cases())

@@ -37,6 +37,11 @@ class TestGenNaive:
             gen_naive(5, 5, seed=0)
         with pytest.raises(ValueError):
             gen_naive(0, 5, seed=0)
+        # a float size used to end in numpy's TypeError
+        for m, n, seed in [(2.0, 5, 0), (2, 5.0, 0), (True, 5, 0), (2, 5, 0.0), (2, 5, True),
+                           (2, 5, -1)]:
+            with pytest.raises(ValueError, match="must be"):
+                gen_naive(m, n, seed)
 
 
 class TestControlled:
@@ -103,6 +108,9 @@ class TestControlled:
             gen_controlled(2, 5, delta_cap=-1.0, seed=0)
         with pytest.raises(ValueError):
             gen_controlled(2, 5, frac_small=1.5, seed=0)
+        for m, n, seed in [(2.0, 5, 0), (2, 5.0, 0), (2, True, 0), (2, 5, 1.0), (2, 5, -1)]:
+            with pytest.raises(ValueError, match="must be"):
+                gen_controlled(m, n, seed=seed)
 
 
 class TestNullspaceBasis:
@@ -143,11 +151,6 @@ class TestPartitioned:
         assert np.max(np.abs(A_nn @ A_nn.T - np.eye(A_nn.shape[0]))) <= 1e-10
         assert inst.m == inst.A.shape[0]
 
-    def test_size_split_override(self):
-        inst = gen_partitioned(10, seed=1, size_split=4)
-        B, N = inst.meta.known_partition
-        assert len(B) == 4 and len(N) == 6
-
     def test_determinism(self):
         a = gen_partitioned(10, seed=3)
         b = gen_partitioned(10, seed=3)
@@ -170,8 +173,9 @@ class TestPartitioned:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             gen_partitioned(3, seed=0)
-        with pytest.raises(ValueError):
-            gen_partitioned(10, seed=0, size_split=9)
+        for n, seed in [(10.0, 0), (True, 0), (10, 1.0), (10, False), (10, -1)]:
+            with pytest.raises(ValueError, match="must be"):
+                gen_partitioned(n, seed)
 
 
 class TestInstanceSeed:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epra_kit.epra import solve
-from epra_kit.exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
+from epra_kit.exceptions import DimensionMismatch, NoFeasibleStart, RankDeficient, ZeroVector
 from epra_kit.instances import gen_controlled, gen_partitioned, nullspace_basis
 from epra_kit.oracle import (
     condition_measure_1d,
@@ -44,6 +44,10 @@ class TestWendel:
             wendel_probability(0, 4)
         with pytest.raises(ValueError):
             wendel_probability(5, 4)
+        # a bool or float count used to be read as a number
+        for m, n in [(True, 3), (1.0, 3), (2, 4.0)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                wendel_probability(m, n)
 
 
 class TestVerifyMembership:
@@ -83,27 +87,39 @@ class TestConditionMeasure1d:
 
 
 class TestConditionMeasureSearch:
+    # (m, n, delta_cap, seed) of controlled instances; the last but one
+    # read 5.8e-33 of its measure under the restarted heuristic search
+    EXACT = [(3, 10, 0.2, 700), (1, 6, 0.2, 3), (7, 8, 0.2, 13), (5, 30, 1e-3, 40),
+             (25, 50, 0.05, 5002), (20, 50, 1e-3, 5011), (2, 50, 1e-3, 5004)]
+
     def test_one_dimensional_kernel(self):
-        val = condition_measure_search(np.array([[1.0, -2.0]]), iters=100, seed=1)
-        assert abs(val - 0.5) <= 1e-6
+        assert abs(condition_measure_search(np.array([[1.0, -2.0]])) - 0.5) <= 1e-12
 
     def test_never_exceeds_certified_measure(self):
         for seed in range(6):
             inst = gen_controlled(3, 10, delta_cap=0.2, seed=700 + seed)
-            val = condition_measure_search(inst.A, iters=300, seed=seed)
-            assert val <= inst.meta.known_delta + 1e-6
+            val = condition_measure_search(inst.A)
+            assert val <= inst.meta.known_delta * (1.0 + 1e-12)
 
-    def test_typically_reaches_certified_measure(self):
-        ratios = []
-        for seed in range(6):
-            inst = gen_controlled(3, 10, delta_cap=0.2, seed=700 + seed)
-            val = condition_measure_search(inst.A, iters=300, seed=seed)
-            ratios.append(val / inst.meta.known_delta)
-        assert np.median(ratios) >= 0.9
+    @pytest.mark.parametrize("m, n, delta_cap, seed", EXACT)
+    def test_matches_certified_measure(self, m, n, delta_cap, seed):
+        inst = gen_controlled(m, n, delta_cap=delta_cap, seed=seed)
+        val = condition_measure_search(inst.A)
+        assert abs(val / inst.meta.known_delta - 1.0) <= 1e-9
 
     def test_infeasible_kernel_has_no_start(self):
         with pytest.raises(NoFeasibleStart):
-            condition_measure_search(np.array([[1.0, 1.0]]), iters=50, seed=3)
+            condition_measure_search(np.array([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partitioned_kernel_has_no_start(self, seed):
+        # the kernel's positive points vanish on N
+        with pytest.raises(NoFeasibleStart):
+            condition_measure_search(gen_partitioned(12, seed).A)
+
+    def test_rank_deficient_matrix_rejected(self):
+        with pytest.raises(RankDeficient):
+            condition_measure_search(np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]]))
 
 
 class TestVerifyRelintPair:
@@ -162,6 +178,10 @@ class TestMonteCarlo:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             monte_carlo_feasible_rate(2, 4, trials=0, seed=0)
+        for m, n, trials, seed in [(2, 4, True, 0), (2, 4, 1.5, 0), (2, 4, 1, 0.5), (2, 4, 1, -1),
+                                   (2.0, 4, 1, 0), (2, 4.0, 1, 0)]:
+            with pytest.raises(ValueError, match="must be"):
+                monte_carlo_feasible_rate(m, n, trials=trials, seed=seed)
 
 
 class TestOneDimensionalAgreement:
