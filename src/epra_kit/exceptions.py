@@ -36,7 +36,9 @@ class ZeroVector(EpraKitError):
 
 
 class NoFeasibleStart(EpraKitError):
-    """No strictly positive kernel point was found."""
+    """The condition-measure search has no strictly positive kernel point
+    to start from: the solver, whose `trivial_primal` certificate is that
+    start, ended with another status."""
 
 
 class DegenerateMax(EpraKitError):

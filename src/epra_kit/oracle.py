@@ -4,16 +4,17 @@ coverage probability, and the exact condition measure of small instances."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import epra
 from .basic import check_count
 from .epra import EpraResult, TRIVIAL_PRIMAL
-from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
+from .exceptions import NoFeasibleStart, ZeroVector
 from .instances import gen_naive, instance_seed, nullspace_basis
-from .subspace import RESIDUAL_TOL, Instance, as_matrix, projector_from_kernel
+from .subspace import (RESIDUAL_TOL, Instance, is_partition, projector_from_kernel,
+                       verify_membership)
 
 
 @dataclass
@@ -58,29 +59,6 @@ def monte_carlo_feasible_rate(m: int, n: int, trials: int, seed: int) -> float:
     return hits / trials
 
 
-def verify_membership(A, x, tol: float = RESIDUAL_TOL) -> Tuple[bool, float]:
-    """Check x in ker(A); returns (flag, max residual).
-
-    The flag is true iff ||A x||_inf <= tol * max(1, ||x||_inf ||A||_max).
-    """
-    A = as_matrix(A)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {A.shape} matrix with vector of shape {x.shape}"
-        )
-    if A.shape[0] == 0:
-        return True, 0.0
-    residual = float(np.max(np.abs(A @ x)))
-    amax = float(np.max(np.abs(A))) if A.size else 0.0
-    xmax = float(np.max(np.abs(x))) if x.size else 0.0
-    return residual <= tol * max(1.0, xmax * amax), residual
-
-
-def _max_abs(v: np.ndarray, idx: np.ndarray) -> float:
-    return float(np.max(np.abs(v[idx]))) if len(idx) else 0.0
-
-
 def partition_matches(inst: Instance, B, N) -> Optional[bool]:
     """Whether (B, N) is the instance's known partition, as sets; None
     when the instance carries none."""
@@ -101,28 +79,29 @@ def verify_relint_pair(
         x_hat in Im(A^T),  x_hat_N > 0,  ||x_hat_B||_inf <= ||x_hat||_inf / U.
 
     Dual membership is measured with the projector of the unrescaled
-    instance.  When the instance carries a ground-truth partition, the
-    result's (B, N) is compared against it.
+    instance.  (B, N) must partition the indices: when it does not,
+    positivity_ok and relint_ok are false.  When the instance carries a
+    ground-truth partition, the result's (B, N) is compared against it.
     """
     x = np.asarray(result.x, dtype=float)
     x_hat = np.asarray(result.x_hat, dtype=float)
     B = np.asarray(result.B, dtype=int)
     N = np.asarray(result.N, dtype=int)
+    # first: the index checks below read x and x_hat at B and N
+    partitioned = is_partition(B, N, inst.n)
 
     mem_x, res_x = verify_membership(inst.A, x, tol)
-    if inst.m > 0:
-        P_hat = projector_from_kernel(inst.A).P_hat
-        res_xh = float(np.max(np.abs(x_hat - P_hat @ x_hat)))
-    else:
-        res_xh = float(np.max(np.abs(x_hat))) if x_hat.size else 0.0
-    xh_max = float(np.max(np.abs(x_hat))) if x_hat.size else 0.0
+    P_hat = projector_from_kernel(inst.A).P_hat
+    res_xh = float(np.max(np.abs(x_hat - P_hat @ x_hat)))
+    xh_max = float(np.max(np.abs(x_hat), initial=0.0))
     mem_xh = res_xh <= tol * max(1.0, xh_max)
     membership_ok = bool(mem_x and mem_xh)
 
-    positivity_ok = bool(np.all(x[B] > 0.0)) and bool(np.all(x_hat[N] > 0.0))
-    x_max = float(np.max(np.abs(x))) if x.size else 0.0
-    small_ok = (
-        _max_abs(x, N) <= x_max / U and _max_abs(x_hat, B) <= xh_max / U
+    positivity_ok = partitioned and bool(np.all(x[B] > 0.0)) and bool(np.all(x_hat[N] > 0.0))
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    small_ok = partitioned and bool(
+        np.max(np.abs(x[N]), initial=0.0) <= x_max / U
+        and np.max(np.abs(x_hat[B]), initial=0.0) <= xh_max / U
     )
     relint_ok = membership_ok and positivity_ok and small_ok
 
@@ -156,33 +135,24 @@ def condition_measure_search(A) -> float:
     product of the entries of a kernel point with max-norm 1.
 
     Its log is the optimum of the strictly concave max sum(log x_j) over x
-    in ker(A), x <= 1.  Douglas-Rachford reflections between the kernel and
-    the shifted cone {x >= 1}, from the all-ones start, find a strictly
-    positive kernel point (the shifted intersection is nonempty exactly when
-    the cone has interior).  From it one log-barrier path ends at the
+    in ker(A), x <= 1, so the optimum does not depend on where the search
+    starts.  It starts from the solver's certificate: `epra.solve` on A
+    ends with `trivial_primal` and a strictly positive kernel point x,
+    scaled to x / (2 max x).  From it one log-barrier path ends at the
     optimum: damped Newton steps on sum(log x_j) + mu sum(log(1 - x_j)) in
     an orthonormal kernel basis, with mu from 1 down to 1e-12 by factors of
     10 and backtracking that keeps 0 < x < 1.
 
     Raises RankDeficient when A is not full row rank, and NoFeasibleStart
-    when 3000 reflections find no strictly positive kernel point: always
-    when the kernel misses the open orthant, sometimes when it meets it
-    only thinly.
+    when the solver ends with any status other than `trivial_primal`.
     """
-    A = as_matrix(A)
-    P = projector_from_kernel(A).P
-    x = np.ones(A.shape[1])
-    for _ in range(3000):
-        onto_cone = np.maximum(x, 1.0)
-        x = x + P @ (2.0 * onto_cone - x) - onto_cone
-        y = P @ onto_cone
-        # relative to the cone point's size: a collapsed projection is rounding noise
-        if np.min(y) > 1e-10 * max(float(np.max(np.abs(onto_cone))), 1.0):
-            break
-    else:
-        raise NoFeasibleStart("no strictly positive kernel point found in 3000 reflections")
-    K = nullspace_basis(A).T
-    x = y / (2.0 * np.max(y))
+    inst = Instance(A)
+    res = epra.solve(inst)
+    if res.status != TRIVIAL_PRIMAL:
+        raise NoFeasibleStart(f"the solver ended with status {res.status!r}, "
+                              f"not {TRIVIAL_PRIMAL!r}")
+    x = res.x / (2.0 * np.max(res.x))
+    K = nullspace_basis(inst.A).T
 
     def barrier(x, mu):
         return float(np.sum(np.log(x)) + mu * np.sum(np.log1p(-x)))

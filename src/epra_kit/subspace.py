@@ -10,7 +10,7 @@ Index sets in file formats are 1-based; in-memory arrays are 0-based.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,30 @@ def as_matrix(A) -> np.ndarray:
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
+
+
+def verify_membership(A, x, tol: float = RESIDUAL_TOL) -> Tuple[bool, float]:
+    """Check x in ker(A); returns (flag, max residual).
+
+    The flag is true iff ||A x||_inf <= tol * max(1, ||x||_inf ||A||_max).
+    """
+    A = as_matrix(A)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or A.shape[1] != x.shape[0]:
+        raise DimensionMismatch(
+            f"cannot multiply {A.shape} matrix with vector of shape {x.shape}"
+        )
+    residual = float(np.max(np.abs(A @ x), initial=0.0))
+    amax = float(np.max(np.abs(A), initial=0.0))
+    xmax = float(np.max(np.abs(x), initial=0.0))
+    return residual <= tol * max(1.0, xmax * amax), residual
+
+
+def is_partition(B, N, n: int) -> bool:
+    """Whether the index lists B and N are disjoint and together cover
+    0, ..., n - 1."""
+    B, N = ({int(i) for i in side} for side in (B, N))
+    return not B & N and (B | N) == set(range(n))
 
 
 @dataclass(frozen=True)
@@ -86,14 +110,11 @@ class Instance:
                 raise ValueError("known_interior_point must be strictly positive")
             if abs(np.max(x) - 1.0) > 1e-12:
                 raise ValueError("known_interior_point must have max-norm 1")
-            if m > 0:
-                resid = np.max(np.abs(A @ x))
-                if resid > RESIDUAL_TOL * max(1.0, np.max(np.abs(A))):
-                    raise ValueError(f"known_interior_point is not in ker(A): residual {resid:g}")
-        if meta.known_partition is not None:
-            B, N = (set(int(i) for i in side) for side in meta.known_partition)
-            if B & N or (B | N) != set(range(n)):
-                raise ValueError("known_partition must partition the index set")
+            in_kernel, resid = verify_membership(A, x)
+            if not in_kernel:
+                raise ValueError(f"known_interior_point is not in ker(A): residual {resid:g}")
+        if meta.known_partition is not None and not is_partition(*meta.known_partition, n):
+            raise ValueError("known_partition must partition the index set")
 
     @property
     def m(self) -> int:

@@ -176,6 +176,24 @@ class TestSolveAndVerify:
         out.write_text(json.dumps(doc))
         assert run("verify", "--instance", str(inst), "--result", str(out)) == 1
 
+    @pytest.mark.parametrize("B, N, zero", [([], [], True), ([2, 3, 4], [], False),
+                                            ([1, 2, 3, 4, 5, 6, 100], [], False)],
+                             ids=["empty", "short", "out of range"])
+    def test_verify_rejects_index_sets_that_do_not_partition(self, tmp_path, capsys, B, N, zero):
+        # 1-based in the file; each used to pass or to end in a traceback
+        inst = self._gen(tmp_path, n="6", m="2")
+        out = tmp_path / "res.json"
+        assert run("solve", "--instance", str(inst), "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        doc.update(B=B, N=N)
+        if zero:
+            doc.update(x=[0.0] * 6, x_hat=[0.0] * 6)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--result", str(out)) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["membership_ok"] is True and report["relint_ok"] is False
+
     def test_empty_instance_is_one_error_line(self, tmp_path, capsys):
         # a shape no instance can have is invalid input, as a NaN entry is
         inst = tmp_path / "inst.json"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from epra_kit import subspace
 from epra_kit.epra import solve
 from epra_kit.exceptions import DimensionMismatch, NoFeasibleStart, RankDeficient, ZeroVector
 from epra_kit.instances import gen_controlled, gen_partitioned, nullspace_basis
@@ -51,6 +52,9 @@ class TestWendel:
 
 
 class TestVerifyMembership:
+    def test_is_the_instance_check(self):
+        assert verify_membership is subspace.verify_membership
+
     def test_kernel_member(self):
         ok, resid = verify_membership(np.array([[1.0, -2.0]]), [2.0, 1.0])
         assert ok and resid == 0.0
@@ -87,10 +91,18 @@ class TestConditionMeasure1d:
 
 
 class TestConditionMeasureSearch:
-    # (m, n, delta_cap, seed) of controlled instances; the last but one
-    # read 5.8e-33 of its measure under the restarted heuristic search
+    # (m, n, delta_cap, seed) of controlled instances; (20, 50, 1e-3, 5011)
+    # read 5.8e-33 of its measure under the restarted heuristic search, and
+    # (2, 10, 1e-3, 5001), of measure 1.6e-14, had no start from
+    # Douglas-Rachford reflections
     EXACT = [(3, 10, 0.2, 700), (1, 6, 0.2, 3), (7, 8, 0.2, 13), (5, 30, 1e-3, 40),
-             (25, 50, 0.05, 5002), (20, 50, 1e-3, 5011), (2, 50, 1e-3, 5004)]
+             (25, 50, 0.05, 5002), (20, 50, 1e-3, 5011), (2, 50, 1e-3, 5004),
+             (2, 10, 1e-3, 5001)]
+    # kernels that meet the open orthant only thinly (smallest entry of the
+    # known interior point 1.3e-6 to 8.5e-5), where 3000 Douglas-Rachford
+    # reflections found no start
+    THIN = [(5, 10, 1e-3, 5010), (5, 25, 1e-3, 5023), (12, 25, 1e-3, 5008),
+            (10, 50, 1e-3, 5022), (25, 50, 1e-3, 5011)]
 
     def test_one_dimensional_kernel(self):
         assert abs(condition_measure_search(np.array([[1.0, -2.0]])) - 0.5) <= 1e-12
@@ -101,15 +113,23 @@ class TestConditionMeasureSearch:
             val = condition_measure_search(inst.A)
             assert val <= inst.meta.known_delta * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("m, n, delta_cap, seed", EXACT)
+    @pytest.mark.parametrize("m, n, delta_cap, seed", EXACT + THIN)
     def test_matches_certified_measure(self, m, n, delta_cap, seed):
         inst = gen_controlled(m, n, delta_cap=delta_cap, seed=seed)
         val = condition_measure_search(inst.A)
         assert abs(val / inst.meta.known_delta - 1.0) <= 1e-9
 
+    def test_no_rows_is_the_whole_space(self):
+        assert condition_measure_search(np.zeros((0, 4))) == 1.0
+
     def test_infeasible_kernel_has_no_start(self):
         with pytest.raises(NoFeasibleStart):
             condition_measure_search(np.array([[1.0, 1.0]]))
+
+    def test_trivial_kernel_names_the_solver_status(self):
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]])
+        with pytest.raises(NoFeasibleStart, match="trivial_dual"):
+            condition_measure_search(A)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_partitioned_kernel_has_no_start(self, seed):
@@ -152,6 +172,33 @@ class TestVerifyRelintPair:
         res.x = -res.x
         rep = verify_relint_pair(inst, res, U=1e10)
         assert not rep.positivity_ok and not rep.relint_ok
+
+    @staticmethod
+    def _tampered(**changes):
+        inst = gen_controlled(2, 6, delta_cap=0.2, seed=5)
+        res = solve(inst)
+        assert verify_relint_pair(inst, res, U=1e10).relint_ok
+        return inst, dataclasses.replace(res, **changes)
+
+    # (B, N, zero certificates) of results whose B and N do not partition
+    # the six indices; each used to be accepted or to raise IndexError
+    NOT_PARTITIONS = [([], [], True), ([1, 2, 3], [], False), ([0, 1, 2, 3, 4, 5, 99], [], False)]
+
+    @pytest.mark.parametrize("B, N, zero", NOT_PARTITIONS, ids=["empty", "short", "out of range"])
+    def test_index_sets_must_partition(self, B, N, zero):
+        changes = {"x": np.zeros(6), "x_hat": np.zeros(6)} if zero else {}
+        inst, res = self._tampered(B=np.array(B, dtype=int), N=np.array(N, dtype=int), **changes)
+        rep = verify_relint_pair(inst, res, U=1e10)
+        assert rep.membership_ok
+        assert not rep.positivity_ok and not rep.relint_ok
+
+    def test_rowless_instance_measures_the_dual_residual(self):
+        inst = Instance(A=np.zeros((0, 4)))
+        res = solve(inst)
+        rep = verify_relint_pair(inst, res, U=1e10)
+        assert rep.relint_ok and rep.max_residual == 0.0
+        rep = verify_relint_pair(inst, dataclasses.replace(res, x_hat=np.full(4, 0.5)), U=1e10)
+        assert not rep.membership_ok and rep.max_residual == 0.5
 
     def test_partition_ground_truth_comparison(self):
         inst = gen_partitioned(10, seed=9)

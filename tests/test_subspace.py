@@ -16,10 +16,12 @@ from epra_kit.subspace import (
     _complement,
     instance_from_dict,
     instance_to_dict,
+    is_partition,
     load_instance,
     projector_from_kernel,
     rescaled_projectors,
     save_instance,
+    verify_membership,
 )
 
 
@@ -535,3 +537,28 @@ class TestConstructionCheck:
         # instance of seed 3, and n true as a 0 x 1 matrix
         with pytest.raises(ValueError, match="must be"):
             instance_from_dict(doc)
+
+
+class TestSharedRules:
+    """The membership and partition rules that both the instance check
+    and the verifier apply."""
+
+    @pytest.mark.parametrize("B, N, n, expected", [
+        ([0, 1], [2], 3, True),
+        ([], [0, 1, 2], 3, True),
+        ([2, 0], [1], 3, True),
+        ([], [], 3, False),
+        ([0, 1], [1, 2], 3, False),
+        ([0], [2], 3, False),
+        ([0, 1, 2, 99], [], 3, False),
+        ([-1, 0, 1], [2], 3, False),
+    ])
+    def test_is_partition(self, B, N, n, expected):
+        assert is_partition(B, N, n) is expected
+
+    def test_membership_without_rows(self):
+        assert verify_membership(np.zeros((0, 3)), [1.0, 0.5, 2.0]) == (True, 0.0)
+
+    def test_instance_without_rows_takes_any_positive_point(self):
+        meta = InstanceMeta(known_interior_point=np.array([1.0, 0.5, 0.25]))
+        assert Instance(np.zeros((0, 3)), meta).meta is meta
