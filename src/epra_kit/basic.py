@@ -181,7 +181,7 @@ _PERCEPTRON_ID, _VON_NEUMANN_ID, _VON_NEUMANN_AWAY_ID, _SMOOTH_ID = range(4)
 _STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
 
 
-def _run(scheme: int, P, z, cfg: BpConfig, callback, start, rows=0,
+def _run(scheme: int, P, z, cfg: BpConfig, callback, start, rows,
          refresh=_REFRESH) -> BpOutcome:
     """Run scheme number `scheme` from the checked start z.  Without a
     callback, on a P it accepts, the compiled loop does the scheme's set-up
@@ -274,7 +274,7 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
 
         return z, P @ z, step
 
-    return _run(_PERCEPTRON_ID, P, _check_start(z0), cfg, callback, start)
+    return _run(_PERCEPTRON_ID, P, _check_start(z0), cfg, callback, start, rows=1)
 
 
 def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -305,7 +305,7 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
 
         return z, P @ z, step
 
-    return _run(_VON_NEUMANN_ID, P, _check_start(z0), cfg, callback, start, rows=1)
+    return _run(_VON_NEUMANN_ID, P, _check_start(z0), cfg, callback, start, rows=2)
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -350,7 +350,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
 
         return z, P @ z, step
 
-    return _run(_VON_NEUMANN_AWAY_ID, P, _check_start(z0), cfg, callback, start, rows=1)
+    return _run(_VON_NEUMANN_AWAY_ID, P, _check_start(z0), cfg, callback, start, rows=2)
 
 
 def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:

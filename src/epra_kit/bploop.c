@@ -12,20 +12,30 @@
  * to bp_bind.
  *
  * The stop check and the vertex choice share one scan per step.  It reads
- * P z and z once, into four independent lanes, and yields min(P z), the
- * index of that minimum, max(P z), max(z) and whether either vector holds
- * a NaN.  Without NaN the result is exact in any order: the min or max of
+ * P z and z once, with SSE2 min and max on two 2-wide accumulators each,
+ * and yields min(P z), max(P z), max(z) and whether either vector holds a
+ * NaN.  Without NaN the result is exact in any order: the min or max of
  * doubles is the same value whatever order they are compared in, except
  * for the sign of a zero, and nothing that reads these values tells -0.0
- * from 0.0 (the check compares with > 0.0, > bound and <= bound, and the
- * index is chosen with < and ==).  The index is NumPy's argmin, the first
- * index whose value equals the minimum: each lane keeps the first index of
- * its own minimum, and of equal lane minima the lowest index wins.  A NaN
- * in either vector, or n below the lane count, sends the check to the
- * scalar argmin/argmax, whose first-NaN rule the NumPy check follows.  The
- * perceptron, von Neumann and away steps take the index from the check
- * run just before them (after a drift re-check, from the re-check), and
- * do not scan for it again.
+ * from 0.0 (the check compares with > 0.0, > bound and <= bound).  The
+ * index of the minimum is then NumPy's argmin, the first entry that
+ * compares equal to it (-0.0 == 0.0), found in a second, equality pass.
+ * A NaN in either vector, n < 4 or a target without SSE2 sends the check
+ * to the scalar argmin/argmax, whose first-NaN rule the NumPy check
+ * follows.  The perceptron, von Neumann and away steps take the index
+ * from the check run just before them (after a drift re-check, from the
+ * re-check), and do not scan for it again.
+ *
+ * A vertex step reads column i of P from row i, contiguously, when the
+ * two hold the same bits, as in the projectors that
+ * subspace.rescaled_projectors builds; the run compares them the first
+ * time it takes column i and keeps the answer.  Any other P keeps the
+ * strided column, with the same bits either way.
+ *
+ * The smooth perceptron's prox sorts its argument starting from the order
+ * of the last one, through insertion runs and merges, where a merge whose
+ * halves are already in order is a copy.  The sorted values, and so every
+ * bit of the result, do not depend on the order it starts from.
  *
  * A run's set-up is done here too, with the same matvec and simplex
  * projection as its steps: the starting P z, and for the smooth perceptron
@@ -37,6 +47,10 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 typedef int64_t blasint;
 typedef void (*gemv_fn)(int order, int trans, blasint m, blasint n, double alpha,
@@ -147,94 +161,107 @@ static double pos_sum(const double *a, int64_t n)
     return pos_sum(a, n2) + pos_sum(a + n2, n - n2);
 }
 
-/* The stop check's scan: min(P z) with its first index, max(P z) and
- * max(z), in one pass over LANES independent accumulators.  A lane is
- * indexed by constants only, so the compiler keeps it in registers. */
-enum { LANES = 4 };
-
-struct lane {
-    double lo, hi, zhi;
-    int64_t ilo;
-    int nan;
-};
-
-static inline void lane_init(struct lane *a, double v, double w, int64_t i)
+#ifdef __SSE2__
+/* The stop check's scan: min(P z), max(P z) and max(z) in one pass, on
+ * two 2-wide accumulators for each, with 0 to 3 entries left to a scalar
+ * tail; 0 when either vector holds a NaN or n < 4.  minpd and maxpd
+ * return their second operand on a NaN, so a NaN is flagged apart, by
+ * one unordered compare of P z with z. */
+static int scan(const double *Pz, const double *z, int64_t n, double *lo, double *hi,
+                double *zhi)
 {
-    a->lo = a->hi = v;
-    a->zhi = w;
-    a->ilo = i;
-    a->nan = isnan(v) | isnan(w);
-}
-
-/* element i, with v of P z and w of z; a lane keeps the first index of
- * its minimum */
-static inline void lane_take(struct lane *a, double v, double w, int64_t i)
-{
-    a->ilo = v < a->lo ? i : a->ilo;
-    a->lo = v < a->lo ? v : a->lo;
-    a->hi = v > a->hi ? v : a->hi;
-    a->zhi = w > a->zhi ? w : a->zhi;
-    a->nan |= isnan(v) | isnan(w);
-}
-
-/* lane b into lane a: of equal minima the lower index */
-static inline void lane_join(struct lane *a, const struct lane *b)
-{
-    if (b->lo < a->lo || (b->lo == a->lo && b->ilo < a->ilo)) {
-        a->lo = b->lo;
-        a->ilo = b->ilo;
-    }
-    a->hi = b->hi > a->hi ? b->hi : a->hi;
-    a->zhi = b->zhi > a->zhi ? b->zhi : a->zhi;
-}
-
-/* the joined lanes of P z and z into *out, n >= LANES; 0 when either
- * holds a NaN */
-static int scan(const double *Pz, const double *z, int64_t n, struct lane *out)
-{
-    struct lane a[LANES];
-    lane_init(&a[0], Pz[0], z[0], 0);
-    lane_init(&a[1], Pz[1], z[1], 1);
-    lane_init(&a[2], Pz[2], z[2], 2);
-    lane_init(&a[3], Pz[3], z[3], 3);
-    int64_t i = LANES;
-    for (; i + LANES <= n; i += LANES) {
-        lane_take(&a[0], Pz[i], z[i], i);
-        lane_take(&a[1], Pz[i + 1], z[i + 1], i + 1);
-        lane_take(&a[2], Pz[i + 2], z[i + 2], i + 2);
-        lane_take(&a[3], Pz[i + 3], z[i + 3], i + 3);
-    }
-    for (; i < n; i++)
-        lane_take(&a[0], Pz[i], z[i], i);
-    if (a[0].nan | a[1].nan | a[2].nan | a[3].nan)
+    if (n < 4)
         return 0;
-    lane_join(&a[0], &a[1]);
-    lane_join(&a[2], &a[3]);
-    lane_join(&a[0], &a[2]);
-    *out = a[0];
+    __m128d lo0 = _mm_loadu_pd(Pz), lo1 = _mm_loadu_pd(Pz + 2);
+    __m128d zhi0 = _mm_loadu_pd(z), zhi1 = _mm_loadu_pd(z + 2);
+    __m128d hi0 = lo0, hi1 = lo1;
+    __m128d nan = _mm_or_pd(_mm_cmpunord_pd(lo0, zhi0), _mm_cmpunord_pd(lo1, zhi1));
+    int64_t i = 4;
+    for (; i + 4 <= n; i += 4) {
+        __m128d v0 = _mm_loadu_pd(Pz + i), v1 = _mm_loadu_pd(Pz + i + 2);
+        __m128d w0 = _mm_loadu_pd(z + i), w1 = _mm_loadu_pd(z + i + 2);
+        lo0 = _mm_min_pd(lo0, v0);
+        lo1 = _mm_min_pd(lo1, v1);
+        hi0 = _mm_max_pd(hi0, v0);
+        hi1 = _mm_max_pd(hi1, v1);
+        zhi0 = _mm_max_pd(zhi0, w0);
+        zhi1 = _mm_max_pd(zhi1, w1);
+        nan = _mm_or_pd(nan, _mm_or_pd(_mm_cmpunord_pd(v0, w0), _mm_cmpunord_pd(v1, w1)));
+    }
+    double a[2], b[2], c[2];
+    _mm_storeu_pd(a, _mm_min_pd(lo0, lo1));
+    _mm_storeu_pd(b, _mm_max_pd(hi0, hi1));
+    _mm_storeu_pd(c, _mm_max_pd(zhi0, zhi1));
+    double l = a[1] < a[0] ? a[1] : a[0], h = b[1] > b[0] ? b[1] : b[0];
+    double zh = c[1] > c[0] ? c[1] : c[0];
+    int bad = _mm_movemask_pd(nan);
+    for (; i < n; i++) {
+        bad |= isnan(Pz[i]) | isnan(z[i]);
+        l = Pz[i] < l ? Pz[i] : l;
+        h = Pz[i] > h ? Pz[i] : h;
+        zh = z[i] > zh ? z[i] : zh;
+    }
+    if (bad)
+        return 0;
+    *lo = l;
+    *hi = h;
+    *zhi = zh;
     return 1;
 }
+
+/* the first index of P z whose entry equals lo, which one entry does;
+ * -0.0 == 0.0, so this is NumPy's argmin after a scan without NaN */
+static int64_t first_equal(const double *Pz, int64_t n, double lo)
+{
+    __m128d m = _mm_set1_pd(lo);
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        int hit = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(Pz + i), m))
+                  | _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(Pz + i + 2), m)) << 2;
+        if (hit)
+            return i + (hit & 1 ? 0 : hit & 2 ? 1 : hit & 4 ? 2 : 3);
+    }
+    while (Pz[i] != lo)
+        i++;
+    return i;
+}
+#else
+static int scan(const double *Pz, const double *z, int64_t n, double *lo, double *hi,
+                double *zhi)
+{
+    (void)Pz, (void)z, (void)n, (void)lo, (void)hi, (void)zhi;
+    return 0;
+}
+
+/* never called: without SSE2 the scan always leaves the index to argmin */
+static int64_t first_equal(const double *Pz, int64_t n, double lo)
+{
+    (void)Pz, (void)n, (void)lo;
+    return 0;
+}
+#endif
 
 /* basic.stop_check, which also leaves argmin(P z) in *imin when it
  * returns RUNNING, for the step that follows */
 static int stop_check(const double *Pz, const double *z, int64_t n, double eps,
                       int64_t *imin)
 {
-    struct lane s;
-    if (n < LANES || !scan(Pz, z, n, &s)) {
-        s.ilo = argmin(Pz, n);
-        s.lo = Pz[s.ilo];
-        s.zhi = z[argmax(z, n)];
-        s.hi = Pz[argmax(Pz, n)];
+    double lo, hi, zhi;
+    int64_t i = -1;
+    if (!scan(Pz, z, n, &lo, &hi, &zhi)) {
+        i = argmin(Pz, n);
+        lo = Pz[i];
+        zhi = z[argmax(z, n)];
+        hi = Pz[argmax(Pz, n)];
     }
-    if (s.lo > 0.0)
+    if (lo > 0.0)
         return INTERIOR_FOUND;
-    double bound = eps * s.zhi;
+    double bound = eps * zhi;
     /* NumPy's sum adds its pairwise total to 0.0, which changes no
      * comparison */
-    if (!(s.hi > bound) && pos_sum(Pz, n) <= bound)
+    if (!(hi > bound) && pos_sum(Pz, n) <= bound)
         return RESCALE_READY;
-    *imin = s.ilo;
+    *imin = i < 0 ? first_equal(Pz, n, lo) : i;
     return RUNNING;
 }
 
@@ -243,21 +270,60 @@ static int stop_check(const double *Pz, const double *z, int64_t n, double eps,
 static inline double py_max(double a, double b) { return b > a ? b : a; }
 static inline double py_min(double a, double b) { return b < a ? b : a; }
 
-/* basic._vertex_move with column i of P */
-static void vertex_move(double *z, double *Pz, int64_t n, int64_t i, double theta,
-                        const double *P)
+/* column i of P, read from row i when the two hold the same bits, as the
+ * projectors of subspace.rescaled_projectors do: sym[i] is 0 until the
+ * run first takes column i, then 1 when row i matches it and -1 when it
+ * does not.  Returns the column's first entry and its stride in *inc. */
+static const double *column(const double *P, int64_t n, int64_t i, double *sym, int64_t *inc)
+{
+    if (sym[i] == 0.0) {
+        int same = 1;
+        for (int64_t j = 0; j < n && same; j++) {
+            uint64_t row, col;
+            memcpy(&row, P + i * n + j, sizeof row);
+            memcpy(&col, P + j * n + i, sizeof col);
+            same = row == col;
+        }
+        sym[i] = same ? 1.0 : -1.0;
+    }
+    *inc = sym[i] > 0.0 ? 1 : n;
+    return sym[i] > 0.0 ? P + i * n : P + i;
+}
+
+/* basic._vertex_move with column i of P, Pi with stride inc */
+static void vertex_move(double *restrict z, double *restrict Pz, int64_t n, int64_t i,
+                        double theta, const double *restrict Pi, int64_t inc)
 {
     double c = 1.0 - theta;
-    for (int64_t j = 0; j < n; j++) {
-        z[j] *= c;
-        Pz[j] = Pz[j] * c + P[j * n + i] * theta;
-    }
+    if (inc == 1)
+        for (int64_t j = 0; j < n; j++) {
+            z[j] *= c;
+            Pz[j] = Pz[j] * c + Pi[j] * theta;
+        }
+    else
+        for (int64_t j = 0; j < n; j++) {
+            z[j] *= c;
+            Pz[j] = Pz[j] * c + Pi[j * inc] * theta;
+        }
     z[i] += theta;
 }
 
-/* norm2[i] is ||P e_i||^2 once computed (>= 0 or NaN), -1 before */
-static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i, double *norm2)
+/* column i of P, through column(), into one vertex move */
+static void vertex_step(const double *P, double *z, double *Pz, int64_t n, int64_t i,
+                        double theta, double *sym)
 {
+    int64_t inc;
+    const double *Pi = column(P, n, i, sym, &inc);
+    vertex_move(z, Pz, n, i, theta, Pi, inc);
+}
+
+/* norm2[i] is ||P e_i||^2 once computed (>= 0 or NaN), -1 before; sym is
+ * column()'s */
+static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i, double *norm2,
+                   double *sym)
+{
+    /* the strided dot NumPy takes of the column view, whichever way the
+     * move reads it */
     if (norm2[i] < 0.0)
         norm2[i] = dot(n, P + i, n, P + i, n);
     double pu2 = norm2[i];
@@ -267,7 +333,7 @@ static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i,
     if (denom <= 0.0)
         return LINE_SEARCH;
     double theta = (pz2 - upz) / denom;
-    vertex_move(z, Pz, n, i, py_min(1.0, py_max(0.0, theta)), P);
+    vertex_step(P, z, Pz, n, i, py_min(1.0, py_max(0.0, theta)), sym);
     return 0;
 }
 
@@ -295,10 +361,10 @@ static int64_t away_vertex(const double *z, const double *Pz, int64_t n)
     return support ? iv : -1;
 }
 
-/* iu is argmin(P z), from the stop check; Pa is a scratch vector; *force
- * is set when the step asks for a refresh */
-static int vna_step(const double *P, double *z, double *Pz, int64_t n, int64_t iu, double *Pa,
-                    int *force)
+/* iu is argmin(P z), from the stop check; Pa is a scratch vector and sym
+ * column()'s; *force is set when the step asks for a refresh */
+static int vna_step(const double *P, double *z, double *Pz, int64_t n, int64_t iu,
+                    double *restrict Pa, double *sym, int *force)
 {
     double pz2 = dot(n, Pz, 1, Pz, 1);
     int64_t iv = away_vertex(z, Pz, n);
@@ -308,74 +374,128 @@ static int vna_step(const double *P, double *z, double *Pz, int64_t n, int64_t i
     int away = !(pz2 - Pz[iu] > Pz[iv] - pz2);
     if (away && vz >= 1.0)
         away = 0;
+    int64_t i = away ? iv : iu, inc;
+    const double *restrict Pi = column(P, n, i, sym, &inc);
     double theta_max;
     if (away) {
-        for (int64_t j = 0; j < n; j++)
-            Pa[j] = Pz[j] - P[j * n + iv];
+        if (inc == 1)
+            for (int64_t j = 0; j < n; j++)
+                Pa[j] = Pz[j] - Pi[j];
+        else
+            for (int64_t j = 0; j < n; j++)
+                Pa[j] = Pz[j] - Pi[j * inc];
         theta_max = vz / (1.0 - vz);
     } else {
-        for (int64_t j = 0; j < n; j++)
-            Pa[j] = P[j * n + iu] - Pz[j];
+        if (inc == 1)
+            for (int64_t j = 0; j < n; j++)
+                Pa[j] = Pi[j] - Pz[j];
+        else
+            for (int64_t j = 0; j < n; j++)
+                Pa[j] = Pi[j * inc] - Pz[j];
         theta_max = 1.0;
     }
     double pa2 = dot(n, Pa, 1, Pa, 1);
     if (pa2 <= 0.0)
         return ZERO_DIRECTION;
     double theta = py_min(theta_max, -dot(n, z, 1, Pa, 1) / pa2);
-    if (away) {
-        vertex_move(z, Pz, n, iv, -theta, P);
+    vertex_move(z, Pz, n, i, away ? -theta : theta, Pi, inc);
+    if (away)
         for (int64_t j = 0; j < n; j++)
             z[j] = pos(z[j]);
-    } else {
-        vertex_move(z, Pz, n, iu, theta, P);
-    }
     *force = away && theta > 0.5;
     return 0;
 }
 
-/* sorts a[0:n] (no NaN) into decreasing order; tmp holds n doubles */
-static void sort_decreasing(double *a, double *tmp, int64_t n)
+/* sorts u[0:n] (no NaN) into decreasing order and moves the entries of
+ * ord with those of u; tmp and otmp hold n entries each.  Runs of RUN
+ * entries are sorted by insertion, then merged in pairs, and a merge
+ * whose halves are already in order is a copy: an input nearly in order
+ * costs little more than a pass over it. */
+static void sort_decreasing(double *u, int32_t *ord, double *tmp, int32_t *otmp, int64_t n)
 {
     enum { RUN = 16 };
     for (int64_t lo = 0; lo < n; lo += RUN) {
         int64_t hi = lo + RUN < n ? lo + RUN : n;
         for (int64_t i = lo + 1; i < hi; i++) {
-            double v = a[i];
+            double v = u[i];
+            int32_t o = ord[i];
             int64_t j = i;
-            for (; j > lo && a[j - 1] < v; j--)
-                a[j] = a[j - 1];
-            a[j] = v;
+            for (; j > lo && u[j - 1] < v; j--) {
+                u[j] = u[j - 1];
+                ord[j] = ord[j - 1];
+            }
+            u[j] = v;
+            ord[j] = o;
         }
     }
-    double *src = a, *dst = tmp;
+    double *src = u, *dst = tmp;
+    int32_t *osrc = ord, *odst = otmp;
     for (int64_t width = RUN; width < n; width *= 2) {
         for (int64_t lo = 0; lo < n; lo += 2 * width) {
             int64_t mid = lo + width < n ? lo + width : n;
             int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            if (mid == hi || src[mid - 1] >= src[mid]) {
+                memcpy(dst + lo, src + lo, (size_t)(hi - lo) * sizeof *dst);
+                memcpy(odst + lo, osrc + lo, (size_t)(hi - lo) * sizeof *odst);
+                continue;
+            }
             int64_t i = lo, j = mid, k = lo;
-            while (i < mid && j < hi)
-                dst[k++] = src[i] >= src[j] ? src[i++] : src[j++];
-            while (i < mid)
-                dst[k++] = src[i++];
-            while (j < hi)
-                dst[k++] = src[j++];
+            while (i < mid && j < hi) {
+                int left = src[i] >= src[j];
+                odst[k] = left ? osrc[i] : osrc[j];
+                dst[k++] = left ? src[i++] : src[j++];
+            }
+            for (; i < mid; i++, k++) {
+                dst[k] = src[i];
+                odst[k] = osrc[i];
+            }
+            for (; j < hi; j++, k++) {
+                dst[k] = src[j];
+                odst[k] = osrc[j];
+            }
         }
         double *swap = src;
         src = dst;
         dst = swap;
+        int32_t *oswap = osrc;
+        osrc = odst;
+        odst = oswap;
     }
-    if (src != a)
-        memcpy(a, src, (size_t)n * sizeof(double));
+    if (src != u) {
+        memcpy(u, src, (size_t)n * sizeof *u);
+        memcpy(ord, osrc, (size_t)n * sizeof *ord);
+    }
 }
 
-/* basic.project_simplex of y, which holds no NaN, into out; u holds a copy
- * of y and tmp n doubles.  The order in which equal values (and so signed
- * zeros) sort changes no bit of the result.  A NaN anywhere in y leaves no
- * threshold index in the NumPy code, where NaN sorts first; the caller
- * returns that failure before the sort. */
-static int project_simplex(const double *y, double *out, int64_t n, double *u, double *tmp)
+/* the state of a smooth run, in the rows of its block: ord holds the
+ * decreasing order of the last prox argument, and after it n entries of
+ * scratch, as int32 in one row */
+struct smooth {
+    double *Pu, *w, *Pw, *ub, *u, *tmp;
+    int32_t *ord;
+    double mu;
+};
+
+/* w = basic.simplex_prox(P u, mu, u_bar): y = u_bar - P u / mu in w, and
+ * basic.project_simplex(y) in place.  y is sorted into u starting from the
+ * last prox argument's order.  The order in which equal values (and so
+ * signed zeros) sort changes no bit of the result.  A NaN anywhere in y
+ * leaves no threshold index in the NumPy code, where NaN sorts first;
+ * that failure is returned before the sort. */
+static int prox(struct smooth *s, int64_t n)
 {
-    sort_decreasing(u, tmp, n);
+    double *restrict w = s->w, *restrict u = s->u;
+    const int32_t *ord = s->ord;
+    int nan = 0;
+    for (int64_t j = 0; j < n; j++) {
+        w[j] = s->ub[j] - s->Pu[j] / s->mu;
+        nan |= isnan(w[j]);
+    }
+    if (nan)
+        return NO_SIMPLEX_THRESHOLD;
+    for (int64_t j = 0; j < n; j++)
+        u[j] = w[ord[j]];
+    sort_decreasing(u, s->ord, s->tmp, s->ord + n, n);
     /* k is one past the last index where u exceeds its threshold */
     int64_t k = 0;
     double css = 0.0, css_k = 0.0;
@@ -390,34 +510,17 @@ static int project_simplex(const double *y, double *out, int64_t n, double *u, d
         return NO_SIMPLEX_THRESHOLD;
     double tau = (css_k - 1.0) / (double)k;
     for (int64_t j = 0; j < n; j++)
-        out[j] = pos(y[j] - tau);
+        w[j] = pos(w[j] - tau);
     return 0;
 }
 
-/* the state of a smooth run, in the rows of its block */
-struct smooth {
-    double *Pu, *w, *Pw, *ub, *y, *u, *tmp;
-    double mu;
-};
-
-/* w = basic.simplex_prox(P u, mu, u_bar), through y = u_bar - P u / mu
- * and its copy u to sort */
-static int prox(struct smooth *s, int64_t n)
-{
-    int nan = 0;
-    for (int64_t j = 0; j < n; j++) {
-        s->u[j] = s->y[j] = s->ub[j] - s->Pu[j] / s->mu;
-        nan |= isnan(s->y[j]);
-    }
-    if (nan)
-        return NO_SIMPLEX_THRESHOLD;
-    return project_simplex(s->y, s->w, n, s->u, s->tmp);
-}
-
 /* basic.run_smooth's set-up from u_bar in z: P u_bar, w and P w, then
- * z = w and P z = P w */
+ * z = w and P z = P w; the first prox argument is sorted from the order
+ * of its indices */
 static int smooth_start(const double *P, double *z, double *Pz, int64_t n, struct smooth *s)
 {
+    for (int64_t j = 0; j < n; j++)
+        s->ord[j] = (int32_t)j;
     memcpy(s->ub, z, (size_t)n * sizeof(double));
     matvec(P, s->ub, s->Pu, n);
     int err = prox(s, n);
@@ -459,33 +562,38 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
  * are updated in place, Pz recomputed every `refresh` steps (never when
  * refresh is 0).  mu0 is the smooth perceptron's first smoothing
  * parameter (basic._MU_0).  block holds the scheme's rows of n doubles:
- *   perceptron  none
- *   vn          1: ||P e_i||^2 cache, -1 until computed
- *   vna         1: scratch
- *   smooth      7: P u, w, P w, u_bar and three of scratch
+ *   perceptron  1: column()'s record of which rows match their columns
+ *   vn          2: that record, and the ||P e_i||^2 cache, -1 until computed
+ *   vna         2: that record, and scratch
+ *   smooth      7: P u, w, P w, u_bar, two of scratch, and the prox's order
+ *                  with its scratch, 2n int32
  * Returns a status or a failure code; *iters receives the number of steps
  * completed, before the failure for a failure code (0 when the set-up
- * fails). */
+ * fails).  P is read by rows only where column() finds them equal to the
+ * columns. */
 int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz,
                double eps, int64_t max_iters, int64_t refresh, int64_t *iters, double *block,
                double mu0)
 {
     struct smooth s = {0};
+    double *sym = block, *row = block + n;
     int64_t t = 0, since_refresh = 0;
     int status;
     *iters = 0;
     if (scheme == SMOOTH) {
         s = (struct smooth){block, block + n, block + 2 * n, block + 3 * n, block + 4 * n,
-                            block + 5 * n, block + 6 * n, mu0};
+                            block + 5 * n, (int32_t *)(block + 6 * n), mu0};
         status = smooth_start(P, z, Pz, n, &s);
         if (status)
             return status;
     } else {
         matvec(P, z, Pz, n);
+        for (int64_t j = 0; j < n; j++)
+            sym[j] = 0.0;
     }
     if (scheme == VON_NEUMANN)
         for (int64_t j = 0; j < n; j++)
-            block[j] = -1.0;
+            row[j] = -1.0;
     /* argmin(P z), from the check before each step */
     int64_t i = 0;
     for (;;) {
@@ -507,13 +615,13 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
         switch (scheme) {
         case PERCEPTRON:
             /* P z at i is not positive: the check just before said so */
-            vertex_move(z, Pz, n, i, 1.0 / (double)(t + 1), P);
+            vertex_step(P, z, Pz, n, i, 1.0 / (double)(t + 1), sym);
             break;
         case VON_NEUMANN:
-            err = vn_step(P, z, Pz, n, i, block);
+            err = vn_step(P, z, Pz, n, i, row, sym);
             break;
         case VON_NEUMANN_AWAY:
-            err = vna_step(P, z, Pz, n, i, block, &force);
+            err = vna_step(P, z, Pz, n, i, row, sym, &force);
             break;
         default:
             err = smooth_step(P, z, Pz, n, t, &s);

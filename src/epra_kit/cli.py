@@ -64,7 +64,9 @@ def _cmd_verify(args) -> int:
     res = epra.load_result(args.result)
     report = oracle.verify_relint_pair(inst, res, U=args.U, tol=args.tol)
     print(serialize.dumps(dataclasses.asdict(report)))
-    ok = report.relint_ok and report.partition_matches_ground_truth is not False
+    # a certificate that checks out still fails a result that is no success
+    ok = (res.status in SUCCESS_STATUSES and report.relint_ok
+          and report.partition_matches_ground_truth is not False)
     return EXIT_OK if ok else EXIT_SOLVER_FAILURE
 
 

@@ -27,6 +27,7 @@ ROUND_LIMIT = "round_limit"
 STALLED = "stalled"
 
 SUCCESS_STATUSES = (TRIVIAL_PRIMAL, TRIVIAL_DUAL, PARTITION_FOUND)
+STATUSES = (*SUCCESS_STATUSES, ROUND_LIMIT, STALLED)
 
 ALL_DIRECTIONS = "all"
 SINGLE_DIRECTION = "single"
@@ -321,8 +322,11 @@ def result_to_dict(res: EpraResult) -> dict:
 
 
 def result_from_dict(doc: dict) -> EpraResult:
+    status = doc["status"]
+    if status not in STATUSES:
+        raise ValueError(f"status must be one of {', '.join(STATUSES)}, got {status!r}")
     return EpraResult(
-        status=str(doc["status"]),
+        status=status,
         x=np.asarray(doc["x"], dtype=float),
         x_hat=np.asarray(doc["x_hat"], dtype=float),
         B=np.asarray(one_based("B", doc["B"]), dtype=int),

@@ -11,7 +11,7 @@ import numpy as np
 from . import epra
 from .basic import check_count
 from .epra import EpraResult, TRIVIAL_PRIMAL
-from .exceptions import NoFeasibleStart, ZeroVector
+from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
 from .instances import gen_naive, instance_seed, nullspace_basis
 from .subspace import (RESIDUAL_TOL, Instance, is_partition, projector_from_kernel,
                        verify_membership)
@@ -85,6 +85,8 @@ def verify_relint_pair(
     """
     x = np.asarray(result.x, dtype=float)
     x_hat = np.asarray(result.x_hat, dtype=float)
+    if x_hat.shape != (inst.n,):
+        raise DimensionMismatch(f"x_hat has shape {x_hat.shape}, the instance has n = {inst.n}")
     B = np.asarray(result.B, dtype=int)
     N = np.asarray(result.N, dtype=int)
     # first: the index checks below read x and x_hat at B and N

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from epra_kit import basic, blas, bploop
 from epra_kit.basic import BpConfig, SCHEMES, run_scheme, uniform_simplex
 from epra_kit.exceptions import DegenerateStep, EmptySupport, NoThreshold
-from epra_kit.subspace import projector_from_kernel
+from epra_kit.instances import gen_naive
+from epra_kit.subspace import projector_from_kernel, rescaled_projectors
 
 SRC = Path(bploop.__file__).resolve().parent.parent
 
@@ -249,6 +250,192 @@ class TestScan:
         self.same_bits(P, z0, epsilon=1e-300)
 
 
+def tail_minimum(n: int, low=(), plus=None, minus=None) -> np.ndarray:
+    """An n x n matrix on which the perceptron's first step (theta = 1)
+    leaves P z = column 0 of P: 1 everywhere but -1 at the indices `low`,
+    0.0 at `plus` and -0.0 at `minus` (as in signed_zero_minimum)."""
+    P = np.ones((n, n))
+    P[0, 1:] = -1.0  # min(P z) at 0 from the uniform start
+    P[list(low), 0] = -1.0
+    if minus is not None:
+        P[minus, 1:] = -0.5
+        P[minus, 0] = -0.0
+    if plus is not None:
+        P[plus, 0] = 0.0
+    return P
+
+
+@needs_build
+class TestScanTail:
+    """The 2-wide scan leaves n % 4 entries to a scalar tail; a minimum
+    there, tied or a signed zero, must give NumPy's first index."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    @pytest.mark.parametrize("case", ["last", "tied in tail", "tied across", "+0 then -0",
+                                      "-0 then +0", "zero in block and tail"])
+    def test_minimum_in_the_tail(self, n, case):
+        tail = list(range(4 * (n // 4), n)) or [n - 1]  # no tail at n = 4, 8: the last block
+        last = tail[-1]
+        first = tail[0] if len(tail) > 1 else last - 1
+        P = {
+            "last": lambda: tail_minimum(n, low=[last]),
+            "tied in tail": lambda: tail_minimum(n, low=[first, last]),
+            "tied across": lambda: tail_minimum(n, low=[1, last]),
+            "+0 then -0": lambda: tail_minimum(n, plus=first, minus=last),
+            "-0 then +0": lambda: tail_minimum(n, plus=last, minus=first),
+            "zero in block and tail": lambda: tail_minimum(n, plus=1, minus=last),
+        }[case]()
+        minimum = -1.0 if case in ("last", "tied in tail", "tied across") else 0.0
+
+        def at_tail(z, Pz):
+            hits = np.flatnonzero(Pz == Pz.min())
+            return Pz.min() == minimum and last in hits and len(hits) == (case != "last") + 1
+
+        assert seen(P, uniform_simplex(n), BpConfig(max_iters=300, scheme="perceptron"),
+                    at_tail)
+        TestScan.same_bits(P, uniform_simplex(n))
+
+
+def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
+    """The compiled run's block row 0 after the run: for each index, 0 if
+    the run never took its column, 1 if it read row i for it, -1 if it
+    read the column."""
+    ids = {"perceptron": 0, "vn": 1, "vna": 2}
+    P, z = np.ascontiguousarray(P), np.array(z0, dtype=float)
+    block = np.full((2, z.size), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        bploop.run(ids[scheme], P, z, np.empty(z.size), block, epsilon, max_iters, 128, 2.0)
+    return block[0]
+
+
+def mirrored_pair(kind: str, k: int, m: int, n: int = 12) -> np.ndarray:
+    """A bitwise symmetric projector whose entries (k, m) and (m, k) then
+    differ in their bits only: +0.0 and -0.0, two NaN payloads or one ulp;
+    or, for "same nan", one NaN in both."""
+    P = projector_from_kernel(np.random.default_rng(22).standard_normal((8, n))).P
+    assert np.array_equal(P.view(np.uint64), P.T.view(np.uint64))
+    nan = np.array([np.nan, np.nan]).view(np.uint64)
+    if kind == "signed zero":
+        P[k, m], P[m, k] = 0.0, -0.0
+    elif kind == "ulp":
+        P[k, m] = np.nextafter(P[m, k], np.inf)
+    else:
+        if kind == "nan payloads":
+            nan[1] ^= 1  # a quiet NaN with another payload
+        P[k, m], P[m, k] = nan.view(np.float64)
+    return P
+
+
+@needs_build
+class TestRowReads:
+    """A vertex step reads column i of P from row i when the two hold the
+    same bits, and the strided column otherwise."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme", ["perceptron", "vn", "vna"])
+    def test_rescaled_projectors_are_read_by_rows(self, seed, scheme):
+        inst = gen_naive(30, 60, seed)
+        pair = rescaled_projectors(inst.A, np.ones(60), np.linspace(1.0, 3.0, 60))
+        P = pair.P if scheme != "vna" else pair.P_hat
+        visited = record(scheme, P, uniform_simplex(60))
+        assert set(visited) <= {0.0, 1.0} and (visited == 1.0).sum() > 1
+
+    # (k, m): k is a vertex each run takes, the first one when P z holds NaN
+    @pytest.mark.parametrize("k, m", [(0, 4), (3, 7)])
+    @pytest.mark.parametrize("kind", ["signed zero", "nan payloads", "ulp", "same nan"])
+    @pytest.mark.parametrize("scheme", ["perceptron", "vn", "vna"])
+    def test_one_mirrored_pair_that_differs(self, k, m, kind, scheme):
+        n = 12
+        z0 = uniform_simplex(n)
+        P = mirrored_pair(kind, k, m, n)
+        visited = record(scheme, P, z0)
+        assert visited[k] == (1.0 if kind == "same nan" else -1.0)
+        if kind in ("signed zero", "ulp"):
+            others = np.delete(np.arange(n), [k, m])
+            assert set(visited[others]) <= {0.0, 1.0} and (visited[others] == 1.0).any()
+        compiled, python = both_paths(P, z0, BpConfig(epsilon=1e-9, max_iters=300,
+                                                      scheme=scheme))
+        assert compiled == python
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from(["perceptron", "vn",
+                                                                            "vna"]))
+    def test_each_index_by_its_own_bits(self, n, seed, scheme):
+        # a symmetric matrix with some mirrored pairs a few ulps apart
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((n, n))
+        P = (R + R.T) / 2.0
+        i, j = rng.integers(n, size=(2, n // 3))
+        P[i, j] = np.nextafter(P[i, j], np.inf)
+        z0 = rng.dirichlet(np.ones(n))
+        visited = record(scheme, P, z0)
+        for t in np.flatnonzero(visited):
+            same = np.array_equal(P[t].view(np.uint64), P[:, t].view(np.uint64))
+            assert visited[t] == (1.0 if same else -1.0)
+        compiled, python = both_paths(P, z0, BpConfig(epsilon=1e-9, max_iters=300,
+                                                      scheme=scheme))
+        assert compiled == python
+
+
+def prox_orders(P, z0, max_iters):
+    """The decreasing orders of the smooth perceptron's prox arguments on
+    the Python driver, and whether any of them held an infinity."""
+    orders, infinite = [], []
+    prox = basic.simplex_prox
+
+    def recorded(v, mu, u_bar):
+        y = np.asarray(u_bar) - np.asarray(v) / mu
+        orders.append(np.argsort(-y, kind="stable"))
+        infinite.append(bool(np.isinf(y).any()))
+        return prox(v, mu, u_bar)
+
+    with mock.patch.object(basic, "simplex_prox", recorded), \
+            mock.patch.object(bploop, "library", lambda: None):
+        outcome(P, z0, BpConfig(epsilon=1e-300, max_iters=max_iters, scheme="smooth"))
+    return orders, infinite
+
+
+@needs_build
+class TestWarmSort:
+    """The smooth prox sorts its argument starting from the last prox's
+    order; the sorted values, and so every bit, must not depend on it."""
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 33, 64, 100, 257])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_order_that_churns(self, n, seed):
+        # z'P z = 0 on a skew-symmetric P: no interior point ends the run
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((n, n))
+        P = (R - R.T) * 1e3
+        z0 = rng.dirichlet(np.ones(n))
+        orders, _ = prox_orders(P, z0, 60)
+        changed = sum(not np.array_equal(a, b) for a, b in zip(orders, orders[1:]))
+        assert changed > len(orders) // 2
+        TestScan.same_bits(P, z0, epsilon=1e-300, max_iters=60)
+
+    def test_order_that_settles(self):
+        # every merge of the last steps is a copy
+        P = projector_from_kernel(np.random.default_rng(17).standard_normal((8, 17))).P
+        orders, _ = prox_orders(P, uniform_simplex(17), 400)
+        assert len(orders) == 401 and all(np.array_equal(a, orders[-1]) for a in orders[-50:])
+        TestScan.same_bits(P, uniform_simplex(17), epsilon=1e-300, max_iters=400)
+
+    @pytest.mark.parametrize("scale", [1e305, 1e307])
+    @pytest.mark.parametrize("n", [5, 17, 40])
+    def test_infinite_prox_arguments(self, scale, n):
+        # P u at index 1 is huge and positive, and once mu is small enough
+        # u_bar - P u / mu there is -inf, at every step after that
+        R = np.random.default_rng(n).standard_normal((n, n))
+        P = R - R.T
+        P[1] = np.abs(P[1]) * scale
+        orders, infinite = prox_orders(P, uniform_simplex(n), 300)
+        assert len(orders) == 301 and sum(infinite) > 100 and infinite[-1]
+        compiled, python = both_paths(P, uniform_simplex(n),
+                                      BpConfig(epsilon=1e-300, max_iters=300, scheme="smooth"))
+        assert compiled == python
+
+
 @needs_build
 def test_threads_without_callback_match_sequential_runs():
     jobs = [(projector_from_kernel(np.random.default_rng(s).standard_normal((15, 30))).P, 30)
@@ -476,6 +663,16 @@ class TestLoading:
         lib = bploop.library()
         assert lib is not None
         assert Path(lib._name).parent.name.startswith("epra_kit-bploop-")
+
+    @pytest.mark.skipif(bploop.compiler() is None, reason="no C compiler")
+    @pytest.mark.parametrize("target", ["default", "no SSE2"])
+    def test_source_compiles_without_warnings(self, tmp_path, target):
+        # the scalar path stands in for the 2-wide scan without SSE2
+        extra = ["-U__SSE2__"] if target == "no SSE2" else []
+        out = subprocess.run([bploop.compiler(), *bploop.FLAGS, "-Wall", "-Wextra", "-Werror",
+                              *extra, "-o", str(tmp_path / "bploop.so"), bploop.SOURCE, "-lm"],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_source_ships_with_the_package(self):
         with open(SRC.parent / "pyproject.toml", "rb") as f:

@@ -194,6 +194,42 @@ class TestSolveAndVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["membership_ok"] is True and report["relint_ok"] is False
 
+    @pytest.mark.parametrize("status", ["round_limit", "stalled"])
+    def test_verify_fails_a_result_that_is_no_success(self, tmp_path, capsys, status):
+        # a good certificate relabelled: the report is unchanged, the exit is 1
+        inst = self._gen(tmp_path)
+        out = tmp_path / "res.json"
+        assert run("solve", "--instance", str(inst), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--result", str(out)) == 0
+        good = capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        doc["status"] = status
+        out.write_text(json.dumps(doc))
+        assert run("verify", "--instance", str(inst), "--result", str(out)) == 1
+        assert capsys.readouterr().out == good
+        assert json.loads(good)["relint_ok"] is True
+
+    @pytest.mark.parametrize("field, value", [("status", "solved"), ("x_hat", "short"),
+                                              ("x_hat", "long"), ("x", "short")])
+    def test_verify_rejects_a_malformed_result(self, tmp_path, capsys, field, value):
+        inst = self._gen(tmp_path)
+        out = tmp_path / "res.json"
+        assert run("solve", "--instance", str(inst), "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        if value == "short":
+            value = doc[field][:-1]
+        elif value == "long":
+            value = doc[field] + [0.0]
+        doc[field] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--result", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("epra-kit: invalid input:") and err.count("\n") == 1
+        assert (field if field != "x" else "vector") in err
+        assert "gufunc" not in err
+
     def test_empty_instance_is_one_error_line(self, tmp_path, capsys):
         # a shape no instance can have is invalid input, as a NaN entry is
         inst = tmp_path / "inst.json"

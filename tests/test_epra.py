@@ -493,6 +493,25 @@ class TestResultIO:
         with pytest.raises(ValueError, match=f"{field} must be"):
             load_result(path)
 
+    @pytest.mark.parametrize("status", ["done", "Trivial_primal", "", 1, None])
+    def test_load_rejects_unknown_statuses(self, tmp_path, status):
+        path = tmp_path / "result.json"
+        save_result(solve(Instance(A=np.array([[0.0, 1.0]]))), path)
+        doc = json.loads(path.read_text())
+        doc["status"] = status
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="status must be one of"):
+            load_result(path)
+
+    def test_load_takes_every_status(self, tmp_path):
+        path = tmp_path / "result.json"
+        save_result(solve(Instance(A=np.array([[0.0, 1.0]]))), path)
+        doc = json.loads(path.read_text())
+        for status in epra.STATUSES:
+            doc["status"] = status
+            path.write_text(json.dumps(doc))
+            assert load_result(path).status == status
+
 
 class TestConfigCounts:
     @pytest.mark.parametrize("field, least", [("max_rounds", 1), ("bp_max_iters", 0)])

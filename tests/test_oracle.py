@@ -192,6 +192,14 @@ class TestVerifyRelintPair:
         assert rep.membership_ok
         assert not rep.positivity_ok and not rep.relint_ok
 
+    @pytest.mark.parametrize("x_hat", [np.zeros(5), np.zeros(7), np.zeros((6, 1)), np.zeros(())],
+                             ids=["short", "long", "column", "scalar"])
+    def test_x_hat_of_another_length_is_named(self, x_hat):
+        # numpy's matmul used to raise its gufunc message
+        inst, res = self._tampered(x_hat=x_hat)
+        with pytest.raises(DimensionMismatch, match="x_hat has shape"):
+            verify_relint_pair(inst, res, U=1e10)
+
     def test_rowless_instance_measures_the_dual_residual(self):
         inst = Instance(A=np.zeros((0, 4)))
         res = solve(inst)
