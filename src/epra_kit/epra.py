@@ -252,51 +252,44 @@ def _rounding_noise(out, n: int) -> bool:
     return float(out.Pz.max()) <= n * _EPS * float(out.z.max())
 
 
-def _reduced_rowspace(M: np.ndarray):
-    """Full-row-rank matrix with the same kernel as M (orthonormal rows),
-    or None when the kernel is trivial."""
-    rank, Vh = _svd_rank(M)
-    if rank >= M.shape[1]:
+def _reduced_rowspace(A, B, N):
+    """(primal, dual) sub-problem matrices of a candidate partition (B, N)
+    from one SVD A_B = U S Vh of rank r, or None when either is empty.
+
+    Vh[:r] has orthonormal rows and kernel ker(A_B).  W^T A_N, for
+    W = U[:, r:] spanning ker(A_B^T), has full row rank (as A has) and row
+    space {x_hat_N : x_hat in Im(A^T), x_hat_B = 0}.  Both are new arrays,
+    so the factors are freed before either sub-solve runs."""
+    rank, U, Vh = _svd_rank(A[:, B])
+    if rank in (len(B), A.shape[0]):
         return None
-    # a copy: a view would keep the whole square factor alive
-    return Vh[:rank].copy()
+    return Vh[:rank].copy(), U[:, rank:].T @ A[:, N]
 
 
 def _refine_partition(A, B, N, cfg: EpraConfig):
     """Strictly positive certificates for a candidate partition (B, N).
 
-    The restriction of the primal cone to B is ker(A_B), and the
-    restriction of the dual cone to N is ker(K_N) for K an orthonormal
-    basis (rows) of ker(A); both restricted problems are strictly feasible
-    exactly when (B, N) is the true partition (and by uniqueness of the
-    partition, two interior certificates prove it).  One pass per side
-    forms that side's matrix, reduces it to full row rank and hands it back
-    to the solver, where it must end through the trivial short-circuit
-    with a strictly positive point.  Returns (x, x_hat, primal_iters,
+    The primal cone restricted to B is ker(A_B) and the dual cone
+    restricted to N is Im(A_N^T W), for W a basis of ker(A_B^T); both are
+    strictly feasible exactly when (B, N) is the true partition, which
+    two interior certificates then prove.  The solver runs on each (see
+    `_reduced_rowspace`) and must end trivial_primal on the first and
+    trivial_dual on the second.  Returns (x, x_hat, primal_iters,
     dual_iters) or None when either side fails.
     """
-    subs = []
-    for side in (B, N):
-        # M is rebound at each step, so each matrix (the n x n factor
-        # included) is freed before the next is formed and the refinement
-        # peaks below the solve's own builds.  ker(A) is not trivial here,
-        # as ker(A_B) was not.
-        if side is B:
-            M = A[:, B]
-        else:
-            rank, M = _svd_rank(A)
-            M = M[rank:, N]
-        M = _reduced_rowspace(M)
-        if M is None:
-            return None
-        res = _solve(Instance(M), cfg, allow_refine=False)
-        if res.status != TRIVIAL_PRIMAL:
-            return None
-        subs.append(res)
+    subs = _reduced_rowspace(A, B, N)
+    if subs is None:
+        return None
+    primal = _solve(Instance(subs[0]), cfg, allow_refine=False)
+    if primal.status != TRIVIAL_PRIMAL:
+        return None
+    dual = _solve(Instance(subs[1]), cfg, allow_refine=False)
+    if dual.status != TRIVIAL_DUAL:
+        return None
     x, x_hat = np.zeros(A.shape[1]), np.zeros(A.shape[1])
-    x[B] = subs[0].x
-    x_hat[N] = subs[1].x
-    return x, x_hat, *(res.bp_iters_primal + res.bp_iters_dual for res in subs)
+    x[B] = primal.x
+    x_hat[N] = dual.x_hat
+    return x, x_hat, *(res.bp_iters_primal + res.bp_iters_dual for res in (primal, dual))
 
 
 # ---------------------------------------------------------------------------

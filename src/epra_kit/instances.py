@@ -131,7 +131,7 @@ def _controlled_draw(m: int, n: int, delta_cap: float, frac_small: Optional[floa
 def nullspace_basis(M) -> np.ndarray:
     """Orthonormal basis of ker(M), returned as the rows of a matrix."""
     M = as_matrix(M)
-    rank, Vh = _svd_rank(M)
+    rank, _, Vh = _svd_rank(M)
     if rank >= M.shape[1]:
         raise FullRankSquare("matrix has a trivial kernel")
     # a copy: a view would keep the whole n x n factor alive

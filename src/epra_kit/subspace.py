@@ -86,14 +86,17 @@ class Instance:
 
     Checked when made (by `dataclasses.replace` too): A is a finite matrix
     with a column and m <= n, and the metadata fits it.  The rank is left
-    to the first factorization of A, which raises RankDeficient.
+    to the first factorization of A, which raises RankDeficient.  A is kept
+    as a read-only view, not a copy: writing through `inst.A` raises, but
+    a float64 array passed as A still aliases it.
     """
 
     A: np.ndarray
     meta: Optional[InstanceMeta] = None
 
     def __post_init__(self):
-        A = as_matrix(self.A)
+        A = as_matrix(self.A).view()
+        A.flags.writeable = False
         object.__setattr__(self, "A", A)
         m, n = A.shape
         if n < 1:
@@ -205,12 +208,13 @@ def _householder_qr(M: np.ndarray, norms: np.ndarray, owned: bool):
 
 
 def _svd_rank(M: np.ndarray):
-    """Full SVD of M as (rank, Vh).  The rank counts the singular values
+    """Full SVD of M as (rank, U, Vh).  The rank counts the singular values
     above RANK_TOL times the largest; the first rank rows of Vh span the
-    row space of M and the remaining rows span its kernel."""
-    _, s, Vh = np.linalg.svd(M)
+    row space of M and the remaining rows span its kernel, and likewise
+    the columns of U for the column space of M and the kernel of M^T."""
+    U, s, Vh = np.linalg.svd(M)
     rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
-    return rank, Vh
+    return rank, U, Vh
 
 
 def projector_from_kernel(A) -> ProjectorPair:

@@ -440,22 +440,98 @@ class TestProjectorLifetime:
 
 
 class TestReducedRowspace:
-    def test_no_rows_keeps_every_column_free(self):
-        M = epra._reduced_rowspace(np.zeros((0, 4)))
-        assert M.shape == (0, 4)
+    @staticmethod
+    def _split(A_B, A_N):
+        A = np.hstack([A_B, A_N])
+        k = A_B.shape[1]
+        return A, np.arange(k), np.arange(k, A.shape[1])
 
     def test_full_column_rank_has_a_trivial_kernel(self):
-        M = np.random.default_rng(3).standard_normal((6, 4))
-        assert epra._reduced_rowspace(M) is None
+        rng = np.random.default_rng(3)
+        A, B, N = self._split(rng.standard_normal((6, 4)), rng.standard_normal((6, 5)))
+        assert epra._reduced_rowspace(A, B, N) is None
+
+    def test_full_row_rank_has_a_trivial_dual_restriction(self):
+        # r = m: ker(A_B^T) = {0}, so no x_hat in Im(A^T) vanishes on B
+        rng = np.random.default_rng(5)
+        A, B, N = self._split(rng.standard_normal((3, 6)), rng.standard_normal((3, 4)))
+        assert epra._reduced_rowspace(A, B, N) is None
+
+    def _rank_deficient(self):
+        rng = np.random.default_rng(4)
+        A_B = rng.standard_normal((4, 3))
+        A_B = np.hstack([A_B, A_B[:, :2]])  # rank 3 from five columns
+        A, B, N = self._split(A_B, rng.standard_normal((4, 6)))
+        return A, B, N, epra._reduced_rowspace(A, B, N)
 
     def test_keeps_the_kernel_with_orthonormal_rows(self):
-        M = np.random.default_rng(4).standard_normal((2, 7))
-        M = np.vstack([M, M[0] + M[1]])  # rank 2 from three rows
-        R = epra._reduced_rowspace(M)
-        assert R.shape == (2, 7)
-        assert np.allclose(R @ R.T, np.eye(2))
+        A, B, _, (R, _) = self._rank_deficient()
+        A_B = A[:, B]
+        assert R.shape == (3, 5)
+        assert np.allclose(R @ R.T, np.eye(3))
         # the same row space, so the same kernel
-        assert np.allclose(M - M @ R.T @ R, 0.0)
+        assert np.allclose(A_B - A_B @ R.T @ R, 0.0)
+
+    def test_dual_rows_span_the_dual_restriction(self):
+        A, B, N, (_, M) = self._rank_deficient()
+        # W spans ker(A_B^T): one column here, as m - r = 1
+        W = np.linalg.svd(A[:, B])[0][:, 3:]
+        assert np.max(np.abs(W.T @ A[:, B])) < 1e-12
+        assert M.shape == (1, 6) and np.linalg.matrix_rank(M) == 1
+        # rows in Im(A_N^T W): M^T = A_N^T W c for some c
+        c, *_ = np.linalg.lstsq(A[:, N].T @ W, M.T, rcond=None)
+        assert np.allclose(A[:, N].T @ W @ c, M.T)
+
+
+class TestOneFactorizationPerRefinement:
+    @pytest.mark.parametrize("n, seed, overrides, accepted", [
+        (30, 0, {"scheme": "vna"}, True), (50, 7, {"U": 100.0}, False),
+    ])
+    def test_one_svd_of_a_b(self, monkeypatch, n, seed, overrides, accepted):
+        # no n x n SVD of A, and no second one for the dual side
+        inst = gen_partitioned(n, seed)
+        shapes, refines = [], []
+        svd, refine = np.linalg.svd, epra._refine_partition
+
+        def counted_svd(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        def counted_refine(A, B, N, cfg):
+            before = len(shapes)
+            out = refine(A, B, N, cfg)
+            refines.append((shapes[before:], (A.shape[0], len(B)), out is not None))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(epra, "_refine_partition", counted_refine)
+        solve(inst, EpraConfig(**overrides))
+        assert refines and refines[-1][2] == accepted
+        assert len(shapes) == len(refines)
+        for got, a_b, _ in refines:
+            assert got == [a_b]
+
+
+class TestRefinedDualCertificate:
+    @pytest.mark.parametrize("n, seed", [(12, 3), (12, 9), (30, 0), (30, 2), (50, 0), (50, 1)])
+    def test_refined_pair_certifies_the_known_partition(self, monkeypatch, n, seed):
+        accepted = []
+        refine = epra._refine_partition
+
+        def recorded(*args):
+            out = refine(*args)
+            accepted.append(out is not None)
+            return out
+
+        monkeypatch.setattr(epra, "_refine_partition", recorded)
+        inst = gen_partitioned(n, seed)
+        cfg = EpraConfig(scheme="vna")
+        res = solve(inst, cfg)
+        assert res.status == PARTITION_FOUND and accepted[-1]
+        assert np.all(res.x_hat[res.B] == 0.0) and np.all(res.x_hat[res.N] > 0.0)
+        assert np.all(res.x[res.N] == 0.0) and np.all(res.x[res.B] > 0.0)
+        report = verify_relint_pair(inst, res, cfg.U)
+        assert report.relint_ok and report.partition_matches_ground_truth is True
 
 
 class TestResultIO:

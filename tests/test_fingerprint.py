@@ -72,7 +72,7 @@ FINGERPRINT = [
      "215e2cd768a779a078fee19e4fcdf1da3b31740b8a8c1d97c3f71a10e304d5e7"),
     ("partitioned", (30,), 2, {"scheme": "vna"},
      ("partition_found", 35, 1627, 644, 20, 10),
-     "104425550b7d6bebe7f3b5f036b87743aa54f5a119407714818b538e867edab4"),
+     "bac57c4abdeb1be5638aaeb6463e4840ac35adc37aa2d4cdd419c5768d36992e"),
     ("partitioned", (30,), 0, {"U": 100.0},
      ("partition_found", 4, 49, 35, 20, 10),
      "327f285aa000826008392b50af1b085ffd1995cb4a991dc404600491f915681a"),

@@ -331,12 +331,16 @@ class TestCallerMatrixUnchanged:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_validate(self, order):
-        # the check an instance runs when it is made reads A and keeps it
+        # the check an instance runs when it is made reads A and keeps a
+        # read-only view of it, not a copy; the caller's array stays writeable
         inst = gen_controlled(6, 14, seed=3)
-        A = np.asarray(inst.A, order=order)
+        A = np.array(inst.A, order=order)
         before = self._snapshot(A)
-        assert Instance(A, inst.meta).A is A
-        assert self._snapshot(A) == before
+        held = Instance(A, inst.meta).A
+        assert np.shares_memory(held, A) and not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = np.nan
+        assert self._snapshot(A) == before and A.flags.writeable
 
 
 @pytest.mark.usefixtures("numpy_qr")
