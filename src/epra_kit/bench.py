@@ -25,9 +25,6 @@ from .instances import gen_controlled, gen_naive, gen_partitioned, instance_seed
 from .oracle import partition_matches
 from .subspace import projector_from_kernel
 
-# the controlled generator's ill-conditioning parameter for benchmark runs
-BENCH_DELTA_CAP = 0.001
-
 RESULTS_CSV = "results.csv"
 RECORDS_JSONL = "per_instance.jsonl"
 SUMMARY_JSON = "summary.json"
@@ -169,19 +166,17 @@ def _partition_recovered(inst, res) -> dict:
     return {"success": partition_matches(inst, res.B, res.N)}
 
 
-_gen_controlled = partial(gen_controlled, delta_cap=BENCH_DELTA_CAP)
-
 # experiment name -> (names of a size cell's entries, instance maker called
 # as make(*cell, seed=seed), runner called as run(manifest, inst, stamp)
 # that returns the instance's records)
 EXPERIMENTS = {
     "BpNaive": (("m", "n"), gen_naive, _run_schemes),
-    "BpControlled": (("m", "n"), _gen_controlled, _run_schemes),
-    "EpraControlled": (("m", "n"), _gen_controlled, _solves(_primal_found)),
+    "BpControlled": (("m", "n"), gen_controlled, _run_schemes),
+    "EpraControlled": (("m", "n"), gen_controlled, _solves(_primal_found)),
     "EpraPartition": (("n",), gen_partitioned, _solves(_partition_recovered)),
     "EpraNaive": (("m", "n"), gen_naive, _solves(_naive_outcome)),
     "RescaleModeCompare": (
-        ("m", "n"), _gen_controlled, _solves(_primal_found, (ALL_DIRECTIONS, SINGLE_DIRECTION))
+        ("m", "n"), gen_controlled, _solves(_primal_found, (ALL_DIRECTIONS, SINGLE_DIRECTION))
     ),
 }
 

@@ -30,7 +30,10 @@
  * two hold the same bits, as in the projectors that
  * subspace.rescaled_projectors builds; the run compares them the first
  * time it takes column i and keeps the answer.  Any other P keeps the
- * strided column, with the same bits either way.
+ * strided column, with the same bits either way.  The vertex move and the
+ * away step's direction are each one loop over the column's stride, which
+ * -O3 versions for a stride of 1: a row read runs the contiguous,
+ * vectorized copy the compiler makes.
  *
  * The smooth perceptron's prox sorts its argument starting from the order
  * of the last one, through insertion runs and merges, where a merge whose
@@ -161,15 +164,15 @@ static double pos_sum(const double *a, int64_t n)
     return pos_sum(a, n2) + pos_sum(a + n2, n - n2);
 }
 
-#ifdef __SSE2__
 /* The stop check's scan: min(P z), max(P z) and max(z) in one pass, on
  * two 2-wide accumulators for each, with 0 to 3 entries left to a scalar
- * tail; 0 when either vector holds a NaN or n < 4.  minpd and maxpd
- * return their second operand on a NaN, so a NaN is flagged apart, by
- * one unordered compare of P z with z. */
+ * tail; 0 when either vector holds a NaN, n < 4 or the target has no
+ * SSE2.  minpd and maxpd return their second operand on a NaN, so a NaN
+ * is flagged apart, by one unordered compare of P z with z. */
 static int scan(const double *Pz, const double *z, int64_t n, double *lo, double *hi,
                 double *zhi)
 {
+#ifdef __SSE2__
     if (n < 4)
         return 0;
     __m128d lo0 = _mm_loadu_pd(Pz), lo1 = _mm_loadu_pd(Pz + 2);
@@ -207,39 +210,32 @@ static int scan(const double *Pz, const double *z, int64_t n, double *lo, double
     *hi = h;
     *zhi = zh;
     return 1;
+#else
+    (void)Pz, (void)z, (void)n, (void)lo, (void)hi, (void)zhi;
+    return 0;
+#endif
 }
 
-/* the first index of P z whose entry equals lo, which one entry does;
- * -0.0 == 0.0, so this is NumPy's argmin after a scan without NaN */
+/* the first index of P z whose entry equals lo, which one entry does, so
+ * the last is not tested; -0.0 == 0.0, so this is NumPy's argmin after a
+ * scan without NaN.  With SSE2 four entries are compared at a time, and 0
+ * to 3 left to the scalar loop. */
 static int64_t first_equal(const double *Pz, int64_t n, double lo)
 {
-    __m128d m = _mm_set1_pd(lo);
     int64_t i = 0;
+#ifdef __SSE2__
+    __m128d m = _mm_set1_pd(lo);
     for (; i + 4 <= n; i += 4) {
         int hit = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(Pz + i), m))
                   | _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(Pz + i + 2), m)) << 2;
         if (hit)
             return i + (hit & 1 ? 0 : hit & 2 ? 1 : hit & 4 ? 2 : 3);
     }
-    while (Pz[i] != lo)
+#endif
+    while (i < n - 1 && Pz[i] != lo)
         i++;
     return i;
 }
-#else
-static int scan(const double *Pz, const double *z, int64_t n, double *lo, double *hi,
-                double *zhi)
-{
-    (void)Pz, (void)z, (void)n, (void)lo, (void)hi, (void)zhi;
-    return 0;
-}
-
-/* never called: without SSE2 the scan always leaves the index to argmin */
-static int64_t first_equal(const double *Pz, int64_t n, double lo)
-{
-    (void)Pz, (void)n, (void)lo;
-    return 0;
-}
-#endif
 
 /* basic.stop_check, which also leaves argmin(P z) in *imin when it
  * returns RUNNING, for the step that follows */
@@ -295,16 +291,10 @@ static void vertex_move(double *restrict z, double *restrict Pz, int64_t n, int6
                         double theta, const double *restrict Pi, int64_t inc)
 {
     double c = 1.0 - theta;
-    if (inc == 1)
-        for (int64_t j = 0; j < n; j++) {
-            z[j] *= c;
-            Pz[j] = Pz[j] * c + Pi[j] * theta;
-        }
-    else
-        for (int64_t j = 0; j < n; j++) {
-            z[j] *= c;
-            Pz[j] = Pz[j] * c + Pi[j * inc] * theta;
-        }
+    for (int64_t j = 0; j < n; j++) {
+        z[j] *= c;
+        Pz[j] = Pz[j] * c + Pi[j * inc] * theta;
+    }
     z[i] += theta;
 }
 
@@ -378,20 +368,12 @@ static int vna_step(const double *P, double *z, double *Pz, int64_t n, int64_t i
     const double *restrict Pi = column(P, n, i, sym, &inc);
     double theta_max;
     if (away) {
-        if (inc == 1)
-            for (int64_t j = 0; j < n; j++)
-                Pa[j] = Pz[j] - Pi[j];
-        else
-            for (int64_t j = 0; j < n; j++)
-                Pa[j] = Pz[j] - Pi[j * inc];
+        for (int64_t j = 0; j < n; j++)
+            Pa[j] = Pz[j] - Pi[j * inc];
         theta_max = vz / (1.0 - vz);
     } else {
-        if (inc == 1)
-            for (int64_t j = 0; j < n; j++)
-                Pa[j] = Pi[j] - Pz[j];
-        else
-            for (int64_t j = 0; j < n; j++)
-                Pa[j] = Pi[j * inc] - Pz[j];
+        for (int64_t j = 0; j < n; j++)
+            Pa[j] = Pi[j * inc] - Pz[j];
         theta_max = 1.0;
     }
     double pa2 = dot(n, Pa, 1, Pa, 1);

@@ -34,7 +34,10 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bploop.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # no fast-math and no contraction into fused multiply-adds: the loop must
 # round as numpy does.  -O3 vectorizes the elementwise loops, which round
-# the same in SIMD registers, and reorders no sum or comparison.
+# the same in SIMD registers, and reorders no sum or comparison.  Its loop
+# versioning also gives the column loops of the vertex steps their
+# contiguous fast path: each is written once for any stride, and -O3 adds
+# the stride-1 copy that a read of column i from row i runs.
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-std=c99", "-fPIC", "-shared")
 
 _lock = threading.Lock()

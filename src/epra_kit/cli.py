@@ -12,8 +12,8 @@ import sys
 from . import basic, bench, epra, oracle, serialize
 from .epra import EpraConfig, SUCCESS_STATUSES
 from .exceptions import DimensionMismatch, EpraKitError
-from .instances import (CONTROLLED, NAIVE, PARTITIONED, gen_controlled, gen_naive,
-                        gen_partitioned)
+from .instances import (CONTROLLED, DELTA_CAP, NAIVE, PARTITIONED, gen_controlled,
+                        gen_naive, gen_partitioned)
 from .subspace import RESIDUAL_TOL, load_instance, save_instance
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=(NAIVE, CONTROLLED, PARTITIONED))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--delta-cap", type=float, default=0.001, dest="delta_cap")
+    p.add_argument("--delta-cap", type=float, default=DELTA_CAP, dest="delta_cap")
     p.add_argument("--frac-small", type=float, default=None, dest="frac_small")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

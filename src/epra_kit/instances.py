@@ -28,6 +28,9 @@ NAIVE = "naive"
 CONTROLLED = "controlled"
 PARTITIONED = "partitioned"
 
+# the controlled family's default cap on its forced-small entries
+DELTA_CAP = 0.001
+
 _MAX_REDRAWS = 100
 
 
@@ -78,7 +81,7 @@ def controlled_from_interior(x_bar, m: int, rng) -> np.ndarray:
 def gen_controlled(
     m: int,
     n: int,
-    delta_cap: float = 0.001,
+    delta_cap: float = DELTA_CAP,
     frac_small: Optional[float] = None,
     seed: int = 0,
 ) -> Instance:
@@ -163,8 +166,8 @@ def gen_partitioned(n: int, seed: int) -> Instance:
     seed_n = int(rng.integers(2**63))
     # only the blocks' matrices are kept, so no instance is made (and
     # checked) for them; frac_small = 0 leaves delta_cap unused
-    A_bb, _ = _controlled_draw(m_b, nb, 0.001, 0.0, seed_b)
-    A_nn, _ = _controlled_draw(m_inner, nn, 0.001, 0.0, seed_n)
+    A_bb, _ = _controlled_draw(m_b, nb, DELTA_CAP, 0.0, seed_b)
+    A_nn, _ = _controlled_draw(m_inner, nn, DELTA_CAP, 0.0, seed_n)
     A_nn = nullspace_basis(A_nn)
     A_nb = rng.standard_normal((m_b, nn))
     A = np.block(

@@ -296,6 +296,38 @@ class TestScanTail:
         TestScan.same_bits(P, uniform_simplex(n))
 
 
+@pytest.fixture(scope="module")
+def no_sse2_cache(tmp_path_factory):
+    """One cache directory for the build without SSE2, so that the tests
+    below compile it once."""
+    return tmp_path_factory.mktemp("no-sse2")
+
+
+@pytest.fixture
+def without_sse2(monkeypatch, no_sse2_cache):
+    """The library built with __SSE2__ undefined, loaded in place of the
+    default one: every stop check then takes the scalar argmin and argmax."""
+    default = Path(bploop.library()._name).name
+    monkeypatch.setattr(bploop, "FLAGS", (*bploop.FLAGS, "-U__SSE2__"))
+    monkeypatch.setattr(bploop, "CACHE_DIR", str(no_sse2_cache))
+    monkeypatch.setattr(bploop, "_loaded", None)
+    built = Path(bploop.library()._name)
+    assert built.parent == no_sse2_cache and built.name != default
+
+
+@needs_build
+@pytest.mark.usefixtures("without_sse2")
+class TestScanWithoutSSE2(TestScan):
+    """TestScan's cases, bytewise against the Python driver, on the build
+    without SSE2."""
+
+
+@needs_build
+@pytest.mark.usefixtures("without_sse2")
+class TestScanTailWithoutSSE2(TestScanTail):
+    """TestScanTail's cases on the build without SSE2."""
+
+
 def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
     """The compiled run's block row 0 after the run: for each index, 0 if
     the run never took its column, 1 if it read row i for it, -1 if it

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epra_kit import blas, subspace
 from epra_kit.blas import small_problem_threads
@@ -351,6 +353,46 @@ class TestOneSidedBuildsNumpyQR(TestOneSidedBuilds):
 @pytest.mark.usefixtures("numpy_qr")
 class TestCallerMatrixUnchangedNumpyQR(TestCallerMatrixUnchanged):
     pass
+
+
+@st.composite
+def projector_inputs(draw):
+    """A full-row-rank (m, n) A, C- or F-ordered, with some columns scaled
+    by 1e8 or 1e-8, and two diagonals, each of ones or of exp(U(-8, 8))
+    per entry."""
+    n = draw(st.integers(2, 160))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    scaled = rng.choice(n, size=draw(st.integers(0, min(n, 4))), replace=False)
+    A[:, scaled] *= 10.0 ** rng.choice([-8.0, 8.0], size=scaled.size)
+    A = np.asarray(A, order=draw(st.sampled_from("CF")))
+    D, D_hat = (np.ones(n) if draw(st.booleans()) else np.exp(rng.uniform(-8.0, 8.0, n))
+                for _ in range(2))
+    return A, D, D_hat
+
+
+class TestProjectorsAreBitwiseSymmetric:
+    """Entry (i, j) of every projector the package builds holds the bits
+    of entry (j, i): the compiled basic procedure reads column i from row
+    i only then, and otherwise takes the strided column on every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(projector_inputs(), st.booleans())
+    def test_two_and_one_sided_builds(self, case, lapack):
+        A, D, D_hat = case
+        builds = ((D, D_hat, ("P", "P_hat")), (D, None, ("P",)), (None, D_hat, ("P_hat",)))
+        qr = blas.lapack_qr if lapack else (lambda: None)
+        with mock.patch.object(blas, "lapack_qr", qr):
+            for d, d_hat, sides in builds:
+                try:
+                    pair = rescaled_projectors(A, d, d_hat)
+                except RankDeficient:
+                    # a scaled side that fails the rank test builds no projector
+                    continue
+                for side in sides:
+                    P = getattr(pair, side)
+                    assert np.array_equal(P.view(np.uint64), P.T.view(np.uint64)), side
 
 
 class TestApplyProjector:
