@@ -1,5 +1,5 @@
-"""numpy's bundled OpenBLAS: a thread policy for small problems, and an
-in-place QR factorization through its LAPACK.
+"""numpy's bundled OpenBLAS: a thread policy for small problems, and the
+addresses of the BLAS and LAPACK routines the compiled library calls.
 
 The factorizations and products of a small solve are too short to split
 across threads: on a 2-core host (OpenBLAS 0.3.31) `rescaled_projectors`
@@ -19,13 +19,12 @@ count in effect when the first of them entered is restored when the last
 one leaves.  On the fingerprint suite (tests/test_fingerprint.py) one and
 two threads gave the same result bits.
 
-The same library's LAPACK `dgeqrf` and `dorgqr` are bound here too, so
-that a caller can factor a matrix in its own storage (`lapack_qr`):
-`np.linalg.qr` calls the same two routines, but on a copy of its input,
-and returns Q and R as two more arrays.  `cblas` gives the addresses of
-the CBLAS `dgemv` and `ddot` that numpy's matmul calls, for the compiled
-basic-procedure loop (`bploop`).  This module is the one place that knows
-the symbol names and the integer width of numpy's build.
+`cblas` and `lapack` give the addresses of the CBLAS `dgemv` and `ddot`
+that numpy's matmul calls and of the LAPACK `dgeqrf` and `dorgqr` that
+`np.linalg.qr` calls, for the compiled library (`bploop`), which runs the
+basic procedure's loop and factors each projector's matrix in its own
+storage.  This module is the one place that knows the symbol names and
+the integer width of numpy's build.
 """
 
 import ctypes
@@ -104,11 +103,18 @@ def small_problem_threads(m: int, n: int):
                 setter(_saved_threads)
 
 
-# numpy's bundled OpenBLAS is built with 64-bit LAPACK integers (ILP64)
-# and exports its LAPACK under these names.
-_INT = ctypes.c_int64
-_GEQRF, _ORGQR = "scipy_dgeqrf_64_", "scipy_dorgqr_64_"
+# numpy's bundled OpenBLAS is built with 64-bit integers (ILP64) and
+# exports its CBLAS and LAPACK under these names.
 _GEMV, _DOT = "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_"
+_GEQRF, _ORGQR = "scipy_dgeqrf_64_", "scipy_dorgqr_64_"
+
+
+def _addresses(*names: str) -> Optional[tuple]:
+    lib = _openblas()
+    fns = None if lib is None else [getattr(lib, name, None) for name in names]
+    if fns is None or None in fns:
+        return None
+    return tuple(ctypes.cast(fn, ctypes.c_void_p).value for fn in fns)
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,77 +122,30 @@ def cblas() -> Optional[tuple]:
     """The addresses of numpy's bundled CBLAS `dgemv` and `ddot` (64-bit
     integer arguments), or None when the library or either routine is not
     found."""
-    lib = _openblas()
-    fns = None if lib is None else [getattr(lib, name, None) for name in (_GEMV, _DOT)]
-    if fns is None or None in fns:
-        return None
-    return tuple(ctypes.cast(fn, ctypes.c_void_p).value for fn in fns)
+    return _addresses(_GEMV, _DOT)
 
 
 @functools.lru_cache(maxsize=None)
-def lapack_qr() -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """`qr_in_place(M) -> diagonal of R` on numpy's bundled LAPACK, or None
-    when the library or either routine is not found.
-
-    M must be a writeable, Fortran-contiguous float64 matrix with at least
-    as many rows as columns and one column or more.  M is factored in its
-    own storage and overwritten with the orthonormal factor Q of its
-    reduced QR factorization; the call returns R's diagonal, read before
-    Q is formed.  Both routines take their workspace size from a query, as
-    `np.linalg.qr` does, so the block size and with it every bit of Q and
-    R match that call's at every shape.  The routines run without the
-    interpreter lock.
-    """
-    lib = _openblas()
-    geqrf = None if lib is None else getattr(lib, _GEQRF, None)
-    orgqr = None if lib is None else getattr(lib, _ORGQR, None)
-    if geqrf is None or orgqr is None:
-        return None
-    # the double arrays are passed as addresses
-    i, d = ctypes.POINTER(_INT), ctypes.c_void_p
-    # dgeqrf(M, N, A, LDA, TAU, WORK, LWORK, INFO)
-    geqrf.restype, geqrf.argtypes = None, [i, i, d, i, d, d, i, i]
-    # dorgqr(M, N, K, A, LDA, TAU, WORK, LWORK, INFO)
-    orgqr.restype, orgqr.argtypes = None, [i, i, i, d, i, d, d, i, i]
-    return functools.partial(_qr_in_place, geqrf, orgqr)
+def lapack() -> Optional[tuple]:
+    """The addresses of numpy's bundled LAPACK `dgeqrf` and `dorgqr`
+    (64-bit integer arguments), or None when the library or either routine
+    is not found."""
+    return _addresses(_GEQRF, _ORGQR)
 
 
-def _qr_in_place(geqrf, orgqr, M: np.ndarray) -> np.ndarray:
-    if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2):
-        raise ValueError("qr_in_place needs a 2-D float64 array")
-    if not (M.flags.f_contiguous and M.flags.writeable):
-        raise ValueError("qr_in_place needs a writeable Fortran-contiguous array")
-    rows, cols = M.shape
-    if not rows >= cols >= 1:
-        raise ValueError(f"qr_in_place needs rows >= columns >= 1, got {rows} x {cols}")
-    ref = ctypes.byref
-    m, n, info = _INT(rows), _INT(cols), _INT(0)
-    tau = np.empty(cols)
-    a, t = _address(M), _address(tau)
-
-    def call(name, routine, *head):
-        # a workspace query, then the call with max(columns, optimum)
-        # doubles of workspace, as numpy sizes it
-        query, lwork = ctypes.c_double(0.0), _INT(-1)
-        routine(*head, a, ref(m), t, ref(query), ref(lwork), ref(info))
-        _check(name, info)
-        work = np.empty(max(cols, int(query.value)))
-        lwork.value = work.size
-        routine(*head, a, ref(m), t, _address(work), ref(lwork), ref(info))
-        _check(name, info)
-
-    call("dgeqrf", geqrf, ref(m), ref(n))
-    diag = M.diagonal().copy()
-    call("dorgqr", orgqr, ref(m), ref(n), ref(n))
-    return diag
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 
 
 def _address(x: np.ndarray) -> int:
-    # not x.ctypes: its objects form reference cycles, about 0.5 KB of
-    # garbage a call that waits for the cyclic collector
-    return x.__array_interface__["data"][0]
-
-
-def _check(name: str, info: ctypes.c_int64) -> None:
-    if info.value < 0:
-        raise ValueError(f"LAPACK {name} rejected argument {-info.value}")
+    """The address of x's first element.  A writeable, contiguous, non-empty
+    array is read as a buffer, about 4 times faster than
+    __array_interface__, which any other array takes.  The buffer is that
+    of a new view (the transpose of a Fortran-ordered x): numpy keeps an
+    exported buffer's shape and strides, about 80 bytes, on the array
+    until it is freed, and a view is freed on return.  Not x.ctypes: its
+    objects form reference cycles, about 0.5 KB of garbage a call that
+    waits for the cyclic collector."""
+    try:
+        return _addressof(_from_buffer(x.view() if x.flags.c_contiguous else x.T))
+    except (TypeError, ValueError):
+        return x.__array_interface__["data"][0]

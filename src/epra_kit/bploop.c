@@ -1,5 +1,6 @@
 /* The basic procedure's loop, compiled: the driver of basic._drive and the
- * steps of the four schemes, with the bits of the NumPy code.
+ * steps of the four schemes, with the bits of the NumPy code; and the QR
+ * factorization of every projector build, in one call.
  *
  * Every operation is the one NumPy or Python performs, in the same order:
  * elementwise arithmetic in IEEE double without contraction (built with
@@ -9,7 +10,7 @@
  * Python's min/max and theta**2 through libm pow.  Every matrix-vector
  * and dot product goes through the same OpenBLAS routines NumPy's matmul
  * calls, with the arguments it passes; bploop.py hands their addresses
- * to bp_bind.
+ * to bp_bind, with those of the LAPACK routines np.linalg.qr calls.
  *
  * The stop check and the vertex choice share one scan per step.  It reads
  * P z and z once, with SSE2 min and max on two 2-wide accumulators each,
@@ -45,6 +46,12 @@
  * P u_bar, the first prox point w and P w.  So a run is one call from
  * Python, given P, z, P z and one block that holds the scheme's state and
  * scratch.
+ *
+ * bp_qr factors a build's matrix in its own storage with the LAPACK calls
+ * of np.linalg.qr: dgeqrf and dorgqr, each after its workspace query and
+ * with the workspace that query asks for, so the block size and every bit
+ * of Q are numpy's.  It reads the range of |diag R| for the rank test
+ * between the two.  Its scratch is the caller's, never allocated here.
  */
 
 #include <math.h>
@@ -61,6 +68,11 @@ typedef void (*gemv_fn)(int order, int trans, blasint m, blasint n, double alpha
                         double beta, double *y, blasint incy);
 typedef double (*dot_fn)(blasint n, const double *x, blasint incx, const double *y,
                          blasint incy);
+typedef void (*geqrf_fn)(const blasint *m, const blasint *n, double *a, const blasint *lda,
+                         double *tau, double *work, const blasint *lwork, blasint *info);
+typedef void (*orgqr_fn)(const blasint *m, const blasint *n, const blasint *k, double *a,
+                         const blasint *lda, const double *tau, double *work,
+                         const blasint *lwork, blasint *info);
 
 enum { CBLAS_COL_MAJOR = 102, CBLAS_TRANS = 112 };
 
@@ -73,11 +85,71 @@ enum { LINE_SEARCH = -2, ZERO_DIRECTION = -3, EMPTY_SUPPORT = -4, NO_SIMPLEX_THR
 
 static gemv_fn gemv;
 static dot_fn dot_;
+static geqrf_fn geqrf;
+static orgqr_fn orgqr;
 
-void bp_bind(void *gemv_address, void *dot_address)
+void bp_bind(void *gemv_address, void *dot_address, void *geqrf_address, void *orgqr_address)
 {
     gemv = (gemv_fn)gemv_address;
     dot_ = (dot_fn)dot_address;
+    geqrf = (geqrf_fn)geqrf_address;
+    orgqr = (orgqr_fn)orgqr_address;
+}
+
+/* the workspace np.linalg.qr gives a routine: max(columns, its query) */
+static blasint workspace(double query, blasint cols)
+{
+    blasint lwork = (blasint)query;
+    return lwork > cols ? lwork : cols;
+}
+
+/* bp_qr's failure codes, one per routine */
+enum { DGEQRF_REJECTED = -1, DORGQR_REJECTED = -2 };
+
+static int64_t rejected(double *scratch, blasint info, int64_t code)
+{
+    scratch[0] = (double)-info;
+    return code;
+}
+
+/* The reduced QR factorization of the column-major (rows, cols) matrix a,
+ * rows >= cols >= 1, in a's own storage, which receives Q.  scratch holds
+ * `size` doubles: two for the result, then tau (cols) and the workspace.
+ * Returns 0 with min |R_jj| and max |R_jj| in scratch[0] and scratch[1],
+ * NaN when any is NaN, as NumPy's min and max give it; the scratch size
+ * the call needs, with nothing factored, when `size` is less; or a
+ * failure code when a routine rejects an argument, whose number is then
+ * in scratch[0]. */
+int64_t bp_qr(int64_t rows, int64_t cols, double *a, double *scratch, int64_t size)
+{
+    double *tau = scratch + 2, *work = tau + cols, query[2];
+    blasint info, ask = -1, lwork[2];
+    geqrf(&rows, &cols, a, &rows, tau, &query[0], &ask, &info);
+    if (info < 0)
+        return rejected(scratch, info, DGEQRF_REJECTED);
+    orgqr(&rows, &cols, &cols, a, &rows, tau, &query[1], &ask, &info);
+    if (info < 0)
+        return rejected(scratch, info, DORGQR_REJECTED);
+    lwork[0] = workspace(query[0], cols);
+    lwork[1] = workspace(query[1], cols);
+    int64_t need = 2 + cols + (lwork[0] > lwork[1] ? lwork[0] : lwork[1]);
+    if (size < need)
+        return need;
+    geqrf(&rows, &cols, a, &rows, tau, work, &lwork[0], &info);
+    if (info < 0)
+        return rejected(scratch, info, DGEQRF_REJECTED);
+    double lo = fabs(a[0]), hi = lo;
+    for (int64_t j = 1; j < cols; j++) {
+        double d = fabs(a[j * rows + j]);
+        lo = d < lo || isnan(d) ? d : lo;
+        hi = d > hi || isnan(d) ? d : hi;
+    }
+    orgqr(&rows, &cols, &cols, a, &rows, tau, work, &lwork[1], &info);
+    if (info < 0)
+        return rejected(scratch, info, DORGQR_REJECTED);
+    scratch[0] = lo;
+    scratch[1] = hi;
+    return 0;
 }
 
 /* y = P @ x as np.matmul computes it for a C-ordered (n, n) P: gemv on

@@ -1,10 +1,14 @@
-"""The basic procedure's loop, compiled from bploop.c.
+"""The basic procedure's loop and the projector builds' QR factorization,
+compiled from bploop.c.
 
 `basic` runs a scheme through `run` when `accepts(P, n)`: the library
 loaded and P is an aligned C-contiguous float64 (n, n) array.  The compiled loop
 does the scheme's set-up and takes the same steps as the Python set-up and
 driver `basic._drive`, with every bit of its results and the same
-failures.
+failures.  `subspace` factors every projector build through `qr` when the
+library loads: one call that runs LAPACK's `dgeqrf` and `dorgqr`, each
+after its workspace query, in the caller's Fortran-ordered array, with
+the bits of `np.linalg.qr`.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached beside the source in `__pycache__` under a name
@@ -13,9 +17,11 @@ source is rebuilt and a second process reuses the first one's build.  A
 build is written under a temporary name and moved into place, so
 processes that build at once never see a partial file.  When that
 directory cannot be written the build goes to a temporary directory of
-this process.  Without a compiler, without numpy's CBLAS symbols
-(`blas.cblas`) or when the build fails, `accepts` is false and the
-Python driver runs.  The loop runs without the interpreter lock.
+this process.  Without a compiler, without numpy's CBLAS or LAPACK symbols
+(`blas.cblas`, `blas.lapack`) or when the build fails, `library()` is
+None: `accepts` is false and the Python driver runs, and a build factors
+a copy through `np.linalg.qr`, with the same bits.  Both calls run
+without the interpreter lock.
 """
 
 import atexit
@@ -96,8 +102,8 @@ def _private_dir() -> str:
 def _load():
     import subprocess
 
-    cc, addresses = compiler(), blas.cblas()
-    if cc is None or addresses is None:
+    cc, cblas, lapack = compiler(), blas.cblas(), blas.lapack()
+    if cc is None or cblas is None or lapack is None:
         return None
     name = _library_name(cc)
     try:
@@ -108,12 +114,15 @@ def _load():
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError):
         return None
-    lib.bp_bind.restype, lib.bp_bind.argtypes = None, [ctypes.c_void_p] * 2
-    lib.bp_bind(*addresses)
+    lib.bp_bind.restype, lib.bp_bind.argtypes = None, [ctypes.c_void_p] * 4
+    lib.bp_bind(*cblas, *lapack)
     d, i, p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     lib.bp_run.restype = i
     # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, block, mu0
     lib.bp_run.argtypes = [i, i, p, p, p, d, i, i, p, p, d]
+    lib.bp_qr.restype = i
+    # rows, cols, a, scratch, size
+    lib.bp_qr.argtypes = [i, i, p, p, i]
     return lib
 
 
@@ -146,9 +155,52 @@ def run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: i
     parameter.  Returns the status or failure code and the number of steps
     taken.  z and Pz (float64, contiguous) are updated in place, Pz
     recomputed every `refresh` steps (never for 0)."""
-    iters = ctypes.c_int64()
+    # the addresses are taken before the step counter is made: the objects
+    # an address makes and drops are larger than the counter, and a solve's
+    # allocation peak falls in this call
     address = blas._address
-    code = library().bp_run(scheme, z.size, address(P), address(z), address(Pz), epsilon,
-                            min(max_iters, _MAX_ITERS), refresh, ctypes.byref(iters),
-                            address(block), mu0)
+    at_P, at_z, at_Pz, at_block = address(P), address(z), address(Pz), address(block)
+    iters = ctypes.c_int64()
+    code = library().bp_run(scheme, z.size, at_P, at_z, at_Pz, epsilon,
+                            min(max_iters, _MAX_ITERS), refresh, ctypes.byref(iters), at_block,
+                            mu0)
     return code, iters.value
+
+
+# doubles of bp_qr scratch a column, after its two result slots: tau and
+# 32 of workspace, the block size whose workspace numpy's OpenBLAS asks
+# for at every shape measured (1 x 1 to 5000 x 3000).  A LAPACK that asks
+# for more costs a second call.
+_QR_SCRATCH_PER_COLUMN = 33
+_QR_ROUTINES = {-1: "dgeqrf", -2: "dorgqr"}
+
+
+def qr(M: np.ndarray):
+    """`bp_qr` (bploop.c) on M, a writeable Fortran-contiguous float64
+    matrix with at least as many rows as columns and one column or more,
+    which is overwritten with the orthonormal factor Q of its reduced QR
+    factorization.  Returns the min and max of |diag R| (NumPy float64),
+    read before Q is formed.  Needs the library; ValueError for any
+    other M."""
+    if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2):
+        raise ValueError("qr needs a 2-D float64 array")
+    if not (M.flags.f_contiguous and M.flags.writeable):
+        raise ValueError("qr needs a writeable Fortran-contiguous array")
+    rows, cols = M.shape
+    if not rows >= cols >= 1:
+        raise ValueError(f"qr needs rows >= columns >= 1, got {rows} x {cols}")
+    return _qr(rows, cols, blas._address(M))
+
+
+def _qr(rows: int, cols: int, a: int):
+    bp_qr, address = library().bp_qr, blas._address
+    scratch = np.empty(2 + _QR_SCRATCH_PER_COLUMN * cols)
+    code = bp_qr(rows, cols, a, address(scratch), scratch.size)
+    if code > 0:
+        scratch = np.empty(code)
+        code = bp_qr(rows, cols, a, address(scratch), scratch.size)
+    if code < 0:
+        raise ValueError(f"LAPACK {_QR_ROUTINES[code]} rejected argument {scratch[0]:.0f}")
+    # NumPy scalars, as np.min gives them: Python floats raised the
+    # allocation peak of some controlled (100, 200) solves by 24 bytes
+    return scratch[0], scratch[1]

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import blas, serialize
+from . import bploop, serialize
 from .basic import check_count
 from .blas import small_problem_threads
 from .exceptions import DimensionMismatch, RankDeficient
@@ -177,34 +177,34 @@ def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
     norms = np.linalg.norm(M, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficient("matrix has a zero column")
-    Q, diag = _householder_qr(M, norms, owned)
-    diag = np.abs(diag)
-    dmax = np.max(diag)
-    if dmax == 0.0 or np.min(diag) < RANK_TOL * dmax:
+    Q, dmin, dmax = _householder_qr(M, norms, owned)
+    if dmax == 0.0 or dmin < RANK_TOL * dmax:
         raise RankDeficient(
             f"matrix is rank deficient within {RANK_TOL:g} "
-            f"(diagonal range [{np.min(diag):.3e}, {dmax:.3e}])"
+            f"(diagonal range [{dmin:.3e}, {dmax:.3e}])"
         )
     return Q
 
 
 def _householder_qr(M: np.ndarray, norms: np.ndarray, owned: bool):
-    """(Q, diagonal of R) of the reduced QR factorization of M with its
-    columns divided by norms: the one factorization of every build.
+    """(Q, min |R_jj|, max |R_jj|) of the reduced QR factorization Q R of
+    M with its columns divided by norms: the one factorization of every
+    build.
 
-    With numpy's bundled LAPACK (`blas.lapack_qr`) the normalized matrix
-    is factored in its own storage, which becomes Q: M itself when it is
+    With the compiled library (`bploop.qr`) the normalized matrix is
+    factored in its own storage, which becomes Q: M itself when it is
     owned and Fortran-contiguous (the scaled transpose of a C-ordered A),
-    else one fresh Fortran-ordered array.  Otherwise `np.linalg.qr`
-    factors a copy.  Both give the same bits.
+    else one fresh Fortran-ordered array.  Without it (no C compiler, or
+    no LAPACK symbols in numpy) `np.linalg.qr` factors a copy.  Both give
+    the same bits.
     """
-    qr_in_place = blas.lapack_qr()
-    if qr_in_place is None:
+    if bploop.library() is None:
         Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
-        return Q, np.diagonal(R)
+        diag = np.abs(np.diagonal(R))
+        return Q, np.min(diag), np.max(diag)
     out = M if owned and M.flags.f_contiguous else np.empty(M.shape, order="F")
     np.divide(M, norms, out=out)
-    return out, qr_in_place(out)
+    return (out, *bploop.qr(out))
 
 
 def _svd_rank(M: np.ndarray):

@@ -2,12 +2,13 @@ import gc
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import epra_kit.basic as basic
-from epra_kit import blas
+from epra_kit import blas, bploop, subspace
 from epra_kit.epra import EpraConfig, solve
 from epra_kit.exceptions import RankDeficient
 from epra_kit.instances import gen_controlled
@@ -204,15 +205,33 @@ def test_no_op_without_setter(monkeypatch):
     assert current_threads() == before
 
 
-@pytest.mark.skipif(blas._openblas() is None, reason="numpy has no bundled OpenBLAS")
-def test_bundled_openblas_binds_lapack_qr():
+@pytest.mark.skipif(bploop.compiler() is None or blas._openblas() is None,
+                    reason="no C compiler, or numpy has no bundled OpenBLAS")
+def test_builds_take_the_compiled_qr_wherever_it_builds():
     # fails, not skips: a numpy whose OpenBLAS renamed its LAPACK symbols
     # would otherwise drop every build to np.linalg.qr without a word
-    assert blas.lapack_qr() is not None
+    assert blas.lapack() is not None and bploop.library() is not None
+    M = np.asfortranarray(np.random.default_rng(2).standard_normal((9, 4)))
+    Q, _, _ = subspace._householder_qr(M, np.ones(4), owned=True)
+    assert Q is M
 
 
-@pytest.mark.skipif(blas.lapack_qr() is None, reason="numpy's LAPACK is not bound")
+def scaled_columns(shape, seed):
+    """A Gaussian matrix with each column scaled by 10**U(-8, 8)."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape[1])
+
+
+# unblocked (below LAPACK's block size of 32 columns and its crossover)
+# and blocked shapes
+QR_SHAPES = [(1, 1), (2, 1), (8, 8), (9, 4), (64, 63), (129, 128), (200, 100), (260, 130),
+             (300, 200), (500, 300), (1000, 100)]
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
 class TestQrInPlace:
+    """bploop.qr: the compiled factorization of every projector build."""
+
     @pytest.mark.parametrize("M", [
         np.ones((4, 2)),                        # C-ordered
         np.ones((4, 2), dtype=np.float32, order="F"),
@@ -221,21 +240,25 @@ class TestQrInPlace:
         np.ones(4),
     ])
     def test_rejects_what_lapack_cannot_take_in_place(self, M):
+        before = M.copy()
         with pytest.raises(ValueError):
-            blas.lapack_qr()(M)
+            bploop.qr(M)
+        assert M.tobytes() == before.tobytes()
 
     def test_rejects_read_only(self):
         M = np.ones((4, 2), order="F")
         M.flags.writeable = False
         with pytest.raises(ValueError):
-            blas.lapack_qr()(M)
+            bploop.qr(M)
 
     def test_raises_on_negative_info(self):
-        def rejecting(*args):
-            args[-1]._obj.value = -4  # INFO: the fourth argument is illegal
-
-        with pytest.raises(ValueError, match="dgeqrf rejected argument 4"):
-            blas._qr_in_place(rejecting, rejecting, np.ones((4, 2), order="F"))
+        # arguments the checks of bploop.qr would stop, passed to the
+        # library as they are: LAPACK itself rejects them
+        M = np.ones((2, 4), order="F")
+        with pytest.raises(ValueError, match="dgeqrf rejected argument 1$"):
+            bploop._qr(-1, 1, blas._address(M))
+        with pytest.raises(ValueError, match="dorgqr rejected argument 2$"):
+            bploop._qr(2, 4, blas._address(M))
 
     def test_leaves_nothing_for_the_cyclic_collector(self):
         # ndarray.ctypes objects form reference cycles: a call that made
@@ -244,15 +267,105 @@ class TestQrInPlace:
         gc.collect()
         gc.disable()
         try:
-            blas.lapack_qr()(M)
+            bploop.qr(M)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_matches_numpy_qr_bitwise(self):
-        M = np.random.default_rng(3).standard_normal((260, 130))
+        for shape in QR_SHAPES:
+            for seed in range(4):
+                M = scaled_columns(shape, seed)
+                Q, R = np.linalg.qr(M, mode="reduced")
+                diag = np.abs(np.diagonal(R))
+                F = np.asfortranarray(M)
+                lo, hi = bploop.qr(F)
+                assert F.tobytes(order="C") == Q.tobytes(), (shape, seed)
+                assert (np.float64(lo).tobytes(), np.float64(hi).tobytes()) == (
+                    np.min(diag).tobytes(), np.max(diag).tobytes()), (shape, seed)
+
+    def test_short_scratch_is_asked_for_again(self, monkeypatch):
+        # a LAPACK that asks for more workspace than the first guess gets
+        # it on a second call, with the same bits
+        monkeypatch.setattr(bploop, "_QR_SCRATCH_PER_COLUMN", 1)
+        M = scaled_columns((200, 100), 7)
         Q, R = np.linalg.qr(M, mode="reduced")
         F = np.asfortranarray(M)
-        diag = blas.lapack_qr()(F)
+        assert bploop.qr(F) == (np.min(np.abs(np.diagonal(R))), np.max(np.abs(np.diagonal(R))))
         assert F.tobytes(order="C") == Q.tobytes()
-        assert diag.tobytes() == np.diagonal(R).tobytes()
+
+    def test_nan_range_as_numpy_gives_it(self):
+        M = np.asfortranarray(np.eye(5, 3) + 1.0)
+        M[2, 1] = np.nan
+        lo, hi = bploop.qr(M)
+        assert np.isnan(lo) and np.isnan(hi)
+
+    def test_compiled_run_and_qr_leave_nothing_for_the_cyclic_collector(self):
+        P = subspace.projector_from_kernel(
+            np.random.default_rng(4).standard_normal((5, 12))).P
+        M = np.asfortranarray(np.eye(6, 3) + 1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            for scheme in basic.SCHEMES:
+                basic.run_scheme(P, np.full(12, 1.0 / 12), basic.BpConfig(scheme=scheme))
+            bploop.qr(M)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestAddress:
+    """blas._address: the buffer fast path and __array_interface__ agree."""
+
+    @staticmethod
+    def interface(x):
+        return x.__array_interface__["data"][0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.ones((4, 3)),
+        lambda: np.ones((4, 3), order="F"),
+        lambda: np.ones(5),
+        lambda: np.ones((6, 4))[1:, :],                 # C-ordered view at an offset
+        lambda: np.ones((6, 4), order="F")[:, 1:],      # F-ordered view at an offset
+        lambda: np.ones((4, 6))[:, ::2],                # not contiguous
+        lambda: np.ones((4, 6)).T[::2],
+        lambda: np.empty(0),
+        lambda: np.empty((0, 3), order="F"),
+        lambda: np.ones(()),                            # 0-d
+        lambda: np.ones(3, dtype=np.float32),
+    ], ids=["C", "F", "1-D", "C view", "F view", "strided", "strided F", "empty",
+            "empty F", "0-d", "float32"])
+    def test_matches_array_interface(self, make):
+        x = make()
+        assert blas._address(x) == self.interface(x)
+        x.flags.writeable = False
+        assert blas._address(x) == self.interface(x)
+
+    def test_keeps_nothing_on_the_array(self):
+        # numpy keeps an exported buffer's shape and strides on the array
+        # until it is freed: on P, z and the run's block that would raise a
+        # solve's allocation peak
+        arrays = [np.ones((4, 3)) for _ in range(50)] + [np.ones(5) for _ in range(50)]
+        for x in arrays[:2] + arrays[50:52]:
+            blas._address(x)  # first calls, which may fill caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for x in arrays:
+                blas._address(x)
+            assert tracemalloc.get_traced_memory()[0] - before < 1000
+        finally:
+            tracemalloc.stop()
+
+    def test_leaves_nothing_for_the_cyclic_collector(self):
+        arrays = [np.ones((4, 3)), np.ones((4, 3), order="F"), np.ones((4, 6))[:, ::2],
+                  np.empty(0)]
+        gc.collect()
+        gc.disable()
+        try:
+            for x in arrays:
+                blas._address(x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

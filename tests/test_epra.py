@@ -8,7 +8,7 @@ import pytest
 
 import epra_kit.basic as basic
 import epra_kit.epra as epra
-from epra_kit import blas
+from epra_kit import bploop
 from epra_kit.basic import BpConfig, BpOutcome, INTERIOR_FOUND, ITER_LIMIT, RESCALE_READY
 from epra_kit.bench import ExperimentManifest
 from epra_kit.epra import (
@@ -403,7 +403,7 @@ class TestProjectorLifetime:
         both_peak, _ = self._peak(lambda: epra.rescaled_projectors(inst.A, D, D_hat).P)
         assert solve_peak < both_peak
 
-    @pytest.mark.skipif(blas.lapack_qr() is None, reason="np.linalg.qr factors a copy")
+    @pytest.mark.skipif(bploop.library() is None, reason="np.linalg.qr factors a copy")
     def test_solve_peaks_at_one_basis_and_one_projector(self):
         # one n x m basis and one dense n x n projector, plus 64 KiB for the
         # basic procedure's work vectors and the solve's own n-vectors

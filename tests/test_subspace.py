@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epra_kit import blas, subspace
+from epra_kit import bploop, subspace
 from epra_kit.blas import small_problem_threads
 from epra_kit.epra import solve
 from epra_kit.exceptions import DimensionMismatch, RankDeficient
@@ -261,8 +261,9 @@ class TestDenseProjectorsMatchReference:
 
 @pytest.fixture
 def numpy_qr(monkeypatch):
-    """Factor through np.linalg.qr, as on a numpy whose LAPACK is not bound."""
-    monkeypatch.setattr(blas, "lapack_qr", lambda: None)
+    """Factor through np.linalg.qr, as where the compiled library cannot be
+    built."""
+    monkeypatch.setattr(bploop, "library", lambda: None)
 
 
 @pytest.mark.usefixtures("numpy_qr")
@@ -379,11 +380,11 @@ class TestProjectorsAreBitwiseSymmetric:
 
     @settings(max_examples=300, deadline=None)
     @given(projector_inputs(), st.booleans())
-    def test_two_and_one_sided_builds(self, case, lapack):
+    def test_two_and_one_sided_builds(self, case, compiled):
         A, D, D_hat = case
         builds = ((D, D_hat, ("P", "P_hat")), (D, None, ("P",)), (None, D_hat, ("P_hat",)))
-        qr = blas.lapack_qr if lapack else (lambda: None)
-        with mock.patch.object(blas, "lapack_qr", qr):
+        library = bploop.library if compiled else (lambda: None)
+        with mock.patch.object(bploop, "library", library):
             for d, d_hat, sides in builds:
                 try:
                     pair = rescaled_projectors(A, d, d_hat)
