@@ -19,8 +19,8 @@ count in effect when the first of them entered is restored when the last
 one leaves.  On the fingerprint suite (tests/test_fingerprint.py) one and
 two threads gave the same result bits.
 
-`cblas` and `lapack` give the addresses of the CBLAS `dgemv` and `ddot`
-that numpy's matmul calls and of the LAPACK `dgeqrf` and `dorgqr` that
+`symbols` gives the addresses of the CBLAS `dgemv` and `ddot` that
+numpy's matmul calls and of the LAPACK `dgeqrf` and `dorgqr` that
 `np.linalg.qr` calls, for the compiled library (`bploop`), which runs the
 basic procedure's loop and factors each projector's matrix in its own
 storage.  This module is the one place that knows the symbol names and
@@ -105,32 +105,19 @@ def small_problem_threads(m: int, n: int):
 
 # numpy's bundled OpenBLAS is built with 64-bit integers (ILP64) and
 # exports its CBLAS and LAPACK under these names.
-_GEMV, _DOT = "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_"
-_GEQRF, _ORGQR = "scipy_dgeqrf_64_", "scipy_dorgqr_64_"
+_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_", "scipy_dgeqrf_64_", "scipy_dorgqr_64_")
 
 
-def _addresses(*names: str) -> Optional[tuple]:
+@functools.lru_cache(maxsize=None)
+def symbols() -> Optional[tuple]:
+    """The addresses of numpy's bundled CBLAS `dgemv` and `ddot` and LAPACK
+    `dgeqrf` and `dorgqr` (64-bit integer arguments), in that order, or
+    None when the library or any of the four is not found."""
     lib = _openblas()
-    fns = None if lib is None else [getattr(lib, name, None) for name in names]
+    fns = None if lib is None else [getattr(lib, name, None) for name in _SYMBOLS]
     if fns is None or None in fns:
         return None
     return tuple(ctypes.cast(fn, ctypes.c_void_p).value for fn in fns)
-
-
-@functools.lru_cache(maxsize=None)
-def cblas() -> Optional[tuple]:
-    """The addresses of numpy's bundled CBLAS `dgemv` and `ddot` (64-bit
-    integer arguments), or None when the library or either routine is not
-    found."""
-    return _addresses(_GEMV, _DOT)
-
-
-@functools.lru_cache(maxsize=None)
-def lapack() -> Optional[tuple]:
-    """The addresses of numpy's bundled LAPACK `dgeqrf` and `dorgqr`
-    (64-bit integer arguments), or None when the library or either routine
-    is not found."""
-    return _addresses(_GEQRF, _ORGQR)
 
 
 _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer

@@ -18,7 +18,7 @@ build is written under a temporary name and moved into place, so
 processes that build at once never see a partial file.  When that
 directory cannot be written the build goes to a temporary directory of
 this process.  Without a compiler, without numpy's CBLAS or LAPACK symbols
-(`blas.cblas`, `blas.lapack`) or when the build fails, `library()` is
+(`blas.symbols`) or when the build fails, `library()` is
 None: `accepts` is false and the Python driver runs, and a build factors
 a copy through `np.linalg.qr`, with the same bits.  Both calls run
 without the interpreter lock.
@@ -102,8 +102,8 @@ def _private_dir() -> str:
 def _load():
     import subprocess
 
-    cc, cblas, lapack = compiler(), blas.cblas(), blas.lapack()
-    if cc is None or cblas is None or lapack is None:
+    cc, symbols = compiler(), blas.symbols()
+    if cc is None or symbols is None:
         return None
     name = _library_name(cc)
     try:
@@ -115,7 +115,7 @@ def _load():
     except (OSError, subprocess.CalledProcessError):
         return None
     lib.bp_bind.restype, lib.bp_bind.argtypes = None, [ctypes.c_void_p] * 4
-    lib.bp_bind(*cblas, *lapack)
+    lib.bp_bind(*symbols)
     d, i, p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     lib.bp_run.restype = i
     # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, block, mu0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basic, serialize
+from . import basic, serialize, subspace
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, check_count, uniform_simplex
 from .blas import small_problem_threads
 from .exceptions import BothSidesInterior
@@ -141,9 +141,14 @@ def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:
 
 
 def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
-    """The rounds of `solve`.  Each round is one `_round`, then the
-    interior, partition and refinement tests on its two outcomes, then
-    the rescaling of each side whose trigger fired.  A refinement's
+    """The rounds of `solve`.  Each round runs the basic procedure on the
+    primal side, then on the dual side, then the interior, partition and
+    refinement tests on the two outcomes, then the rescaling of each side
+    whose trigger fired.  Round 0 (D = D_hat = 1) takes both sides from
+    one factorization, `subspace.projector_from_kernel`, and drops that
+    pair before the tests; every later round factors each side just
+    before its run, so one side is built with nothing of the other alive.
+    Each dense projector is dropped when its run returns.  A refinement's
     sub-solves run here with allow_refine=False."""
     t_start = time.perf_counter()
     A = inst.A
@@ -173,7 +178,14 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
         )
 
     while True:
-        out_p, out_d = _round(A, D, D_hat, rounds == 0, z0, bp_cfg)
+        if rounds == 0:
+            pair = subspace.projector_from_kernel(A)
+            out_p = basic.run_scheme(pair.P, z0, bp_cfg)
+            out_d = basic.run_scheme(pair.P_hat, z0, bp_cfg)
+            del pair
+        else:
+            out_p = basic.run_scheme(rescaled_projectors(A, D, None).P, z0, bp_cfg)
+            out_d = basic.run_scheme(rescaled_projectors(A, None, D_hat).P_hat, z0, bp_cfg)
         iters_p += out_p.iterations
         iters_d += out_d.iterations
         p_interior = out_p.status == INTERIOR_FOUND
@@ -227,23 +239,6 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
             return result(STALLED, x, x_hat, B, N)
         D, D_hat = D_new, D_hat_new
         rounds += 1
-
-
-def _round(A, D, D_hat, shared: bool, z0, bp_cfg):
-    """One round: (primal outcome, dual outcome) of `_run_side`.  With
-    shared (round 0, D = D_hat = 1) one factorization serves both sides."""
-    pair = rescaled_projectors(A, D, D_hat) if shared else None
-    return _run_side(A, D, None, pair, z0, bp_cfg), _run_side(A, None, D_hat, pair, z0, bp_cfg)
-
-
-def _run_side(A, D, D_hat, pair, z0, bp_cfg):
-    """The basic procedure on the side whose diagonal is given, built just
-    before its run unless pair holds it.  The side's basis is dropped once
-    its dense projector is formed and the projector when the run returns,
-    so the other side is built with nothing of this one alive."""
-    P = pair or rescaled_projectors(A, D, D_hat)
-    P = P.P if D is not None else P.P_hat
-    return basic.run_scheme(P, z0, bp_cfg)
 
 
 def _rounding_noise(out, n: int) -> bool:

@@ -39,6 +39,18 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
+def _kernel_matrix(A) -> np.ndarray:
+    """A checked as a kernel matrix: a finite 2-D float array with a column
+    and m <= n.  The one rule of `Instance` and the projector builders."""
+    A = as_matrix(A)
+    m, n = A.shape
+    if n < 1:
+        raise DimensionMismatch(f"A has shape {A.shape}: a kernel matrix needs a column")
+    if m > n:
+        raise DimensionMismatch(f"m={m} exceeds n={n}")
+    return A
+
+
 def verify_membership(A, x, tol: float = RESIDUAL_TOL) -> Tuple[bool, float]:
     """Check x in ker(A); returns (flag, max residual).
 
@@ -95,14 +107,10 @@ class Instance:
     meta: Optional[InstanceMeta] = None
 
     def __post_init__(self):
-        A = as_matrix(self.A).view()
+        A = _kernel_matrix(self.A).view()
         A.flags.writeable = False
         object.__setattr__(self, "A", A)
-        m, n = A.shape
-        if n < 1:
-            raise DimensionMismatch(f"A has shape {A.shape}: an instance needs a matrix with a column")
-        if m > n:
-            raise DimensionMismatch(f"m={m} exceeds n={n}")
+        n = A.shape[1]
         meta = self.meta or InstanceMeta()
         x = meta.known_interior_point
         if x is not None:
@@ -135,10 +143,10 @@ class ProjectorPair:
 
     Q spans Im((A D^{-1})^T), so P = I - Q Q^T projects onto D(L); Q_hat
     spans Im(D_hat A^T), so P_hat = Q_hat Q_hat^T projects onto
-    D_hat(L-perp).  When D = D_hat = 1 the two are one array.  A side that
-    was not built is None, and reading its projector raises ValueError.
-    Each access of P or P_hat forms a new dense n x n matrix: keep it when
-    it is needed twice.
+    D_hat(L-perp).  `projector_from_kernel` gives one array for both.  A
+    side that was not built is None, and reading its projector raises
+    ValueError.  Each access of P or P_hat forms a new dense n x n matrix:
+    keep it when it is needed twice.
     """
 
     Q: Optional[np.ndarray]
@@ -160,15 +168,23 @@ def _built(Q: Optional[np.ndarray], side: str) -> np.ndarray:
 
 
 def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of M via QR.
+    """Orthonormal basis (columns) of the column space of M: the Q of the
+    reduced QR factorization of M with its columns normalized, the one
+    factorization of every build.
 
-    Columns are normalized to unit length first: this leaves the column
-    space (and therefore the projector built from the basis) unchanged but
-    keeps the rank test meaningful when rescaling has scaled columns by
-    many orders of magnitude.  M must then have full column rank within
-    RANK_TOL, measured on the diagonal of the triangular factor relative
-    to its largest magnitude entry.  With owned=True M is a scratch array
-    of the caller's and may be normalized and factored in place.
+    Normalizing leaves the column space (and therefore the projector built
+    from the basis) unchanged but keeps the rank test meaningful when
+    rescaling has scaled columns by many orders of magnitude.  M must then
+    have full column rank within RANK_TOL, measured on the diagonal of the
+    triangular factor relative to its largest magnitude entry.
+
+    With the compiled library (`bploop.qr`) the normalized matrix is
+    factored in its own storage, which becomes Q: M itself when owned=True
+    (M is a scratch array of the caller's) and M is Fortran-contiguous (the
+    scaled transpose of a C-ordered A), else one fresh Fortran-ordered
+    array.  Without it (no C compiler, or no LAPACK symbols in numpy)
+    `np.linalg.qr` factors a copy, normalized in place when owned.  Both
+    give the same bits.
     """
     n, m = M.shape
     if m == 0:
@@ -177,34 +193,20 @@ def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
     norms = np.linalg.norm(M, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficient("matrix has a zero column")
-    Q, dmin, dmax = _householder_qr(M, norms, owned)
+    if bploop.library() is None:
+        Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
+        diag = np.abs(np.diagonal(R))
+        dmin, dmax = np.min(diag), np.max(diag)
+    else:
+        Q = M if owned and M.flags.f_contiguous else np.empty(M.shape, order="F")
+        np.divide(M, norms, out=Q)
+        dmin, dmax = bploop.qr(Q)
     if dmax == 0.0 or dmin < RANK_TOL * dmax:
         raise RankDeficient(
             f"matrix is rank deficient within {RANK_TOL:g} "
             f"(diagonal range [{dmin:.3e}, {dmax:.3e}])"
         )
     return Q
-
-
-def _householder_qr(M: np.ndarray, norms: np.ndarray, owned: bool):
-    """(Q, min |R_jj|, max |R_jj|) of the reduced QR factorization Q R of
-    M with its columns divided by norms: the one factorization of every
-    build.
-
-    With the compiled library (`bploop.qr`) the normalized matrix is
-    factored in its own storage, which becomes Q: M itself when it is
-    owned and Fortran-contiguous (the scaled transpose of a C-ordered A),
-    else one fresh Fortran-ordered array.  Without it (no C compiler, or
-    no LAPACK symbols in numpy) `np.linalg.qr` factors a copy.  Both give
-    the same bits.
-    """
-    if bploop.library() is None:
-        Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
-        diag = np.abs(np.diagonal(R))
-        return Q, np.min(diag), np.max(diag)
-    out = M if owned and M.flags.f_contiguous else np.empty(M.shape, order="F")
-    np.divide(M, norms, out=out)
-    return (out, *bploop.qr(out))
 
 
 def _svd_rank(M: np.ndarray):
@@ -218,42 +220,43 @@ def _svd_rank(M: np.ndarray):
 
 
 def projector_from_kernel(A) -> ProjectorPair:
-    """Projectors onto ker(A) and Im(A^T), for a full-row-rank (m, n) A:
-    the unit-diagonal case of rescaled_projectors.  P + P_hat = I up to
-    rounding."""
-    # the last axis, not a column count: an A that is not a matrix goes on
-    # to as_matrix's DimensionMismatch
-    ones = np.ones(np.shape(A)[-1:])
-    return rescaled_projectors(A, ones, ones)
+    """Projectors onto ker(A) and Im(A^T), for a full-row-rank (m, n) A.
+
+    This is the unit-diagonal case, D = D_hat = 1, where the two rescaled
+    row spaces are both Im(A^T): one factorization of A^T gives both sides,
+    and P + P_hat = I up to rounding.  The bits are those of
+    `rescaled_projectors(A, ones, ones)`, which factors each side.  A must
+    be a finite matrix with a column and m <= n, as an `Instance`'s is
+    (else DimensionMismatch or ValueError), and of full row rank (else
+    RankDeficient).
+    """
+    A = _kernel_matrix(A)
+    with small_problem_threads(*A.shape):
+        Q = _orthonormal_range_basis(A.T)
+    return ProjectorPair(Q=Q, Q_hat=Q)
 
 
 def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
     """Projectors onto the rescaled subspaces D(L) and D_hat(L-perp).
 
     D and D_hat are positive diagonals given as length-n vectors.  The
-    primal side factors (A D^{-1})^T, the dual side factors D_hat A^T; the
-    two projectors are complementary only when D = D_hat = I.  Then both
-    sides would factor the same matrix, so one QR serves both, with the
-    bits the two factorizations would give.  A diagonal given as None
-    leaves its side unbuilt (at least one must be given), so a caller can
-    factor each side just before it needs it; a built side has the bits
-    of the two-sided call.  The pair holds the bases; see ProjectorPair
-    for forming the dense projectors.  A that is not full row rank raises
-    RankDeficient.
+    primal side factors (A D^{-1})^T, the dual side factors D_hat A^T, each
+    side its own matrix whatever the diagonals hold; for D = D_hat = 1,
+    `projector_from_kernel` gives the same bits from one factorization.  A
+    diagonal given as None leaves its side unbuilt (at least one must be
+    given), so a caller can factor each side just before it needs it; a
+    built side has the bits of the two-sided call.  The pair holds the
+    bases; see ProjectorPair for forming the dense projectors.  A is
+    checked as `projector_from_kernel` checks it.
     """
-    A = as_matrix(A)
+    A = _kernel_matrix(A)
     m, n = A.shape
-    if m > n:
-        raise DimensionMismatch(f"kernel matrix must have m <= n, got {m} x {n}")
     if D is None and D_hat is None:
         raise ValueError("at least one rescaling diagonal is needed")
     D = _diagonal(D, n)
     D_hat = _diagonal(D_hat, n)
     At = A.T
     with small_problem_threads(m, n):
-        if D is not None and D_hat is not None and np.all(D == 1.0) and np.all(D_hat == 1.0):
-            Q = _orthonormal_range_basis(At)
-            return ProjectorPair(Q=Q, Q_hat=Q)
         # the scaled transposes are this call's own, so each is normalized
         # (and, for a C-ordered A, factored) in place; A itself is never
         # written

@@ -24,11 +24,12 @@ SRC = Path(bploop.__file__).resolve().parent.parent
 
 
 def can_build() -> bool:
-    return bploop.compiler() is not None and blas.cblas() is not None
+    # what `bploop._load` needs before it builds
+    return bploop.compiler() is not None and blas.symbols() is not None
 
 
 needs_build = pytest.mark.skipif(
-    not can_build(), reason="no C compiler, or numpy's OpenBLAS lacks the CBLAS symbols")
+    not can_build(), reason="no C compiler, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
 
 
 def outcome(P, z0, cfg):
@@ -618,7 +619,7 @@ class TestLoading:
     def test_loads_wherever_it_can_be_built(self):
         # a silent fall back to the Python driver must fail here, not skip
         if not can_build():
-            pytest.skip("no C compiler, or numpy's OpenBLAS lacks the CBLAS symbols")
+            pytest.skip("no C compiler, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
         assert bploop.library() is not None
         assert bploop.accepts(np.eye(3), 3)
 
@@ -642,7 +643,7 @@ class TestLoading:
         with pytest.raises(AssertionError, match="Python driver"):
             run_scheme(P, uniform_simplex(9), BpConfig(), callback=lambda *_: None)
 
-    @pytest.mark.parametrize("missing", ["compiler", "cblas"])
+    @pytest.mark.parametrize("missing", ["compiler", "symbols"])
     def test_without_compiler_or_symbols_the_python_driver_runs(self, fresh, monkeypatch,
                                                                 missing):
         owner = bploop if missing == "compiler" else blas

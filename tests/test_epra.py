@@ -8,7 +8,7 @@ import pytest
 
 import epra_kit.basic as basic
 import epra_kit.epra as epra
-from epra_kit import bploop
+from epra_kit import bploop, subspace
 from epra_kit.basic import BpConfig, BpOutcome, INTERIOR_FOUND, ITER_LIMIT, RESCALE_READY
 from epra_kit.bench import ExperimentManifest
 from epra_kit.epra import (
@@ -299,12 +299,15 @@ class TestProjectorLifetime:
     def test_one_dense_projector_alive_at_a_time(self, monkeypatch):
         builds, runs, refines = [], [], []
         build, run_scheme, refine = epra.rescaled_projectors, basic.run_scheme, epra._refine_partition
+        build_both = subspace.projector_from_kernel
 
-        def recording_build(*args):
-            pair = build(*args)
-            arrays = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
-            builds.append([weakref.ref(pair)] + [weakref.ref(a) for a in arrays])
-            return pair
+        def recording(build):
+            def recording_build(*args):
+                pair = build(*args)
+                arrays = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
+                builds.append([weakref.ref(pair)] + [weakref.ref(a) for a in arrays])
+                return pair
+            return recording_build
 
         def recording_run(P, z0, cfg, callback=None):
             previous_alive = bool(runs) and runs[-1]() is not None
@@ -319,7 +322,8 @@ class TestProjectorLifetime:
             refines.append(len(alive))
             return refine(*args)
 
-        monkeypatch.setattr(epra, "rescaled_projectors", recording_build)
+        monkeypatch.setattr(epra, "rescaled_projectors", recording(build))
+        monkeypatch.setattr(subspace, "projector_from_kernel", recording(build_both))
         monkeypatch.setattr(basic, "run_scheme", recording_run)
         monkeypatch.setattr(epra, "_refine_partition", recording_refine)
         res = solve(gen_partitioned(30, seed=14))
@@ -331,14 +335,18 @@ class TestProjectorLifetime:
     def test_each_side_factored_after_the_other_is_freed(self, monkeypatch):
         events, refs, rounds = [], [], []
         build, run_scheme, inner = epra.rescaled_projectors, basic.run_scheme, epra._solve
+        build_both = subspace.projector_from_kernel
 
-        def recording_build(A, D, D_hat):
-            side = "dual" if D is None else "primal" if D_hat is None else "both"
+        def record(side, build, *args):
             events.append((side, sum(ref() is not None for ref in refs)))
-            pair = build(A, D, D_hat)
+            pair = build(*args)
             refs.extend(weakref.ref(v) for v in vars(pair).values()
                         if isinstance(v, np.ndarray))
             return pair
+
+        def recording_build(A, D, D_hat):
+            side = "dual" if D is None else "primal" if D_hat is None else "both"
+            return record(side, build, A, D, D_hat)
 
         def recording_run(P, z0, cfg, callback=None):
             events.append(("run", None))
@@ -351,6 +359,8 @@ class TestProjectorLifetime:
             return res
 
         monkeypatch.setattr(epra, "rescaled_projectors", recording_build)
+        monkeypatch.setattr(subspace, "projector_from_kernel",
+                            lambda A: record("both", build_both, A))
         monkeypatch.setattr(basic, "run_scheme", recording_run)
         monkeypatch.setattr(epra, "_solve", recording_solve)
         ran = ("run", None)

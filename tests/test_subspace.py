@@ -153,19 +153,21 @@ class TestFactorizationCount:
     def qr_calls(self, monkeypatch):
         # the factorization both paths share, LAPACK in place or np.linalg.qr
         calls = []
-        factor = subspace._householder_qr
+        factor = subspace._orthonormal_range_basis
 
-        def counting_factor(M, *args):
+        def counting_factor(M, *args, **kwargs):
             calls.append(M.shape)
-            return factor(M, *args)
+            return factor(M, *args, **kwargs)
 
-        monkeypatch.setattr(subspace, "_householder_qr", counting_factor)
+        monkeypatch.setattr(subspace, "_orthonormal_range_basis", counting_factor)
         return calls
 
-    def test_unit_diagonals_factor_once(self, qr_calls):
+    def test_kernel_factors_once_and_unit_diagonals_once_per_side(self, qr_calls):
         A = np.random.default_rng(29).standard_normal((4, 9))
-        rescaled_projectors(A, np.ones(9), np.ones(9))
+        projector_from_kernel(A)
         assert qr_calls == [(9, 4)]
+        rescaled_projectors(A, np.ones(9), np.ones(9))
+        assert qr_calls == [(9, 4)] * 3
 
     @pytest.mark.parametrize("side", ["D", "D_hat"])
     def test_non_unit_diagonal_factors_each_side(self, qr_calls, side):
@@ -257,6 +259,23 @@ class TestDenseProjectorsMatchReference:
             plain = projector_from_kernel(A)
             assert plain.P.tobytes() == P.tobytes()
             assert plain.P_hat.tobytes() == P_hat.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m, n", [(0, 5), (1, 2), (5, 12), (30, 70), (130, 260)])
+    def test_unit_diagonals_factor_each_side_to_the_kernel_bytes(self, m, n, order):
+        # two factorizations of A^T, one a side, against the one that
+        # projector_from_kernel shares; columns scaled by 10**U(-8, 8)
+        rng = np.random.default_rng(7 * m + n)
+        A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        A = np.asarray(A, order=order)
+        ones = np.ones(n)
+        pair = rescaled_projectors(A, ones, ones)
+        plain = projector_from_kernel(A)
+        assert plain.Q is plain.Q_hat and pair.Q is not pair.Q_hat
+        for Q in (pair.Q, pair.Q_hat):
+            assert Q.tobytes(order="A") == plain.Q.tobytes(order="A")
+        assert pair.P.tobytes() == plain.P.tobytes()
+        assert pair.P_hat.tobytes() == plain.P_hat.tobytes()
 
 
 @pytest.fixture
@@ -602,6 +621,24 @@ class TestSharedRules:
     ])
     def test_is_partition(self, B, N, n, expected):
         assert is_partition(B, N, n) is expected
+
+    @pytest.mark.parametrize("A, error", [
+        (np.ones(3), DimensionMismatch),
+        (np.array([[_NAN, -2.0, 1.0]]), ValueError),
+        (np.ones((3, 2)), DimensionMismatch),
+        (np.zeros((1, 0)), DimensionMismatch),
+        (np.zeros((0, 0)), DimensionMismatch),
+    ], ids=["1-D", "nan entry", "m > n", "no column", "empty"])
+    def test_one_kernel_matrix_rule(self, A, error):
+        # an instance and both projector builders check A alike
+        ones = np.ones(A.shape[-1])
+        raised = []
+        for make in (Instance, projector_from_kernel,
+                     lambda A: rescaled_projectors(A, ones, ones)):
+            with pytest.raises(error) as checked:
+                make(A)
+            raised.append(checked.value)
+        assert len({(type(exc), str(exc)) for exc in raised}) == 1
 
     def test_membership_without_rows(self):
         assert verify_membership(np.zeros((0, 3)), [1.0, 0.5, 2.0]) == (True, 0.0)
