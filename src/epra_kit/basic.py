@@ -181,18 +181,15 @@ _PERCEPTRON_ID, _VON_NEUMANN_ID, _VON_NEUMANN_AWAY_ID, _SMOOTH_ID = range(4)
 _STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
 
 
-def _run(scheme: int, P, z, cfg: BpConfig, callback, start, rows,
-         refresh=_REFRESH) -> BpOutcome:
+def _run(scheme: int, P, z, cfg: BpConfig, callback, start, refresh=_REFRESH) -> BpOutcome:
     """Run scheme number `scheme` from the checked start z.  Without a
-    callback, on a P it accepts, the compiled loop does the scheme's set-up
-    itself, with `rows` n-vectors of state (bploop.c names them); else
-    start(z) makes the set-up's z and P z and the step for _drive.  A
-    set-up failure carries iterations = 0 on both paths, and neither path
-    raises floating-point warnings in the set-up."""
+    callback, on a P it accepts, `bploop.run` does the scheme's set-up and
+    its loop, in state it allocates; else start(z) makes the set-up's z and
+    P z and the step for _drive.  A set-up failure carries iterations = 0
+    on both paths, and neither path raises floating-point warnings in the
+    set-up."""
     if callback is None and bploop.accepts(P, z.size):
-        Pz = np.empty(z.size)
-        code, t = bploop.run(scheme, P, z, Pz, np.empty((rows, z.size)), cfg.epsilon,
-                             cfg.max_iters, refresh, _MU_0)
+        code, t, Pz = bploop.run(scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)
         if code < 0:
             error = _failure(code)
             error.iterations = t
@@ -274,7 +271,7 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
 
         return z, P @ z, step
 
-    return _run(_PERCEPTRON_ID, P, _check_start(z0), cfg, callback, start, rows=1)
+    return _run(_PERCEPTRON_ID, P, _check_start(z0), cfg, callback, start)
 
 
 def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -305,7 +302,7 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
 
         return z, P @ z, step
 
-    return _run(_VON_NEUMANN_ID, P, _check_start(z0), cfg, callback, start, rows=2)
+    return _run(_VON_NEUMANN_ID, P, _check_start(z0), cfg, callback, start)
 
 
 def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -350,7 +347,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
 
         return z, P @ z, step
 
-    return _run(_VON_NEUMANN_AWAY_ID, P, _check_start(z0), cfg, callback, start, rows=2)
+    return _run(_VON_NEUMANN_AWAY_ID, P, _check_start(z0), cfg, callback, start)
 
 
 def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutcome:
@@ -392,7 +389,7 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
 
         return w.copy(), Pw.copy(), step
 
-    return _run(_SMOOTH_ID, P, _check_start(u_bar), cfg, callback, start, rows=7, refresh=0)
+    return _run(_SMOOTH_ID, P, _check_start(u_bar), cfg, callback, start, refresh=0)
 
 
 SCHEMES = {

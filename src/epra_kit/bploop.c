@@ -36,9 +36,8 @@
  * -O3 versions for a stride of 1: a row read runs the contiguous,
  * vectorized copy the compiler makes.
  *
- * The smooth perceptron's prox sorts its argument starting from the order
- * of the last one, through insertion runs and merges, where a merge whose
- * halves are already in order is a copy.  The sorted values, and so every
+ * The smooth perceptron's prox sorts its argument by one insertion pass,
+ * gathered in the order of the last one.  The sorted values, and so every
  * bit of the result, do not depend on the order it starts from.
  *
  * A run's set-up is done here too, with the same matvec and simplex
@@ -460,86 +459,43 @@ static int vna_step(const double *P, double *z, double *Pz, int64_t n, int64_t i
     return 0;
 }
 
-/* sorts u[0:n] (no NaN) into decreasing order and moves the entries of
- * ord with those of u; tmp and otmp hold n entries each.  Runs of RUN
- * entries are sorted by insertion, then merged in pairs, and a merge
- * whose halves are already in order is a copy: an input nearly in order
- * costs little more than a pass over it. */
-static void sort_decreasing(double *u, int32_t *ord, double *tmp, int32_t *otmp, int64_t n)
-{
-    enum { RUN = 16 };
-    for (int64_t lo = 0; lo < n; lo += RUN) {
-        int64_t hi = lo + RUN < n ? lo + RUN : n;
-        for (int64_t i = lo + 1; i < hi; i++) {
-            double v = u[i];
-            int32_t o = ord[i];
-            int64_t j = i;
-            for (; j > lo && u[j - 1] < v; j--) {
-                u[j] = u[j - 1];
-                ord[j] = ord[j - 1];
-            }
-            u[j] = v;
-            ord[j] = o;
-        }
-    }
-    double *src = u, *dst = tmp;
-    int32_t *osrc = ord, *odst = otmp;
-    for (int64_t width = RUN; width < n; width *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * width) {
-            int64_t mid = lo + width < n ? lo + width : n;
-            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
-            if (mid == hi || src[mid - 1] >= src[mid]) {
-                memcpy(dst + lo, src + lo, (size_t)(hi - lo) * sizeof *dst);
-                memcpy(odst + lo, osrc + lo, (size_t)(hi - lo) * sizeof *odst);
-                continue;
-            }
-            int64_t i = lo, j = mid, k = lo;
-            while (i < mid && j < hi) {
-                int left = src[i] >= src[j];
-                odst[k] = left ? osrc[i] : osrc[j];
-                dst[k++] = left ? src[i++] : src[j++];
-            }
-            for (; i < mid; i++, k++) {
-                dst[k] = src[i];
-                odst[k] = osrc[i];
-            }
-            for (; j < hi; j++, k++) {
-                dst[k] = src[j];
-                odst[k] = osrc[j];
-            }
-        }
-        double *swap = src;
-        src = dst;
-        dst = swap;
-        int32_t *oswap = osrc;
-        osrc = odst;
-        odst = oswap;
-    }
-    if (src != u) {
-        memcpy(u, src, (size_t)n * sizeof *u);
-        memcpy(ord, osrc, (size_t)n * sizeof *ord);
-    }
-}
-
-/* the state of a smooth run, in the rows of its block: ord holds the
- * decreasing order of the last prox argument, and after it n entries of
- * scratch, as int32 in one row */
+/* the state of a smooth run, in the rows of its block: u holds the last
+ * prox argument sorted, and ord its decreasing order, as int32 in one row */
 struct smooth {
-    double *Pu, *w, *Pw, *ub, *u, *tmp;
+    double *Pu, *w, *Pw, *ub, *u;
     int32_t *ord;
     double mu;
 };
 
+/* sorts the entries of w (no NaN) into u in decreasing order, by one
+ * insertion pass that takes them in the order ord gives and leaves their
+ * new order in ord: an order that changes little from step to step costs
+ * little more than the pass.  The order in which equal values (and so
+ * signed zeros) sort changes no bit of the result. */
+static void sort_decreasing(const double *restrict w, double *restrict u, int32_t *ord,
+                            int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int32_t o = ord[i];
+        double v = w[o];
+        int64_t j = i;
+        for (; j > 0 && u[j - 1] < v; j--) {
+            u[j] = u[j - 1];
+            ord[j] = ord[j - 1];
+        }
+        u[j] = v;
+        ord[j] = o;
+    }
+}
+
 /* w = basic.simplex_prox(P u, mu, u_bar): y = u_bar - P u / mu in w, and
- * basic.project_simplex(y) in place.  y is sorted into u starting from the
- * last prox argument's order.  The order in which equal values (and so
- * signed zeros) sort changes no bit of the result.  A NaN anywhere in y
- * leaves no threshold index in the NumPy code, where NaN sorts first;
- * that failure is returned before the sort. */
+ * basic.project_simplex(y) in place, with y sorted into u from the last
+ * prox argument's order.  A NaN anywhere in y leaves no threshold index in
+ * the NumPy code, where NaN sorts first; that failure is returned before
+ * the sort. */
 static int prox(struct smooth *s, int64_t n)
 {
     double *restrict w = s->w, *restrict u = s->u;
-    const int32_t *ord = s->ord;
     int nan = 0;
     for (int64_t j = 0; j < n; j++) {
         w[j] = s->ub[j] - s->Pu[j] / s->mu;
@@ -547,9 +503,7 @@ static int prox(struct smooth *s, int64_t n)
     }
     if (nan)
         return NO_SIMPLEX_THRESHOLD;
-    for (int64_t j = 0; j < n; j++)
-        u[j] = w[ord[j]];
-    sort_decreasing(u, s->ord, s->tmp, s->ord + n, n);
+    sort_decreasing(w, u, s->ord, n);
     /* k is one past the last index where u exceeds its threshold */
     int64_t k = 0;
     double css = 0.0, css_k = 0.0;
@@ -619,8 +573,8 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
  *   perceptron  1: column()'s record of which rows match their columns
  *   vn          2: that record, and the ||P e_i||^2 cache, -1 until computed
  *   vna         2: that record, and scratch
- *   smooth      7: P u, w, P w, u_bar, two of scratch, and the prox's order
- *                  with its scratch, 2n int32
+ *   smooth      6: P u, w, P w, u_bar, the sorted prox argument, and its
+ *                  order as n int32
  * Returns a status or a failure code; *iters receives the number of steps
  * completed, before the failure for a failure code (0 when the set-up
  * fails).  P is read by rows only where column() finds them equal to the
@@ -636,7 +590,7 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
     *iters = 0;
     if (scheme == SMOOTH) {
         s = (struct smooth){block, block + n, block + 2 * n, block + 3 * n, block + 4 * n,
-                            block + 5 * n, (int32_t *)(block + 6 * n), mu0};
+                            (int32_t *)(block + 5 * n), mu0};
         status = smooth_start(P, z, Pz, n, &s);
         if (status)
             return status;

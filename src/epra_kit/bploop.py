@@ -5,10 +5,13 @@ compiled from bploop.c.
 loaded and P is an aligned C-contiguous float64 (n, n) array.  The compiled loop
 does the scheme's set-up and takes the same steps as the Python set-up and
 driver `basic._drive`, with every bit of its results and the same
-failures.  `subspace` factors every projector build through `qr` when the
-library loads: one call that runs LAPACK's `dgeqrf` and `dorgqr`, each
-after its workspace query, in the caller's Fortran-ordered array, with
-the bits of `np.linalg.qr`.
+failures.  `run` allocates P z and the block of the scheme's state, whose
+rows per scheme `_BLOCK_ROWS` gives beside `bp_run`'s signature, and
+rejects any other scheme number before it calls the library.
+`subspace` factors every projector build through `qr` when the library
+loads: one call that runs LAPACK's `dgeqrf` and `dorgqr`, each after its
+workspace query, in the caller's Fortran-ordered array, with the bits of
+`np.linalg.qr`.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached beside the source in `__pycache__` under a name
@@ -99,6 +102,11 @@ def _private_dir() -> str:
     return path
 
 
+# the rows of n doubles of bp_run's block, by scheme number (bploop.c):
+# perceptron, von Neumann, away steps, smooth perceptron
+_BLOCK_ROWS = (1, 2, 2, 6)
+
+
 def _load():
     import subprocess
 
@@ -146,15 +154,28 @@ def accepts(P, n: int) -> bool:
 _MAX_ITERS = 2**63 - 1
 
 
-def run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: int,
-        mu0: float):
-    """`bp_run` (bploop.c) on arrays that `accepts` allows: the scheme's
-    set-up and its loop, from the start z into the empty Pz, with block
-    (C-contiguous float64, the rows of n doubles that bploop.c names) for
-    its state and mu0 for the smooth perceptron's first smoothing
-    parameter.  Returns the status or failure code and the number of steps
-    taken.  z and Pz (float64, contiguous) are updated in place, Pz
-    recomputed every `refresh` steps (never for 0)."""
+def run(scheme: int, P, z, epsilon: float, max_iters: int, refresh: int, mu0: float):
+    """`bp_run` (bploop.c) for scheme number `scheme` (0 to 3, as in `basic`)
+    on arrays that `accepts` allows: the scheme's set-up and its loop from
+    the start z, with mu0 for the smooth perceptron's first smoothing
+    parameter.  z (float64, contiguous) is updated in place, and P z
+    recomputed every `refresh` steps (never for 0).  Returns the status or
+    failure code, the number of steps taken and P z, an array of its own;
+    the scheme's block is allocated here and freed on return.  ValueError
+    for any other scheme number, before the library is called."""
+    if scheme not in range(len(_BLOCK_ROWS)):
+        raise ValueError(f"no scheme number {scheme!r}: bp_run has 0 to {len(_BLOCK_ROWS) - 1}")
+    Pz = np.empty(z.size)
+    code, t = _run(scheme, P, z, Pz, np.empty((_BLOCK_ROWS[scheme], z.size)), epsilon,
+                   max_iters, refresh, mu0)
+    return code, t, Pz
+
+
+def _run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: int,
+         mu0: float):
+    """`bp_run` on the caller's empty Pz and block (C-contiguous float64,
+    the scheme's rows of n doubles at least), unchecked; the status or
+    failure code and the number of steps."""
     # the addresses are taken before the step counter is made: the objects
     # an address makes and drops are larger than the counter, and a solve's
     # allocation peak falls in this call

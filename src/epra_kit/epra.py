@@ -51,8 +51,10 @@ class EpraConfig:
     rescale_mode: str = ALL_DIRECTIONS
 
     def __post_init__(self):
-        if not self.U > 1.0:
-            raise ValueError(f"U must exceed 1, got {self.U}")
+        # a U of inf caps no rescaling and makes the partition test of
+        # identify_partition compare with 0
+        if not 1.0 < self.U < np.inf:
+            raise ValueError(f"U must exceed 1 and be finite, got {self.U}")
         check_count("max_rounds", self.max_rounds, least=1)
         check_count("bp_max_iters", self.bp_max_iters)
         if self.rescale_mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):

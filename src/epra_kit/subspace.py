@@ -176,7 +176,8 @@ def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
     from the basis) unchanged but keeps the rank test meaningful when
     rescaling has scaled columns by many orders of magnitude.  M must then
     have full column rank within RANK_TOL, measured on the diagonal of the
-    triangular factor relative to its largest magnitude entry.
+    triangular factor relative to its largest magnitude entry; a NaN on
+    that diagonal (from a NaN or infinite entry of M) fails the test too.
 
     With the compiled library (`bploop.qr`) the normalized matrix is
     factored in its own storage, which becomes Q: M itself when owned=True
@@ -201,7 +202,7 @@ def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
         Q = M if owned and M.flags.f_contiguous else np.empty(M.shape, order="F")
         np.divide(M, norms, out=Q)
         dmin, dmax = bploop.qr(Q)
-    if dmax == 0.0 or dmin < RANK_TOL * dmax:
+    if not (dmax > 0.0 and dmin >= RANK_TOL * dmax):
         raise RankDeficient(
             f"matrix is rank deficient within {RANK_TOL:g} "
             f"(diagonal range [{dmin:.3e}, {dmax:.3e}])"
@@ -267,14 +268,14 @@ def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
 
 
 def _diagonal(D, n: int) -> Optional[np.ndarray]:
-    """D as a positive length-n float vector; None stays None."""
+    """D as a positive, finite length-n float vector; None stays None."""
     if D is None:
         return None
     D = np.asarray(D, dtype=float)
     if D.shape != (n,):
         raise DimensionMismatch("rescaling diagonals must have length n")
-    if np.any(D <= 0):
-        raise ValueError("rescaling diagonals must be strictly positive")
+    if not (np.all(D > 0.0) and np.all(np.isfinite(D))):
+        raise ValueError("rescaling diagonals must be strictly positive and finite")
     return D
 
 

@@ -51,6 +51,7 @@ class TestManifest:
         ("U", 1.0, "U must exceed 1"),
         ("epsilon", float("nan"), "epsilon"),
         ("U", float("nan"), "U must exceed 1"),
+        ("U", float("inf"), "U must exceed 1"),
         ("instances_per_cell", 2.5, "instances_per_cell"),
         ("parallelism", 1.5, "parallelism"),
         ("base_seed", -1, "base_seed"),

@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 import threading
 import time
@@ -215,6 +216,15 @@ def test_builds_take_the_compiled_qr_wherever_it_builds():
     M = np.asfortranarray(np.random.default_rng(2).standard_normal((9, 4)))
     Q = subspace._orthonormal_range_basis(M, owned=True)
     assert Q is M
+
+
+def test_numpys_bundled_openblas_exports_the_four_symbols():
+    # fails, not skips: a renamed symbol would send every compiled-path
+    # test to its skip and every run to the Python driver
+    lib = blas._openblas()
+    if lib is None or "scipy_openblas64_" not in os.path.basename(lib._name):
+        pytest.skip("numpy does not bundle scipy_openblas64_")
+    assert blas.symbols() is not None
 
 
 def scaled_columns(shape, seed):

@@ -338,7 +338,7 @@ def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
     block = np.full((2, z.size), np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        bploop.run(ids[scheme], P, z, np.empty(z.size), block, epsilon, max_iters, 128, 2.0)
+        bploop._run(ids[scheme], P, z, np.empty(z.size), block, epsilon, max_iters, 128, 2.0)
     return block[0]
 
 
@@ -448,7 +448,7 @@ class TestWarmSort:
         TestScan.same_bits(P, z0, epsilon=1e-300, max_iters=60)
 
     def test_order_that_settles(self):
-        # every merge of the last steps is a copy
+        # the last steps start from their sorted order: one pass, no move
         P = projector_from_kernel(np.random.default_rng(17).standard_normal((8, 17))).P
         orders, _ = prox_orders(P, uniform_simplex(17), 400)
         assert len(orders) == 401 and all(np.array_equal(a, orders[-1]) for a in orders[-50:])
@@ -467,6 +467,42 @@ class TestWarmSort:
         compiled, python = both_paths(P, uniform_simplex(n),
                                       BpConfig(epsilon=1e-300, max_iters=300, scheme="smooth"))
         assert compiled == python
+
+
+@needs_build
+@pytest.mark.usefixtures("without_sse2")
+class TestWarmSortWithoutSSE2(TestWarmSort):
+    """TestWarmSort's cases on the build without SSE2."""
+
+
+@needs_build
+class TestRun:
+    """bploop.run sizes the scheme's block and P z itself, from one table of
+    rows per scheme, and rejects a scheme number outside it."""
+
+    P = projector_from_kernel(np.random.default_rng(19).standard_normal((6, 15))).P
+    IDS = {"perceptron": 0, "vn": 1, "vna": 2, "smooth": 3}
+
+    @pytest.mark.parametrize("scheme", [7, 4, -1])
+    def test_scheme_outside_the_table_raises_before_the_call(self, scheme, monkeypatch):
+        def foreign_call(*args):
+            raise AssertionError("bp_run was called")
+
+        monkeypatch.setattr(bploop, "_run", foreign_call)
+        with pytest.raises(ValueError, match=f"no scheme number {scheme}"):
+            bploop.run(scheme, self.P, uniform_simplex(15), 1e-9, 300, 128, 2.0)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_each_scheme_writes_its_rows_only(self, scheme):
+        # NaN bits that no step writes, in the table's rows and one more:
+        # the run writes to each of its rows and not past them
+        rows = bploop._BLOCK_ROWS[self.IDS[scheme]]
+        sentinel = np.uint64(0x7FF8DEADBEEF0001)
+        block = np.full((rows + 1, 15), sentinel).view(np.float64)
+        z, Pz = uniform_simplex(15), np.empty(15)
+        bploop._run(self.IDS[scheme], self.P, z, Pz, block, 1e-9, 300, 128, 2.0)
+        written = (block.view(np.uint64) != sentinel).any(axis=1)
+        assert written.tolist() == [True] * rows + [False]
 
 
 @needs_build

@@ -127,6 +127,14 @@ class TestSolveAndVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("U", ["inf", "nan", "1"])
+    def test_solve_rejects_a_U_that_is_not_finite_above_1(self, tmp_path, capsys, U):
+        inst = self._gen(tmp_path)
+        out = tmp_path / "res.json"
+        assert run("solve", "--instance", str(inst), "--U", U, "--out", str(out)) == 2
+        assert "U must exceed 1 and be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["solve", "--instance", "i.json", "--out", "r.json"])
         defaults = dataclasses.asdict(EpraConfig())

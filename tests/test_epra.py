@@ -619,6 +619,7 @@ class TestConfigCounts:
     ("epsilon", float("nan"), "epsilon"),
     ("U", 1.0, "U must exceed 1"),
     ("U", float("nan"), "U must exceed 1"),
+    ("U", float("inf"), "U must exceed 1"),
 ])
 def test_config_rejects_out_of_range_values(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -190,11 +190,12 @@ class TestFactorizationCount:
         assert res.status == "trivial_primal" and res.rounds > 0
         assert len(qr_calls) == 1 + 2 * res.rounds
 
-    def test_one_factorization_gives_the_bits_of_two(self):
+    def test_one_factorization_gives_the_bits_of_two(self, qr_calls):
         rng = np.random.default_rng(37)
         A = rng.standard_normal((6, 15))
         ones = np.ones(15)
-        pair = rescaled_projectors(A, ones, ones)
+        pair = projector_from_kernel(A)
+        assert qr_calls == [(15, 6)]
         assert pair.P.tobytes() == _complement(_range_projector(A.T / ones[:, None])).tobytes()
         assert pair.P_hat.tobytes() == _range_projector(A.T * ones[:, None]).tobytes()
 
@@ -365,8 +366,40 @@ class TestCallerMatrixUnchanged:
         assert self._snapshot(A) == before and A.flags.writeable
 
 
+class TestNonFiniteRejected:
+    """A NaN or infinite diagonal entry is no rescaling, and a matrix whose
+    factorization has a NaN on the diagonal of R is not of full rank."""
+
+    A = np.random.default_rng(47).standard_normal((3, 7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["D", "D_hat", "both"])
+    def test_diagonal(self, side, bad):
+        D = np.linspace(1.0, 4.0, 7)
+        D[2] = bad
+        diagonals = {"D": (D, None), "D_hat": (None, D), "both": (np.ones(7), D)}[side]
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            rescaled_projectors(self.A, *diagonals)
+
+    @pytest.mark.parametrize("bad", ["all nan", "one nan"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matrix(self, bad, order):
+        M = np.array(self.A.T, order=order)
+        if bad == "all nan":
+            M[...] = np.nan
+        else:
+            M[4, 1] = np.nan
+        with pytest.raises(RankDeficient, match="rank deficient"):
+            subspace._orthonormal_range_basis(M)
+
+
 @pytest.mark.usefixtures("numpy_qr")
 class TestOneSidedBuildsNumpyQR(TestOneSidedBuilds):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_qr")
+class TestNonFiniteRejectedNumpyQR(TestNonFiniteRejected):
     pass
 
 
