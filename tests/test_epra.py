@@ -91,6 +91,90 @@ class TestRescaleUpdate:
             D = new
 
 
+def reference_identify_partition(x, x_hat, U):
+    """identify_partition written with the operations it first had, frozen
+    here so the function may lose wrapper overhead but not a bit."""
+    x = np.asarray(x, dtype=float)
+    x_hat = np.asarray(x_hat, dtype=float)
+    b_mask = np.abs(x_hat) < np.max(np.abs(x_hat)) / U
+    n_mask = np.abs(x) < np.max(np.abs(x)) / U
+    is_partition = bool(np.all(b_mask ^ n_mask))
+    return np.nonzero(b_mask)[0], np.nonzero(n_mask)[0], is_partition
+
+
+def reference_rescale_update(z, Pz, D, U, mode=epra.ALL_DIRECTIONS):
+    """rescale_update written with the operations it first had, frozen
+    likewise."""
+    z = np.asarray(z, dtype=float)
+    D = np.asarray(D, dtype=float)
+    if mode == epra.ALL_DIRECTIONS:
+        Pz = np.asarray(Pz, dtype=float)
+        alpha = max(float(np.sum(np.maximum(Pz, 0.0))), epra._ALPHA_FLOOR)
+        e = np.maximum(z / alpha - 1.0, 0.0)
+        return np.minimum((1.0 + e) * D, U)
+    out = D.copy()
+    i = int(np.argmax(z))
+    out[i] = min(2.0 * D[i], U)
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+_U_JUST_ABOVE_1 = float(np.nextafter(1.0, 2.0))
+
+
+class TestRoundBookkeepingMatchesReference:
+    """identify_partition and rescale_update against their frozen first
+    versions, bytewise, on inputs that reach every branch."""
+
+    VECTORS = [
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0, 0.0, 1.0, 0.5],
+        [np.nan, 1.0, 2.0, 0.0],
+        [1.0, np.nan, -3.0, 1e-12],
+        [2.0, 2.0, 1e-300, -2.0],       # ties at the max
+        [1.0, 1.0, 1.0, 1.0],
+        [3e-11, 1.0, -0.5, 1e-10],
+        [np.inf, 1.0, 0.0, -1.0],
+    ]
+
+    @pytest.mark.parametrize("U", [_U_JUST_ABOVE_1, 2.0, 1e10])
+    @pytest.mark.parametrize("i", range(len(VECTORS)))
+    @pytest.mark.parametrize("j", range(len(VECTORS)))
+    def test_identify_partition(self, i, j, U):
+        x, x_hat = self.VECTORS[i], self.VECTORS[j]
+        for args in ((x, x_hat), (np.array(x), np.array(x_hat))):  # lists and arrays
+            with np.errstate(all="ignore"):
+                got, want = identify_partition(*args, U), reference_identify_partition(*args, U)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert got[2] is want[2]
+
+    @pytest.mark.parametrize("mode", [epra.ALL_DIRECTIONS, SINGLE_DIRECTION])
+    @pytest.mark.parametrize("U", [_U_JUST_ABOVE_1, 2.0, 1e10])
+    @pytest.mark.parametrize("i", range(len(VECTORS)))
+    def test_rescale_update(self, i, U, mode):
+        z = self.VECTORS[i]
+        n = len(z)
+        rng = np.random.default_rng(i)
+        for Pz in (z, [0.0] * n, list(rng.standard_normal(n))):
+            for D in ([1.0] * n, list(1.0 + rng.random(n)), [U] * n):
+                for args in ((z, Pz, D), tuple(np.array(v) for v in (z, Pz, D))):
+                    with np.errstate(all="ignore"):
+                        got = rescale_update(*args, U, mode)
+                        want = reference_rescale_update(*args, U, mode)
+                    assert same_bits(got, want), (z, Pz, D)
+
+    def test_rescale_update_leaves_its_inputs(self):
+        z, Pz, D = np.array([0.5, 0.25, 0.25]), np.array([0.1, -0.2, 0.3]), np.ones(3)
+        before = [v.copy() for v in (z, Pz, D)]
+        for mode in (epra.ALL_DIRECTIONS, SINGLE_DIRECTION):
+            rescale_update(z, Pz, D, 4.0, mode)
+        assert all(same_bits(v, w) for v, w in zip((z, Pz, D), before))
+
+
 class TestSolveSmallInstances:
     def test_free_subspace_is_trivially_primal(self):
         res = solve(Instance(A=np.zeros((0, 3))))
