@@ -126,13 +126,16 @@ _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 def _address(x: np.ndarray) -> int:
     """The address of x's first element.  A writeable, contiguous, non-empty
     array is read as a buffer, about 4 times faster than
-    __array_interface__, which any other array takes.  The buffer is that
-    of a new view (the transpose of a Fortran-ordered x): numpy keeps an
-    exported buffer's shape and strides, about 80 bytes, on the array
-    until it is freed, and a view is freed on return.  Not x.ctypes: its
-    objects form reference cycles, about 0.5 KB of garbage a call that
-    waits for the cyclic collector."""
-    try:
-        return _addressof(_from_buffer(x.view() if x.flags.c_contiguous else x.T))
-    except (TypeError, ValueError):
-        return x.__array_interface__["data"][0]
+    __array_interface__, which any other array takes (a read-only one
+    without trying the buffer, whose refusal costs about 1 us).  The
+    buffer is that of a new view (the transpose of a Fortran-ordered x):
+    numpy keeps an exported buffer's shape and strides, about 80 bytes, on
+    the array until it is freed, and a view is freed on return.  Not
+    x.ctypes: its objects form reference cycles, about 0.5 KB of garbage a
+    call that waits for the cyclic collector."""
+    if x.flags.writeable:
+        try:
+            return _addressof(_from_buffer(x.view() if x.flags.c_contiguous else x.T))
+        except (TypeError, ValueError):
+            pass
+    return x.__array_interface__["data"][0]

@@ -1,12 +1,14 @@
 /* The basic procedure's loop, compiled: the driver of basic._drive and the
- * steps of the four schemes, with the bits of the NumPy code; and the QR
- * factorization of every projector build, in one call.
+ * steps of the four schemes, with the bits of the NumPy code; and the
+ * scaling, normalization and QR factorization of every projector build,
+ * in one call.
  *
  * Every operation is the one NumPy or Python performs, in the same order:
  * elementwise arithmetic in IEEE double without contraction (built with
  * -ffp-contract=off and without fast-math), argmin/argmax with NumPy's
  * first-index and first-NaN rules, np.maximum(x, 0.0) returning 0.0 for
- * a signed zero, NumPy's pairwise summation for the positive-part sum,
+ * a signed zero, NumPy's pairwise summation for the positive-part sum
+ * and the column norms,
  * Python's min/max and theta**2 through libm pow.  Every matrix-vector
  * and dot product goes through the same OpenBLAS routines NumPy's matmul
  * calls, with the arguments it passes; bploop.py hands their addresses
@@ -46,11 +48,15 @@
  * Python, given P, z, P z and one block that holds the scheme's state and
  * scratch.
  *
- * bp_qr factors a build's matrix in its own storage with the LAPACK calls
- * of np.linalg.qr: dgeqrf and dorgqr, each after its workspace query and
- * with the workspace that query asks for, so the block size and every bit
- * of Q are numpy's.  It reads the range of |diag R| for the rank test
- * between the two.  Its scratch is the caller's, never allocated here.
+ * bp_basis makes a projector build's basis in one call: it reads A and
+ * the side's diagonal, writes the scaled transpose straight into Q's
+ * storage, divides each column by its norm (NumPy's pairwise sum of the
+ * squares, as np.linalg.norm takes it) and factors the result there with
+ * the LAPACK calls of np.linalg.qr: dgeqrf and dorgqr, each after its
+ * workspace query and with the workspace that query asks for, so the
+ * block size and every bit of Q are numpy's.  It reads the range of
+ * |diag R| for the rank test between the two.  Its scratch is the
+ * caller's, never allocated here.
  */
 
 #include <math.h>
@@ -102,8 +108,56 @@ static blasint workspace(double query, blasint cols)
     return lwork > cols ? lwork : cols;
 }
 
-/* bp_qr's failure codes, one per routine */
-enum { DGEQRF_REJECTED = -1, DORGQR_REJECTED = -2 };
+/* np.maximum(x, 0.0): x when x > 0 or NaN, else the second operand */
+static inline double pos(double x)
+{
+    return (x > 0.0 || isnan(x)) ? x : 0.0;
+}
+
+static inline double square(double x)
+{
+    return x * x;
+}
+
+/* `name`(a, n) is the sum of term(a[i]) over n contiguous entries in
+ * NumPy's pairwise order, from -0.0: np.maximum(a, 0.0).sum() for pos and
+ * (a * a).sum() for square.  One function per term: with one shared
+ * function that took the term as a run-time flag, a 1000-step perceptron
+ * run, whose stop check sums the positive part of P z on every step, took
+ * 2.5 times as long. */
+#define PAIRWISE_SUM(name, term)                                                       \
+    static double name(const double *a, int64_t n)                                    \
+    {                                                                                  \
+        if (n < 8) {                                                                   \
+            double res = -0.0;                                                         \
+            for (int64_t i = 0; i < n; i++)                                            \
+                res += term(a[i]);                                                     \
+            return res;                                                                \
+        }                                                                              \
+        if (n <= 128) {                                                                \
+            double r[8], res;                                                          \
+            int64_t i;                                                                 \
+            for (int j = 0; j < 8; j++)                                                \
+                r[j] = term(a[j]);                                                     \
+            for (i = 8; i < n - (n % 8); i += 8)                                       \
+                for (int j = 0; j < 8; j++)                                            \
+                    r[j] += term(a[i + j]);                                            \
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));   \
+            for (; i < n; i++)                                                         \
+                res += term(a[i]);                                                     \
+            return res;                                                                \
+        }                                                                              \
+        int64_t n2 = n / 2;                                                            \
+        n2 -= n2 % 8;                                                                  \
+        return name(a, n2) + name(a + n2, n - n2);                                     \
+    }
+
+PAIRWISE_SUM(pos_sum, pos)
+PAIRWISE_SUM(sum_squares, square)
+
+/* bp_basis's scalings of the rows of its matrix, and its failure codes */
+enum { UNSCALED = 0, DIVIDE = 1, MULTIPLY = 2 };
+enum { DGEQRF_REJECTED = -1, DORGQR_REJECTED = -2, ZERO_COLUMN = -3 };
 
 static int64_t rejected(double *scratch, blasint info, int64_t code)
 {
@@ -111,22 +165,34 @@ static int64_t rejected(double *scratch, blasint info, int64_t code)
     return code;
 }
 
-/* The reduced QR factorization of the column-major (rows, cols) matrix a,
- * rows >= cols >= 1, in a's own storage, which receives Q.  scratch holds
- * `size` doubles: two for the result, then tau (cols) and the workspace.
- * Returns 0 with min |R_jj| and max |R_jj| in scratch[0] and scratch[1],
- * NaN when any is NaN, as NumPy's min and max give it; the scratch size
- * the call needs, with nothing factored, when `size` is less; or a
- * failure code when a routine rejects an argument, whose number is then
- * in scratch[0]. */
-int64_t bp_qr(int64_t rows, int64_t cols, double *a, double *scratch, int64_t size)
+/* The orthonormal basis of subspace._orthonormal_range_basis for the
+ * column-major (rows, cols) matrix a, rows >= cols >= 1, with its rows
+ * divided by d, multiplied by d or left as they are (mode), written into
+ * q, a column-major (rows, cols) array of the caller's; a is not written.
+ * Each column of q is the scaled column of a, NumPy's elementwise
+ * operation, then divided by its norm, sqrt of the pairwise sum of its
+ * squares as np.linalg.norm(M, axis=0) takes it on a Fortran-ordered M.
+ * The reduced QR factorization of the result is then computed in q with
+ * the LAPACK calls of np.linalg.qr: dgeqrf and dorgqr, each after its
+ * workspace query and with the workspace that query asks for, so the
+ * block size and every bit of Q are numpy's.
+ *
+ * scratch holds `size` doubles: two for the result, then tau (cols) and
+ * the workspace.  Returns 0 with min |R_jj| and max |R_jj| in scratch[0]
+ * and scratch[1], NaN when any is NaN, as NumPy's min and max give it;
+ * the scratch size the call needs, with nothing written, when `size` is
+ * less; ZERO_COLUMN when a scaled column has norm 0; or a failure code
+ * when a routine rejects an argument, whose number is then in
+ * scratch[0]. */
+int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d, int64_t mode,
+                 double *q, double *scratch, int64_t size)
 {
     double *tau = scratch + 2, *work = tau + cols, query[2];
     blasint info, ask = -1, lwork[2];
-    geqrf(&rows, &cols, a, &rows, tau, &query[0], &ask, &info);
+    geqrf(&rows, &cols, q, &rows, tau, &query[0], &ask, &info);
     if (info < 0)
         return rejected(scratch, info, DGEQRF_REJECTED);
-    orgqr(&rows, &cols, &cols, a, &rows, tau, &query[1], &ask, &info);
+    orgqr(&rows, &cols, &cols, q, &rows, tau, &query[1], &ask, &info);
     if (info < 0)
         return rejected(scratch, info, DORGQR_REJECTED);
     lwork[0] = workspace(query[0], cols);
@@ -134,16 +200,27 @@ int64_t bp_qr(int64_t rows, int64_t cols, double *a, double *scratch, int64_t si
     int64_t need = 2 + cols + (lwork[0] > lwork[1] ? lwork[0] : lwork[1]);
     if (size < need)
         return need;
-    geqrf(&rows, &cols, a, &rows, tau, work, &lwork[0], &info);
+    for (int64_t j = 0; j < cols; j++) {
+        const double *aj = a + j * rows;
+        double *restrict qj = q + j * rows;
+        for (int64_t i = 0; i < rows; i++)
+            qj[i] = mode == DIVIDE ? aj[i] / d[i] : mode == MULTIPLY ? aj[i] * d[i] : aj[i];
+        double norm = sqrt(sum_squares(qj, rows));
+        if (norm == 0.0)
+            return ZERO_COLUMN;
+        for (int64_t i = 0; i < rows; i++)
+            qj[i] /= norm;
+    }
+    geqrf(&rows, &cols, q, &rows, tau, work, &lwork[0], &info);
     if (info < 0)
         return rejected(scratch, info, DGEQRF_REJECTED);
-    double lo = fabs(a[0]), hi = lo;
+    double lo = fabs(q[0]), hi = lo;
     for (int64_t j = 1; j < cols; j++) {
-        double d = fabs(a[j * rows + j]);
-        lo = d < lo || isnan(d) ? d : lo;
-        hi = d > hi || isnan(d) ? d : hi;
+        double r = fabs(q[j * rows + j]);
+        lo = r < lo || isnan(r) ? r : lo;
+        hi = r > hi || isnan(r) ? r : hi;
     }
-    orgqr(&rows, &cols, &cols, a, &rows, tau, work, &lwork[1], &info);
+    orgqr(&rows, &cols, &cols, q, &rows, tau, work, &lwork[1], &info);
     if (info < 0)
         return rejected(scratch, info, DORGQR_REJECTED);
     scratch[0] = lo;
@@ -200,39 +277,6 @@ static int64_t argmax(const double *a, int64_t n)
         }
     }
     return best;
-}
-
-/* np.maximum(x, 0.0): x when x > 0 or NaN, else the second operand */
-static inline double pos(double x)
-{
-    return (x > 0.0 || isnan(x)) ? x : 0.0;
-}
-
-/* np.maximum(a, 0.0).sum(): NumPy's pairwise summation */
-static double pos_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += pos(a[i]);
-        return res;
-    }
-    if (n <= 128) {
-        double r[8], res;
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = pos(a[j]);
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += pos(a[i + j]);
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += pos(a[i]);
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pos_sum(a, n2) + pos_sum(a + n2, n - n2);
 }
 
 /* The stop check's scan: min(P z), max(P z) and max(z) in one pass, on

@@ -1,5 +1,5 @@
-"""The basic procedure's loop and the projector builds' QR factorization,
-compiled from bploop.c.
+"""The basic procedure's loop and the projector builds' scaling,
+normalization and QR factorization, compiled from bploop.c.
 
 `basic` runs a scheme through `run` when `accepts(P, n)`: the library
 loaded and P is an aligned C-contiguous float64 (n, n) array.  The compiled loop
@@ -8,10 +8,12 @@ driver `basic._drive`, with every bit of its results and the same
 failures.  `run` allocates P z and the block of the scheme's state, whose
 rows per scheme `_BLOCK_ROWS` gives beside `bp_run`'s signature, and
 rejects any other scheme number before it calls the library.
-`subspace` factors every projector build through `qr` when the library
-loads: one call that runs LAPACK's `dgeqrf` and `dorgqr`, each after its
-workspace query, in the caller's Fortran-ordered array, with the bits of
-`np.linalg.qr`.
+`subspace` makes the basis of every projector build of a C-ordered A
+through `basis` when the library loads: one call that scales A's
+transpose by the side's diagonal into a new Fortran-ordered Q,
+normalizes its columns as `np.linalg.norm` and a division do, and runs
+LAPACK's `dgeqrf` and `dorgqr` there, each after its workspace query,
+with the bits of the NumPy route (`subspace._numpy_range_basis`).
 
 The library is built on first use, never at import, with the system C
 compiler, and cached beside the source in `__pycache__` under a name
@@ -22,8 +24,8 @@ processes that build at once never see a partial file.  When that
 directory cannot be written the build goes to a temporary directory of
 this process.  Without a compiler, without numpy's CBLAS or LAPACK symbols
 (`blas.symbols`) or when the build fails, `library()` is
-None: `accepts` is false and the Python driver runs, and a build factors
-a copy through `np.linalg.qr`, with the same bits.  Both calls run
+None: `accepts` is false and the Python driver runs, and a build takes
+the NumPy route, with the same bits.  Both calls run
 without the interpreter lock.
 """
 
@@ -128,9 +130,9 @@ def _load():
     lib.bp_run.restype = i
     # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, block, mu0
     lib.bp_run.argtypes = [i, i, p, p, p, d, i, i, p, p, d]
-    lib.bp_qr.restype = i
-    # rows, cols, a, scratch, size
-    lib.bp_qr.argtypes = [i, i, p, p, i]
+    lib.bp_basis.restype = i
+    # rows, cols, a, d, mode, q, scratch, size
+    lib.bp_basis.argtypes = [i, i, p, p, i, p, p, i]
     return lib
 
 
@@ -188,40 +190,63 @@ def _run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: 
     return code, iters.value
 
 
-# doubles of bp_qr scratch a column, after its two result slots: tau and
-# 32 of workspace, the block size whose workspace numpy's OpenBLAS asks
-# for at every shape measured (1 x 1 to 5000 x 3000).  A LAPACK that asks
-# for more costs a second call.
-_QR_SCRATCH_PER_COLUMN = 33
-_QR_ROUTINES = {-1: "dgeqrf", -2: "dorgqr"}
+# doubles of bp_basis scratch a column, after its two result slots: tau
+# and 32 of workspace, the block size whose workspace numpy's OpenBLAS
+# asks for at every shape measured (1 x 1 to 5000 x 3000).  A LAPACK that
+# asks for more costs a second call.
+_BASIS_SCRATCH_PER_COLUMN = 33
+# bp_basis's row scalings and failure codes (bploop.c)
+_UNSCALED, _DIVIDE, _MULTIPLY = 0, 1, 2
+_ZERO_COLUMN = -3
+_BASIS_ROUTINES = {-1: "dgeqrf", -2: "dorgqr"}
 
 
-def qr(M: np.ndarray):
-    """`bp_qr` (bploop.c) on M, a writeable Fortran-contiguous float64
-    matrix with at least as many rows as columns and one column or more,
-    which is overwritten with the orthonormal factor Q of its reduced QR
-    factorization.  Returns the min and max of |diag R| (NumPy float64),
-    read before Q is formed.  Needs the library; ValueError for any
-    other M."""
+def basis(M, scale=None, divide: bool = False):
+    """`bp_basis` (bploop.c): the orthonormal basis of
+    `subspace._orthonormal_range_basis` for M with its rows divided by
+    scale (divide) or multiplied by it, or unscaled when scale is None.
+    M is a Fortran-contiguous float64 matrix with at least as many rows as
+    columns and one column or more, and is not written; scale is a
+    contiguous float64 vector with one entry a row.  Returns (Q, min |diag
+    R|, max |diag R|): Q the orthonormal factor of the reduced QR
+    factorization of the scaled M with each column divided by its norm, a
+    new Fortran-ordered array, and the range NumPy float64s read before Q
+    is formed; or (None, None, None) when a scaled column has norm 0.
+    Needs the library; ValueError for any other M or scale."""
     if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2):
-        raise ValueError("qr needs a 2-D float64 array")
-    if not (M.flags.f_contiguous and M.flags.writeable):
-        raise ValueError("qr needs a writeable Fortran-contiguous array")
+        raise ValueError("basis needs a 2-D float64 array")
+    if not (M.flags.f_contiguous and M.flags.aligned):
+        raise ValueError("basis needs an aligned Fortran-contiguous array")
     rows, cols = M.shape
     if not rows >= cols >= 1:
-        raise ValueError(f"qr needs rows >= columns >= 1, got {rows} x {cols}")
-    return _qr(rows, cols, blas._address(M))
+        raise ValueError(f"basis needs rows >= columns >= 1, got {rows} x {cols}")
+    address = blas._address
+    if scale is None:
+        mode, d = _UNSCALED, None
+    elif (isinstance(scale, np.ndarray) and scale.dtype == np.float64
+          and scale.shape == (rows,) and scale.flags.c_contiguous and scale.flags.aligned):
+        mode, d = _DIVIDE if divide else _MULTIPLY, address(scale)
+    else:
+        raise ValueError(f"basis needs a contiguous float64 scale of {rows} entries")
+    Q = np.empty((rows, cols), order="F")
+    out = _basis(rows, cols, address(M), d, mode, address(Q))
+    return (None, None, None) if out is None else (Q, *out)
 
 
-def _qr(rows: int, cols: int, a: int):
-    bp_qr, address = library().bp_qr, blas._address
-    scratch = np.empty(2 + _QR_SCRATCH_PER_COLUMN * cols)
-    code = bp_qr(rows, cols, a, address(scratch), scratch.size)
+def _basis(rows: int, cols: int, a: int, d, mode: int, q: int):
+    """`bp_basis` on the addresses of the matrix, the scale (None when
+    unscaled) and Q, unchecked: (min |diag R|, max |diag R|), or None for
+    a zero column; ValueError when LAPACK rejects an argument."""
+    bp_basis, address = library().bp_basis, blas._address
+    scratch = np.empty(2 + _BASIS_SCRATCH_PER_COLUMN * cols)
+    code = bp_basis(rows, cols, a, d, mode, q, address(scratch), scratch.size)
     if code > 0:
         scratch = np.empty(code)
-        code = bp_qr(rows, cols, a, address(scratch), scratch.size)
+        code = bp_basis(rows, cols, a, d, mode, q, address(scratch), scratch.size)
+    if code == _ZERO_COLUMN:
+        return None
     if code < 0:
-        raise ValueError(f"LAPACK {_QR_ROUTINES[code]} rejected argument {scratch[0]:.0f}")
+        raise ValueError(f"LAPACK {_BASIS_ROUTINES[code]} rejected argument {scratch[0]:.0f}")
     # NumPy scalars, as np.min gives them: Python floats raised the
     # allocation peak of some controlled (100, 200) solves by 24 bytes
     return scratch[0], scratch[1]

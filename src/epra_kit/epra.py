@@ -39,6 +39,15 @@ _ALPHA_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 
 
+def check_cap(U) -> None:
+    """The rule for U, the rescaling cap and the partition threshold of
+    solves and of their verification: U exceeds 1 and is finite, else
+    ValueError.  A U of inf caps no rescaling and makes the partition test
+    of identify_partition compare with 0."""
+    if not 1.0 < U < np.inf:
+        raise ValueError(f"U must exceed 1 and be finite, got {U}")
+
+
 @dataclass(frozen=True)
 class EpraConfig:
     """Solver settings, frozen once checked; `BpConfig` checks epsilon and scheme."""
@@ -51,10 +60,7 @@ class EpraConfig:
     rescale_mode: str = ALL_DIRECTIONS
 
     def __post_init__(self):
-        # a U of inf caps no rescaling and makes the partition test of
-        # identify_partition compare with 0
-        if not 1.0 < self.U < np.inf:
-            raise ValueError(f"U must exceed 1 and be finite, got {self.U}")
+        check_cap(self.U)
         check_count("max_rounds", self.max_rounds, least=1)
         check_count("bp_max_iters", self.bp_max_iters)
         if self.rescale_mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):
@@ -97,12 +103,11 @@ def identify_partition(x, x_hat, U: float):
     one side contributes nothing to its set).  Returns (B, N, is_partition)
     where is_partition means B and N are disjoint and cover every index.
     """
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    b_mask = np.abs(x_hat) < np.max(np.abs(x_hat)) / U
-    n_mask = np.abs(x) < np.max(np.abs(x)) / U
-    is_partition = bool(np.all(b_mask ^ n_mask))
-    return np.nonzero(b_mask)[0], np.nonzero(n_mask)[0], is_partition
+    ax = np.abs(np.asarray(x, dtype=float))
+    ax_hat = np.abs(np.asarray(x_hat, dtype=float))
+    b_mask = ax_hat < ax_hat.max() / U
+    n_mask = ax < ax.max() / U
+    return b_mask.nonzero()[0], n_mask.nonzero()[0], bool((b_mask ^ n_mask).all())
 
 
 def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray:
@@ -117,12 +122,17 @@ def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray
     D = np.asarray(D, dtype=float)
     if mode == ALL_DIRECTIONS:
         Pz = np.asarray(Pz, dtype=float)
-        alpha = max(float(np.sum(np.maximum(Pz, 0.0))), _ALPHA_FLOOR)
-        e = np.maximum(z / alpha - 1.0, 0.0)
-        return np.minimum((1.0 + e) * D, U)
+        alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR)
+        # (1 + max(z / alpha - 1, 0)) D, capped at U, in one array of its own
+        e = z / alpha
+        e -= 1.0
+        np.maximum(e, 0.0, out=e)
+        e += 1.0
+        e *= D
+        return np.minimum(e, U, out=e)
     if mode == SINGLE_DIRECTION:
         out = D.copy()
-        i = int(np.argmax(z))
+        i = int(z.argmax())
         out[i] = min(2.0 * D[i], U)
         return out
     raise ValueError(f"unknown rescale mode {mode!r}")
@@ -215,7 +225,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
             # the index structure alone is not enough: accept only when the
             # sign half of the certificate holds too, otherwise the returned
             # pair would fail verification
-            if bool(np.all(x[B] > 0.0)) and bool(np.all(x_hat[N] > 0.0)):
+            if (x[B] > 0.0).all() and (x_hat[N] > 0.0).all():
                 return result(PARTITION_FOUND, x, x_hat, B, N)
             if allow_refine and len(B) and len(N):
                 key = (B.tobytes(), N.tobytes())
@@ -237,7 +247,7 @@ def _solve(inst: Instance, cfg: EpraConfig, allow_refine: bool) -> EpraResult:
             D_new = rescale_update(out_p.z, out_p.Pz, D, cfg.U, cfg.rescale_mode)
         if out_d.status == RESCALE_READY:
             D_hat_new = rescale_update(out_d.z, out_d.Pz, D_hat, cfg.U, cfg.rescale_mode)
-        if np.array_equal(D_new, D) and np.array_equal(D_hat_new, D_hat):
+        if (D_new == D).all() and (D_hat_new == D_hat).all():
             return result(STALLED, x, x_hat, B, N)
         D, D_hat = D_new, D_hat_new
         rounds += 1

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import epra
 from .basic import check_count
-from .epra import EpraResult, TRIVIAL_PRIMAL
+from .epra import EpraResult, TRIVIAL_PRIMAL, check_cap
 from .exceptions import DimensionMismatch, NoFeasibleStart, ZeroVector
 from .instances import gen_naive, instance_seed, nullspace_basis
 from .subspace import (RESIDUAL_TOL, Instance, is_partition, projector_from_kernel,
@@ -82,7 +82,9 @@ def verify_relint_pair(
     instance.  (B, N) must partition the indices: when it does not,
     positivity_ok and relint_ok are false.  When the instance carries a
     ground-truth partition, the result's (B, N) is compared against it.
+    U must exceed 1 and be finite, as in `EpraConfig`, else ValueError.
     """
+    check_cap(U)
     x = np.asarray(result.x, dtype=float)
     x_hat = np.asarray(result.x_hat, dtype=float)
     if x_hat.shape != (inst.n,):

@@ -4,7 +4,10 @@ A subspace L of R^n is stored as the kernel of a full-row-rank matrix A
 (m x n, m <= n).  The projector onto L and the projector onto the row space
 Im(A^T) = L-perp are obtained from a QR factorization of A^T.  Diagonal
 rescalings D, D_hat act on the primal and dual sides independently:
-D(L) = ker(A D^{-1}) and D_hat(L-perp) = Im(D_hat A^T).
+D(L) = ker(A D^{-1}) and D_hat(L-perp) = Im(D_hat A^T).  Each side's
+basis is made in one compiled call where the library loads
+(`bploop.basis`: scale, normalize and factor, straight from A and the
+diagonal), and otherwise by the NumPy route, with the same bits.
 
 Index sets in file formats are 1-based; in-memory arrays are 0-based.
 """
@@ -34,7 +37,7 @@ def as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={A.ndim}")
-    if A.size and not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -167,47 +170,58 @@ def _built(Q: Optional[np.ndarray], side: str) -> np.ndarray:
     return Q
 
 
-def _orthonormal_range_basis(M: np.ndarray, owned: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of M: the Q of the
-    reduced QR factorization of M with its columns normalized, the one
-    factorization of every build.
+def _orthonormal_range_basis(M: np.ndarray, scale=None, divide: bool = False) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space of M with its rows
+    divided by scale (divide) or multiplied by it (scale None: M itself):
+    the Q of the reduced QR factorization of that matrix with its columns
+    normalized, the one factorization of every build.  M is never written.
 
     Normalizing leaves the column space (and therefore the projector built
     from the basis) unchanged but keeps the rank test meaningful when
-    rescaling has scaled columns by many orders of magnitude.  M must then
-    have full column rank within RANK_TOL, measured on the diagonal of the
-    triangular factor relative to its largest magnitude entry; a NaN on
-    that diagonal (from a NaN or infinite entry of M) fails the test too.
+    rescaling has scaled columns by many orders of magnitude.  The scaled
+    M must then have full column rank within RANK_TOL, measured on the
+    diagonal of the triangular factor relative to its largest magnitude
+    entry; a NaN on that diagonal (from a NaN or infinite entry) fails the
+    test too.
 
-    With the compiled library (`bploop.qr`) the normalized matrix is
-    factored in its own storage, which becomes Q: M itself when owned=True
-    (M is a scratch array of the caller's) and M is Fortran-contiguous (the
-    scaled transpose of a C-ordered A), else one fresh Fortran-ordered
-    array.  Without it (no C compiler, or no LAPACK symbols in numpy)
-    `np.linalg.qr` factors a copy, normalized in place when owned.  Both
-    give the same bits.
+    With the compiled library, a Fortran-contiguous M (the transpose of a
+    C-ordered A) with at least as many rows as columns is scaled,
+    normalized and factored in one call, `bploop.basis`, straight into Q's
+    storage.  Any other M, and every M without the library (no C compiler,
+    or no LAPACK symbols in numpy), takes the NumPy route,
+    `_numpy_range_basis`.  Both give the same bits.
     """
     n, m = M.shape
     if m == 0:
         return np.zeros((n, 0))
-    # the norms are taken on M as laid out, which fixes their bits
-    norms = np.linalg.norm(M, axis=0)
-    if np.any(norms == 0.0):
-        raise RankDeficient("matrix has a zero column")
-    if bploop.library() is None:
-        Q, R = np.linalg.qr(np.divide(M, norms, out=M if owned else None), mode="reduced")
-        diag = np.abs(np.diagonal(R))
-        dmin, dmax = np.min(diag), np.max(diag)
+    if M.flags.f_contiguous and n >= m and bploop.library() is not None:
+        Q, dmin, dmax = bploop.basis(M, scale, divide)
     else:
-        Q = M if owned and M.flags.f_contiguous else np.empty(M.shape, order="F")
-        np.divide(M, norms, out=Q)
-        dmin, dmax = bploop.qr(Q)
+        Q, dmin, dmax = _numpy_range_basis(M, scale, divide)
+    if Q is None:
+        raise RankDeficient("matrix has a zero column")
     if not (dmax > 0.0 and dmin >= RANK_TOL * dmax):
         raise RankDeficient(
             f"matrix is rank deficient within {RANK_TOL:g} "
             f"(diagonal range [{dmin:.3e}, {dmax:.3e}])"
         )
     return Q
+
+
+def _numpy_range_basis(M: np.ndarray, scale, divide: bool):
+    """The NumPy route of `_orthonormal_range_basis`, and the bytewise
+    reference of `bploop.basis`: (Q, min |diag R|, max |diag R|), or
+    (None, None, None) when a scaled column has norm 0.  The norms are
+    taken on the scaled M as laid out, which fixes their bits."""
+    if scale is not None:
+        M = M / scale[:, None] if divide else M * scale[:, None]
+    norms = np.linalg.norm(M, axis=0)
+    if (norms == 0.0).any():
+        return None, None, None
+    # a scaled M is this call's own, so it is normalized in place
+    Q, R = np.linalg.qr(np.divide(M, norms, out=None if scale is None else M), mode="reduced")
+    diag = np.abs(np.diagonal(R))
+    return Q, diag.min(), diag.max()
 
 
 def _svd_rank(M: np.ndarray):
@@ -258,25 +272,22 @@ def rescaled_projectors(A, D, D_hat) -> ProjectorPair:
     D_hat = _diagonal(D_hat, n)
     At = A.T
     with small_problem_threads(m, n):
-        # the scaled transposes are this call's own, so each is normalized
-        # (and, for a C-ordered A, factored) in place; A itself is never
-        # written
-        Q = None if D is None else _orthonormal_range_basis(At / D[:, None], owned=True)
-        Q_hat = None if D_hat is None else _orthonormal_range_basis(
-            At * D_hat[:, None], owned=True)
+        Q = None if D is None else _orthonormal_range_basis(At, D, divide=True)
+        Q_hat = None if D_hat is None else _orthonormal_range_basis(At, D_hat)
     return ProjectorPair(Q=Q, Q_hat=Q_hat)
 
 
 def _diagonal(D, n: int) -> Optional[np.ndarray]:
-    """D as a positive, finite length-n float vector; None stays None."""
+    """D as a positive, finite, contiguous length-n float vector; None
+    stays None."""
     if D is None:
         return None
     D = np.asarray(D, dtype=float)
     if D.shape != (n,):
         raise DimensionMismatch("rescaling diagonals must have length n")
-    if not (np.all(D > 0.0) and np.all(np.isfinite(D))):
+    if not ((D > 0.0) & (D < np.inf)).all():
         raise ValueError("rescaling diagonals must be strictly positive and finite")
-    return D
+    return np.ascontiguousarray(D)
 
 
 def _outer(Q: np.ndarray) -> np.ndarray:

@@ -208,14 +208,17 @@ def test_no_op_without_setter(monkeypatch):
 
 @pytest.mark.skipif(bploop.compiler() is None or blas.symbols() is None,
                     reason="no C compiler, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
-def test_builds_take_the_compiled_qr_wherever_it_builds():
+def test_builds_take_the_compiled_basis_wherever_it_builds(monkeypatch):
     # fails, not skips: where `bploop._load` finds what it needs, a library
     # that does not load would drop every build to np.linalg.qr without a
     # word
     assert blas.symbols() is not None and bploop.library() is not None
+    calls = []
+    basis = bploop.basis
+    monkeypatch.setattr(bploop, "basis", lambda *args: calls.append(1) or basis(*args))
     M = np.asfortranarray(np.random.default_rng(2).standard_normal((9, 4)))
-    Q = subspace._orthonormal_range_basis(M, owned=True)
-    assert Q is M
+    Q = subspace._orthonormal_range_basis(M)
+    assert calls == [1] and Q.flags.f_contiguous and not np.shares_memory(Q, M)
 
 
 def test_numpys_bundled_openblas_exports_the_four_symbols():
@@ -239,9 +242,15 @@ QR_SHAPES = [(1, 1), (2, 1), (8, 8), (9, 4), (64, 63), (129, 128), (200, 100), (
              (300, 200), (500, 300), (1000, 100)]
 
 
+def numpy_route(M, scale=None, divide=False):
+    """(Q, lo, hi) of the NumPy route, the bytewise reference of bploop.basis"""
+    return subspace._numpy_range_basis(M, scale, divide)
+
+
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
-class TestQrInPlace:
-    """bploop.qr: the compiled factorization of every projector build."""
+class TestBasis:
+    """bploop.basis: the compiled scaling, normalization and factorization
+    of every projector build."""
 
     @pytest.mark.parametrize("M", [
         np.ones((4, 2)),                        # C-ordered
@@ -250,26 +259,33 @@ class TestQrInPlace:
         np.ones((4, 0), order="F"),
         np.ones(4),
     ])
-    def test_rejects_what_lapack_cannot_take_in_place(self, M):
+    def test_rejects_what_it_cannot_read_in_place(self, M):
         before = M.copy()
         with pytest.raises(ValueError):
-            bploop.qr(M)
+            bploop.basis(M)
         assert M.tobytes() == before.tobytes()
 
-    def test_rejects_read_only(self):
-        M = np.ones((4, 2), order="F")
+    @pytest.mark.parametrize("scale", [np.ones(3), np.ones(4, dtype=np.float32),
+                                       np.ones(8)[::2], [1.0] * 4])
+    def test_rejects_a_scale_it_cannot_read(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            bploop.basis(np.ones((4, 2), order="F"), scale)
+
+    def test_reads_a_read_only_matrix_and_never_writes_it(self):
+        M = np.asfortranarray(scaled_columns((9, 4), 3))
+        before = M.tobytes(order="A")
         M.flags.writeable = False
-        with pytest.raises(ValueError):
-            bploop.qr(M)
+        Q, lo, hi = bploop.basis(M, np.linspace(1.0, 3.0, 9), divide=True)
+        assert M.tobytes(order="A") == before and not np.shares_memory(Q, M)
 
     def test_raises_on_negative_info(self):
-        # arguments the checks of bploop.qr would stop, passed to the
+        # arguments the checks of bploop.basis would stop, passed to the
         # library as they are: LAPACK itself rejects them
         M = np.ones((2, 4), order="F")
         with pytest.raises(ValueError, match="dgeqrf rejected argument 1$"):
-            bploop._qr(-1, 1, blas._address(M))
+            bploop._basis(-1, 1, blas._address(M), None, 0, blas._address(M))
         with pytest.raises(ValueError, match="dorgqr rejected argument 2$"):
-            bploop._qr(2, 4, blas._address(M))
+            bploop._basis(2, 4, blas._address(M), None, 0, blas._address(M))
 
     def test_leaves_nothing_for_the_cyclic_collector(self):
         # ndarray.ctypes objects form reference cycles: a call that made
@@ -278,40 +294,47 @@ class TestQrInPlace:
         gc.collect()
         gc.disable()
         try:
-            bploop.qr(M)
+            bploop.basis(M)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_matches_numpy_qr_bitwise(self):
+    @staticmethod
+    def assert_same(got, want, label):
+        Q, lo, hi = got
+        assert Q.flags.f_contiguous, label
+        assert Q.tobytes(order="A") == want[0].tobytes(order="F"), label
+        assert (np.float64(lo).tobytes(), np.float64(hi).tobytes()) == (
+            np.float64(want[1]).tobytes(), np.float64(want[2]).tobytes()), label
+
+    def test_matches_the_numpy_route_bitwise(self):
         for shape in QR_SHAPES:
             for seed in range(4):
-                M = scaled_columns(shape, seed)
-                Q, R = np.linalg.qr(M, mode="reduced")
-                diag = np.abs(np.diagonal(R))
-                F = np.asfortranarray(M)
-                lo, hi = bploop.qr(F)
-                assert F.tobytes(order="C") == Q.tobytes(), (shape, seed)
-                assert (np.float64(lo).tobytes(), np.float64(hi).tobytes()) == (
-                    np.min(diag).tobytes(), np.max(diag).tobytes()), (shape, seed)
+                F = np.asfortranarray(scaled_columns(shape, seed))
+                D = np.exp(np.random.default_rng(seed).uniform(-8.0, 8.0, shape[0]))
+                for scale, divide in ((None, False), (D, True), (D, False)):
+                    self.assert_same(bploop.basis(F, scale, divide),
+                                     numpy_route(F, scale, divide), (shape, seed, divide))
 
     def test_short_scratch_is_asked_for_again(self, monkeypatch):
         # a LAPACK that asks for more workspace than the first guess gets
         # it on a second call, with the same bits
-        monkeypatch.setattr(bploop, "_QR_SCRATCH_PER_COLUMN", 1)
-        M = scaled_columns((200, 100), 7)
-        Q, R = np.linalg.qr(M, mode="reduced")
-        F = np.asfortranarray(M)
-        assert bploop.qr(F) == (np.min(np.abs(np.diagonal(R))), np.max(np.abs(np.diagonal(R))))
-        assert F.tobytes(order="C") == Q.tobytes()
+        monkeypatch.setattr(bploop, "_BASIS_SCRATCH_PER_COLUMN", 1)
+        F = np.asfortranarray(scaled_columns((200, 100), 7))
+        self.assert_same(bploop.basis(F), numpy_route(F), "short scratch")
 
     def test_nan_range_as_numpy_gives_it(self):
         M = np.asfortranarray(np.eye(5, 3) + 1.0)
         M[2, 1] = np.nan
-        lo, hi = bploop.qr(M)
+        _, lo, hi = bploop.basis(M)
         assert np.isnan(lo) and np.isnan(hi)
 
-    def test_compiled_run_and_qr_leave_nothing_for_the_cyclic_collector(self):
+    def test_zero_column(self):
+        M = np.asfortranarray(np.eye(5, 3) + 1.0)
+        M[:, 2] = 0.0
+        assert bploop.basis(M) == (None, None, None) == numpy_route(M)
+
+    def test_compiled_run_and_basis_leave_nothing_for_the_cyclic_collector(self):
         P = subspace.projector_from_kernel(
             np.random.default_rng(4).standard_normal((5, 12))).P
         M = np.asfortranarray(np.eye(6, 3) + 1.0)
@@ -320,7 +343,7 @@ class TestQrInPlace:
         try:
             for scheme in basic.SCHEMES:
                 basic.run_scheme(P, np.full(12, 1.0 / 12), basic.BpConfig(scheme=scheme))
-            bploop.qr(M)
+            bploop.basis(M)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -164,6 +164,17 @@ class TestSolveAndVerify:
         assert report["relint_ok"] is True
         assert report["partition_matches_ground_truth"] is True
 
+    @pytest.mark.parametrize("U", ["0.5", "inf", "nan", "-1"])
+    def test_verify_rejects_a_U_that_is_not_finite_above_1(self, tmp_path, capsys, U):
+        inst = self._gen(tmp_path, family="partitioned", n="30", seed="0")
+        out = tmp_path / "res.json"
+        assert run("solve", "--instance", str(inst), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--result", str(out), "--U", U) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "U must exceed 1 and be finite" in captured.err
+
     def test_verify_prints_the_report_fields_in_order(self, tmp_path, capsys):
         inst = self._gen(tmp_path)
         out = tmp_path / "res.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epra_kit import subspace
-from epra_kit.epra import solve
+from epra_kit.epra import EpraConfig, solve
 from epra_kit.exceptions import DimensionMismatch, NoFeasibleStart, RankDeficient, ZeroVector
 from epra_kit.instances import gen_controlled, gen_partitioned, nullspace_basis
 from epra_kit.oracle import (
@@ -219,6 +219,18 @@ class TestVerifyRelintPair:
         rep2 = verify_relint_pair(dataclasses.replace(inst, meta=swapped), res, U=1e10)
         assert rep2.partition_matches_ground_truth is False
 
+
+    @pytest.mark.parametrize("U", [0.5, 1.0, np.inf, np.nan, -1.0])
+    def test_U_outside_the_solver_rule_rejected(self, U):
+        # EpraConfig's rule: at U = 0.5 this correct result read relint_ok
+        # True, and at inf, NaN and -1 False, with no error
+        inst = gen_partitioned(30, seed=0)
+        res = solve(inst)
+        assert verify_relint_pair(inst, res, U=1e10).relint_ok
+        with pytest.raises(ValueError, match="U must exceed 1 and be finite"):
+            verify_relint_pair(inst, res, U=U)
+        with pytest.raises(ValueError, match="U must exceed 1 and be finite"):
+            EpraConfig(U=U)
 
 class TestMonteCarlo:
     def test_wide_kernel_is_nearly_always_feasible(self):

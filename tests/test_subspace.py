@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -679,3 +680,150 @@ class TestSharedRules:
     def test_instance_without_rows_takes_any_positive_point(self):
         meta = InstanceMeta(known_interior_point=np.array([1.0, 0.5, 0.25]))
         assert Instance(np.zeros((0, 3)), meta).meta is meta
+
+
+def pairwise_sum(a):
+    """NumPy's pairwise summation of a 1-D float array from -0.0, the
+    order `bploop.c` `pairwise` follows."""
+    n = len(a)
+    if n < 8:
+        res = -0.0
+        for x in a:
+            res += x
+        return res
+    if n <= 128:
+        r = [float(x) for x in a[:8]]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += a[i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[i:]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise_sum(a[:n2]) + pairwise_sum(a[n2:])
+
+
+# rows on each branch of the pairwise sum: below 8, 8 to 128, above 128
+ROWS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
+FAULTS = ("none", "zero column", "nan in A", "inf in A", "-inf in A", "nan in D", "inf in D")
+
+
+@st.composite
+def basis_inputs(draw):
+    """(M, scale, divide, fault): a Fortran-ordered (rows, cols) M, the
+    transpose of a C-ordered A, some columns scaled by 1e+-150 so that
+    their squares overflow or underflow, a diagonal or None, and at most
+    one fault."""
+    rows = draw(ROWS)
+    cols = draw(st.integers(1, min(rows, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((cols, rows))
+    scaled = rng.choice(cols, size=draw(st.integers(0, min(cols, 3))), replace=False)
+    A[scaled] *= 10.0 ** rng.choice([-150.0, 150.0], size=scaled.size)[:, None]
+    mode = draw(st.sampled_from(["unscaled", "divide", "multiply"]))
+    scale = None if mode == "unscaled" else np.exp(rng.uniform(-8.0, 8.0, rows))
+    fault = draw(st.sampled_from(FAULTS if scale is not None else FAULTS[:5]))
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    if fault == "zero column":
+        A[j] = 0.0
+    elif fault.endswith("in A"):
+        A[j, i] = float(fault.split()[0])
+    elif fault.endswith("in D"):
+        scale[i] = float(fault.split()[0])
+    return A.T, scale, mode == "divide", fault
+
+
+def outcome(fn, *args):
+    """fn's result bytes, or the type and message of what it raised"""
+    try:
+        with np.errstate(all="ignore"):
+            Q = fn(*args)
+    except (RankDeficient, ValueError) as exc:
+        return type(exc), str(exc)
+    return Q.shape, Q.tobytes()
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
+class TestCompiledBasisMatchesNumpyRoute:
+    """`bploop.basis`, which scales, normalizes and factors each side in
+    one call, against the NumPy route it replaces, bytewise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(basis_inputs())
+    def test_same_bytes_or_same_error(self, case):
+        M, scale, divide, _ = case
+        compiled = outcome(subspace._orthonormal_range_basis, M, scale, divide)
+        with mock.patch.object(bploop, "library", lambda: None):
+            numpy_route = outcome(subspace._orthonormal_range_basis, M, scale, divide)
+        assert compiled == numpy_route
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis_inputs())
+    def test_builder_faults_raise_the_checks_errors(self, case):
+        # through rescaled_projectors a NaN or infinite entry of A or of a
+        # diagonal is stopped by the checks, whichever route factors
+        M, scale, divide, fault = case
+        if scale is None:
+            scale = np.ones(M.shape[0])
+        diagonals, side = ((scale, None), "Q") if divide else ((None, scale), "Q_hat")
+
+        def build():
+            return getattr(rescaled_projectors(M.T, *diagonals), side)
+
+        compiled = outcome(build)
+        with mock.patch.object(bploop, "library", lambda: None):
+            numpy_route = outcome(build)
+        assert compiled == numpy_route
+        if fault in ("nan in A", "inf in A", "-inf in A"):
+            assert compiled == (ValueError, "matrix entries must be finite")
+        elif fault in ("nan in D", "inf in D"):
+            assert compiled == (ValueError,
+                                "rescaling diagonals must be strictly positive and finite")
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis_inputs())
+    def test_numpy_norm_is_the_pairwise_sum(self, case):
+        # the column norms of bp_basis are sqrt(-0.0 + the pairwise sum of
+        # the squares); a numpy that reorders its reduction fails here
+        M, scale, divide, _ = case
+        if scale is not None:
+            M = M / scale[:, None] if divide else M * scale[:, None]
+        with np.errstate(all="ignore"):
+            squares = M * M
+            ours = np.sqrt([-0.0 + pairwise_sum(squares[:, j]) for j in range(M.shape[1])])
+            assert ours.tobytes() == np.linalg.norm(M, axis=0).tobytes()
+
+    @pytest.mark.parametrize("A", [
+        np.asfortranarray(np.random.default_rng(3).standard_normal((5, 12))),
+        np.random.default_rng(3).standard_normal((5, 24))[:, ::2],
+        np.zeros((0, 6)),
+    ], ids=["F-ordered", "strided", "no rows"])
+    def test_other_layouts_take_the_numpy_route(self, A, monkeypatch):
+        monkeypatch.setattr(bploop, "basis", mock.Mock(side_effect=AssertionError))
+        D = np.linspace(1.0, 4.0, A.shape[1])
+        pair = rescaled_projectors(A, D, D)
+        P, P_hat = reference_rescaled_projectors(A, D, D)
+        assert pair.P.tobytes() == P.tobytes() and pair.P_hat.tobytes() == P_hat.tobytes()
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="np.linalg.qr factors a copy")
+def test_one_sided_build_allocates_its_basis_and_scratch_only():
+    # Q (160,000 B) and the factorization's scratch (26,416 B): no scaled
+    # transpose, and no squared temporary for the column norms, which took
+    # the peak to 322,520 B
+    rng = np.random.default_rng(5)
+    A, D = rng.standard_normal((100, 200)), 1.0 + rng.random(200)
+    rescaled_projectors(A, D, None)  # first-call allocations
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pair = rescaled_projectors(A, D, None)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert pair.Q.shape == (200, 100) and peak <= 200_000
