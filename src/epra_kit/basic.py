@@ -183,13 +183,15 @@ _STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
 
 def _run(scheme: int, P, z, cfg: BpConfig, callback, start, refresh=_REFRESH) -> BpOutcome:
     """Run scheme number `scheme` from the checked start z.  Without a
-    callback, on a P it accepts, `bploop.run` does the scheme's set-up and
+    callback, on a P it takes, `bploop.run` does the scheme's set-up and
     its loop, in state it allocates; else start(z) makes the set-up's z and
     P z and the step for _drive.  A set-up failure carries iterations = 0
     on both paths, and neither path raises floating-point warnings in the
     set-up."""
-    if callback is None and bploop.accepts(P, z.size):
-        code, t, Pz = bploop.run(scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)
+    compiled = None if callback is not None else bploop.run(
+        scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)
+    if compiled is not None:
+        code, t, Pz = compiled
         if code < 0:
             error = _failure(code)
             error.iterations = t

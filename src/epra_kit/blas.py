@@ -8,7 +8,10 @@ threads and 3.0 ms on one, and the idle worker's spinning doubled the
 process CPU time.  `small_problem_threads` runs a block on one thread
 when the matrix has at most SINGLE_THREAD_MAX_ENTRIES entries and leaves
 the threading alone otherwise; it restores the caller's thread count on
-the way out.
+the way out.  A block entered by a thread already inside the policy
+(each later round's side enters once in its build and once in
+`epra.solve`) changes nothing: a thread-local flag sends it past the lock
+and the setter.
 
 The setter is numpy's bundled OpenBLAS `openblas_set_num_threads_local`,
 which returns the count it replaces.  It is looked up on first use, not at
@@ -21,20 +24,18 @@ two threads gave the same result bits.
 
 `symbols` gives the addresses of the CBLAS `dgemv` and `ddot` that
 numpy's matmul calls and of the LAPACK `dgeqrf` and `dorgqr` that
-`np.linalg.qr` calls, for the compiled library (`bploop`), which runs the
-basic procedure's loop and factors each projector's matrix in its own
-storage.  This module is the one place that knows the symbol names and
-the integer width of numpy's build.
+`np.linalg.qr` calls, which the compiled module (`bploop`) is bound to
+when it loads: it runs the basic procedure's loop and factors each
+projector's matrix in its own storage with them.  This module is the one
+place that knows the symbol names and the integer width of numpy's build.
 """
 
 import ctypes
 import functools
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Callable, Optional
-
-import numpy as np
 
 # m * n at or below which a problem runs on one thread.  Measured on the
 # host above with naive instances, n = 1000 (median wall time of a solve,
@@ -46,10 +47,13 @@ import numpy as np
 SINGLE_THREAD_MAX_ENTRIES = 300_000
 
 # Python threads inside the policy, and the count to restore when the
-# last of them leaves; both guarded by _lock.
+# last of them leaves; both guarded by _lock.  `_inside.active` is true in
+# a thread while it is inside.
 _lock = threading.Lock()
 _depth = 0
 _saved_threads = 0
+_inside = threading.local()
+_UNCHANGED = nullcontext()
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,29 +82,42 @@ def _thread_setter() -> Optional[Callable]:
     return fn
 
 
-@contextmanager
 def small_problem_threads(m: int, n: int):
-    """Run the block on one OpenBLAS thread when m * n is at most
+    """A block that runs on one OpenBLAS thread when m * n is at most
     SINGLE_THREAD_MAX_ENTRIES.  Blocks may nest and may run in several
-    Python threads at once: the first to enter saves the count and sets
-    one thread, the last to leave restores the saved count, also when a
-    block raises."""
-    global _depth, _saved_threads
-    setter = _thread_setter() if m * n <= SINGLE_THREAD_MAX_ENTRIES else None
-    if setter is None:
-        yield
-        return
-    with _lock:
-        if _depth == 0:
-            _saved_threads = setter(1)
-        _depth += 1
-    try:
-        yield
-    finally:
+    Python threads at once: the first thread to enter saves the count and
+    sets one thread, the last to leave restores the saved count, also when
+    a block raises.  A block inside another of the same thread does
+    nothing."""
+    if m * n > SINGLE_THREAD_MAX_ENTRIES or getattr(_inside, "active", False):
+        return _UNCHANGED
+    setter = _thread_setter()
+    return _UNCHANGED if setter is None else _OneThread(setter)
+
+
+class _OneThread:
+    """The outermost block of one Python thread inside the policy."""
+
+    __slots__ = ("setter",)
+
+    def __init__(self, setter: Callable):
+        self.setter = setter
+
+    def __enter__(self):
+        global _depth, _saved_threads
+        with _lock:
+            if _depth == 0:
+                _saved_threads = self.setter(1)
+            _depth += 1
+        _inside.active = True
+
+    def __exit__(self, *exc):
+        global _depth
+        _inside.active = False
         with _lock:
             _depth -= 1
             if _depth == 0:
-                setter(_saved_threads)
+                self.setter(_saved_threads)
 
 
 # numpy's bundled OpenBLAS is built with 64-bit integers (ILP64) and
@@ -118,24 +135,3 @@ def symbols() -> Optional[tuple]:
     if fns is None or None in fns:
         return None
     return tuple(ctypes.cast(fn, ctypes.c_void_p).value for fn in fns)
-
-
-_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
-
-
-def _address(x: np.ndarray) -> int:
-    """The address of x's first element.  A writeable, contiguous, non-empty
-    array is read as a buffer, about 4 times faster than
-    __array_interface__, which any other array takes (a read-only one
-    without trying the buffer, whose refusal costs about 1 us).  The
-    buffer is that of a new view (the transpose of a Fortran-ordered x):
-    numpy keeps an exported buffer's shape and strides, about 80 bytes, on
-    the array until it is freed, and a view is freed on return.  Not
-    x.ctypes: its objects form reference cycles, about 0.5 KB of garbage a
-    call that waits for the cyclic collector."""
-    if x.flags.writeable:
-        try:
-            return _addressof(_from_buffer(x.view() if x.flags.c_contiguous else x.T))
-        except (TypeError, ValueError):
-            pass
-    return x.__array_interface__["data"][0]

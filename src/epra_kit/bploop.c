@@ -1,7 +1,16 @@
 /* The basic procedure's loop, compiled: the driver of basic._drive and the
- * steps of the four schemes, with the bits of the NumPy code; and the
+ * steps of the four schemes, with the bits of the NumPy code; the
  * scaling, normalization and QR factorization of every projector build,
- * in one call.
+ * in one call; and the round bookkeeping of epra.identify_partition and
+ * epra.rescale_update.  Built by bploop.py as the CPython extension module
+ * epra_kit._bploop, whose functions (at the end of this file) take the
+ * NumPy arrays themselves, check their dtype, byte order, alignment,
+ * contiguity and shape through NumPy's C API, and raise ValueError for
+ * any they cannot take.  The module calls no allocator of its own: every
+ * buffer it reads or writes is a NumPy array, made with np.empty by its
+ * caller or, for a result whose size only its scan knows, with
+ * PyArray_SimpleNew, so tracemalloc sees all of it.  The loop and the
+ * factorization run without the interpreter lock.
  *
  * Every operation is the one NumPy or Python performs, in the same order:
  * elementwise arithmetic in IEEE double without contraction (built with
@@ -12,7 +21,7 @@
  * Python's min/max and theta**2 through libm pow.  Every matrix-vector
  * and dot product goes through the same OpenBLAS routines NumPy's matmul
  * calls, with the arguments it passes; bploop.py hands their addresses
- * to bp_bind, with those of the LAPACK routines np.linalg.qr calls.
+ * to bind(), with those of the LAPACK routines np.linalg.qr calls.
  *
  * The stop check and the vertex choice share one scan per step.  It reads
  * P z and z once, with SSE2 min and max on two 2-wide accumulators each,
@@ -56,8 +65,18 @@
  * workspace query and with the workspace that query asks for, so the
  * block size and every bit of Q are numpy's.  It reads the range of
  * |diag R| for the rank test between the two.  Its scratch is the
- * caller's, never allocated here.
+ * caller's.
+ *
+ * The round bookkeeping makes one pass (two for identify_partition's
+ * index arrays) over vectors of n doubles, with NumPy's comparisons,
+ * its first-NaN argmax and its pairwise sum, and Python's min and max
+ * where the NumPy code takes them.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 
 #include <math.h>
 #include <stdint.h>
@@ -92,14 +111,6 @@ static gemv_fn gemv;
 static dot_fn dot_;
 static geqrf_fn geqrf;
 static orgqr_fn orgqr;
-
-void bp_bind(void *gemv_address, void *dot_address, void *geqrf_address, void *orgqr_address)
-{
-    gemv = (gemv_fn)gemv_address;
-    dot_ = (dot_fn)dot_address;
-    geqrf = (geqrf_fn)geqrf_address;
-    orgqr = (orgqr_fn)orgqr_address;
-}
 
 /* the workspace np.linalg.qr gives a routine: max(columns, its query) */
 static blasint workspace(double query, blasint cols)
@@ -155,15 +166,10 @@ static inline double square(double x)
 PAIRWISE_SUM(pos_sum, pos)
 PAIRWISE_SUM(sum_squares, square)
 
-/* bp_basis's scalings of the rows of its matrix, and its failure codes */
+/* bp_basis's scalings of the rows of its matrix, and its code for a
+ * column of norm 0 */
 enum { UNSCALED = 0, DIVIDE = 1, MULTIPLY = 2 };
-enum { DGEQRF_REJECTED = -1, DORGQR_REJECTED = -2, ZERO_COLUMN = -3 };
-
-static int64_t rejected(double *scratch, blasint info, int64_t code)
-{
-    scratch[0] = (double)-info;
-    return code;
-}
+enum { ZERO_COLUMN = -1 };
 
 /* The orthonormal basis of subspace._orthonormal_range_basis for the
  * column-major (rows, cols) matrix a, rows >= cols >= 1, with its rows
@@ -181,20 +187,15 @@ static int64_t rejected(double *scratch, blasint info, int64_t code)
  * the workspace.  Returns 0 with min |R_jj| and max |R_jj| in scratch[0]
  * and scratch[1], NaN when any is NaN, as NumPy's min and max give it;
  * the scratch size the call needs, with nothing written, when `size` is
- * less; ZERO_COLUMN when a scaled column has norm 0; or a failure code
- * when a routine rejects an argument, whose number is then in
- * scratch[0]. */
-int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d, int64_t mode,
-                 double *q, double *scratch, int64_t size)
+ * less; or ZERO_COLUMN when a scaled column has norm 0.  LAPACK rejects
+ * none of the arguments these shapes give it, so its info is not read. */
+static int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d,
+                        int64_t mode, double *q, double *scratch, int64_t size)
 {
     double *tau = scratch + 2, *work = tau + cols, query[2];
     blasint info, ask = -1, lwork[2];
     geqrf(&rows, &cols, q, &rows, tau, &query[0], &ask, &info);
-    if (info < 0)
-        return rejected(scratch, info, DGEQRF_REJECTED);
     orgqr(&rows, &cols, &cols, q, &rows, tau, &query[1], &ask, &info);
-    if (info < 0)
-        return rejected(scratch, info, DORGQR_REJECTED);
     lwork[0] = workspace(query[0], cols);
     lwork[1] = workspace(query[1], cols);
     int64_t need = 2 + cols + (lwork[0] > lwork[1] ? lwork[0] : lwork[1]);
@@ -212,8 +213,6 @@ int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d, i
             qj[i] /= norm;
     }
     geqrf(&rows, &cols, q, &rows, tau, work, &lwork[0], &info);
-    if (info < 0)
-        return rejected(scratch, info, DGEQRF_REJECTED);
     double lo = fabs(q[0]), hi = lo;
     for (int64_t j = 1; j < cols; j++) {
         double r = fabs(q[j * rows + j]);
@@ -221,8 +220,6 @@ int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d, i
         hi = r > hi || isnan(r) ? r : hi;
     }
     orgqr(&rows, &cols, &cols, q, &rows, tau, work, &lwork[1], &info);
-    if (info < 0)
-        return rejected(scratch, info, DORGQR_REJECTED);
     scratch[0] = lo;
     scratch[1] = hi;
     return 0;
@@ -623,9 +620,9 @@ static int smooth_step(const double *P, double *z, double *Pz, int64_t n, int64_
  * completed, before the failure for a failure code (0 when the set-up
  * fails).  P is read by rows only where column() finds them equal to the
  * columns. */
-int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz,
-               double eps, int64_t max_iters, int64_t refresh, int64_t *iters, double *block,
-               double mu0)
+static int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz,
+                      double eps, int64_t max_iters, int64_t refresh, int64_t *iters,
+                      double *block, double mu0)
 {
     struct smooth s = {0};
     double *sym = block, *row = block + n;
@@ -691,4 +688,321 @@ int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, double *Pz
     }
     *iters = t;
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * The module epra_kit._bploop: the calls of bploop.py and epra.py.
+ * ------------------------------------------------------------------------ */
+
+/* the entries of o when it is a float64 array in native byte order with
+ * ndim dimensions (any number for 0), aligned and with every flag of
+ * `flags`; else NULL.  *size receives its number of entries (0 for
+ * NULL). */
+static double *doubles(PyObject *o, int ndim, int flags, npy_intp *size)
+{
+    *size = 0;
+    if (!PyArray_Check(o))
+        return NULL;
+    PyArrayObject *a = (PyArrayObject *)o;
+    if (PyArray_TYPE(a) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(a)
+        || (ndim && PyArray_NDIM(a) != ndim) || !PyArray_CHKFLAGS(a, flags | NPY_ARRAY_ALIGNED))
+        return NULL;
+    *size = PyArray_SIZE(a);
+    return PyArray_DATA(a);
+}
+
+static int arguments(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name, want, nargs);
+    return 0;
+}
+
+static PyObject *float64(double v)
+{
+    static PyArray_Descr *type;
+    if (type == NULL)
+        type = PyArray_DescrFromType(NPY_DOUBLE);
+    return PyArray_Scalar(&v, type, NULL);
+}
+
+/* bind(gemv, ddot, dgeqrf, dorgqr): the addresses of the BLAS and LAPACK
+ * routines numpy calls (blas.symbols), before any other call */
+static PyObject *py_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    void *at[4];
+    if (!arguments("bind", nargs, 4))
+        return NULL;
+    for (int k = 0; k < 4; k++) {
+        at[k] = PyLong_AsVoidPtr(args[k]);
+        if (at[k] == NULL)
+            return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError, "null address");
+    }
+    gemv = (gemv_fn)at[0];
+    dot_ = (dot_fn)at[1];
+    geqrf = (geqrf_fn)at[2];
+    orgqr = (orgqr_fn)at[3];
+    Py_RETURN_NONE;
+}
+
+/* the rows of n doubles of bp_run's block, by scheme number: perceptron,
+ * von Neumann, away steps, smooth perceptron; the module's BLOCK_ROWS */
+static const int64_t block_rows[] = {1, 2, 2, 6};
+
+/* run(scheme, P, z, Pz, block, eps, max_iters, refresh, mu0): bp_run
+ * without the interpreter lock, on z (updated in place), an empty Pz of
+ * z's size and a C-contiguous block of at least the scheme's rows of
+ * z.size doubles.  Returns (status or failure code, steps, Pz); None when
+ * P is not an aligned, C-contiguous float64 (n, n) array for n = z.size,
+ * which the Python driver then takes.  A max_iters beyond int64 is one
+ * the loop cannot reach. */
+static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    npy_intp n, size, pz_size, block_size;
+    int overflow;
+    if (!arguments("run", nargs, 9))
+        return NULL;
+    long long scheme = PyLong_AsLongLong(args[0]);
+    if (scheme == -1 && PyErr_Occurred())
+        return NULL;
+    if (scheme < PERCEPTRON || scheme > SMOOTH)
+        return PyErr_Format(PyExc_ValueError, "no scheme number %lld: bp_run has 0 to %d",
+                            scheme, SMOOTH);
+    double *z = doubles(args[2], 1, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE, &n);
+    if (z == NULL || n == 0)
+        return PyErr_Format(PyExc_ValueError, "run needs z, a writeable float64 vector");
+    const double *P = doubles(args[1], 2, NPY_ARRAY_C_CONTIGUOUS, &size);
+    if (P == NULL || PyArray_DIM((PyArrayObject *)args[1], 0) != n || size != n * n)
+        Py_RETURN_NONE;
+    double *Pz = doubles(args[3], 1, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE, &pz_size);
+    double *block = doubles(args[4], 0, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE,
+                            &block_size);
+    if (Pz == NULL || pz_size != n || block == NULL || block_size < block_rows[scheme] * n)
+        return PyErr_Format(PyExc_ValueError,
+                            "run needs a writeable float64 Pz of %zd entries and a block of "
+                            "%lld rows of them", (Py_ssize_t)n, (long long)block_rows[scheme]);
+    double eps, mu0;
+    long long max_iters, refresh;
+    if (((eps = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred())
+        || ((max_iters = PyLong_AsLongLongAndOverflow(args[6], &overflow)) == -1
+            && PyErr_Occurred())
+        || ((refresh = PyLong_AsLongLong(args[7])) == -1 && PyErr_Occurred())
+        || ((mu0 = PyFloat_AsDouble(args[8])) == -1.0 && PyErr_Occurred()))
+        return NULL;
+    if (overflow)
+        max_iters = overflow > 0 ? INT64_MAX : INT64_MIN;
+    int64_t code, iters;
+    Py_BEGIN_ALLOW_THREADS
+    code = bp_run(scheme, n, P, z, Pz, eps, max_iters, refresh, &iters, block, mu0);
+    Py_END_ALLOW_THREADS
+    PyObject *out = PyTuple_New(3), *c = PyLong_FromLongLong(code),
+             *t = PyLong_FromLongLong(iters);
+    if (out == NULL || c == NULL || t == NULL) {
+        Py_XDECREF(out);
+        Py_XDECREF(c);
+        Py_XDECREF(t);
+        return NULL;
+    }
+    Py_INCREF(args[3]);
+    PyTuple_SET_ITEM(out, 0, c);
+    PyTuple_SET_ITEM(out, 1, t);
+    PyTuple_SET_ITEM(out, 2, args[3]);
+    return out;
+}
+
+/* basis(M, scale, divide, Q, scratch): bp_basis without the interpreter
+ * lock for M, an aligned Fortran-contiguous float64 matrix with rows >=
+ * columns >= 1 (not written), its rows divided by scale (divide true) or
+ * multiplied by it, or unscaled for a scale of None; scale is a
+ * contiguous float64 vector of M's rows.  Q, a writeable
+ * Fortran-contiguous float64 array of M's shape, receives the basis, and
+ * scratch is a writeable contiguous float64 vector.  Returns (Q, min
+ * |diag R|, max |diag R|), as NumPy float64s; None for a scaled column
+ * of norm 0; or, when scratch is shorter than the call needs, that size,
+ * with nothing written. */
+static PyObject *py_basis(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    npy_intp size, q_size, scale_size, scratch_size;
+    if (!arguments("basis", nargs, 5))
+        return NULL;
+    if (doubles(args[0], 2, 0, &size) == NULL)
+        return PyErr_Format(PyExc_ValueError, "basis needs an aligned 2-D float64 array");
+    const double *a = doubles(args[0], 2, NPY_ARRAY_F_CONTIGUOUS, &size);
+    if (a == NULL)
+        return PyErr_Format(PyExc_ValueError, "basis needs a Fortran-contiguous array");
+    npy_intp rows = PyArray_DIM((PyArrayObject *)args[0], 0);
+    npy_intp cols = PyArray_DIM((PyArrayObject *)args[0], 1);
+    if (!(rows >= cols && cols >= 1))
+        return PyErr_Format(PyExc_ValueError, "basis needs rows >= columns >= 1, got %zd x %zd",
+                            (Py_ssize_t)rows, (Py_ssize_t)cols);
+    const double *d = NULL;
+    int64_t mode = UNSCALED;
+    if (args[1] != Py_None) {
+        d = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &scale_size);
+        if (d == NULL || scale_size != rows)
+            return PyErr_Format(PyExc_ValueError,
+                                "basis needs a contiguous float64 scale of %zd entries",
+                                (Py_ssize_t)rows);
+        int divide = PyObject_IsTrue(args[2]);
+        if (divide < 0)
+            return NULL;
+        mode = divide ? DIVIDE : MULTIPLY;
+    }
+    double *q = doubles(args[3], 2, NPY_ARRAY_F_CONTIGUOUS | NPY_ARRAY_WRITEABLE, &q_size);
+    double *scratch = doubles(args[4], 1, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE,
+                              &scratch_size);
+    if (q == NULL || PyArray_DIM((PyArrayObject *)args[3], 0) != rows || q_size != size
+        || scratch == NULL)
+        return PyErr_Format(PyExc_ValueError, "basis needs a writeable Fortran-ordered float64 "
+                            "Q of M's shape and a writeable float64 scratch");
+    int64_t code;
+    Py_BEGIN_ALLOW_THREADS
+    code = bp_basis(rows, cols, a, d, mode, q, scratch, scratch_size);
+    Py_END_ALLOW_THREADS
+    if (code > 0)
+        return PyLong_FromLongLong(code);
+    if (code == ZERO_COLUMN)
+        Py_RETURN_NONE;
+    PyObject *lo = float64(scratch[0]), *hi = float64(scratch[1]);
+    PyObject *out = lo && hi ? PyTuple_Pack(3, args[3], lo, hi) : NULL;
+    Py_XDECREF(lo);
+    Py_XDECREF(hi);
+    return out;
+}
+
+/* np.max(np.abs(x)) of n >= 1 entries: NaN when any is NaN */
+static double max_abs(const double *x, npy_intp n)
+{
+    double m = fabs(x[0]);
+    for (npy_intp i = 1; i < n; i++) {
+        double v = fabs(x[i]);
+        m = v > m || isnan(v) ? v : m;
+    }
+    return m;
+}
+
+/* identify_partition(x, x_hat, U): epra.identify_partition for x and
+ * x_hat, aligned contiguous float64 vectors of one size n >= 1, and U a
+ * float: (B, N, is_partition), B and N new intp arrays.  None for any
+ * other arguments, which the NumPy code then takes. */
+static PyObject *py_identify_partition(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    npy_intp n, n_hat, counts[2] = {0, 0};
+    if (!arguments("identify_partition", nargs, 3))
+        return NULL;
+    const double *x = doubles(args[0], 1, NPY_ARRAY_C_CONTIGUOUS, &n);
+    const double *x_hat = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &n_hat);
+    if (x == NULL || x_hat == NULL || n != n_hat || n == 0 || !PyFloat_Check(args[2]))
+        Py_RETURN_NONE;
+    double U = PyFloat_AS_DOUBLE(args[2]);
+    /* B holds the indices where |x_hat| is below its bound, N those of x */
+    const double *v[2] = {x_hat, x};
+    double bound[2] = {max_abs(x_hat, n) / U, max_abs(x, n) / U};
+    int partition = 1;
+    for (npy_intp i = 0; i < n; i++) {
+        int b = fabs(x_hat[i]) < bound[0], m = fabs(x[i]) < bound[1];
+        counts[0] += b;
+        counts[1] += m;
+        partition &= b != m;
+    }
+    PyObject *out = PyTuple_New(3);
+    if (out == NULL)
+        return NULL;
+    for (int k = 0; k < 2; k++) {
+        PyObject *set = PyArray_SimpleNew(1, &counts[k], NPY_INTP);
+        if (set == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        npy_intp *at = PyArray_DATA((PyArrayObject *)set);
+        for (npy_intp i = 0; i < n; i++)
+            if (fabs(v[k][i]) < bound[k])
+                *at++ = i;
+        PyTuple_SET_ITEM(out, k, set);
+    }
+    PyTuple_SET_ITEM(out, 2, PyBool_FromLong(partition));
+    return out;
+}
+
+/* rescale_update(z, Pz, D, U, single): epra.rescale_update for z and D,
+ * aligned contiguous float64 vectors of one size n >= 1, Pz (read in the
+ * all-directions mode only) an aligned contiguous float64 vector and U a
+ * float, in the single-direction mode when `single` is true: the grown
+ * diagonal, a new float64 array.  None for any other arguments, which
+ * the NumPy code then takes. */
+static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    npy_intp n, n_d, m = 0;
+    const double *Pz = NULL;
+    if (!arguments("rescale_update", nargs, 5))
+        return NULL;
+    int single = PyObject_IsTrue(args[4]);
+    if (single < 0)
+        return NULL;
+    const double *z = doubles(args[0], 1, NPY_ARRAY_C_CONTIGUOUS, &n);
+    const double *D = doubles(args[2], 1, NPY_ARRAY_C_CONTIGUOUS, &n_d);
+    if (!single)
+        Pz = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &m);
+    if (z == NULL || D == NULL || n != n_d || n == 0 || (!single && Pz == NULL)
+        || !PyFloat_Check(args[3]))
+        Py_RETURN_NONE;
+    double U = PyFloat_AS_DOUBLE(args[3]);
+    PyObject *out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
+    if (out == NULL)
+        return NULL;
+    double *restrict e = PyArray_DATA((PyArrayObject *)out);
+    if (single) {
+        /* D, with 2 D_i capped at U by Python's min at the first index of
+         * max(z) */
+        memcpy(e, D, (size_t)n * sizeof(double));
+        int64_t i = argmax(z, n);
+        e[i] = py_min(2.0 * D[i], U);
+        return out;
+    }
+    /* alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR) */
+    double alpha = py_max(pos_sum(Pz, m), 1e-300);
+    for (npy_intp i = 0; i < n; i++) {
+        double v = (1.0 + pos(z[i] / alpha - 1.0)) * D[i];
+        /* np.minimum(v, U): v when it is NaN */
+        e[i] = v < U || isnan(v) ? v : U;
+    }
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"bind", (PyCFunction)(void (*)(void))py_bind, METH_FASTCALL, NULL},
+    {"run", (PyCFunction)(void (*)(void))py_run, METH_FASTCALL, NULL},
+    {"basis", (PyCFunction)(void (*)(void))py_basis, METH_FASTCALL, NULL},
+    {"identify_partition", (PyCFunction)(void (*)(void))py_identify_partition, METH_FASTCALL,
+     NULL},
+    {"rescale_update", (PyCFunction)(void (*)(void))py_rescale_update, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_bploop", NULL, -1, methods,
+                                    NULL, NULL, NULL, NULL};
+
+PyMODINIT_FUNC PyInit__bploop(void)
+{
+    import_array();
+    PyObject *m = PyModule_Create(&module), *rows = PyDict_New();
+    int failed = m == NULL || rows == NULL;
+    for (int64_t k = 0; k <= SMOOTH && !failed; k++) {
+        PyObject *key = PyLong_FromLongLong(k), *value = PyLong_FromLongLong(block_rows[k]);
+        failed = key == NULL || value == NULL || PyDict_SetItem(rows, key, value) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+    }
+    if (failed || PyModule_AddObject(m, "BLOCK_ROWS", rows) < 0) {
+        Py_XDECREF(rows);
+        Py_XDECREF(m);
+        return NULL;
+    }
+    return m;
 }

@@ -1,36 +1,41 @@
-"""The basic procedure's loop and the projector builds' scaling,
-normalization and QR factorization, compiled from bploop.c.
+"""The basic procedure's loop, the projector builds' scaling,
+normalization and QR factorization, and the round bookkeeping, compiled
+from bploop.c as the CPython extension module `epra_kit._bploop`.
 
-`basic` runs a scheme through `run` when `accepts(P, n)`: the library
-loaded and P is an aligned C-contiguous float64 (n, n) array.  The compiled loop
-does the scheme's set-up and takes the same steps as the Python set-up and
-driver `basic._drive`, with every bit of its results and the same
-failures.  `run` allocates P z and the block of the scheme's state, whose
-rows per scheme `_BLOCK_ROWS` gives beside `bp_run`'s signature, and
-rejects any other scheme number before it calls the library.
-`subspace` makes the basis of every projector build of a C-ordered A
-through `basis` when the library loads: one call that scales A's
-transpose by the side's diagonal into a new Fortran-ordered Q,
-normalizes its columns as `np.linalg.norm` and a division do, and runs
-LAPACK's `dgeqrf` and `dorgqr` there, each after its workspace query,
-with the bits of the NumPy route (`subspace._numpy_range_basis`).
+`basic` runs a scheme through `run` unless it has a callback.  The
+compiled loop does the scheme's set-up and takes the same steps as the
+Python set-up and driver `basic._drive`, with every bit of its results
+and the same failures; `run` allocates P z and the block of the scheme's
+state, whose rows per scheme the module's `BLOCK_ROWS` gives, and
+returns None where the loop cannot take P (not an aligned C-contiguous
+float64 (n, n) array) or the library did not load.  `subspace` makes the
+basis of every projector build of a C-ordered A through `basis` when the
+library loads: one call that scales A's transpose by the side's diagonal
+into a new Fortran-ordered Q, normalizes its columns as `np.linalg.norm`
+and a division do, and runs LAPACK's `dgeqrf` and `dorgqr` there, each
+after its workspace query, with the bits of the NumPy route
+(`subspace._numpy_range_basis`).  `epra.identify_partition` and
+`epra.rescale_update` call the module's functions of the same names,
+which return None for arguments that their NumPy code must take.  The
+module's functions check the arrays they are given (dtype, byte order,
+alignment, contiguity, shape) and raise ValueError for any they cannot
+take; the loop and the factorization run without the interpreter lock.
 
-The library is built on first use, never at import, with the system C
-compiler, and cached beside the source in `__pycache__` under a name
-keyed by a hash of the source, the compiler and the flags, so a changed
-source is rebuilt and a second process reuses the first one's build.  A
-build is written under a temporary name and moved into place, so
-processes that build at once never see a partial file.  When that
-directory cannot be written the build goes to a temporary directory of
-this process.  Without a compiler, without numpy's CBLAS or LAPACK symbols
-(`blas.symbols`) or when the build fails, `library()` is
-None: `accepts` is false and the Python driver runs, and a build takes
-the NumPy route, with the same bits.  Both calls run
-without the interpreter lock.
+The module is built on first use, never at import, with the system C
+compiler against Python's and numpy's C headers, and cached beside the
+source in `__pycache__` under a name keyed by a hash of the source, the
+compiler, the flags, numpy's version and the interpreter's extension
+suffix, so a changed source or another interpreter or numpy builds anew
+and a second process reuses the first one's build.  A build is written
+under a temporary name and moved into place, so processes that build at
+once never see a partial file.  When that directory cannot be written
+the build goes to a temporary directory of this process.  Without a
+compiler, without Python's headers, without numpy's CBLAS or LAPACK
+symbols (`blas.symbols`) or when the build fails, `library()` is None:
+every caller takes its Python or NumPy code, with the same bits.
 """
 
 import atexit
-import ctypes
 import os
 import shutil
 import tempfile
@@ -52,7 +57,7 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-std=c99", "-fPIC", "-shared")
 
 _lock = threading.Lock()
-_loaded = None  # (library,) once tried; the library is None on failure
+_loaded = None  # (module,) once tried; the module is None on failure
 
 
 def compiler() -> Optional[str]:
@@ -60,21 +65,35 @@ def compiler() -> Optional[str]:
     return shutil.which("cc") or shutil.which("gcc")
 
 
-# hashlib and subprocess are imported where they are used, on the first
-# run: importing them would add about 13 ms to every import of the package
+# hashlib, subprocess and sysconfig are imported where they are used, on
+# the first run: importing them would add about 13 ms to every import of
+# the package
+
+
+def headers() -> Optional[tuple]:
+    """The directories of Python's and numpy's C headers, or None when
+    Python.h is not there."""
+    import sysconfig
+
+    python = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(python, "Python.h")):
+        return None
+    return python, np.get_include()
 
 
 def _library_name(cc: str) -> str:
     import hashlib
+    import sysconfig
 
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     with open(SOURCE, "rb") as f:
         key = hashlib.sha256(f.read())
-    key.update("\0".join((cc, *FLAGS)).encode())
-    return f"bploop.{key.hexdigest()[:16]}.so"
+    key.update("\0".join((cc, *FLAGS, np.__version__, suffix)).encode())
+    return f"bploop.{key.hexdigest()[:16]}{suffix}"
 
 
-def _build(cc: str, directory: str, name: str) -> str:
-    """The library `name` in `directory`, compiled unless it is there;
+def _build(cc: str, include: tuple, directory: str, name: str) -> str:
+    """The module `name` in `directory`, compiled unless it is there;
     OSError when the directory cannot be written."""
     import subprocess
 
@@ -89,8 +108,8 @@ def _build(cc: str, directory: str, name: str) -> str:
     # be readable by its owner alone
     os.unlink(tmp)
     try:
-        subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE, "-lm"], check=True,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        subprocess.run([cc, *FLAGS, *(f"-I{d}" for d in include), "-o", tmp, SOURCE, "-lm"],
+                       check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -104,40 +123,32 @@ def _private_dir() -> str:
     return path
 
 
-# the rows of n doubles of bp_run's block, by scheme number (bploop.c):
-# perceptron, von Neumann, away steps, smooth perceptron
-_BLOCK_ROWS = (1, 2, 2, 6)
-
-
 def _load():
+    import importlib.machinery
+    import importlib.util
     import subprocess
 
-    cc, symbols = compiler(), blas.symbols()
-    if cc is None or symbols is None:
+    cc, include, symbols = compiler(), headers(), blas.symbols()
+    if cc is None or include is None or symbols is None:
         return None
     name = _library_name(cc)
     try:
         try:
-            path = _build(cc, CACHE_DIR, name)
+            path = _build(cc, include, CACHE_DIR, name)
         except OSError:
-            path = _build(cc, _private_dir(), name)
-        lib = ctypes.CDLL(path)
-    except (OSError, subprocess.CalledProcessError):
+            path = _build(cc, include, _private_dir(), name)
+        loader = importlib.machinery.ExtensionFileLoader("epra_kit._bploop", path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(loader.name, path, loader=loader))
+        loader.exec_module(module)
+    except (OSError, ImportError, subprocess.CalledProcessError):
         return None
-    lib.bp_bind.restype, lib.bp_bind.argtypes = None, [ctypes.c_void_p] * 4
-    lib.bp_bind(*symbols)
-    d, i, p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    lib.bp_run.restype = i
-    # scheme, n, P, z, Pz, eps, max_iters, refresh, iters, block, mu0
-    lib.bp_run.argtypes = [i, i, p, p, p, d, i, i, p, p, d]
-    lib.bp_basis.restype = i
-    # rows, cols, a, d, mode, q, scratch, size
-    lib.bp_basis.argtypes = [i, i, p, p, i, p, p, i]
-    return lib
+    module.bind(*symbols)
+    return module
 
 
 def library():
-    """The loaded library, built on the first call; None when it cannot be."""
+    """The loaded module, built on the first call; None when it cannot be."""
     global _loaded
     if _loaded is None:
         with _lock:
@@ -146,48 +157,22 @@ def library():
     return _loaded[0]
 
 
-def accepts(P, n: int) -> bool:
-    """Whether the compiled loop can run on P with n-vectors."""
-    return (isinstance(P, np.ndarray) and P.dtype == np.float64 and P.shape == (n, n)
-            and P.flags.c_contiguous and P.flags.aligned and library() is not None)
-
-
-# a cap the loop cannot reach stands for one beyond int64
-_MAX_ITERS = 2**63 - 1
-
-
 def run(scheme: int, P, z, epsilon: float, max_iters: int, refresh: int, mu0: float):
     """`bp_run` (bploop.c) for scheme number `scheme` (0 to 3, as in `basic`)
-    on arrays that `accepts` allows: the scheme's set-up and its loop from
-    the start z, with mu0 for the smooth perceptron's first smoothing
-    parameter.  z (float64, contiguous) is updated in place, and P z
-    recomputed every `refresh` steps (never for 0).  Returns the status or
-    failure code, the number of steps taken and P z, an array of its own;
-    the scheme's block is allocated here and freed on return.  ValueError
-    for any other scheme number, before the library is called."""
-    if scheme not in range(len(_BLOCK_ROWS)):
-        raise ValueError(f"no scheme number {scheme!r}: bp_run has 0 to {len(_BLOCK_ROWS) - 1}")
-    Pz = np.empty(z.size)
-    code, t = _run(scheme, P, z, Pz, np.empty((_BLOCK_ROWS[scheme], z.size)), epsilon,
-                   max_iters, refresh, mu0)
-    return code, t, Pz
-
-
-def _run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: int,
-         mu0: float):
-    """`bp_run` on the caller's empty Pz and block (C-contiguous float64,
-    the scheme's rows of n doubles at least), unchecked; the status or
-    failure code and the number of steps."""
-    # the addresses are taken before the step counter is made: the objects
-    # an address makes and drops are larger than the counter, and a solve's
-    # allocation peak falls in this call
-    address = blas._address
-    at_P, at_z, at_Pz, at_block = address(P), address(z), address(Pz), address(block)
-    iters = ctypes.c_int64()
-    code = library().bp_run(scheme, z.size, at_P, at_z, at_Pz, epsilon,
-                            min(max_iters, _MAX_ITERS), refresh, ctypes.byref(iters), at_block,
-                            mu0)
-    return code, iters.value
+    on P and z, a float64 vector that is updated in place: the scheme's
+    set-up and its loop from the start z, with mu0 for the smooth
+    perceptron's first smoothing parameter, and P z recomputed every
+    `refresh` steps (never for 0).  Returns the status or failure code, the
+    number of steps taken and P z, an array of its own; the scheme's block
+    is allocated here and freed on return.  None without the library or
+    when P is not an aligned C-contiguous float64 (n, n) array: the Python
+    driver runs it.  ValueError for any other scheme number."""
+    lib = library()
+    if lib is None:
+        return None
+    # any other scheme number gets no rows, and the module rejects it
+    block = np.empty((lib.BLOCK_ROWS.get(scheme, 0), z.size))
+    return lib.run(scheme, P, z, np.empty(z.size), block, epsilon, max_iters, refresh, mu0)
 
 
 # doubles of bp_basis scratch a column, after its two result slots: tau
@@ -195,58 +180,23 @@ def _run(scheme: int, P, z, Pz, block, epsilon: float, max_iters: int, refresh: 
 # asks for at every shape measured (1 x 1 to 5000 x 3000).  A LAPACK that
 # asks for more costs a second call.
 _BASIS_SCRATCH_PER_COLUMN = 33
-# bp_basis's row scalings and failure codes (bploop.c)
-_UNSCALED, _DIVIDE, _MULTIPLY = 0, 1, 2
-_ZERO_COLUMN = -3
-_BASIS_ROUTINES = {-1: "dgeqrf", -2: "dorgqr"}
 
 
 def basis(M, scale=None, divide: bool = False):
     """`bp_basis` (bploop.c): the orthonormal basis of
-    `subspace._orthonormal_range_basis` for M with its rows divided by
-    scale (divide) or multiplied by it, or unscaled when scale is None.
-    M is a Fortran-contiguous float64 matrix with at least as many rows as
-    columns and one column or more, and is not written; scale is a
-    contiguous float64 vector with one entry a row.  Returns (Q, min |diag
-    R|, max |diag R|): Q the orthonormal factor of the reduced QR
+    `subspace._orthonormal_range_basis` for the array M with its rows
+    divided by scale (divide) or multiplied by it, or unscaled when scale
+    is None.  M is a Fortran-contiguous float64 matrix with at least as
+    many rows as columns and one column or more, and is not written; scale
+    is a contiguous float64 vector with one entry a row.  Returns (Q, min
+    |diag R|, max |diag R|): Q the orthonormal factor of the reduced QR
     factorization of the scaled M with each column divided by its norm, a
     new Fortran-ordered array, and the range NumPy float64s read before Q
     is formed; or (None, None, None) when a scaled column has norm 0.
     Needs the library; ValueError for any other M or scale."""
-    if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.ndim == 2):
-        raise ValueError("basis needs a 2-D float64 array")
-    if not (M.flags.f_contiguous and M.flags.aligned):
-        raise ValueError("basis needs an aligned Fortran-contiguous array")
-    rows, cols = M.shape
-    if not rows >= cols >= 1:
-        raise ValueError(f"basis needs rows >= columns >= 1, got {rows} x {cols}")
-    address = blas._address
-    if scale is None:
-        mode, d = _UNSCALED, None
-    elif (isinstance(scale, np.ndarray) and scale.dtype == np.float64
-          and scale.shape == (rows,) and scale.flags.c_contiguous and scale.flags.aligned):
-        mode, d = _DIVIDE if divide else _MULTIPLY, address(scale)
-    else:
-        raise ValueError(f"basis needs a contiguous float64 scale of {rows} entries")
-    Q = np.empty((rows, cols), order="F")
-    out = _basis(rows, cols, address(M), d, mode, address(Q))
-    return (None, None, None) if out is None else (Q, *out)
-
-
-def _basis(rows: int, cols: int, a: int, d, mode: int, q: int):
-    """`bp_basis` on the addresses of the matrix, the scale (None when
-    unscaled) and Q, unchecked: (min |diag R|, max |diag R|), or None for
-    a zero column; ValueError when LAPACK rejects an argument."""
-    bp_basis, address = library().bp_basis, blas._address
-    scratch = np.empty(2 + _BASIS_SCRATCH_PER_COLUMN * cols)
-    code = bp_basis(rows, cols, a, d, mode, q, address(scratch), scratch.size)
-    if code > 0:
-        scratch = np.empty(code)
-        code = bp_basis(rows, cols, a, d, mode, q, address(scratch), scratch.size)
-    if code == _ZERO_COLUMN:
-        return None
-    if code < 0:
-        raise ValueError(f"LAPACK {_BASIS_ROUTINES[code]} rejected argument {scratch[0]:.0f}")
-    # NumPy scalars, as np.min gives them: Python floats raised the
-    # allocation peak of some controlled (100, 200) solves by 24 bytes
-    return scratch[0], scratch[1]
+    lib = library()
+    Q = np.empty(M.shape, order="F")
+    out = lib.basis(M, scale, divide, Q, np.empty(2 + _BASIS_SCRATCH_PER_COLUMN * M.shape[-1]))
+    if isinstance(out, int):
+        out = lib.basis(M, scale, divide, Q, np.empty(out))
+    return (None, None, None) if out is None else out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basic, serialize, subspace
+from . import basic, bploop, serialize, subspace
 from .basic import BpConfig, INTERIOR_FOUND, RESCALE_READY, check_count, uniform_simplex
 from .blas import small_problem_threads
 from .exceptions import BothSidesInterior
@@ -102,7 +102,13 @@ def identify_partition(x, x_hat, U: float):
     where |x_i| < ||x||_inf / U (strict inequalities, so a zero vector on
     one side contributes nothing to its set).  Returns (B, N, is_partition)
     where is_partition means B and N are disjoint and cover every index.
+    One compiled call (`bploop`) where the library loads and takes the
+    arguments, with the bits of the NumPy code below.
     """
+    lib = bploop.library()
+    out = None if lib is None else lib.identify_partition(x, x_hat, U)
+    if out is not None:
+        return out
     ax = np.abs(np.asarray(x, dtype=float))
     ax_hat = np.abs(np.asarray(x_hat, dtype=float))
     b_mask = ax_hat < ax_hat.max() / U
@@ -116,8 +122,15 @@ def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray
     All-directions mode: with alpha = ||(Pz)^+||_1 and
     e = (z/alpha - 1)^+, each entry becomes min((1 + e_i) D_i, U).
     Single-direction mode: only the lowest index attaining max(z) is
-    doubled (capped at U).  Entries never decrease.
+    doubled (capped at U).  Entries never decrease.  One compiled call
+    (`bploop`) where the library loads and takes the arguments, with the
+    bits of the NumPy code below.
     """
+    lib, single = bploop.library(), mode == SINGLE_DIRECTION
+    if lib is not None and (single or mode == ALL_DIRECTIONS):
+        out = lib.rescale_update(z, Pz, D, U, single)
+        if out is not None:
+            return out
     z = np.asarray(z, dtype=float)
     D = np.asarray(D, dtype=float)
     if mode == ALL_DIRECTIONS:

@@ -187,9 +187,9 @@ def _orthonormal_range_basis(M: np.ndarray, scale=None, divide: bool = False) ->
     With the compiled library, a Fortran-contiguous M (the transpose of a
     C-ordered A) with at least as many rows as columns is scaled,
     normalized and factored in one call, `bploop.basis`, straight into Q's
-    storage.  Any other M, and every M without the library (no C compiler,
-    or no LAPACK symbols in numpy), takes the NumPy route,
-    `_numpy_range_basis`.  Both give the same bits.
+    storage.  Any other M, and every M without the library (no C
+    compiler, no Python headers, or no LAPACK symbols in numpy), takes the
+    NumPy route, `_numpy_range_basis`.  Both give the same bits.
     """
     n, m = M.shape
     if m == 0:

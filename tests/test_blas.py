@@ -10,9 +10,9 @@ import pytest
 
 import epra_kit.basic as basic
 from epra_kit import blas, bploop, subspace
-from epra_kit.epra import EpraConfig, solve
+from epra_kit.epra import EpraConfig, SINGLE_DIRECTION, identify_partition, rescale_update, solve
 from epra_kit.exceptions import RankDeficient
-from epra_kit.instances import gen_controlled
+from epra_kit.instances import gen_controlled, gen_partitioned
 from epra_kit.subspace import Instance, rescaled_projectors
 
 # the real setter, kept for reading the count while a test patches it away
@@ -196,6 +196,36 @@ class TestPolicy:
         assert on.x_hat.tobytes() == off.x_hat.tobytes()
 
 
+def test_nested_entry_takes_no_lock_and_calls_no_setter(monkeypatch):
+    calls = []
+
+    def setter(count):
+        calls.append(count)
+        return 3
+
+    class Unusable:
+        def __enter__(self):
+            raise AssertionError("a nested entry took the lock")
+
+        __exit__ = __enter__
+
+    monkeypatch.setattr(blas, "_thread_setter", lambda: setter)
+    with blas.small_problem_threads(1, 1):
+        assert calls == [1]
+        lock = blas._lock
+        monkeypatch.setattr(blas, "_lock", Unusable())
+        with blas.small_problem_threads(2, 3):
+            with blas.small_problem_threads(10**9, 1):
+                pass
+        monkeypatch.setattr(blas, "_lock", lock)
+        assert calls == [1]
+    assert calls == [1, 3]
+    # and the next outermost entry sets the count again
+    with blas.small_problem_threads(1, 1):
+        pass
+    assert calls == [1, 3, 1, 3]
+
+
 def test_no_op_without_setter(monkeypatch):
     monkeypatch.setattr(blas, "_thread_setter", lambda: None)
     before = current_threads()
@@ -206,8 +236,9 @@ def test_no_op_without_setter(monkeypatch):
     assert current_threads() == before
 
 
-@pytest.mark.skipif(bploop.compiler() is None or blas.symbols() is None,
-                    reason="no C compiler, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
+@pytest.mark.skipif(
+    bploop.compiler() is None or bploop.headers() is None or blas.symbols() is None,
+    reason="no C compiler, no Python.h, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
 def test_builds_take_the_compiled_basis_wherever_it_builds(monkeypatch):
     # fails, not skips: where `bploop._load` finds what it needs, a library
     # that does not load would drop every build to np.linalg.qr without a
@@ -278,15 +309,6 @@ class TestBasis:
         Q, lo, hi = bploop.basis(M, np.linspace(1.0, 3.0, 9), divide=True)
         assert M.tobytes(order="A") == before and not np.shares_memory(Q, M)
 
-    def test_raises_on_negative_info(self):
-        # arguments the checks of bploop.basis would stop, passed to the
-        # library as they are: LAPACK itself rejects them
-        M = np.ones((2, 4), order="F")
-        with pytest.raises(ValueError, match="dgeqrf rejected argument 1$"):
-            bploop._basis(-1, 1, blas._address(M), None, 0, blas._address(M))
-        with pytest.raises(ValueError, match="dorgqr rejected argument 2$"):
-            bploop._basis(2, 4, blas._address(M), None, 0, blas._address(M))
-
     def test_leaves_nothing_for_the_cyclic_collector(self):
         # ndarray.ctypes objects form reference cycles: a call that made
         # them would leave garbage, and tracemalloc peaks, at every build
@@ -349,57 +371,69 @@ class TestBasis:
             gc.enable()
 
 
-class TestAddress:
-    """blas._address: the buffer fast path and __array_interface__ agree."""
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call() above what was live when it began,
+    in bytes, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+INSTANCES = {
+    "partitioned-100": lambda: gen_partitioned(100, 3),
+    "controlled-100x200": lambda: gen_controlled(100, 200, delta_cap=1e-3, seed=3),
+}
+# traced_peak of each solve with the ctypes library that the extension
+# module replaced: a solve may hold no more than it did
+CTYPES_PEAKS = {"partitioned-100": 137536, "controlled-100x200": 505114}
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
+class TestTracedAllocations:
+    """Every buffer of the compiled calls is a NumPy array that tracemalloc
+    sees, freed when the call's caller drops it."""
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_solve_peaks_no_higher(self, name):
+        inst = INSTANCES[name]()
+        assert traced_peak(lambda: solve(inst)) <= CTYPES_PEAKS[name]
 
     @staticmethod
-    def interface(x):
-        return x.__array_interface__["data"][0]
+    def compiled_calls():
+        P = subspace.projector_from_kernel(np.random.default_rng(4).standard_normal((5, 12))).P
+        M = np.asfortranarray(np.random.default_rng(5).standard_normal((12, 5)))
+        x, D = np.linspace(-1.0, 1.0, 12), np.linspace(1.0, 2.0, 12)
+        for scheme in basic.SCHEMES:
+            basic.run_scheme(P, np.full(12, 1.0 / 12), basic.BpConfig(scheme=scheme))
+        bploop.basis(M, D, True)
+        identify_partition(x, x[::-1].copy(), 2.0)
+        rescale_update(x, x, D, 2.0)
+        rescale_update(x, x, D, 2.0, SINGLE_DIRECTION)
 
-    @pytest.mark.parametrize("make", [
-        lambda: np.ones((4, 3)),
-        lambda: np.ones((4, 3), order="F"),
-        lambda: np.ones(5),
-        lambda: np.ones((6, 4))[1:, :],                 # C-ordered view at an offset
-        lambda: np.ones((6, 4), order="F")[:, 1:],      # F-ordered view at an offset
-        lambda: np.ones((4, 6))[:, ::2],                # not contiguous
-        lambda: np.ones((4, 6)).T[::2],
-        lambda: np.empty(0),
-        lambda: np.empty((0, 3), order="F"),
-        lambda: np.ones(()),                            # 0-d
-        lambda: np.ones(3, dtype=np.float32),
-    ], ids=["C", "F", "1-D", "C view", "F view", "strided", "strided F", "empty",
-            "empty F", "0-d", "float32"])
-    def test_matches_array_interface(self, make):
-        x = make()
-        assert blas._address(x) == self.interface(x)
-        x.flags.writeable = False
-        assert blas._address(x) == self.interface(x)
-
-    def test_keeps_nothing_on_the_array(self):
-        # numpy keeps an exported buffer's shape and strides on the array
-        # until it is freed: on P, z and the run's block that would raise a
-        # solve's allocation peak
-        arrays = [np.ones((4, 3)) for _ in range(50)] + [np.ones(5) for _ in range(50)]
-        for x in arrays[:2] + arrays[50:52]:
-            blas._address(x)  # first calls, which may fill caches
+    def test_repeated_calls_leave_no_traced_growth(self):
+        self.compiled_calls()
         tracemalloc.start()
         try:
+            self.compiled_calls()
             before = tracemalloc.get_traced_memory()[0]
-            for x in arrays:
-                blas._address(x)
+            for _ in range(200):
+                self.compiled_calls()
             assert tracemalloc.get_traced_memory()[0] - before < 1000
         finally:
             tracemalloc.stop()
 
-    def test_leaves_nothing_for_the_cyclic_collector(self):
-        arrays = [np.ones((4, 3)), np.ones((4, 3), order="F"), np.ones((4, 6))[:, ::2],
-                  np.empty(0)]
+    def test_leave_nothing_for_the_cyclic_collector(self):
         gc.collect()
         gc.disable()
         try:
-            for x in arrays:
-                blas._address(x)
+            self.compiled_calls()
+            solve(INSTANCES["partitioned-100"]())
             assert gc.collect() == 0
         finally:
             gc.enable()

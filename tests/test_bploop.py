@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tomllib
 import warnings
 from pathlib import Path
@@ -25,11 +26,13 @@ SRC = Path(bploop.__file__).resolve().parent.parent
 
 def can_build() -> bool:
     # what `bploop._load` needs before it builds
-    return bploop.compiler() is not None and blas.symbols() is not None
+    return (bploop.compiler() is not None and bploop.headers() is not None
+            and blas.symbols() is not None)
 
 
-needs_build = pytest.mark.skipif(
-    not can_build(), reason="no C compiler, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
+CANNOT_BUILD = ("no C compiler, no Python.h, or numpy's OpenBLAS lacks the CBLAS or LAPACK "
+                "symbols")
+needs_build = pytest.mark.skipif(not can_build(), reason=CANNOT_BUILD)
 
 
 def outcome(P, z0, cfg):
@@ -308,11 +311,11 @@ def no_sse2_cache(tmp_path_factory):
 def without_sse2(monkeypatch, no_sse2_cache):
     """The library built with __SSE2__ undefined, loaded in place of the
     default one: every stop check then takes the scalar argmin and argmax."""
-    default = Path(bploop.library()._name).name
+    default = Path(bploop.library().__file__).name
     monkeypatch.setattr(bploop, "FLAGS", (*bploop.FLAGS, "-U__SSE2__"))
     monkeypatch.setattr(bploop, "CACHE_DIR", str(no_sse2_cache))
     monkeypatch.setattr(bploop, "_loaded", None)
-    built = Path(bploop.library()._name)
+    built = Path(bploop.library().__file__)
     assert built.parent == no_sse2_cache and built.name != default
 
 
@@ -338,7 +341,8 @@ def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
     block = np.full((2, z.size), np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        bploop._run(ids[scheme], P, z, np.empty(z.size), block, epsilon, max_iters, 128, 2.0)
+        bploop.library().run(ids[scheme], P, z, np.empty(z.size), block, epsilon, max_iters,
+                             128, 2.0)
     return block[0]
 
 
@@ -478,29 +482,52 @@ class TestWarmSortWithoutSSE2(TestWarmSort):
 @needs_build
 class TestRun:
     """bploop.run sizes the scheme's block and P z itself, from one table of
-    rows per scheme, and rejects a scheme number outside it."""
+    rows per scheme; the module rejects a scheme number outside it, and
+    any array it cannot take, before it runs."""
 
     P = projector_from_kernel(np.random.default_rng(19).standard_normal((6, 15))).P
     IDS = {"perceptron": 0, "vn": 1, "vna": 2, "smooth": 3}
 
     @pytest.mark.parametrize("scheme", [7, 4, -1])
-    def test_scheme_outside_the_table_raises_before_the_call(self, scheme, monkeypatch):
-        def foreign_call(*args):
-            raise AssertionError("bp_run was called")
-
-        monkeypatch.setattr(bploop, "_run", foreign_call)
+    def test_scheme_outside_the_table_raises_before_the_run(self, scheme):
+        z = uniform_simplex(15)
         with pytest.raises(ValueError, match=f"no scheme number {scheme}"):
-            bploop.run(scheme, self.P, uniform_simplex(15), 1e-9, 300, 128, 2.0)
+            bploop.run(scheme, self.P, z, 1e-9, 300, 128, 2.0)
+        assert z.tobytes() == uniform_simplex(15).tobytes()
+
+    def test_rejects_what_it_cannot_write_and_leaves_other_matrices(self):
+        run, z = bploop.library().run, uniform_simplex(15)
+        args = (1e-9, 300, 128, 2.0)
+        read_only = uniform_simplex(15)
+        read_only.flags.writeable = False
+        for bad_z in (read_only, z.astype(np.float32), np.zeros(0), z.tolist()):
+            with pytest.raises(ValueError, match="run needs z"):
+                run(0, self.P, bad_z, np.empty(15), np.empty((1, 15)), *args)
+        for Pz, block in ((np.empty(14), np.empty((1, 15))), (np.empty(15), np.empty((1, 14))),
+                          (np.empty(15), np.empty((5, 15))[:, ::2])):
+            with pytest.raises(ValueError, match="run needs a writeable float64 Pz"):
+                run(0, self.P, z, Pz, block, *args)
+        with pytest.raises(ValueError, match="block of 6 rows"):
+            run(3, self.P, z, np.empty(15), np.empty((5, 15)), *args)
+        for P in (np.asfortranarray(self.P), self.P[:14, :14], self.P.astype(">f8"),
+                  self.P.tolist(), self.P.reshape(-1)):
+            assert run(0, P, z, np.empty(15), np.empty((1, 15)), *args) is None
+        assert z.tobytes() == uniform_simplex(15).tobytes()
+
+    def test_cap_beyond_int64_is_no_cap(self):
+        cfg = BpConfig(epsilon=0.5, max_iters=0)
+        want = outcome(self.P, uniform_simplex(15), cfg)
+        assert outcome(self.P, uniform_simplex(15), BpConfig(epsilon=0.5, max_iters=2**70)) == want
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_each_scheme_writes_its_rows_only(self, scheme):
         # NaN bits that no step writes, in the table's rows and one more:
         # the run writes to each of its rows and not past them
-        rows = bploop._BLOCK_ROWS[self.IDS[scheme]]
+        rows = bploop.library().BLOCK_ROWS[self.IDS[scheme]]
         sentinel = np.uint64(0x7FF8DEADBEEF0001)
         block = np.full((rows + 1, 15), sentinel).view(np.float64)
         z, Pz = uniform_simplex(15), np.empty(15)
-        bploop._run(self.IDS[scheme], self.P, z, Pz, block, 1e-9, 300, 128, 2.0)
+        bploop.library().run(self.IDS[scheme], self.P, z, Pz, block, 1e-9, 300, 128, 2.0)
         written = (block.view(np.uint64) != sentinel).any(axis=1)
         assert written.tolist() == [True] * rows + [False]
 
@@ -655,9 +682,9 @@ class TestLoading:
     def test_loads_wherever_it_can_be_built(self):
         # a silent fall back to the Python driver must fail here, not skip
         if not can_build():
-            pytest.skip("no C compiler, or numpy's OpenBLAS lacks the CBLAS or LAPACK symbols")
+            pytest.skip(CANNOT_BUILD)
         assert bploop.library() is not None
-        assert bploop.accepts(np.eye(3), 3)
+        assert bploop.run(0, np.eye(3), uniform_simplex(3), 0.5, 10, 128, 2.0) is not None
 
     @needs_build
     def test_only_runs_it_cannot_take_use_the_python_driver(self, monkeypatch):
@@ -679,10 +706,10 @@ class TestLoading:
         with pytest.raises(AssertionError, match="Python driver"):
             run_scheme(P, uniform_simplex(9), BpConfig(), callback=lambda *_: None)
 
-    @pytest.mark.parametrize("missing", ["compiler", "symbols"])
+    @pytest.mark.parametrize("missing", ["compiler", "headers", "symbols"])
     def test_without_compiler_or_symbols_the_python_driver_runs(self, fresh, monkeypatch,
                                                                 missing):
-        owner = bploop if missing == "compiler" else blas
+        owner = blas if missing == "symbols" else bploop
         monkeypatch.setattr(owner, missing, lambda: None)
         assert bploop.library() is None
         out = run_scheme(np.eye(3), uniform_simplex(3), BpConfig())
@@ -691,7 +718,7 @@ class TestLoading:
 
     @needs_build
     def test_second_process_reuses_the_build(self, fresh):
-        path = Path(bploop.library()._name)
+        path = Path(bploop.library().__file__)
         assert path.parent == fresh
         before = path.stat()
         # the compiler's own permissions, so other users can load it too
@@ -699,7 +726,7 @@ class TestLoading:
         os.umask(umask)
         assert before.st_mode & 0o777 == 0o777 & ~umask
         child = (f"from epra_kit import bploop; bploop.CACHE_DIR = {str(fresh)!r}; "
-                 "print(bploop.library()._name)")
+                 "print(bploop.library().__file__)")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                              capture_output=True, text=True).stdout.strip()
@@ -710,12 +737,12 @@ class TestLoading:
 
     @needs_build
     def test_changed_source_is_rebuilt(self, fresh, monkeypatch, tmp_path):
-        first = Path(bploop.library()._name)
+        first = Path(bploop.library().__file__)
         changed = tmp_path / "bploop.c"
         changed.write_text(Path(bploop.SOURCE).read_text() + "\n/* changed */\n")
         monkeypatch.setattr(bploop, "SOURCE", str(changed))
         monkeypatch.setattr(bploop, "_loaded", None)
-        second = Path(bploop.library()._name)
+        second = Path(bploop.library().__file__)
         assert second != first
         assert sorted(os.listdir(fresh)) == sorted([first.name, second.name])
         P = projector_from_kernel(np.random.default_rng(6).standard_normal((5, 12))).P
@@ -731,19 +758,97 @@ class TestLoading:
         monkeypatch.setattr(bploop, "_loaded", None)
         lib = bploop.library()
         assert lib is not None
-        assert Path(lib._name).parent.name.startswith("epra_kit-bploop-")
+        assert Path(lib.__file__).parent.name.startswith("epra_kit-bploop-")
 
-    @pytest.mark.skipif(bploop.compiler() is None, reason="no C compiler")
+    @pytest.mark.skipif(bploop.compiler() is None or bploop.headers() is None,
+                        reason="no C compiler or no Python.h")
     @pytest.mark.parametrize("target", ["default", "no SSE2"])
     def test_source_compiles_without_warnings(self, tmp_path, target):
         # the scalar path stands in for the 2-wide scan without SSE2
         extra = ["-U__SSE2__"] if target == "no SSE2" else []
+        include = [f"-I{d}" for d in bploop.headers()]
         out = subprocess.run([bploop.compiler(), *bploop.FLAGS, "-Wall", "-Wextra", "-Werror",
-                              *extra, "-o", str(tmp_path / "bploop.so"), bploop.SOURCE, "-lm"],
-                             capture_output=True, text=True)
+                              *extra, *include, "-o", str(tmp_path / "bploop.so"), bploop.SOURCE,
+                              "-lm"], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 
     def test_source_ships_with_the_package(self):
         with open(SRC.parent / "pyproject.toml", "rb") as f:
             data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
         assert "bploop.c" in data["epra_kit"]
+
+
+@needs_build
+def test_build_name_follows_numpy_and_the_interpreter(monkeypatch):
+    import sysconfig
+
+    cc = bploop.compiler()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    name = bploop._library_name(cc)
+    assert name.startswith("bploop.") and name.endswith(suffix)
+    monkeypatch.setattr(np, "__version__", np.__version__ + ".other")
+    other_numpy = bploop._library_name(cc)
+    monkeypatch.undo()
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda key: ".other-abi.so" if key == "EXT_SUFFIX" else real(key))
+    other_interpreter = bploop._library_name(cc)
+    assert other_interpreter.endswith(".other-abi.so")
+    assert len({name, other_numpy, other_interpreter}) == 3
+
+
+def test_import_builds_nothing():
+    # the module is built on the first run: the imports its build needs
+    # would add to every import of the package
+    child = ("import sys, epra_kit; "
+             "print(sorted({'sysconfig', 'subprocess', 'hashlib'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == "[]"
+
+
+def counted_during(call, seconds=0.05):
+    """How many times a Python thread advanced a counter during the middle
+    half of call(), run in another thread and taking at least `seconds`."""
+    stamps, inside, done = [], threading.Event(), threading.Event()
+    span = []
+
+    def compiled():
+        inside.set()
+        t0 = time.perf_counter()
+        call()
+        span.extend((t0, time.perf_counter()))
+        done.set()
+
+    worker = threading.Thread(target=compiled)
+    worker.start()
+    inside.wait(30)
+    count = 0
+    while not done.is_set():
+        count += 1
+        if count % 64 == 0:
+            stamps.append(time.perf_counter())
+    worker.join(30)
+    assert not worker.is_alive()
+    t0, t1 = span
+    assert t1 - t0 >= seconds, "the call was too short to tell"
+    quarter = (t1 - t0) / 4
+    return sum(t0 + quarter < t < t1 - quarter for t in stamps)
+
+
+@needs_build
+class TestWithoutTheInterpreterLock:
+    """The compiled loop and factorization let Python threads run."""
+
+    def test_run(self):
+        rng = np.random.default_rng(23)
+        R = rng.standard_normal((300, 300))
+        P = np.ascontiguousarray(R - R.T)  # z'P z = 0: no interior point ends the run
+        cfg = BpConfig(epsilon=1e-300, max_iters=10_000, scheme="smooth")
+        assert counted_during(lambda: run_scheme(P, uniform_simplex(300), cfg)) > 100
+
+    def test_basis(self):
+        M = np.asfortranarray(np.random.default_rng(24).standard_normal((2000, 1000)))
+        with blas.small_problem_threads(1, 1):
+            assert counted_during(lambda: bploop.basis(M)) > 100

@@ -128,7 +128,15 @@ _U_JUST_ABOVE_1 = float(np.nextafter(1.0, 2.0))
 
 class TestRoundBookkeepingMatchesReference:
     """identify_partition and rescale_update against their frozen first
-    versions, bytewise, on inputs that reach every branch."""
+    versions, bytewise, on inputs that reach every branch: on the compiled
+    route and on the NumPy code that runs without the library."""
+
+    @pytest.fixture(params=["compiled", "numpy"], autouse=True)
+    def route(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(bploop, "library", lambda: None)
+        elif bploop.library() is None:
+            pytest.skip("the compiled library is not built")
 
     VECTORS = [
         [0.0, 0.0, 0.0, 0.0],
@@ -167,12 +175,57 @@ class TestRoundBookkeepingMatchesReference:
                         want = reference_rescale_update(*args, U, mode)
                     assert same_bits(got, want), (z, Pz, D)
 
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 17, 128, 129, 200, 300, 1000])
+    @pytest.mark.parametrize("holes", ["none", "zeros", "nan", "inf"])
+    def test_long_vectors(self, n, holes):
+        # past the pairwise sum's blocks of 8 and 128, with signed zeros,
+        # NaN and infinities where the NumPy code meets them
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            x, Pz = (rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n) for _ in "ab")
+            D = np.exp(rng.uniform(0.0, 5.0, n))
+            for v in (x, Pz):
+                at = rng.random(n) < 0.1
+                v[at] = {"none": v[at], "zeros": np.copysign(0.0, v[at]), "nan": np.nan,
+                         "inf": np.copysign(np.inf, v[at])}[holes]
+            z = np.abs(x)
+            for U in (_U_JUST_ABOVE_1, 2.0, 1e3, 1e10):
+                with np.errstate(all="ignore"):
+                    got = identify_partition(x, Pz, U)
+                    want = reference_identify_partition(x, Pz, U)
+                    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+                    assert got[2] is want[2]
+                    for mode in (epra.ALL_DIRECTIONS, SINGLE_DIRECTION):
+                        for v in (x, z):
+                            assert same_bits(rescale_update(v, Pz, D, U, mode),
+                                             reference_rescale_update(v, Pz, D, U, mode))
+
     def test_rescale_update_leaves_its_inputs(self):
         z, Pz, D = np.array([0.5, 0.25, 0.25]), np.array([0.1, -0.2, 0.3]), np.ones(3)
         before = [v.copy() for v in (z, Pz, D)]
         for mode in (epra.ALL_DIRECTIONS, SINGLE_DIRECTION):
             rescale_update(z, Pz, D, 4.0, mode)
         assert all(same_bits(v, w) for v, w in zip((z, Pz, D), before))
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
+def test_compiled_bookkeeping_takes_the_solvers_arrays_only():
+    lib, v, D = bploop.library(), np.array([0.5, -0.25, 0.0]), np.ones(3)
+    assert lib.identify_partition(v, v, 2.0) is not None
+    assert lib.rescale_update(v, v, D, 2.0, False) is not None
+    assert lib.rescale_update(v, None, D, 2.0, True) is not None
+    # left to the NumPy code: lists, other dtypes, strides or sizes, an
+    # integer U and empty vectors
+    for other in (v.tolist(), v.astype(np.float32), np.repeat(v, 2)[::2], v[:2], v[None]):
+        assert lib.identify_partition(other, v, 2.0) is None
+        assert lib.identify_partition(v, other, 2.0) is None
+        assert lib.rescale_update(other, v, D, 2.0, False) is None
+        assert lib.rescale_update(v, v, other, 2.0, True) is None
+    assert lib.rescale_update(v, v.tolist(), D, 2.0, False) is None
+    assert lib.identify_partition(v, v, 2) is None
+    assert lib.rescale_update(v, v, D, 2, True) is None
+    assert lib.identify_partition(np.zeros(0), np.zeros(0), 2.0) is None
+    assert lib.rescale_update(np.zeros(0), np.zeros(0), np.zeros(0), 2.0, False) is None
 
 
 class TestSolveSmallInstances:
