@@ -166,10 +166,9 @@ static inline double square(double x)
 PAIRWISE_SUM(pos_sum, pos)
 PAIRWISE_SUM(sum_squares, square)
 
-/* bp_basis's scalings of the rows of its matrix, and its code for a
- * column of norm 0 */
+/* bp_basis's scalings of the rows of its matrix, and its failure codes */
 enum { UNSCALED = 0, DIVIDE = 1, MULTIPLY = 2 };
-enum { ZERO_COLUMN = -1 };
+enum { ZERO_COLUMN = -1, DGEQRF_REJECTED = -2, DORGQR_REJECTED = -3 };
 
 /* The orthonormal basis of subspace._orthonormal_range_basis for the
  * column-major (rows, cols) matrix a, rows >= cols >= 1, with its rows
@@ -187,15 +186,20 @@ enum { ZERO_COLUMN = -1 };
  * the workspace.  Returns 0 with min |R_jj| and max |R_jj| in scratch[0]
  * and scratch[1], NaN when any is NaN, as NumPy's min and max give it;
  * the scratch size the call needs, with nothing written, when `size` is
- * less; or ZERO_COLUMN when a scaled column has norm 0.  LAPACK rejects
- * none of the arguments these shapes give it, so its info is not read. */
+ * less; ZERO_COLUMN when a scaled column has norm 0; or DGEQRF_REJECTED
+ * or DORGQR_REJECTED when that routine rejects an argument, with minus
+ * its number in *info. */
 static int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d,
-                        int64_t mode, double *q, double *scratch, int64_t size)
+                        int64_t mode, double *q, double *scratch, int64_t size, blasint *info)
 {
     double *tau = scratch + 2, *work = tau + cols, query[2];
-    blasint info, ask = -1, lwork[2];
-    geqrf(&rows, &cols, q, &rows, tau, &query[0], &ask, &info);
-    orgqr(&rows, &cols, &cols, q, &rows, tau, &query[1], &ask, &info);
+    blasint ask = -1, lwork[2];
+    geqrf(&rows, &cols, q, &rows, tau, &query[0], &ask, info);
+    if (*info < 0)
+        return DGEQRF_REJECTED;
+    orgqr(&rows, &cols, &cols, q, &rows, tau, &query[1], &ask, info);
+    if (*info < 0)
+        return DORGQR_REJECTED;
     lwork[0] = workspace(query[0], cols);
     lwork[1] = workspace(query[1], cols);
     int64_t need = 2 + cols + (lwork[0] > lwork[1] ? lwork[0] : lwork[1]);
@@ -212,14 +216,18 @@ static int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const doubl
         for (int64_t i = 0; i < rows; i++)
             qj[i] /= norm;
     }
-    geqrf(&rows, &cols, q, &rows, tau, work, &lwork[0], &info);
+    geqrf(&rows, &cols, q, &rows, tau, work, &lwork[0], info);
+    if (*info < 0)
+        return DGEQRF_REJECTED;
     double lo = fabs(q[0]), hi = lo;
     for (int64_t j = 1; j < cols; j++) {
         double r = fabs(q[j * rows + j]);
         lo = r < lo || isnan(r) ? r : lo;
         hi = r > hi || isnan(r) ? r : hi;
     }
-    orgqr(&rows, &cols, &cols, q, &rows, tau, work, &lwork[1], &info);
+    orgqr(&rows, &cols, &cols, q, &rows, tau, work, &lwork[1], info);
+    if (*info < 0)
+        return DORGQR_REJECTED;
     scratch[0] = lo;
     scratch[1] = hi;
     return 0;
@@ -822,7 +830,7 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
  * scratch is a writeable contiguous float64 vector.  Returns (Q, min
  * |diag R|, max |diag R|), as NumPy float64s; None for a scaled column
  * of norm 0; or, when scratch is shorter than the call needs, that size,
- * with nothing written. */
+ * with nothing written.  ValueError when LAPACK rejects an argument. */
 static PyObject *py_basis(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
@@ -860,13 +868,17 @@ static PyObject *py_basis(PyObject *self, PyObject *const *args, Py_ssize_t narg
         return PyErr_Format(PyExc_ValueError, "basis needs a writeable Fortran-ordered float64 "
                             "Q of M's shape and a writeable float64 scratch");
     int64_t code;
+    blasint info = 0;
     Py_BEGIN_ALLOW_THREADS
-    code = bp_basis(rows, cols, a, d, mode, q, scratch, scratch_size);
+    code = bp_basis(rows, cols, a, d, mode, q, scratch, scratch_size, &info);
     Py_END_ALLOW_THREADS
     if (code > 0)
         return PyLong_FromLongLong(code);
     if (code == ZERO_COLUMN)
         Py_RETURN_NONE;
+    if (code < 0)
+        return PyErr_Format(PyExc_ValueError, "LAPACK %s rejected argument %lld",
+                            code == DGEQRF_REJECTED ? "dgeqrf" : "dorgqr", (long long)-info);
     PyObject *lo = float64(scratch[0]), *hi = float64(scratch[1]);
     PyObject *out = lo && hi ? PyTuple_Pack(3, args[3], lo, hi) : NULL;
     Py_XDECREF(lo);
@@ -929,18 +941,19 @@ static PyObject *py_identify_partition(PyObject *self, PyObject *const *args, Py
     return out;
 }
 
-/* rescale_update(z, Pz, D, U, single): epra.rescale_update for z and D,
- * aligned contiguous float64 vectors of one size n >= 1, Pz (read in the
- * all-directions mode only) an aligned contiguous float64 vector and U a
- * float, in the single-direction mode when `single` is true: the grown
- * diagonal, a new float64 array.  None for any other arguments, which
- * the NumPy code then takes. */
+/* rescale_update(z, Pz, D, U, single, floor): epra.rescale_update for z
+ * and D, aligned contiguous float64 vectors of one size n >= 1, Pz (read
+ * in the all-directions mode only) an aligned contiguous float64 vector,
+ * U a float and floor the float epra._ALPHA_FLOOR, in the
+ * single-direction mode when `single` is true: the grown diagonal, a new
+ * float64 array.  None for any other arguments, which the NumPy code then
+ * takes. */
 static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
     npy_intp n, n_d, m = 0;
     const double *Pz = NULL;
-    if (!arguments("rescale_update", nargs, 5))
+    if (!arguments("rescale_update", nargs, 6))
         return NULL;
     int single = PyObject_IsTrue(args[4]);
     if (single < 0)
@@ -950,7 +963,7 @@ static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssi
     if (!single)
         Pz = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &m);
     if (z == NULL || D == NULL || n != n_d || n == 0 || (!single && Pz == NULL)
-        || !PyFloat_Check(args[3]))
+        || !PyFloat_Check(args[3]) || !PyFloat_Check(args[5]))
         Py_RETURN_NONE;
     double U = PyFloat_AS_DOUBLE(args[3]);
     PyObject *out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
@@ -966,7 +979,7 @@ static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssi
         return out;
     }
     /* alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR) */
-    double alpha = py_max(pos_sum(Pz, m), 1e-300);
+    double alpha = py_max(pos_sum(Pz, m), PyFloat_AS_DOUBLE(args[5]));
     for (npy_intp i = 0; i < n; i++) {
         double v = (1.0 + pos(z[i] / alpha - 1.0)) * D[i];
         /* np.minimum(v, U): v when it is NaN */

@@ -193,7 +193,10 @@ def basis(M, scale=None, divide: bool = False):
     factorization of the scaled M with each column divided by its norm, a
     new Fortran-ordered array, and the range NumPy float64s read before Q
     is formed; or (None, None, None) when a scaled column has norm 0.
-    Needs the library; ValueError for any other M or scale."""
+    Needs the library; ValueError for any other M or scale, or when LAPACK
+    rejects an argument."""
+    if not (isinstance(M, np.ndarray) and M.ndim == 2):
+        raise ValueError("basis needs a 2-D float64 array")
     lib = library()
     Q = np.empty(M.shape, order="F")
     out = lib.basis(M, scale, divide, Q, np.empty(2 + _BASIS_SCRATCH_PER_COLUMN * M.shape[-1]))

@@ -128,7 +128,7 @@ def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray
     """
     lib, single = bploop.library(), mode == SINGLE_DIRECTION
     if lib is not None and (single or mode == ALL_DIRECTIONS):
-        out = lib.rescale_update(z, Pz, D, U, single)
+        out = lib.rescale_update(z, Pz, D, U, single, _ALPHA_FLOOR)
         if out is not None:
             return out
     z = np.asarray(z, dtype=float)

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import os
 import sys
@@ -289,12 +290,44 @@ class TestBasis:
         np.ones((2, 4), order="F"),             # wide
         np.ones((4, 0), order="F"),
         np.ones(4),
+        np.array(1.0),                          # 0-d
+        [[1.0], [1.0]],                         # not an array
     ])
     def test_rejects_what_it_cannot_read_in_place(self, M):
-        before = M.copy()
+        before = np.asarray(M).tobytes()
         with pytest.raises(ValueError):
             bploop.basis(M)
-        assert M.tobytes() == before.tobytes()
+        assert np.asarray(M).tobytes() == before
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+    @pytest.mark.parametrize("in_query", [True, False])
+    def test_raises_on_negative_info(self, routine, in_query):
+        # a LAPACK routine that rejects an argument, in its workspace query
+        # or in the factorization, stops the call with a ValueError
+        lib, real = bploop.library(), blas.symbols()
+        at = 2 if routine == "dgeqrf" else 3
+        arity = 8 if routine == "dgeqrf" else 9
+
+        @ctypes.CFUNCTYPE(None, *[ctypes.POINTER(ctypes.c_double)] * arity)
+        def rejecting(*args):
+            lwork, info = ctypes.cast(args[-2], ctypes.POINTER(ctypes.c_int64)), \
+                ctypes.cast(args[-1], ctypes.POINTER(ctypes.c_int64))
+            if lwork[0] == -1 and not in_query:
+                args[-3][0] = 1.0
+                info[0] = 0
+            else:
+                info[0] = -4
+
+        bound = list(real)
+        bound[at] = ctypes.cast(rejecting, ctypes.c_void_p).value
+        lib.bind(*bound)
+        try:
+            with pytest.raises(ValueError, match=f"LAPACK {routine} rejected argument 4$"):
+                bploop.basis(np.asfortranarray(np.eye(5, 3) + 1.0))
+        finally:
+            lib.bind(*real)
+        F = np.asfortranarray(scaled_columns((9, 4), 3))
+        self.assert_same(bploop.basis(F), numpy_route(F), "rebound")
 
     @pytest.mark.parametrize("scale", [np.ones(3), np.ones(4, dtype=np.float32),
                                        np.ones(8)[::2], [1.0] * 4])

@@ -208,24 +208,37 @@ class TestRoundBookkeepingMatchesReference:
         assert all(same_bits(v, w) for v, w in zip((z, Pz, D), before))
 
 
+# the alpha floor epra.rescale_update hands the compiled module
+FLOOR = epra._ALPHA_FLOOR
+
+
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
 def test_compiled_bookkeeping_takes_the_solvers_arrays_only():
     lib, v, D = bploop.library(), np.array([0.5, -0.25, 0.0]), np.ones(3)
     assert lib.identify_partition(v, v, 2.0) is not None
-    assert lib.rescale_update(v, v, D, 2.0, False) is not None
-    assert lib.rescale_update(v, None, D, 2.0, True) is not None
+    assert lib.rescale_update(v, v, D, 2.0, False, FLOOR) is not None
+    assert lib.rescale_update(v, None, D, 2.0, True, FLOOR) is not None
     # left to the NumPy code: lists, other dtypes, strides or sizes, an
     # integer U and empty vectors
     for other in (v.tolist(), v.astype(np.float32), np.repeat(v, 2)[::2], v[:2], v[None]):
         assert lib.identify_partition(other, v, 2.0) is None
         assert lib.identify_partition(v, other, 2.0) is None
-        assert lib.rescale_update(other, v, D, 2.0, False) is None
-        assert lib.rescale_update(v, v, other, 2.0, True) is None
-    assert lib.rescale_update(v, v.tolist(), D, 2.0, False) is None
+        assert lib.rescale_update(other, v, D, 2.0, False, FLOOR) is None
+        assert lib.rescale_update(v, v, other, 2.0, True, FLOOR) is None
+    assert lib.rescale_update(v, v.tolist(), D, 2.0, False, FLOOR) is None
     assert lib.identify_partition(v, v, 2) is None
-    assert lib.rescale_update(v, v, D, 2, True) is None
+    assert lib.rescale_update(v, v, D, 2, True, FLOOR) is None
     assert lib.identify_partition(np.zeros(0), np.zeros(0), 2.0) is None
-    assert lib.rescale_update(np.zeros(0), np.zeros(0), np.zeros(0), 2.0, False) is None
+    assert lib.rescale_update(np.zeros(0), np.zeros(0), np.zeros(0), 2.0, False, FLOOR) is None
+    assert lib.rescale_update(v, v, D, 2.0, False, 0) is None
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
+def test_compiled_rescale_update_takes_the_alpha_floor_it_is_given():
+    # Pz has no positive entry, so alpha is the floor
+    lib, z, Pz, D = bploop.library(), np.array([0.5, 3.0]), -np.ones(2), np.ones(2)
+    assert lib.rescale_update(z, Pz, D, 10.0, False, 1.0).tolist() == [1.0, 3.0]
+    assert lib.rescale_update(z, Pz, D, 10.0, False, FLOOR).tolist() == [10.0, 10.0]
 
 
 class TestSolveSmallInstances:
