@@ -8,10 +8,7 @@ threads and 3.0 ms on one, and the idle worker's spinning doubled the
 process CPU time.  `small_problem_threads` runs a block on one thread
 when the matrix has at most SINGLE_THREAD_MAX_ENTRIES entries and leaves
 the threading alone otherwise; it restores the caller's thread count on
-the way out.  A block entered by a thread already inside the policy
-(each later round's side enters once in its build and once in
-`epra.solve`) changes nothing: a thread-local flag sends it past the lock
-and the setter.
+the way out.
 
 The setter is numpy's bundled OpenBLAS `openblas_set_num_threads_local`,
 which returns the count it replaces.  It is looked up on first use, not at
@@ -34,7 +31,7 @@ import ctypes
 import functools
 import os
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 # m * n at or below which a problem runs on one thread.  Measured on the
@@ -47,13 +44,10 @@ from typing import Callable, Optional
 SINGLE_THREAD_MAX_ENTRIES = 300_000
 
 # Python threads inside the policy, and the count to restore when the
-# last of them leaves; both guarded by _lock.  `_inside.active` is true in
-# a thread while it is inside.
+# last of them leaves; both guarded by _lock.
 _lock = threading.Lock()
 _depth = 0
 _saved_threads = 0
-_inside = threading.local()
-_UNCHANGED = nullcontext()
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,42 +76,29 @@ def _thread_setter() -> Optional[Callable]:
     return fn
 
 
+@contextmanager
 def small_problem_threads(m: int, n: int):
-    """A block that runs on one OpenBLAS thread when m * n is at most
+    """Run the block on one OpenBLAS thread when m * n is at most
     SINGLE_THREAD_MAX_ENTRIES.  Blocks may nest and may run in several
-    Python threads at once: the first thread to enter saves the count and
-    sets one thread, the last to leave restores the saved count, also when
-    a block raises.  A block inside another of the same thread does
-    nothing."""
-    if m * n > SINGLE_THREAD_MAX_ENTRIES or getattr(_inside, "active", False):
-        return _UNCHANGED
-    setter = _thread_setter()
-    return _UNCHANGED if setter is None else _OneThread(setter)
-
-
-class _OneThread:
-    """The outermost block of one Python thread inside the policy."""
-
-    __slots__ = ("setter",)
-
-    def __init__(self, setter: Callable):
-        self.setter = setter
-
-    def __enter__(self):
-        global _depth, _saved_threads
-        with _lock:
-            if _depth == 0:
-                _saved_threads = self.setter(1)
-            _depth += 1
-        _inside.active = True
-
-    def __exit__(self, *exc):
-        global _depth
-        _inside.active = False
+    Python threads at once: the first to enter saves the count and sets
+    one thread, the last to leave restores the saved count, also when a
+    block raises."""
+    global _depth, _saved_threads
+    setter = _thread_setter() if m * n <= SINGLE_THREAD_MAX_ENTRIES else None
+    if setter is None:
+        yield
+        return
+    with _lock:
+        if _depth == 0:
+            _saved_threads = setter(1)
+        _depth += 1
+    try:
+        yield
+    finally:
         with _lock:
             _depth -= 1
             if _depth == 0:
-                self.setter(_saved_threads)
+                setter(_saved_threads)
 
 
 # numpy's bundled OpenBLAS is built with 64-bit integers (ILP64) and

@@ -197,28 +197,19 @@ class TestPolicy:
         assert on.x_hat.tobytes() == off.x_hat.tobytes()
 
 
-def test_nested_entry_takes_no_lock_and_calls_no_setter(monkeypatch):
+def test_nested_entry_calls_no_setter(monkeypatch):
     calls = []
 
     def setter(count):
         calls.append(count)
         return 3
 
-    class Unusable:
-        def __enter__(self):
-            raise AssertionError("a nested entry took the lock")
-
-        __exit__ = __enter__
-
     monkeypatch.setattr(blas, "_thread_setter", lambda: setter)
     with blas.small_problem_threads(1, 1):
         assert calls == [1]
-        lock = blas._lock
-        monkeypatch.setattr(blas, "_lock", Unusable())
         with blas.small_problem_threads(2, 3):
             with blas.small_problem_threads(10**9, 1):
                 pass
-        monkeypatch.setattr(blas, "_lock", lock)
         assert calls == [1]
     assert calls == [1, 3]
     # and the next outermost entry sets the count again
