@@ -21,14 +21,14 @@ at O(n) cost per iteration and recomputed from scratch every _REFRESH
 steps.  A step's failure carries the number of steps completed before it
 as its `iterations` attribute, and a set-up's failure carries 0.
 
-A run without a callback on a C-contiguous float64 (n, n) projector is
-one call to the compiled loop (`bploop`), which does the scheme's set-up
-and then takes the driver's steps; between the start's check and the
-loop NumPy only allocates the run's arrays.  The Python set-up and
-`_drive` with the plain NumPy steps are the reference for their bits and
-errors, the fallback where no compiled loop can be built, and the path
-that calls a callback; neither path raises floating-point warnings in
-the set-up or the run.
+Every run takes P as a C-contiguous float64 array, converted once when
+it is not one.  A run without a callback is one call to the compiled
+loop (`bploop`) wherever it loads, which does the scheme's set-up and
+then takes the driver's steps in arrays it allocates.  The Python set-up
+and `_drive` with the plain NumPy steps are the reference for their bits
+and errors, the fallback where no compiled loop can be built, and the
+path that calls a callback; neither path raises floating-point warnings
+in the set-up or the run.
 """
 
 import numbers
@@ -182,16 +182,17 @@ _STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
 
 
 def _run(scheme: int, P, z, cfg: BpConfig, callback, start, refresh=_REFRESH) -> BpOutcome:
-    """Run scheme number `scheme` from the checked start z.  Without a
-    callback, on a P it takes, `bploop.run` does the scheme's set-up and
-    its loop, in state it allocates; else start(z) makes the set-up's z and
-    P z and the step for _drive.  A set-up failure carries iterations = 0
-    on both paths, and neither path raises floating-point warnings in the
-    set-up."""
-    compiled = None if callback is not None else bploop.run(
-        scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)
-    if compiled is not None:
-        code, t, Pz = compiled
+    """Run scheme number `scheme` on P as a C-contiguous float64 array
+    from the checked start z.  Without a callback, where the library
+    loads, its `run` does the scheme's set-up and its loop in state it
+    allocates; else start(P, z) makes the set-up's z and P z and the step
+    for _drive.  A set-up failure carries iterations = 0 on both paths,
+    and neither path raises floating-point warnings in the set-up."""
+    P = np.ascontiguousarray(P, dtype=float)
+    lib = bploop.library()
+    if callback is None and lib is not None:
+        # the block, the fourth result, is freed here
+        code, t, Pz = lib.run(scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)[:3]
         if code < 0:
             error = _failure(code)
             error.iterations = t
@@ -199,7 +200,7 @@ def _run(scheme: int, P, z, cfg: BpConfig, callback, start, refresh=_REFRESH) ->
         return BpOutcome(_STATUSES[code], z, Pz, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            z, Pz, step = start(z)
+            z, Pz, step = start(P, z)
         except EpraKitError as error:
             error.iterations = 0
             raise
@@ -266,7 +267,7 @@ def run_perceptron(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) ->
     check that ran on the same Pz would otherwise have returned interior.
     """
 
-    def start(z):
+    def start(P, z):
         def step(z, Pz, t):
             i = int(Pz.argmin())
             _vertex_move(z, Pz, i, 1.0 / (t + 1), P[:, i])
@@ -284,7 +285,7 @@ def run_von_neumann(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -
     the first time the run picks column i and reused after that.
     """
 
-    def start(z):
+    def start(P, z):
         # ||P e_i||^2, or -1 until computed (a computed entry is >= 0 or NaN)
         norm2 = np.full(z.size, -1.0)
 
@@ -318,7 +319,7 @@ def run_vna(P, z0, cfg: BpConfig, callback: Optional[Callable] = None) -> BpOutc
     move, so a regular step is taken instead.
     """
 
-    def start(z):
+    def start(P, z):
         Pa = np.empty(z.size)  # the direction's projection
 
         def step(z, Pz, t):
@@ -371,7 +372,7 @@ def run_smooth(P, u_bar, cfg: BpConfig, callback: Optional[Callable] = None) -> 
     anew.  Unlike the vertex schemes, P z gets no periodic recomputation.
     """
 
-    def start(ub):
+    def start(P, ub):
         mu = _MU_0
         Pu = P @ ub
         w = simplex_prox(Pu, mu, ub)

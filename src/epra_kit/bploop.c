@@ -3,14 +3,17 @@
  * scaling, normalization and QR factorization of every projector build,
  * in one call; and the round bookkeeping of epra.identify_partition and
  * epra.rescale_update.  Built by bploop.py as the CPython extension module
- * epra_kit._bploop, whose functions (at the end of this file) take the
- * NumPy arrays themselves, check their dtype, byte order, alignment,
- * contiguity and shape through NumPy's C API, and raise ValueError for
- * any they cannot take.  The module calls no allocator of its own: every
- * buffer it reads or writes is a NumPy array, made with np.empty by its
- * caller or, for a result whose size only its scan knows, with
- * PyArray_SimpleNew, so tracemalloc sees all of it.  The loop and the
- * factorization run without the interpreter lock.
+ * epra_kit._bploop, whose functions (at the end of this file) take only
+ * their inputs and return what they make.  An array a function only reads
+ * is converted through NumPy's C API, as np.asarray(x, dtype=float) would
+ * convert it, into an aligned float64 array in native byte order with the
+ * layout the function reads; one that already has it is only referenced.
+ * Every buffer a function writes is a NumPy array it allocates through
+ * the C API before it releases the interpreter lock, so tracemalloc sees
+ * all of it.  A function raises ValueError only for what no caller can
+ * mean: a wrong ndim or length, a scheme number outside 0 to 3, a z it
+ * cannot write in place, or LAPACK's rejection of an argument.  The loop
+ * and the factorization run without the interpreter lock.
  *
  * Every operation is the one NumPy or Python performs, in the same order:
  * elementwise arithmetic in IEEE double without contraction (built with
@@ -54,18 +57,18 @@
  * A run's set-up is done here too, with the same matvec and simplex
  * projection as its steps: the starting P z, and for the smooth perceptron
  * P u_bar, the first prox point w and P w.  So a run is one call from
- * Python, given P, z, P z and one block that holds the scheme's state and
- * scratch.
+ * Python, given P and z; it allocates P z and one block that holds the
+ * scheme's state and scratch.
  *
  * bp_basis makes a projector build's basis in one call: it reads A and
  * the side's diagonal, writes the scaled transpose straight into Q's
  * storage, divides each column by its norm (NumPy's pairwise sum of the
  * squares, as np.linalg.norm takes it) and factors the result there with
- * the LAPACK calls of np.linalg.qr: dgeqrf and dorgqr, each after its
- * workspace query and with the workspace that query asks for, so the
- * block size and every bit of Q are numpy's.  It reads the range of
- * |diag R| for the rank test between the two.  Its scratch is the
- * caller's.
+ * the LAPACK calls of np.linalg.qr: dgeqrf and dorgqr, with the
+ * workspace their queries ask for, so the block size and every bit of Q
+ * are numpy's.  It reads the range of |diag R| for the rank test between
+ * the two.  Q and the scratch, tau and exactly that workspace, are
+ * allocated after the queries.
  *
  * The round bookkeeping makes one pass (two for identify_partition's
  * index arrays) over vectors of n doubles, with NumPy's comparisons,
@@ -170,41 +173,47 @@ PAIRWISE_SUM(sum_squares, square)
 enum { UNSCALED = 0, DIVIDE = 1, MULTIPLY = 2 };
 enum { ZERO_COLUMN = -1, DGEQRF_REJECTED = -2, DORGQR_REJECTED = -3 };
 
-/* The orthonormal basis of subspace._orthonormal_range_basis for the
- * column-major (rows, cols) matrix a, rows >= cols >= 1, with its rows
- * divided by d, multiplied by d or left as they are (mode), written into
- * q, a column-major (rows, cols) array of the caller's; a is not written.
- * Each column of q is the scaled column of a, NumPy's elementwise
- * operation, then divided by its norm, sqrt of the pairwise sum of its
- * squares as np.linalg.norm(M, axis=0) takes it on a Fortran-ordered M.
- * The reduced QR factorization of the result is then computed in q with
- * the LAPACK calls of np.linalg.qr: dgeqrf and dorgqr, each after its
- * workspace query and with the workspace that query asks for, so the
- * block size and every bit of Q are numpy's.
- *
- * scratch holds `size` doubles: two for the result, then tau (cols) and
- * the workspace.  Returns 0 with min |R_jj| and max |R_jj| in scratch[0]
- * and scratch[1], NaN when any is NaN, as NumPy's min and max give it;
- * the scratch size the call needs, with nothing written, when `size` is
- * less; ZERO_COLUMN when a scaled column has norm 0; or DGEQRF_REJECTED
- * or DORGQR_REJECTED when that routine rejects an argument, with minus
- * its number in *info. */
-static int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d,
-                        int64_t mode, double *q, double *scratch, int64_t size, blasint *info)
+/* The workspace np.linalg.qr gives dgeqrf and dorgqr for a column-major
+ * (rows, cols) matrix in q: lwork[k], max(cols, routine k's query).
+ * Returns 0, or DGEQRF_REJECTED or DORGQR_REJECTED when that routine
+ * rejects an argument, with minus its number in *info. */
+static int64_t bp_workspace(int64_t rows, int64_t cols, double *q, blasint lwork[2],
+                            blasint *info)
 {
-    double *tau = scratch + 2, *work = tau + cols, query[2];
-    blasint ask = -1, lwork[2];
-    geqrf(&rows, &cols, q, &rows, tau, &query[0], &ask, info);
+    double query[2], tau;
+    blasint ask = -1;
+    geqrf(&rows, &cols, q, &rows, &tau, &query[0], &ask, info);
     if (*info < 0)
         return DGEQRF_REJECTED;
-    orgqr(&rows, &cols, &cols, q, &rows, tau, &query[1], &ask, info);
+    orgqr(&rows, &cols, &cols, q, &rows, &tau, &query[1], &ask, info);
     if (*info < 0)
         return DORGQR_REJECTED;
     lwork[0] = workspace(query[0], cols);
     lwork[1] = workspace(query[1], cols);
-    int64_t need = 2 + cols + (lwork[0] > lwork[1] ? lwork[0] : lwork[1]);
-    if (size < need)
-        return need;
+    return 0;
+}
+
+/* The orthonormal basis of subspace._orthonormal_range_basis for the
+ * column-major (rows, cols) matrix a, rows >= cols >= 1, with its rows
+ * divided by d, multiplied by d or left as they are (mode), written into
+ * q, a column-major (rows, cols) array; a is not written.  Each column of
+ * q is the scaled column of a, NumPy's elementwise operation, then
+ * divided by its norm, sqrt of the pairwise sum of its squares as
+ * np.linalg.norm(M, axis=0) takes it on a Fortran-ordered M.  The reduced
+ * QR factorization of the result is then computed in q with the LAPACK
+ * calls of np.linalg.qr, dgeqrf and dorgqr, with the workspace
+ * bp_workspace found, so the block size and every bit of Q are numpy's.
+ *
+ * tau holds cols doubles and then the larger workspace.  Returns 0 with
+ * min |R_jj| and max |R_jj| in range, NaN when any is NaN, as NumPy's min
+ * and max give it; ZERO_COLUMN when a scaled column has norm 0; or
+ * DGEQRF_REJECTED or DORGQR_REJECTED when that routine rejects an
+ * argument, with minus its number in *info. */
+static int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const double *d,
+                        int64_t mode, double *q, double *tau, blasint lwork[2], double range[2],
+                        blasint *info)
+{
+    double *work = tau + cols;
     for (int64_t j = 0; j < cols; j++) {
         const double *aj = a + j * rows;
         double *restrict qj = q + j * rows;
@@ -228,8 +237,8 @@ static int64_t bp_basis(int64_t rows, int64_t cols, const double *a, const doubl
     orgqr(&rows, &cols, &cols, q, &rows, tau, work, &lwork[1], info);
     if (*info < 0)
         return DORGQR_REJECTED;
-    scratch[0] = lo;
-    scratch[1] = hi;
+    range[0] = lo;
+    range[1] = hi;
     return 0;
 }
 
@@ -699,24 +708,25 @@ static int64_t bp_run(int64_t scheme, int64_t n, const double *P, double *z, dou
 }
 
 /* ------------------------------------------------------------------------
- * The module epra_kit._bploop: the calls of bploop.py and epra.py.
+ * The module epra_kit._bploop: the calls of basic.py, subspace.py and
+ * epra.py.  Each function takes only its inputs and returns what it makes.
  * ------------------------------------------------------------------------ */
 
-/* the entries of o when it is a float64 array in native byte order with
- * ndim dimensions (any number for 0), aligned and with every flag of
- * `flags`; else NULL.  *size receives its number of entries (0 for
- * NULL). */
-static double *doubles(PyObject *o, int ndim, int flags, npy_intp *size)
+/* o as an aligned float64 array in native byte order, C-contiguous for
+ * NPY_ARRAY_IN_ARRAY and Fortran-contiguous for NPY_ARRAY_IN_FARRAY, with
+ * ndim dimensions: a new reference to o when it is one, else to the copy
+ * np.asarray(o, dtype=float) would make in that layout.  NULL with the
+ * error set when o cannot be converted or has another ndim. */
+static PyArrayObject *input(PyObject *o, int layout, int ndim, const char *name)
 {
-    *size = 0;
-    if (!PyArray_Check(o))
+    PyArrayObject *a = (PyArrayObject *)PyArray_FROM_OTF(o, NPY_DOUBLE,
+                                                         layout | NPY_ARRAY_FORCECAST);
+    if (a != NULL && PyArray_NDIM(a) != ndim) {
+        Py_DECREF(a);
+        PyErr_Format(PyExc_ValueError, "%s must have %d dimensions", name, ndim);
         return NULL;
-    PyArrayObject *a = (PyArrayObject *)o;
-    if (PyArray_TYPE(a) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(a)
-        || (ndim && PyArray_NDIM(a) != ndim) || !PyArray_CHKFLAGS(a, flags | NPY_ARRAY_ALIGNED))
-        return NULL;
-    *size = PyArray_SIZE(a);
-    return PyArray_DATA(a);
+    }
+    return a;
 }
 
 static int arguments(const char *name, Py_ssize_t nargs, Py_ssize_t want)
@@ -756,22 +766,20 @@ static PyObject *py_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs
 }
 
 /* the rows of n doubles of bp_run's block, by scheme number: perceptron,
- * von Neumann, away steps, smooth perceptron; the module's BLOCK_ROWS */
-static const int64_t block_rows[] = {1, 2, 2, 6};
+ * von Neumann, away steps, smooth perceptron */
+static const npy_intp block_rows[] = {1, 2, 2, 6};
 
-/* run(scheme, P, z, Pz, block, eps, max_iters, refresh, mu0): bp_run
- * without the interpreter lock, on z (updated in place), an empty Pz of
- * z's size and a C-contiguous block of at least the scheme's rows of
- * z.size doubles.  Returns (status or failure code, steps, Pz); None when
- * P is not an aligned, C-contiguous float64 (n, n) array for n = z.size,
- * which the Python driver then takes.  A max_iters beyond int64 is one
- * the loop cannot reach. */
+/* run(scheme, P, z, eps, max_iters, refresh, mu0): bp_run without the
+ * interpreter lock on P, an (n, n) matrix converted by input(), and z, a
+ * writeable C-contiguous float64 vector of n >= 1 entries updated in
+ * place.  Returns (status or failure code, steps, P z, block): P z and the
+ * scheme's block are new arrays.  A max_iters beyond int64 is one the loop
+ * cannot reach. */
 static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    npy_intp n, size, pz_size, block_size;
     int overflow;
-    if (!arguments("run", nargs, 9))
+    if (!arguments("run", nargs, 7))
         return NULL;
     long long scheme = PyLong_AsLongLong(args[0]);
     if (scheme == -1 && PyErr_Occurred())
@@ -779,110 +787,114 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (scheme < PERCEPTRON || scheme > SMOOTH)
         return PyErr_Format(PyExc_ValueError, "no scheme number %lld: bp_run has 0 to %d",
                             scheme, SMOOTH);
-    double *z = doubles(args[2], 1, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE, &n);
-    if (z == NULL || n == 0)
-        return PyErr_Format(PyExc_ValueError, "run needs z, a writeable float64 vector");
-    const double *P = doubles(args[1], 2, NPY_ARRAY_C_CONTIGUOUS, &size);
-    if (P == NULL || PyArray_DIM((PyArrayObject *)args[1], 0) != n || size != n * n)
-        Py_RETURN_NONE;
-    double *Pz = doubles(args[3], 1, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE, &pz_size);
-    double *block = doubles(args[4], 0, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE,
-                            &block_size);
-    if (Pz == NULL || pz_size != n || block == NULL || block_size < block_rows[scheme] * n)
-        return PyErr_Format(PyExc_ValueError,
-                            "run needs a writeable float64 Pz of %zd entries and a block of "
-                            "%lld rows of them", (Py_ssize_t)n, (long long)block_rows[scheme]);
     double eps, mu0;
     long long max_iters, refresh;
-    if (((eps = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred())
-        || ((max_iters = PyLong_AsLongLongAndOverflow(args[6], &overflow)) == -1
+    if (((eps = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred())
+        || ((max_iters = PyLong_AsLongLongAndOverflow(args[4], &overflow)) == -1
             && PyErr_Occurred())
-        || ((refresh = PyLong_AsLongLong(args[7])) == -1 && PyErr_Occurred())
-        || ((mu0 = PyFloat_AsDouble(args[8])) == -1.0 && PyErr_Occurred()))
+        || ((refresh = PyLong_AsLongLong(args[5])) == -1 && PyErr_Occurred())
+        || ((mu0 = PyFloat_AsDouble(args[6])) == -1.0 && PyErr_Occurred()))
         return NULL;
     if (overflow)
         max_iters = overflow > 0 ? INT64_MAX : INT64_MIN;
-    int64_t code, iters;
-    Py_BEGIN_ALLOW_THREADS
-    code = bp_run(scheme, n, P, z, Pz, eps, max_iters, refresh, &iters, block, mu0);
-    Py_END_ALLOW_THREADS
-    PyObject *out = PyTuple_New(3), *c = PyLong_FromLongLong(code),
-             *t = PyLong_FromLongLong(iters);
-    if (out == NULL || c == NULL || t == NULL) {
-        Py_XDECREF(out);
-        Py_XDECREF(c);
-        Py_XDECREF(t);
+    PyArrayObject *z = (PyArrayObject *)args[2];
+    if (!PyArray_Check(args[2]) || PyArray_TYPE(z) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(z)
+        || PyArray_NDIM(z) != 1 || !PyArray_ISCARRAY(z) || PyArray_DIM(z, 0) == 0)
+        return PyErr_Format(PyExc_ValueError, "run needs z, a writeable float64 vector");
+    npy_intp n = PyArray_DIM(z, 0), shape[2] = {block_rows[scheme], n};
+    PyArrayObject *P = input(args[1], NPY_ARRAY_IN_ARRAY, 2, "P");
+    if (P == NULL)
+        return NULL;
+    if (PyArray_DIM(P, 0) != n || PyArray_DIM(P, 1) != n) {
+        Py_DECREF(P);
+        return PyErr_Format(PyExc_ValueError, "run needs P of shape (%zd, %zd)",
+                            (Py_ssize_t)n, (Py_ssize_t)n);
+    }
+    PyArrayObject *Pz = (PyArrayObject *)PyArray_SimpleNew(1, &n, NPY_DOUBLE),
+                  *block = (PyArrayObject *)PyArray_SimpleNew(2, shape, NPY_DOUBLE);
+    if (Pz == NULL || block == NULL) {
+        Py_DECREF(P);
+        Py_XDECREF(Pz);
+        Py_XDECREF(block);
         return NULL;
     }
-    Py_INCREF(args[3]);
-    PyTuple_SET_ITEM(out, 0, c);
-    PyTuple_SET_ITEM(out, 1, t);
-    PyTuple_SET_ITEM(out, 2, args[3]);
-    return out;
+    int64_t code, iters;
+    Py_BEGIN_ALLOW_THREADS
+    code = bp_run(scheme, n, PyArray_DATA(P), PyArray_DATA(z), PyArray_DATA(Pz), eps, max_iters,
+                  refresh, &iters, PyArray_DATA(block), mu0);
+    Py_END_ALLOW_THREADS
+    Py_DECREF(P);
+    return Py_BuildValue("(LLNN)", (long long)code, (long long)iters, Pz, block);
 }
 
-/* basis(M, scale, divide, Q, scratch): bp_basis without the interpreter
- * lock for M, an aligned Fortran-contiguous float64 matrix with rows >=
- * columns >= 1 (not written), its rows divided by scale (divide true) or
- * multiplied by it, or unscaled for a scale of None; scale is a
- * contiguous float64 vector of M's rows.  Q, a writeable
- * Fortran-contiguous float64 array of M's shape, receives the basis, and
- * scratch is a writeable contiguous float64 vector.  Returns (Q, min
- * |diag R|, max |diag R|), as NumPy float64s; None for a scaled column
- * of norm 0; or, when scratch is shorter than the call needs, that size,
- * with nothing written.  ValueError when LAPACK rejects an argument. */
+/* basis(M, scale, divide): bp_basis without the interpreter lock for M, a
+ * matrix with rows >= columns >= 1 converted by input() to Fortran order
+ * (not written), with its rows divided by scale (divide true) or
+ * multiplied by it, or unscaled for a scale of None; scale is a vector of
+ * M's rows, converted likewise.  Q and the scratch of tau and the
+ * workspace LAPACK's two queries ask for are new arrays.  Returns (Q, min
+ * |diag R|, max |diag R|), the two as NumPy float64s, or None for a scaled
+ * column of norm 0.  ValueError when LAPACK rejects an argument. */
 static PyObject *py_basis(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    npy_intp size, q_size, scale_size, scratch_size;
-    if (!arguments("basis", nargs, 5))
+    if (!arguments("basis", nargs, 3))
         return NULL;
-    if (doubles(args[0], 2, 0, &size) == NULL)
-        return PyErr_Format(PyExc_ValueError, "basis needs an aligned 2-D float64 array");
-    const double *a = doubles(args[0], 2, NPY_ARRAY_F_CONTIGUOUS, &size);
-    if (a == NULL)
-        return PyErr_Format(PyExc_ValueError, "basis needs a Fortran-contiguous array");
-    npy_intp rows = PyArray_DIM((PyArrayObject *)args[0], 0);
-    npy_intp cols = PyArray_DIM((PyArrayObject *)args[0], 1);
-    if (!(rows >= cols && cols >= 1))
-        return PyErr_Format(PyExc_ValueError, "basis needs rows >= columns >= 1, got %zd x %zd",
-                            (Py_ssize_t)rows, (Py_ssize_t)cols);
-    const double *d = NULL;
-    int64_t mode = UNSCALED;
+    PyArrayObject *M = input(args[0], NPY_ARRAY_IN_FARRAY, 2, "M"), *scale = NULL, *Q = NULL,
+                  *scratch = NULL;
+    PyObject *out = NULL;
+    if (M == NULL)
+        return NULL;
+    npy_intp rows = PyArray_DIM(M, 0), cols = PyArray_DIM(M, 1);
+    int64_t mode = UNSCALED, code;
+    blasint info = 0, lwork[2];
+    double range[2];
+    if (!(rows >= cols && cols >= 1)) {
+        PyErr_Format(PyExc_ValueError, "basis needs rows >= columns >= 1, got %zd x %zd",
+                     (Py_ssize_t)rows, (Py_ssize_t)cols);
+        goto done;
+    }
     if (args[1] != Py_None) {
-        d = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &scale_size);
-        if (d == NULL || scale_size != rows)
-            return PyErr_Format(PyExc_ValueError,
-                                "basis needs a contiguous float64 scale of %zd entries",
-                                (Py_ssize_t)rows);
+        scale = input(args[1], NPY_ARRAY_IN_ARRAY, 1, "scale");
+        if (scale == NULL)
+            goto done;
+        if (PyArray_DIM(scale, 0) != rows) {
+            PyErr_Format(PyExc_ValueError, "basis needs a scale of %zd entries",
+                         (Py_ssize_t)rows);
+            goto done;
+        }
         int divide = PyObject_IsTrue(args[2]);
         if (divide < 0)
-            return NULL;
+            goto done;
         mode = divide ? DIVIDE : MULTIPLY;
     }
-    double *q = doubles(args[3], 2, NPY_ARRAY_F_CONTIGUOUS | NPY_ARRAY_WRITEABLE, &q_size);
-    double *scratch = doubles(args[4], 1, NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_WRITEABLE,
-                              &scratch_size);
-    if (q == NULL || PyArray_DIM((PyArrayObject *)args[3], 0) != rows || q_size != size
-        || scratch == NULL)
-        return PyErr_Format(PyExc_ValueError, "basis needs a writeable Fortran-ordered float64 "
-                            "Q of M's shape and a writeable float64 scratch");
-    int64_t code;
-    blasint info = 0;
-    Py_BEGIN_ALLOW_THREADS
-    code = bp_basis(rows, cols, a, d, mode, q, scratch, scratch_size, &info);
-    Py_END_ALLOW_THREADS
-    if (code > 0)
-        return PyLong_FromLongLong(code);
+    npy_intp shape[2] = {rows, cols};
+    Q = (PyArrayObject *)PyArray_EMPTY(2, shape, NPY_DOUBLE, 1);
+    if (Q == NULL)
+        goto done;
+    code = bp_workspace(rows, cols, PyArray_DATA(Q), lwork, &info);
+    if (code == 0) {
+        npy_intp size = cols + (lwork[0] > lwork[1] ? lwork[0] : lwork[1]);
+        scratch = (PyArrayObject *)PyArray_SimpleNew(1, &size, NPY_DOUBLE);
+        if (scratch == NULL)
+            goto done;
+        Py_BEGIN_ALLOW_THREADS
+        code = bp_basis(rows, cols, PyArray_DATA(M), scale ? PyArray_DATA(scale) : NULL, mode,
+                        PyArray_DATA(Q), PyArray_DATA(scratch), lwork, range, &info);
+        Py_END_ALLOW_THREADS
+    }
     if (code == ZERO_COLUMN)
-        Py_RETURN_NONE;
-    if (code < 0)
-        return PyErr_Format(PyExc_ValueError, "LAPACK %s rejected argument %lld",
-                            code == DGEQRF_REJECTED ? "dgeqrf" : "dorgqr", (long long)-info);
-    PyObject *lo = float64(scratch[0]), *hi = float64(scratch[1]);
-    PyObject *out = lo && hi ? PyTuple_Pack(3, args[3], lo, hi) : NULL;
-    Py_XDECREF(lo);
-    Py_XDECREF(hi);
+        out = Py_NewRef(Py_None);
+    else if (code < 0)
+        PyErr_Format(PyExc_ValueError, "LAPACK %s rejected argument %lld",
+                     code == DGEQRF_REJECTED ? "dgeqrf" : "dorgqr", (long long)-info);
+    else
+        out = Py_BuildValue("(ONN)", Q, float64(range[0]), float64(range[1]));
+done:
+    Py_DECREF(M);
+    Py_XDECREF(scale);
+    Py_XDECREF(Q);
+    Py_XDECREF(scratch);
     return out;
 }
 
@@ -898,22 +910,28 @@ static double max_abs(const double *x, npy_intp n)
 }
 
 /* identify_partition(x, x_hat, U): epra.identify_partition for x and
- * x_hat, aligned contiguous float64 vectors of one size n >= 1, and U a
- * float: (B, N, is_partition), B and N new intp arrays.  None for any
- * other arguments, which the NumPy code then takes. */
+ * x_hat, vectors of one size n >= 1 converted by input(), and U a real
+ * number: (B, N, is_partition), B and N new intp arrays. */
 static PyObject *py_identify_partition(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    npy_intp n, n_hat, counts[2] = {0, 0};
     if (!arguments("identify_partition", nargs, 3))
         return NULL;
-    const double *x = doubles(args[0], 1, NPY_ARRAY_C_CONTIGUOUS, &n);
-    const double *x_hat = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &n_hat);
-    if (x == NULL || x_hat == NULL || n != n_hat || n == 0 || !PyFloat_Check(args[2]))
-        Py_RETURN_NONE;
-    double U = PyFloat_AS_DOUBLE(args[2]);
+    double U = PyFloat_AsDouble(args[2]);
+    if (U == -1.0 && PyErr_Occurred())
+        return NULL;
+    PyArrayObject *xa = input(args[0], NPY_ARRAY_IN_ARRAY, 1, "x"),
+                  *ha = xa ? input(args[1], NPY_ARRAY_IN_ARRAY, 1, "x_hat") : NULL;
+    PyObject *sets[2] = {NULL, NULL}, *out = NULL;
+    if (ha == NULL)
+        goto done;
+    npy_intp n = PyArray_DIM(xa, 0), counts[2] = {0, 0};
+    if (n == 0 || PyArray_DIM(ha, 0) != n) {
+        PyErr_Format(PyExc_ValueError, "identify_partition needs x and x_hat of one size >= 1");
+        goto done;
+    }
     /* B holds the indices where |x_hat| is below its bound, N those of x */
-    const double *v[2] = {x_hat, x};
+    const double *x = PyArray_DATA(xa), *x_hat = PyArray_DATA(ha), *v[2] = {x_hat, x};
     double bound[2] = {max_abs(x_hat, n) / U, max_abs(x, n) / U};
     int partition = 1;
     for (npy_intp i = 0; i < n; i++) {
@@ -922,53 +940,58 @@ static PyObject *py_identify_partition(PyObject *self, PyObject *const *args, Py
         counts[1] += m;
         partition &= b != m;
     }
-    PyObject *out = PyTuple_New(3);
-    if (out == NULL)
-        return NULL;
     for (int k = 0; k < 2; k++) {
-        PyObject *set = PyArray_SimpleNew(1, &counts[k], NPY_INTP);
-        if (set == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        npy_intp *at = PyArray_DATA((PyArrayObject *)set);
+        sets[k] = PyArray_SimpleNew(1, &counts[k], NPY_INTP);
+        if (sets[k] == NULL)
+            goto done;
+        npy_intp *at = PyArray_DATA((PyArrayObject *)sets[k]);
         for (npy_intp i = 0; i < n; i++)
             if (fabs(v[k][i]) < bound[k])
                 *at++ = i;
-        PyTuple_SET_ITEM(out, k, set);
     }
-    PyTuple_SET_ITEM(out, 2, PyBool_FromLong(partition));
+    out = Py_BuildValue("(OOO)", sets[0], sets[1], partition ? Py_True : Py_False);
+done:
+    Py_XDECREF(xa);
+    Py_XDECREF(ha);
+    Py_XDECREF(sets[0]);
+    Py_XDECREF(sets[1]);
     return out;
 }
 
 /* rescale_update(z, Pz, D, U, single, floor): epra.rescale_update for z
- * and D, aligned contiguous float64 vectors of one size n >= 1, Pz (read
- * in the all-directions mode only) an aligned contiguous float64 vector,
- * U a float and floor the float epra._ALPHA_FLOOR, in the
- * single-direction mode when `single` is true: the grown diagonal, a new
- * float64 array.  None for any other arguments, which the NumPy code then
- * takes. */
+ * and D, vectors of one size n converted by input(), Pz (read in the
+ * all-directions mode only) a vector converted likewise, U a real number
+ * and floor epra._ALPHA_FLOOR, in the single-direction mode, which needs
+ * n >= 1, when `single` is true: the grown diagonal, a new float64
+ * array. */
 static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    npy_intp n, n_d, m = 0;
-    const double *Pz = NULL;
     if (!arguments("rescale_update", nargs, 6))
         return NULL;
     int single = PyObject_IsTrue(args[4]);
     if (single < 0)
         return NULL;
-    const double *z = doubles(args[0], 1, NPY_ARRAY_C_CONTIGUOUS, &n);
-    const double *D = doubles(args[2], 1, NPY_ARRAY_C_CONTIGUOUS, &n_d);
-    if (!single)
-        Pz = doubles(args[1], 1, NPY_ARRAY_C_CONTIGUOUS, &m);
-    if (z == NULL || D == NULL || n != n_d || n == 0 || (!single && Pz == NULL)
-        || !PyFloat_Check(args[3]) || !PyFloat_Check(args[5]))
-        Py_RETURN_NONE;
-    double U = PyFloat_AS_DOUBLE(args[3]);
-    PyObject *out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
-    if (out == NULL)
+    double U = PyFloat_AsDouble(args[3]), floor;
+    if ((U == -1.0 && PyErr_Occurred())
+        || ((floor = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred()))
         return NULL;
+    PyArrayObject *za = input(args[0], NPY_ARRAY_IN_ARRAY, 1, "z"),
+                  *Da = za ? input(args[2], NPY_ARRAY_IN_ARRAY, 1, "D") : NULL,
+                  *Pza = Da && !single ? input(args[1], NPY_ARRAY_IN_ARRAY, 1, "Pz") : NULL;
+    PyObject *out = NULL;
+    if (Da == NULL || (!single && Pza == NULL))
+        goto done;
+    npy_intp n = PyArray_DIM(za, 0);
+    if (PyArray_DIM(Da, 0) != n || (single && n == 0)) {
+        PyErr_Format(PyExc_ValueError, "rescale_update needs z and D of one size%s",
+                     single ? " n >= 1" : "");
+        goto done;
+    }
+    out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
+    if (out == NULL)
+        goto done;
+    const double *z = PyArray_DATA(za), *D = PyArray_DATA(Da);
     double *restrict e = PyArray_DATA((PyArrayObject *)out);
     if (single) {
         /* D, with 2 D_i capped at U by Python's min at the first index of
@@ -976,15 +999,19 @@ static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssi
         memcpy(e, D, (size_t)n * sizeof(double));
         int64_t i = argmax(z, n);
         e[i] = py_min(2.0 * D[i], U);
-        return out;
+        goto done;
     }
     /* alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR) */
-    double alpha = py_max(pos_sum(Pz, m), PyFloat_AS_DOUBLE(args[5]));
+    double alpha = py_max(pos_sum(PyArray_DATA(Pza), PyArray_DIM(Pza, 0)), floor);
     for (npy_intp i = 0; i < n; i++) {
         double v = (1.0 + pos(z[i] / alpha - 1.0)) * D[i];
         /* np.minimum(v, U): v when it is NaN */
         e[i] = v < U || isnan(v) ? v : U;
     }
+done:
+    Py_XDECREF(za);
+    Py_XDECREF(Da);
+    Py_XDECREF(Pza);
     return out;
 }
 
@@ -1004,18 +1031,5 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_bploop", NULL, -1, 
 PyMODINIT_FUNC PyInit__bploop(void)
 {
     import_array();
-    PyObject *m = PyModule_Create(&module), *rows = PyDict_New();
-    int failed = m == NULL || rows == NULL;
-    for (int64_t k = 0; k <= SMOOTH && !failed; k++) {
-        PyObject *key = PyLong_FromLongLong(k), *value = PyLong_FromLongLong(block_rows[k]);
-        failed = key == NULL || value == NULL || PyDict_SetItem(rows, key, value) < 0;
-        Py_XDECREF(key);
-        Py_XDECREF(value);
-    }
-    if (failed || PyModule_AddObject(m, "BLOCK_ROWS", rows) < 0) {
-        Py_XDECREF(rows);
-        Py_XDECREF(m);
-        return NULL;
-    }
-    return m;
+    return PyModule_Create(&module);
 }

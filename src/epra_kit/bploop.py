@@ -2,24 +2,30 @@
 normalization and QR factorization, and the round bookkeeping, compiled
 from bploop.c as the CPython extension module `epra_kit._bploop`.
 
-`basic` runs a scheme through `run` unless it has a callback.  The
-compiled loop does the scheme's set-up and takes the same steps as the
-Python set-up and driver `basic._drive`, with every bit of its results
-and the same failures; `run` allocates P z and the block of the scheme's
-state, whose rows per scheme the module's `BLOCK_ROWS` gives, and
-returns None where the loop cannot take P (not an aligned C-contiguous
-float64 (n, n) array) or the library did not load.  `subspace` makes the
-basis of every projector build of a C-ordered A through `basis` when the
-library loads: one call that scales A's transpose by the side's diagonal
-into a new Fortran-ordered Q, normalizes its columns as `np.linalg.norm`
-and a division do, and runs LAPACK's `dgeqrf` and `dorgqr` there, each
-after its workspace query, with the bits of the NumPy route
-(`subspace._numpy_range_basis`).  `epra.identify_partition` and
-`epra.rescale_update` call the module's functions of the same names,
-which return None for arguments that their NumPy code must take.  The
-module's functions check the arrays they are given (dtype, byte order,
-alignment, contiguity, shape) and raise ValueError for any they cannot
-take; the loop and the factorization run without the interpreter lock.
+Every function of the module takes only its inputs and returns what it
+makes.  An array it only reads is converted through NumPy's C API as
+`np.asarray(x, dtype=float)` converts it, into the layout the function
+reads; an array that already has it is only referenced.  What a function
+returns is a NumPy array it allocates, so tracemalloc sees every byte.
+It raises ValueError only for arguments no caller can mean: a wrong
+ndim or length, a scheme number outside 0 to 3, a z that is not a
+writeable float64 vector, or LAPACK's rejection.  So each caller asks
+only whether `library()` is None:
+
+- `basic` runs a scheme without a callback as `run(scheme, P, z, eps,
+  max_iters, refresh, mu0)`: the scheme's set-up and the steps of
+  `basic._drive`, with every bit of its results and the same failures,
+  returning (code, steps, P z, the scheme's block).
+- `subspace` makes every basis as `basis(M, scale, divide)`: it scales M
+  by the side's diagonal into a new Fortran-ordered Q, normalizes its
+  columns as `np.linalg.norm` and a division do and runs LAPACK's
+  `dgeqrf` and `dorgqr` there, with the workspace their queries ask for
+  and the bits of `subspace._numpy_range_basis`.  It returns None for a
+  zero column.
+- `epra.identify_partition` and `epra.rescale_update` call the functions
+  of the same names, with the bits of their NumPy code.
+
+The loop and the factorization run without the interpreter lock.
 
 The module is built on first use, never at import, with the system C
 compiler against Python's and numpy's C headers, and cached beside the
@@ -156,50 +162,3 @@ def library():
                 _loaded = (_load(),)
     return _loaded[0]
 
-
-def run(scheme: int, P, z, epsilon: float, max_iters: int, refresh: int, mu0: float):
-    """`bp_run` (bploop.c) for scheme number `scheme` (0 to 3, as in `basic`)
-    on P and z, a float64 vector that is updated in place: the scheme's
-    set-up and its loop from the start z, with mu0 for the smooth
-    perceptron's first smoothing parameter, and P z recomputed every
-    `refresh` steps (never for 0).  Returns the status or failure code, the
-    number of steps taken and P z, an array of its own; the scheme's block
-    is allocated here and freed on return.  None without the library or
-    when P is not an aligned C-contiguous float64 (n, n) array: the Python
-    driver runs it.  ValueError for any other scheme number."""
-    lib = library()
-    if lib is None:
-        return None
-    # any other scheme number gets no rows, and the module rejects it
-    block = np.empty((lib.BLOCK_ROWS.get(scheme, 0), z.size))
-    return lib.run(scheme, P, z, np.empty(z.size), block, epsilon, max_iters, refresh, mu0)
-
-
-# doubles of bp_basis scratch a column, after its two result slots: tau
-# and 32 of workspace, the block size whose workspace numpy's OpenBLAS
-# asks for at every shape measured (1 x 1 to 5000 x 3000).  A LAPACK that
-# asks for more costs a second call.
-_BASIS_SCRATCH_PER_COLUMN = 33
-
-
-def basis(M, scale=None, divide: bool = False):
-    """`bp_basis` (bploop.c): the orthonormal basis of
-    `subspace._orthonormal_range_basis` for the array M with its rows
-    divided by scale (divide) or multiplied by it, or unscaled when scale
-    is None.  M is a Fortran-contiguous float64 matrix with at least as
-    many rows as columns and one column or more, and is not written; scale
-    is a contiguous float64 vector with one entry a row.  Returns (Q, min
-    |diag R|, max |diag R|): Q the orthonormal factor of the reduced QR
-    factorization of the scaled M with each column divided by its norm, a
-    new Fortran-ordered array, and the range NumPy float64s read before Q
-    is formed; or (None, None, None) when a scaled column has norm 0.
-    Needs the library; ValueError for any other M or scale, or when LAPACK
-    rejects an argument."""
-    if not (isinstance(M, np.ndarray) and M.ndim == 2):
-        raise ValueError("basis needs a 2-D float64 array")
-    lib = library()
-    Q = np.empty(M.shape, order="F")
-    out = lib.basis(M, scale, divide, Q, np.empty(2 + _BASIS_SCRATCH_PER_COLUMN * M.shape[-1]))
-    if isinstance(out, int):
-        out = lib.basis(M, scale, divide, Q, np.empty(out))
-    return (None, None, None) if out is None else out

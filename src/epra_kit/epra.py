@@ -102,13 +102,12 @@ def identify_partition(x, x_hat, U: float):
     where |x_i| < ||x||_inf / U (strict inequalities, so a zero vector on
     one side contributes nothing to its set).  Returns (B, N, is_partition)
     where is_partition means B and N are disjoint and cover every index.
-    One compiled call (`bploop`) where the library loads and takes the
-    arguments, with the bits of the NumPy code below.
+    One compiled call (`bploop`) where the library loads, with the bits
+    of the NumPy code below.
     """
     lib = bploop.library()
-    out = None if lib is None else lib.identify_partition(x, x_hat, U)
-    if out is not None:
-        return out
+    if lib is not None:
+        return lib.identify_partition(x, x_hat, U)
     ax = np.abs(np.asarray(x, dtype=float))
     ax_hat = np.abs(np.asarray(x_hat, dtype=float))
     b_mask = ax_hat < ax_hat.max() / U
@@ -123,14 +122,14 @@ def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray
     e = (z/alpha - 1)^+, each entry becomes min((1 + e_i) D_i, U).
     Single-direction mode: only the lowest index attaining max(z) is
     doubled (capped at U).  Entries never decrease.  One compiled call
-    (`bploop`) where the library loads and takes the arguments, with the
-    bits of the NumPy code below.
+    (`bploop`) where the library loads, with the bits of the NumPy code
+    below.
     """
-    lib, single = bploop.library(), mode == SINGLE_DIRECTION
-    if lib is not None and (single or mode == ALL_DIRECTIONS):
-        out = lib.rescale_update(z, Pz, D, U, single, _ALPHA_FLOOR)
-        if out is not None:
-            return out
+    if mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):
+        raise ValueError(f"unknown rescale mode {mode!r}")
+    lib = bploop.library()
+    if lib is not None:
+        return lib.rescale_update(z, Pz, D, U, mode == SINGLE_DIRECTION, _ALPHA_FLOOR)
     z = np.asarray(z, dtype=float)
     D = np.asarray(D, dtype=float)
     if mode == ALL_DIRECTIONS:
@@ -143,12 +142,10 @@ def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray
         e += 1.0
         e *= D
         return np.minimum(e, U, out=e)
-    if mode == SINGLE_DIRECTION:
-        out = D.copy()
-        i = int(z.argmax())
-        out[i] = min(2.0 * D[i], U)
-        return out
-    raise ValueError(f"unknown rescale mode {mode!r}")
+    out = D.copy()
+    i = int(z.argmax())
+    out[i] = min(2.0 * D[i], U)
+    return out
 
 
 def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:

@@ -5,8 +5,8 @@ A subspace L of R^n is stored as the kernel of a full-row-rank matrix A
 Im(A^T) = L-perp are obtained from a QR factorization of A^T.  Diagonal
 rescalings D, D_hat act on the primal and dual sides independently:
 D(L) = ker(A D^{-1}) and D_hat(L-perp) = Im(D_hat A^T).  Each side's
-basis is made in one compiled call where the library loads
-(`bploop.basis`: scale, normalize and factor, straight from A and the
+basis is made in one compiled call where the library loads (the
+module's `basis`: scale, normalize and factor, straight from A and the
 diagonal), and otherwise by the NumPy route, with the same bits.
 
 Index sets in file formats are 1-based; in-memory arrays are 0-based.
@@ -184,22 +184,22 @@ def _orthonormal_range_basis(M: np.ndarray, scale=None, divide: bool = False) ->
     entry; a NaN on that diagonal (from a NaN or infinite entry) fails the
     test too.
 
-    With the compiled library, a Fortran-contiguous M (the transpose of a
-    C-ordered A) with at least as many rows as columns is scaled,
-    normalized and factored in one call, `bploop.basis`, straight into Q's
-    storage.  Any other M, and every M without the library (no C
-    compiler, no Python headers, or no LAPACK symbols in numpy), takes the
-    NumPy route, `_numpy_range_basis`.  Both give the same bits.
+    M is taken Fortran-contiguous, as the transpose of a C-ordered A
+    already is, and copied once when it is not.  With the compiled
+    library it is scaled, normalized and factored in one call, the
+    module's `basis`, straight into Q's storage; without it (no C
+    compiler, no Python headers, or no LAPACK symbols in numpy) it takes
+    the NumPy route, `_numpy_range_basis`.  Both give the same bits.
     """
+    M = np.asfortranarray(M)
     n, m = M.shape
     if m == 0:
         return np.zeros((n, 0))
-    if M.flags.f_contiguous and n >= m and bploop.library() is not None:
-        Q, dmin, dmax = bploop.basis(M, scale, divide)
-    else:
-        Q, dmin, dmax = _numpy_range_basis(M, scale, divide)
-    if Q is None:
+    lib = bploop.library()
+    out = _numpy_range_basis(M, scale, divide) if lib is None else lib.basis(M, scale, divide)
+    if out is None:
         raise RankDeficient("matrix has a zero column")
+    Q, dmin, dmax = out
     if not (dmax > 0.0 and dmin >= RANK_TOL * dmax):
         raise RankDeficient(
             f"matrix is rank deficient within {RANK_TOL:g} "
@@ -210,14 +210,14 @@ def _orthonormal_range_basis(M: np.ndarray, scale=None, divide: bool = False) ->
 
 def _numpy_range_basis(M: np.ndarray, scale, divide: bool):
     """The NumPy route of `_orthonormal_range_basis`, and the bytewise
-    reference of `bploop.basis`: (Q, min |diag R|, max |diag R|), or
-    (None, None, None) when a scaled column has norm 0.  The norms are
+    reference of the compiled module's `basis`: (Q, min |diag R|, max
+    |diag R|), or None when a scaled column has norm 0.  The norms are
     taken on the scaled M as laid out, which fixes their bits."""
     if scale is not None:
         M = M / scale[:, None] if divide else M * scale[:, None]
     norms = np.linalg.norm(M, axis=0)
     if (norms == 0.0).any():
-        return None, None, None
+        return None
     # a scaled M is this call's own, so it is normalized in place
     Q, R = np.linalg.qr(np.divide(M, norms, out=None if scale is None else M), mode="reduced")
     diag = np.abs(np.diagonal(R))

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import gc
 import os
@@ -11,7 +12,8 @@ import pytest
 
 import epra_kit.basic as basic
 from epra_kit import blas, bploop, subspace
-from epra_kit.epra import EpraConfig, SINGLE_DIRECTION, identify_partition, rescale_update, solve
+from epra_kit.epra import (EpraConfig, SINGLE_DIRECTION, _ALPHA_FLOOR, identify_partition,
+                           rescale_update, solve)
 from epra_kit.exceptions import RankDeficient
 from epra_kit.instances import gen_controlled, gen_partitioned
 from epra_kit.subspace import Instance, rescaled_projectors
@@ -236,9 +238,9 @@ def test_builds_take_the_compiled_basis_wherever_it_builds(monkeypatch):
     # that does not load would drop every build to np.linalg.qr without a
     # word
     assert blas.symbols() is not None and bploop.library() is not None
-    calls = []
-    basis = bploop.basis
-    monkeypatch.setattr(bploop, "basis", lambda *args: calls.append(1) or basis(*args))
+    calls, lib = [], bploop.library()
+    basis = lib.basis
+    monkeypatch.setattr(lib, "basis", lambda *args: calls.append(1) or basis(*args))
     M = np.asfortranarray(np.random.default_rng(2).standard_normal((9, 4)))
     Q = subspace._orthonormal_range_basis(M)
     assert calls == [1] and Q.flags.f_contiguous and not np.shares_memory(Q, M)
@@ -266,71 +268,105 @@ QR_SHAPES = [(1, 1), (2, 1), (8, 8), (9, 4), (64, 63), (129, 128), (200, 100), (
 
 
 def numpy_route(M, scale=None, divide=False):
-    """(Q, lo, hi) of the NumPy route, the bytewise reference of bploop.basis"""
+    """(Q, lo, hi) of the NumPy route, or None for a zero column: the
+    bytewise reference of the module's basis"""
     return subspace._numpy_range_basis(M, scale, divide)
+
+
+def basis(M, scale=None, divide=False):
+    return bploop.library().basis(M, scale, divide)
+
+
+# each LAPACK routine's slot in the module's bind() and its arity
+LAPACK = {"dgeqrf": (2, 8), "dorgqr": (3, 9)}
+
+
+@contextlib.contextmanager
+def lapack_stub(routine, stub):
+    """The module with `routine` bound to the ctypes function `stub`, and
+    numpy's routines bound again after."""
+    lib, real = bploop.library(), blas.symbols()
+    bound = list(real)
+    bound[LAPACK[routine][0]] = ctypes.cast(stub, ctypes.c_void_p).value
+    lib.bind(*bound)
+    try:
+        yield lib
+    finally:
+        lib.bind(*real)
+
+
+def stub_type(routine):
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * LAPACK[routine][1])
+
+
+def rejecting(routine, in_query):
+    """A `routine` that rejects argument 4, in its workspace query or,
+    after asking for one double of workspace there, in the factorization."""
+
+    @stub_type(routine)
+    def stub(*args):
+        work = ctypes.cast(args[-3], ctypes.POINTER(ctypes.c_double))
+        lwork, info = (ctypes.cast(a, ctypes.POINTER(ctypes.c_int64)) for a in args[-2:])
+        if lwork[0] == -1 and not in_query:
+            work[0], info[0] = 1.0, 0
+        else:
+            info[0] = -4
+
+    return stub
 
 
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
 class TestBasis:
-    """bploop.basis: the compiled scaling, normalization and factorization
-    of every projector build."""
+    """The module's basis: the compiled scaling, normalization and
+    factorization of every projector build."""
 
     @pytest.mark.parametrize("M", [
-        np.ones((4, 2)),                        # C-ordered
-        np.ones((4, 2), dtype=np.float32, order="F"),
         np.ones((2, 4), order="F"),             # wide
         np.ones((4, 0), order="F"),
         np.ones(4),
         np.array(1.0),                          # 0-d
-        [[1.0], [1.0]],                         # not an array
     ])
-    def test_rejects_what_it_cannot_read_in_place(self, M):
+    def test_rejects_what_no_caller_can_mean(self, M):
         before = np.asarray(M).tobytes()
         with pytest.raises(ValueError):
-            bploop.basis(M)
+            basis(M)
         assert np.asarray(M).tobytes() == before
+
+    @pytest.mark.parametrize("layout", ["C-ordered", "float32", "strided", "list"])
+    def test_converts_any_other_matrix_to_fortran_float64(self, layout):
+        F = np.asfortranarray(scaled_columns((9, 4), 3))
+        D = np.linspace(1.0, 3.0, 9)
+        strided = np.zeros((9, 8), order="F")
+        strided[:, ::2] = F
+        M = {"C-ordered": np.ascontiguousarray(F), "float32": F.astype(np.float32),
+             "strided": strided[:, ::2], "list": F.tolist()}[layout]
+        want = np.asfortranarray(M, dtype=float)
+        for scale in (None, D, D.astype(np.float32), np.repeat(D, 2)[::2], D.tolist()):
+            self.assert_same(basis(M, scale, True),
+                             numpy_route(want, None if scale is None else np.array(scale, float),
+                                         True), (layout, scale))
+
+    @pytest.mark.parametrize("scale", [np.ones(3), np.ones((4, 1))])
+    def test_rejects_a_scale_of_another_shape(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            basis(np.ones((4, 2), order="F"), scale)
 
     @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
     @pytest.mark.parametrize("in_query", [True, False])
     def test_raises_on_negative_info(self, routine, in_query):
         # a LAPACK routine that rejects an argument, in its workspace query
         # or in the factorization, stops the call with a ValueError
-        lib, real = bploop.library(), blas.symbols()
-        at = 2 if routine == "dgeqrf" else 3
-        arity = 8 if routine == "dgeqrf" else 9
-
-        @ctypes.CFUNCTYPE(None, *[ctypes.POINTER(ctypes.c_double)] * arity)
-        def rejecting(*args):
-            lwork, info = ctypes.cast(args[-2], ctypes.POINTER(ctypes.c_int64)), \
-                ctypes.cast(args[-1], ctypes.POINTER(ctypes.c_int64))
-            if lwork[0] == -1 and not in_query:
-                args[-3][0] = 1.0
-                info[0] = 0
-            else:
-                info[0] = -4
-
-        bound = list(real)
-        bound[at] = ctypes.cast(rejecting, ctypes.c_void_p).value
-        lib.bind(*bound)
-        try:
-            with pytest.raises(ValueError, match=f"LAPACK {routine} rejected argument 4$"):
-                bploop.basis(np.asfortranarray(np.eye(5, 3) + 1.0))
-        finally:
-            lib.bind(*real)
+        with lapack_stub(routine, rejecting(routine, in_query)), \
+                pytest.raises(ValueError, match=f"LAPACK {routine} rejected argument 4$"):
+            basis(np.asfortranarray(np.eye(5, 3) + 1.0))
         F = np.asfortranarray(scaled_columns((9, 4), 3))
-        self.assert_same(bploop.basis(F), numpy_route(F), "rebound")
-
-    @pytest.mark.parametrize("scale", [np.ones(3), np.ones(4, dtype=np.float32),
-                                       np.ones(8)[::2], [1.0] * 4])
-    def test_rejects_a_scale_it_cannot_read(self, scale):
-        with pytest.raises(ValueError, match="scale"):
-            bploop.basis(np.ones((4, 2), order="F"), scale)
+        self.assert_same(basis(F), numpy_route(F), "rebound")
 
     def test_reads_a_read_only_matrix_and_never_writes_it(self):
         M = np.asfortranarray(scaled_columns((9, 4), 3))
         before = M.tobytes(order="A")
         M.flags.writeable = False
-        Q, lo, hi = bploop.basis(M, np.linspace(1.0, 3.0, 9), divide=True)
+        Q, lo, hi = basis(M, np.linspace(1.0, 3.0, 9), divide=True)
         assert M.tobytes(order="A") == before and not np.shares_memory(Q, M)
 
     def test_leaves_nothing_for_the_cyclic_collector(self):
@@ -340,7 +376,7 @@ class TestBasis:
         gc.collect()
         gc.disable()
         try:
-            bploop.basis(M)
+            basis(M)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -359,26 +395,42 @@ class TestBasis:
                 F = np.asfortranarray(scaled_columns(shape, seed))
                 D = np.exp(np.random.default_rng(seed).uniform(-8.0, 8.0, shape[0]))
                 for scale, divide in ((None, False), (D, True), (D, False)):
-                    self.assert_same(bploop.basis(F, scale, divide),
+                    self.assert_same(basis(F, scale, divide),
                                      numpy_route(F, scale, divide), (shape, seed, divide))
 
-    def test_short_scratch_is_asked_for_again(self, monkeypatch):
-        # a LAPACK that asks for more workspace than the first guess gets
-        # it on a second call, with the same bits
-        monkeypatch.setattr(bploop, "_BASIS_SCRATCH_PER_COLUMN", 1)
-        F = np.asfortranarray(scaled_columns((200, 100), 7))
-        self.assert_same(bploop.basis(F), numpy_route(F), "short scratch")
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+    @pytest.mark.parametrize("shape", [(9, 4), (200, 100)])
+    def test_larger_workspace_queries_are_given_what_they_ask(self, shape, routine):
+        # a routine that calls numpy's but answers its workspace query with
+        # four times numpy's size gets that workspace, with numpy's bits
+        real, asked, given = stub_type(routine)(blas.symbols()[LAPACK[routine][0]]), [], []
+
+        @stub_type(routine)
+        def forwarding(*args):
+            lwork = ctypes.cast(args[-2], ctypes.POINTER(ctypes.c_int64))[0]
+            real(*args)
+            if lwork == -1:
+                work = ctypes.cast(args[-3], ctypes.POINTER(ctypes.c_double))
+                work[0] *= 4.0
+                asked.append(int(work[0]))
+            else:
+                given.append(lwork)
+
+        F = np.asfortranarray(scaled_columns(shape, 7))
+        with lapack_stub(routine, forwarding):
+            self.assert_same(basis(F), numpy_route(F), routine)
+        assert given == asked and asked[0] > 4 * shape[1]
 
     def test_nan_range_as_numpy_gives_it(self):
         M = np.asfortranarray(np.eye(5, 3) + 1.0)
         M[2, 1] = np.nan
-        _, lo, hi = bploop.basis(M)
+        _, lo, hi = basis(M)
         assert np.isnan(lo) and np.isnan(hi)
 
     def test_zero_column(self):
         M = np.asfortranarray(np.eye(5, 3) + 1.0)
         M[:, 2] = 0.0
-        assert bploop.basis(M) == (None, None, None) == numpy_route(M)
+        assert basis(M) is None and numpy_route(M) is None
 
     def test_compiled_run_and_basis_leave_nothing_for_the_cyclic_collector(self):
         P = subspace.projector_from_kernel(
@@ -389,7 +441,7 @@ class TestBasis:
         try:
             for scheme in basic.SCHEMES:
                 basic.run_scheme(P, np.full(12, 1.0 / 12), basic.BpConfig(scheme=scheme))
-            bploop.basis(M)
+            basis(M)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -435,7 +487,7 @@ class TestTracedAllocations:
         x, D = np.linspace(-1.0, 1.0, 12), np.linspace(1.0, 2.0, 12)
         for scheme in basic.SCHEMES:
             basic.run_scheme(P, np.full(12, 1.0 / 12), basic.BpConfig(scheme=scheme))
-        bploop.basis(M, D, True)
+        bploop.library().basis(M, D, True)
         identify_partition(x, x[::-1].copy(), 2.0)
         rescale_update(x, x, D, 2.0)
         rescale_update(x, x, D, 2.0, SINGLE_DIRECTION)
@@ -461,3 +513,92 @@ class TestTracedAllocations:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def module_cases():
+    """(function, arguments, whether it raises, and None or the LAPACK
+    routine and the stub bound in its place) for each function of the module: conforming calls,
+    converting calls (Fortran order, strides, lists, float32) and each
+    ValueError path, LAPACK's rejection among them."""
+    P = subspace.projector_from_kernel(np.random.default_rng(4).standard_normal((5, 12))).P
+    F = np.asfortranarray(np.random.default_rng(5).standard_normal((12, 5)))
+    x, D, z = np.linspace(-1.0, 1.0, 12), np.linspace(1.0, 2.0, 12), np.full(12, 1.0 / 12)
+    wide, read_only = np.ones((12, 24)), z.copy()
+    read_only.flags.writeable = False
+    run = [(0, P, z, 0.5, 50, 128, 2.0), (3, np.asfortranarray(P), z, 0.5, 50, 0, 2.0),
+           (1, np.repeat(P, 2, axis=1)[:, ::2], z, 0.5, 50, 128, 2.0),
+           (2, P.tolist(), z, 0.5, 50, 128, 2.0)]
+    run_errors = [(7, P, z, 0.5, 50, 128, 2.0), (0, P, read_only, 0.5, 50, 128, 2.0),
+                  (0, P, z.tolist(), 0.5, 50, 128, 2.0), (0, P[:11, :11], z, 0.5, 50, 128, 2.0),
+                  (0, P.reshape(-1), z, 0.5, 50, 128, 2.0)]
+    basis = [(F, None, False), (F, D, True), (np.ascontiguousarray(F), D, False),
+             (np.repeat(F, 2, axis=1)[:, ::2], D[::-1], True), (F.tolist(), D.tolist(), True),
+             (F, D.astype(np.float32), False)]
+    basis_errors = [(F.T, None, False), (F[:, 0], None, False), (F, D[:11], True),
+                    (F, D[:, None], False)]
+    partition = [(x, x[::-1].copy(), 2.0), (x[::2], x[1::2], 3), (x.tolist(), x.tolist(), 2.0),
+                 (x.astype(np.float32), x, 2.0)]
+    partition_errors = [(x, x[:11], 2.0), ([], [], 2.0), (x[None], x, 2.0)]
+    update = [(z, x, D, 2.0, False, _ALPHA_FLOOR), (z, None, D, 2.0, True, _ALPHA_FLOOR),
+              (x[::2], x[1::2], D[::2], 2, False, _ALPHA_FLOOR),
+              (z.tolist(), x.tolist(), D.tolist(), 2.0, False, _ALPHA_FLOOR),
+              ([], [], [], 2.0, False, _ALPHA_FLOOR)]
+    update_errors = [(z, x, D[:11], 2.0, False, _ALPHA_FLOOR), (z[None], x, D, 2.0, True, 0.0),
+                     (z, x[None], D, 2.0, False, _ALPHA_FLOOR), ([], None, [], 2.0, True, 0.0)]
+    cases = []
+    for name, good, bad in (("run", run, run_errors), ("basis", basis, basis_errors),
+                            ("identify_partition", partition, partition_errors),
+                            ("rescale_update", update, update_errors)):
+        cases += [(name, args, False, None) for args in good]
+        cases += [(name, args, True, None) for args in bad]
+    cases += [("basis", (F, D, True), True, (routine, rejecting(routine, in_query)))
+              for routine in LAPACK for in_query in (True, False)]
+    return cases
+
+
+def call(lib, name, args, raises, stub):
+    """One call of the module's function `name`, its result dropped."""
+    with contextlib.ExitStack() as bound:
+        if stub is not None:
+            bound.enter_context(lapack_stub(*stub))
+        try:
+            getattr(lib, name)(*args)
+        except ValueError:
+            assert raises, (name, args)
+        else:
+            assert not raises, (name, args)
+
+
+@pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
+class TestReferences:
+    """Each function of the module releases every array it converts or
+    allocates, on every path, and leaves its arguments' counts as it found
+    them."""
+
+    def test_argument_counts_are_unchanged(self):
+        lib = bploop.library()
+        for name, args, raises, stub in module_cases():
+            # None, True and small ints are shared by the whole interpreter
+            own = [a for a in args if isinstance(a, (np.ndarray, list, float))]
+            call(lib, name, args, raises, stub)  # first-call allocations
+            before = [sys.getrefcount(a) for a in own]
+            for _ in range(3):
+                call(lib, name, args, raises, stub)
+            assert [sys.getrefcount(a) for a in own] == before, (name, args, stub)
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["results", "errors"])
+    def test_repeated_calls_leave_no_traced_growth(self, raises):
+        lib = bploop.library()
+        cases = [case for case in module_cases() if case[2] is raises]
+        for case in cases:
+            call(lib, *case)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                for case in cases:
+                    call(lib, *case)
+            gc.collect()  # the ctypes casts of the LAPACK stubs form cycles
+            assert tracemalloc.get_traced_memory()[0] - before < 1000
+        finally:
+            tracemalloc.stop()

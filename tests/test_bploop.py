@@ -337,12 +337,10 @@ def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
     the run never took its column, 1 if it read row i for it, -1 if it
     read the column."""
     ids = {"perceptron": 0, "vn": 1, "vna": 2}
-    P, z = np.ascontiguousarray(P), np.array(z0, dtype=float)
-    block = np.full((2, z.size), np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        bploop.library().run(ids[scheme], P, z, np.empty(z.size), block, epsilon, max_iters,
-                             128, 2.0)
+        block = bploop.library().run(ids[scheme], P, np.array(z0, dtype=float), epsilon,
+                                     max_iters, 128, 2.0)[3]
     return block[0]
 
 
@@ -481,9 +479,9 @@ class TestWarmSortWithoutSSE2(TestWarmSort):
 
 @needs_build
 class TestRun:
-    """bploop.run sizes the scheme's block and P z itself, from one table of
-    rows per scheme; the module rejects a scheme number outside it, and
-    any array it cannot take, before it runs."""
+    """The module's run allocates P z and the scheme's block itself; it
+    rejects a scheme number outside 0 to 3, a z it cannot write and a P of
+    another shape before it runs, and converts any other P."""
 
     P = projector_from_kernel(np.random.default_rng(19).standard_normal((6, 15))).P
     IDS = {"perceptron": 0, "vn": 1, "vna": 2, "smooth": 3}
@@ -492,26 +490,21 @@ class TestRun:
     def test_scheme_outside_the_table_raises_before_the_run(self, scheme):
         z = uniform_simplex(15)
         with pytest.raises(ValueError, match=f"no scheme number {scheme}"):
-            bploop.run(scheme, self.P, z, 1e-9, 300, 128, 2.0)
+            bploop.library().run(scheme, self.P, z, 1e-9, 300, 128, 2.0)
         assert z.tobytes() == uniform_simplex(15).tobytes()
 
-    def test_rejects_what_it_cannot_write_and_leaves_other_matrices(self):
+    def test_rejects_a_z_it_cannot_write_and_a_P_of_another_shape(self):
         run, z = bploop.library().run, uniform_simplex(15)
         args = (1e-9, 300, 128, 2.0)
         read_only = uniform_simplex(15)
         read_only.flags.writeable = False
         for bad_z in (read_only, z.astype(np.float32), np.zeros(0), z.tolist()):
             with pytest.raises(ValueError, match="run needs z"):
-                run(0, self.P, bad_z, np.empty(15), np.empty((1, 15)), *args)
-        for Pz, block in ((np.empty(14), np.empty((1, 15))), (np.empty(15), np.empty((1, 14))),
-                          (np.empty(15), np.empty((5, 15))[:, ::2])):
-            with pytest.raises(ValueError, match="run needs a writeable float64 Pz"):
-                run(0, self.P, z, Pz, block, *args)
-        with pytest.raises(ValueError, match="block of 6 rows"):
-            run(3, self.P, z, np.empty(15), np.empty((5, 15)), *args)
-        for P in (np.asfortranarray(self.P), self.P[:14, :14], self.P.astype(">f8"),
-                  self.P.tolist(), self.P.reshape(-1)):
-            assert run(0, P, z, np.empty(15), np.empty((1, 15)), *args) is None
+                run(0, self.P, bad_z, *args)
+        with pytest.raises(ValueError, match=r"run needs P of shape \(15, 15\)"):
+            run(0, self.P[:14, :14], z, *args)
+        with pytest.raises(ValueError, match="P must have 2 dimensions"):
+            run(0, self.P.reshape(-1), z, *args)
         assert z.tobytes() == uniform_simplex(15).tobytes()
 
     def test_cap_beyond_int64_is_no_cap(self):
@@ -519,17 +512,51 @@ class TestRun:
         want = outcome(self.P, uniform_simplex(15), cfg)
         assert outcome(self.P, uniform_simplex(15), BpConfig(epsilon=0.5, max_iters=2**70)) == want
 
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_each_scheme_writes_its_rows_only(self, scheme):
-        # NaN bits that no step writes, in the table's rows and one more:
-        # the run writes to each of its rows and not past them
-        rows = bploop.library().BLOCK_ROWS[self.IDS[scheme]]
-        sentinel = np.uint64(0x7FF8DEADBEEF0001)
-        block = np.full((rows + 1, 15), sentinel).view(np.float64)
-        z, Pz = uniform_simplex(15), np.empty(15)
-        bploop.library().run(self.IDS[scheme], self.P, z, Pz, block, 1e-9, 300, 128, 2.0)
-        written = (block.view(np.uint64) != sentinel).any(axis=1)
-        assert written.tolist() == [True] * rows + [False]
+    @pytest.mark.parametrize("scheme, rows", [("perceptron", 1), ("vn", 2), ("vna", 2),
+                                              ("smooth", 6)])
+    def test_each_scheme_returns_its_own_block(self, scheme, rows):
+        z = uniform_simplex(15)
+        code, t, Pz, block = bploop.library().run(self.IDS[scheme], self.P, z, 1e-9, 300, 128,
+                                                  2.0)
+        assert block.shape == (rows, 15) and Pz.shape == (15,)
+        assert Pz.base is None and block.base is None
+
+
+def layouts(P):
+    """P in every layout and dtype a caller may hand a run: Fortran order,
+    a strided view, float32, big-endian, unaligned and a nested list."""
+    strided = np.zeros((P.shape[0], 2 * P.shape[1]))
+    strided[:, ::2] = P
+    unaligned = np.zeros(P.nbytes + 1, dtype=np.uint8)[1:].view(np.float64).reshape(P.shape)
+    unaligned[...] = P
+    return {"F-ordered": np.asfortranarray(P), "strided": strided[:, ::2],
+            "float32": P.astype(np.float32), "byte-swapped": P.astype(">f8"),
+            "unaligned": unaligned, "list": P.tolist()}
+
+
+class TestLayouts:
+    """A run on P in any layout or dtype has the bytes of the run on
+    np.ascontiguousarray(P, dtype=float), compiled, without the library
+    and with a callback."""
+
+    P = projector_from_kernel(np.random.default_rng(41).standard_normal((40, 90))).P
+
+    @pytest.mark.parametrize("route", ["compiled", "python", "callback"])
+    @pytest.mark.parametrize("layout", ["F-ordered", "strided", "float32", "byte-swapped",
+                                        "unaligned", "list"])
+    def test_runs_as_its_contiguous_float64_copy(self, layout, route, monkeypatch):
+        if route == "compiled" and not can_build():
+            pytest.skip(CANNOT_BUILD)
+        if route == "python":
+            monkeypatch.setattr(bploop, "library", lambda: None)
+        callback = (lambda *_: None) if route == "callback" else None
+        P = layouts(self.P)[layout]
+        want = np.ascontiguousarray(P, dtype=float)
+        for scheme in SCHEMES:
+            cfg = BpConfig(epsilon=1e-3, max_iters=500, scheme=scheme)
+            got, ref = (run_scheme(p, uniform_simplex(90), cfg, callback) for p in (P, want))
+            assert (got.status, got.iterations, got.z.tobytes(), got.Pz.tobytes()) == (
+                ref.status, ref.iterations, ref.z.tobytes(), ref.Pz.tobytes()), scheme
 
 
 @needs_build
@@ -684,10 +711,10 @@ class TestLoading:
         if not can_build():
             pytest.skip(CANNOT_BUILD)
         assert bploop.library() is not None
-        assert bploop.run(0, np.eye(3), uniform_simplex(3), 0.5, 10, 128, 2.0) is not None
+        assert bploop.library().run(0, np.eye(3), uniform_simplex(3), 0.5, 10, 128, 2.0)[0] == 1
 
     @needs_build
-    def test_only_runs_it_cannot_take_use_the_python_driver(self, monkeypatch):
+    def test_only_runs_with_a_callback_use_the_python_driver(self, monkeypatch):
         def python_driver(*args, **kwargs):
             raise AssertionError("the Python driver ran")
 
@@ -695,14 +722,8 @@ class TestLoading:
         P = projector_from_kernel(np.random.default_rng(5).standard_normal((4, 9))).P
         for scheme in SCHEMES:
             run_scheme(P, uniform_simplex(9), BpConfig(scheme=scheme))
-        strided = np.zeros((9, 18))
-        strided[:, ::2] = P
-        unaligned = np.zeros(P.nbytes + 1, dtype=np.uint8)[1:].view(np.float64).reshape(9, 9)
-        unaligned[...] = P
-        for other in (np.asfortranarray(P), P.astype(np.float32), strided[:, ::2], unaligned,
-                      P.tolist()):
-            with pytest.raises(AssertionError, match="Python driver"):
-                run_scheme(other, uniform_simplex(9), BpConfig())
+        for other in layouts(P).values():
+            run_scheme(other, uniform_simplex(9), BpConfig())
         with pytest.raises(AssertionError, match="Python driver"):
             run_scheme(P, uniform_simplex(9), BpConfig(), callback=lambda *_: None)
 
@@ -851,4 +872,4 @@ class TestWithoutTheInterpreterLock:
     def test_basis(self):
         M = np.asfortranarray(np.random.default_rng(24).standard_normal((2000, 1000)))
         with blas.small_problem_threads(1, 1):
-            assert counted_during(lambda: bploop.basis(M)) > 100
+            assert counted_during(lambda: bploop.library().basis(M, None, False)) > 100

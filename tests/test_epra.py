@@ -200,6 +200,40 @@ class TestRoundBookkeepingMatchesReference:
                             assert same_bits(rescale_update(v, Pz, D, U, mode),
                                              reference_rescale_update(v, Pz, D, U, mode))
 
+    @pytest.mark.parametrize("form", ["strided", "float32", "integer U"])
+    @pytest.mark.parametrize("n", [1, 5, 9, 130])
+    def test_other_layouts_dtypes_and_integer_U(self, form, n):
+        rng = np.random.default_rng(n)
+        x, x_hat, Pz = (rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-5.0, 5.0, 2 * n)
+                        for _ in range(3))
+        D = np.exp(rng.uniform(0.0, 5.0, 2 * n))
+        vectors = (x, x_hat, Pz, D)
+        if form == "strided":
+            vectors = tuple(v[::2] for v in vectors)
+        elif form == "float32":
+            vectors = tuple(v[:n].astype(np.float32) for v in vectors)
+        else:
+            vectors = tuple(v[:n] for v in vectors)
+        x, x_hat, Pz, D = vectors
+        for U in ((3, 1000) if form == "integer U" else (3.0, 1e3)):
+            got, want = identify_partition(x, x_hat, U), reference_identify_partition(x, x_hat, U)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert got[2] is want[2]
+            for mode in (epra.ALL_DIRECTIONS, SINGLE_DIRECTION):
+                for v in (x, np.abs(x)):
+                    assert same_bits(rescale_update(v, Pz, D, U, mode),
+                                     reference_rescale_update(v, Pz, D, U, mode)), (U, mode)
+
+    def test_empty_vectors(self):
+        for e in ([], np.zeros(0)):
+            for fn in (identify_partition, reference_identify_partition):
+                with pytest.raises(ValueError):
+                    fn(e, e, 2.0)
+            for fn in (rescale_update, reference_rescale_update):
+                with pytest.raises(ValueError):
+                    fn(e, e, e, 2.0, SINGLE_DIRECTION)
+            assert same_bits(rescale_update(e, e, e, 2.0), reference_rescale_update(e, e, e, 2.0))
+
     def test_rescale_update_leaves_its_inputs(self):
         z, Pz, D = np.array([0.5, 0.25, 0.25]), np.array([0.1, -0.2, 0.3]), np.ones(3)
         before = [v.copy() for v in (z, Pz, D)]
@@ -213,24 +247,22 @@ FLOOR = epra._ALPHA_FLOOR
 
 
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
-def test_compiled_bookkeeping_takes_the_solvers_arrays_only():
+def test_compiled_bookkeeping_rejects_only_what_no_caller_can_mean():
+    # any layout, dtype or list is converted; other sizes or dimensions raise
     lib, v, D = bploop.library(), np.array([0.5, -0.25, 0.0]), np.ones(3)
-    assert lib.identify_partition(v, v, 2.0) is not None
-    assert lib.rescale_update(v, v, D, 2.0, False, FLOOR) is not None
-    assert lib.rescale_update(v, None, D, 2.0, True, FLOOR) is not None
-    # left to the NumPy code: lists, other dtypes, strides or sizes, an
-    # integer U and empty vectors
-    for other in (v.tolist(), v.astype(np.float32), np.repeat(v, 2)[::2], v[:2], v[None]):
-        assert lib.identify_partition(other, v, 2.0) is None
-        assert lib.identify_partition(v, other, 2.0) is None
-        assert lib.rescale_update(other, v, D, 2.0, False, FLOOR) is None
-        assert lib.rescale_update(v, v, other, 2.0, True, FLOOR) is None
-    assert lib.rescale_update(v, v.tolist(), D, 2.0, False, FLOOR) is None
-    assert lib.identify_partition(v, v, 2) is None
-    assert lib.rescale_update(v, v, D, 2, True, FLOOR) is None
-    assert lib.identify_partition(np.zeros(0), np.zeros(0), 2.0) is None
-    assert lib.rescale_update(np.zeros(0), np.zeros(0), np.zeros(0), 2.0, False, FLOOR) is None
-    assert lib.rescale_update(v, v, D, 2.0, False, 0) is None
+    for other in (v[:2], v[None]):
+        for call in (lambda: lib.identify_partition(other, v, 2.0),
+                     lambda: lib.identify_partition(v, other, 2.0),
+                     lambda: lib.rescale_update(other, v, D, 2.0, False, FLOOR),
+                     lambda: lib.rescale_update(v, v, other, 2.0, True, FLOOR)):
+            with pytest.raises(ValueError, match="one size|dimensions"):
+                call()
+    with pytest.raises(ValueError, match="dimensions"):
+        lib.rescale_update(v, v[None], D, 2.0, False, FLOOR)
+    # Pz is not read in the single-direction mode
+    assert lib.rescale_update(v, None, D, 2.0, True, FLOOR).tolist() == [2.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="unknown rescale mode"):
+        rescale_update(v, v, D, 2.0, "sideways")
 
 
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")

@@ -205,7 +205,8 @@ def reference_rescaled_projectors(A, D, D_hat):
     """The dense builder as (P, P_hat), written out with today's exact
     operations: normalize the columns, QR, Q Q^T, and I - G in G's storage.
     Frozen here so the builder below may change how it holds its factors
-    but not a bit of the projectors it forms."""
+    but not a bit of the projectors it forms.  A is taken C-contiguous, as
+    the builder takes every A."""
 
     def basis(M):
         if M.shape[1] == 0:
@@ -218,7 +219,7 @@ def reference_rescaled_projectors(A, D, D_hat):
         G.flat[:: G.shape[0] + 1] += 1.0
         return G
 
-    A = np.asarray(A, dtype=float)
+    A = np.ascontiguousarray(A, dtype=float)
     m, n = A.shape
     At = A.T
     with small_problem_threads(m, n):
@@ -749,8 +750,8 @@ def outcome(fn, *args):
 
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
 class TestCompiledBasisMatchesNumpyRoute:
-    """`bploop.basis`, which scales, normalizes and factors each side in
-    one call, against the NumPy route it replaces, bytewise."""
+    """The module's basis, which scales, normalizes and factors each side
+    in one call, against the NumPy route it replaces, bytewise."""
 
     @settings(max_examples=300, deadline=None)
     @given(basis_inputs())
@@ -797,17 +798,27 @@ class TestCompiledBasisMatchesNumpyRoute:
             ours = np.sqrt([-0.0 + pairwise_sum(squares[:, j]) for j in range(M.shape[1])])
             assert ours.tobytes() == np.linalg.norm(M, axis=0).tobytes()
 
-    @pytest.mark.parametrize("A", [
-        np.asfortranarray(np.random.default_rng(3).standard_normal((5, 12))),
-        np.random.default_rng(3).standard_normal((5, 24))[:, ::2],
-        np.zeros((0, 6)),
-    ], ids=["F-ordered", "strided", "no rows"])
-    def test_other_layouts_take_the_numpy_route(self, A, monkeypatch):
-        monkeypatch.setattr(bploop, "basis", mock.Mock(side_effect=AssertionError))
-        D = np.linspace(1.0, 4.0, A.shape[1])
-        pair = rescaled_projectors(A, D, D)
-        P, P_hat = reference_rescaled_projectors(A, D, D)
-        assert pair.P.tobytes() == P.tobytes() and pair.P_hat.tobytes() == P_hat.tobytes()
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("layout", ["F-ordered", "strided", "no rows"])
+def test_other_layouts_build_as_their_c_contiguous_copy(layout, compiled, monkeypatch):
+    if compiled and bploop.library() is None:
+        pytest.skip("the compiled library is not built")
+    if not compiled:
+        monkeypatch.setattr(bploop, "library", lambda: None)
+    for seed in range(5):
+        A = np.random.default_rng(seed).standard_normal((5, 24))
+        A = {"F-ordered": np.asfortranarray(A[:, :12]), "strided": A[:, ::2],
+             "no rows": np.zeros((0, 6))}[layout]
+        D, D_hat = (np.linspace(1.0, 4.0, A.shape[1]) ** k for k in (1, 2))
+        for d, d_hat in ((D, D_hat), (D, None), (None, D_hat), (None, None)):
+            if d is None and d_hat is None:
+                got, want = (projector_from_kernel(a) for a in (A, np.ascontiguousarray(A)))
+            else:
+                got, want = (rescaled_projectors(a, d, d_hat) for a in (A, np.ascontiguousarray(A)))
+            for side in ("Q", "Q_hat"):
+                g, w = getattr(got, side), getattr(want, side)
+                assert (g is None and w is None) or g.tobytes() == w.tobytes(), (seed, side)
 
 
 @pytest.mark.skipif(bploop.library() is None, reason="np.linalg.qr factors a copy")
