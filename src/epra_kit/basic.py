@@ -25,10 +25,10 @@ Every run takes P as a C-contiguous float64 array, converted once when
 it is not one.  A run without a callback is one call to the compiled
 loop (`bploop`) wherever it loads, which does the scheme's set-up and
 then takes the driver's steps in arrays it allocates.  The Python set-up
-and `_drive` with the plain NumPy steps are the reference for their bits
-and errors, the fallback where no compiled loop can be built, and the
-path that calls a callback; neither path raises floating-point warnings
-in the set-up or the run.
+and `_drive` with the plain NumPy steps, on a copy of the start, are the
+reference for their bits and errors, the fallback where no compiled loop
+can be built, and the path that calls a callback; neither path raises
+floating-point warnings in the set-up or the run.
 """
 
 import numbers
@@ -169,7 +169,7 @@ def simplex_prox(v, mu: float, u_bar) -> np.ndarray:
 
 
 def _check_start(z0) -> np.ndarray:
-    z = np.array(z0, dtype=float)
+    z = np.asarray(z0, dtype=float)
     # a NaN or -inf fails the minimum's test and +inf the sum's
     if z.ndim != 1 or not (z.size and z.min() >= 0.0) or abs(z.sum() - 1.0) > 1e-9:
         raise ValueError("starting point must lie on the standard simplex")
@@ -184,23 +184,25 @@ _STATUSES = {1: INTERIOR_FOUND, 2: RESCALE_READY, 3: ITER_LIMIT}
 def _run(scheme: int, P, z, cfg: BpConfig, callback, start, refresh=_REFRESH) -> BpOutcome:
     """Run scheme number `scheme` on P as a C-contiguous float64 array
     from the checked start z.  Without a callback, where the library
-    loads, its `run` does the scheme's set-up and its loop in state it
-    allocates; else start(P, z) makes the set-up's z and P z and the step
-    for _drive.  A set-up failure carries iterations = 0 on both paths,
-    and neither path raises floating-point warnings in the set-up."""
+    loads, its `run` does the scheme's set-up and its loop in arrays it
+    allocates; else start(P, z.copy()) makes the set-up's z and P z and
+    the step for _drive.  A set-up failure carries iterations = 0 on both
+    paths, and neither path raises floating-point warnings in the set-up."""
     P = np.ascontiguousarray(P, dtype=float)
     lib = bploop.library()
     if callback is None and lib is not None:
-        # the block, the fourth result, is freed here
-        code, t, Pz = lib.run(scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)[:3]
+        # the block, the fifth result, is freed here
+        code, t, z, Pz = lib.run(scheme, P, z, cfg.epsilon, cfg.max_iters, refresh, _MU_0)[:4]
         if code < 0:
             error = _failure(code)
             error.iterations = t
             raise error
         return BpOutcome(_STATUSES[code], z, Pz, t)
+    if P.shape != (z.size, z.size):
+        raise ValueError(f"run needs P of shape ({z.size}, {z.size}), got {P.shape}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            z, Pz, step = start(P, z)
+            z, Pz, step = start(P, z.copy())
         except EpraKitError as error:
             error.iterations = 0
             raise

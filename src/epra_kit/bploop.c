@@ -10,10 +10,10 @@
  * layout the function reads; one that already has it is only referenced.
  * Every buffer a function writes is a NumPy array it allocates through
  * the C API before it releases the interpreter lock, so tracemalloc sees
- * all of it.  A function raises ValueError only for what no caller can
- * mean: a wrong ndim or length, a scheme number outside 0 to 3, a z it
- * cannot write in place, or LAPACK's rejection of an argument.  The loop
- * and the factorization run without the interpreter lock.
+ * all of it; no function writes an argument.  A function raises
+ * ValueError only for what no caller can mean: a wrong ndim or length, a
+ * scheme number outside 0 to 3, or LAPACK's rejection of an argument.  The
+ * loop and the factorization run without the interpreter lock.
  *
  * Every operation is the one NumPy or Python performs, in the same order:
  * elementwise arithmetic in IEEE double without contraction (built with
@@ -57,8 +57,8 @@
  * A run's set-up is done here too, with the same matvec and simplex
  * projection as its steps: the starting P z, and for the smooth perceptron
  * P u_bar, the first prox point w and P w.  So a run is one call from
- * Python, given P and z; it allocates P z and one block that holds the
- * scheme's state and scratch.
+ * Python, given P and the start; it allocates the iterate z, P z and one
+ * block that holds the scheme's state and scratch.
  *
  * bp_basis makes a projector build's basis in one call: it reads A and
  * the side's diagonal, writes the scaled transpose straight into Q's
@@ -71,9 +71,8 @@
  * allocated after the queries.
  *
  * The round bookkeeping makes one pass (two for identify_partition's
- * index arrays) over vectors of n doubles, with NumPy's comparisons,
- * its first-NaN argmax and its pairwise sum, and Python's min and max
- * where the NumPy code takes them.
+ * index arrays) over vectors of n doubles, with NumPy's comparisons and
+ * its pairwise sum, and Python's max where the NumPy code takes it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -769,12 +768,12 @@ static PyObject *py_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs
  * von Neumann, away steps, smooth perceptron */
 static const npy_intp block_rows[] = {1, 2, 2, 6};
 
-/* run(scheme, P, z, eps, max_iters, refresh, mu0): bp_run without the
- * interpreter lock on P, an (n, n) matrix converted by input(), and z, a
- * writeable C-contiguous float64 vector of n >= 1 entries updated in
- * place.  Returns (status or failure code, steps, P z, block): P z and the
- * scheme's block are new arrays.  A max_iters beyond int64 is one the loop
- * cannot reach. */
+/* run(scheme, P, z0, eps, max_iters, refresh, mu0): bp_run without the
+ * interpreter lock from the start z0, a vector of n >= 1 entries, on P,
+ * an (n, n) matrix, both converted by input().  Returns (status or failure
+ * code, steps, z, P z, block): the last iterate, its P z and the scheme's
+ * block are new arrays.  A max_iters beyond int64 is one the loop cannot
+ * reach. */
 static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
@@ -797,34 +796,36 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (overflow)
         max_iters = overflow > 0 ? INT64_MAX : INT64_MIN;
-    PyArrayObject *z = (PyArrayObject *)args[2];
-    if (!PyArray_Check(args[2]) || PyArray_TYPE(z) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(z)
-        || PyArray_NDIM(z) != 1 || !PyArray_ISCARRAY(z) || PyArray_DIM(z, 0) == 0)
-        return PyErr_Format(PyExc_ValueError, "run needs z, a writeable float64 vector");
-    npy_intp n = PyArray_DIM(z, 0), shape[2] = {block_rows[scheme], n};
-    PyArrayObject *P = input(args[1], NPY_ARRAY_IN_ARRAY, 2, "P");
+    PyArrayObject *z0 = input(args[2], NPY_ARRAY_IN_ARRAY, 1, "z0"),
+                  *P = z0 ? input(args[1], NPY_ARRAY_IN_ARRAY, 2, "P") : NULL, *z = NULL,
+                  *Pz = NULL, *block = NULL;
+    PyObject *out = NULL;
     if (P == NULL)
-        return NULL;
-    if (PyArray_DIM(P, 0) != n || PyArray_DIM(P, 1) != n) {
-        Py_DECREF(P);
-        return PyErr_Format(PyExc_ValueError, "run needs P of shape (%zd, %zd)",
-                            (Py_ssize_t)n, (Py_ssize_t)n);
+        goto done;
+    npy_intp n = PyArray_DIM(z0, 0), shape[2] = {block_rows[scheme], n};
+    if (n == 0 || PyArray_DIM(P, 0) != n || PyArray_DIM(P, 1) != n) {
+        PyErr_Format(PyExc_ValueError, "run needs z0 of n >= 1 entries and P of shape (n, n)");
+        goto done;
     }
-    PyArrayObject *Pz = (PyArrayObject *)PyArray_SimpleNew(1, &n, NPY_DOUBLE),
-                  *block = (PyArrayObject *)PyArray_SimpleNew(2, shape, NPY_DOUBLE);
-    if (Pz == NULL || block == NULL) {
-        Py_DECREF(P);
-        Py_XDECREF(Pz);
-        Py_XDECREF(block);
-        return NULL;
-    }
+    z = (PyArrayObject *)PyArray_SimpleNew(1, &n, NPY_DOUBLE);
+    Pz = (PyArrayObject *)PyArray_SimpleNew(1, &n, NPY_DOUBLE);
+    block = (PyArrayObject *)PyArray_SimpleNew(2, shape, NPY_DOUBLE);
+    if (z == NULL || Pz == NULL || block == NULL)
+        goto done;
+    memcpy(PyArray_DATA(z), PyArray_DATA(z0), (size_t)n * sizeof(double));
     int64_t code, iters;
     Py_BEGIN_ALLOW_THREADS
     code = bp_run(scheme, n, PyArray_DATA(P), PyArray_DATA(z), PyArray_DATA(Pz), eps, max_iters,
                   refresh, &iters, PyArray_DATA(block), mu0);
     Py_END_ALLOW_THREADS
-    Py_DECREF(P);
-    return Py_BuildValue("(LLNN)", (long long)code, (long long)iters, Pz, block);
+    out = Py_BuildValue("(LLOOO)", (long long)code, (long long)iters, z, Pz, block);
+done:
+    Py_XDECREF(z0);
+    Py_XDECREF(P);
+    Py_XDECREF(z);
+    Py_XDECREF(Pz);
+    Py_XDECREF(block);
+    return out;
 }
 
 /* basis(M, scale, divide): bp_basis without the interpreter lock for M, a
@@ -958,34 +959,28 @@ done:
     return out;
 }
 
-/* rescale_update(z, Pz, D, U, single, floor): epra.rescale_update for z
- * and D, vectors of one size n converted by input(), Pz (read in the
- * all-directions mode only) a vector converted likewise, U a real number
- * and floor epra._ALPHA_FLOOR, in the single-direction mode, which needs
- * n >= 1, when `single` is true: the grown diagonal, a new float64
- * array. */
+/* rescale_update(z, Pz, D, U, floor): epra.rescale_update in the
+ * all-directions mode for z and D, vectors of one size converted by
+ * input(), Pz a vector converted likewise, U a real number and floor
+ * epra._ALPHA_FLOOR: the grown diagonal, a new float64 array. */
 static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    if (!arguments("rescale_update", nargs, 6))
-        return NULL;
-    int single = PyObject_IsTrue(args[4]);
-    if (single < 0)
+    if (!arguments("rescale_update", nargs, 5))
         return NULL;
     double U = PyFloat_AsDouble(args[3]), floor;
     if ((U == -1.0 && PyErr_Occurred())
-        || ((floor = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred()))
+        || ((floor = PyFloat_AsDouble(args[4])) == -1.0 && PyErr_Occurred()))
         return NULL;
     PyArrayObject *za = input(args[0], NPY_ARRAY_IN_ARRAY, 1, "z"),
                   *Da = za ? input(args[2], NPY_ARRAY_IN_ARRAY, 1, "D") : NULL,
-                  *Pza = Da && !single ? input(args[1], NPY_ARRAY_IN_ARRAY, 1, "Pz") : NULL;
+                  *Pza = Da ? input(args[1], NPY_ARRAY_IN_ARRAY, 1, "Pz") : NULL;
     PyObject *out = NULL;
-    if (Da == NULL || (!single && Pza == NULL))
+    if (Pza == NULL)
         goto done;
     npy_intp n = PyArray_DIM(za, 0);
-    if (PyArray_DIM(Da, 0) != n || (single && n == 0)) {
-        PyErr_Format(PyExc_ValueError, "rescale_update needs z and D of one size%s",
-                     single ? " n >= 1" : "");
+    if (PyArray_DIM(Da, 0) != n) {
+        PyErr_Format(PyExc_ValueError, "rescale_update needs z and D of one size");
         goto done;
     }
     out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
@@ -993,14 +988,6 @@ static PyObject *py_rescale_update(PyObject *self, PyObject *const *args, Py_ssi
         goto done;
     const double *z = PyArray_DATA(za), *D = PyArray_DATA(Da);
     double *restrict e = PyArray_DATA((PyArrayObject *)out);
-    if (single) {
-        /* D, with 2 D_i capped at U by Python's min at the first index of
-         * max(z) */
-        memcpy(e, D, (size_t)n * sizeof(double));
-        int64_t i = argmax(z, n);
-        e[i] = py_min(2.0 * D[i], U);
-        goto done;
-    }
     /* alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR) */
     double alpha = py_max(pos_sum(PyArray_DATA(Pza), PyArray_DIM(Pza, 0)), floor);
     for (npy_intp i = 0; i < n; i++) {

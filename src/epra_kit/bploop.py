@@ -3,27 +3,27 @@ normalization and QR factorization, and the round bookkeeping, compiled
 from bploop.c as the CPython extension module `epra_kit._bploop`.
 
 Every function of the module takes only its inputs and returns what it
-makes.  An array it only reads is converted through NumPy's C API as
-`np.asarray(x, dtype=float)` converts it, into the layout the function
-reads; an array that already has it is only referenced.  What a function
-returns is a NumPy array it allocates, so tracemalloc sees every byte.
-It raises ValueError only for arguments no caller can mean: a wrong
-ndim or length, a scheme number outside 0 to 3, a z that is not a
-writeable float64 vector, or LAPACK's rejection.  So each caller asks
-only whether `library()` is None:
+makes; none writes an argument.  An array it reads is converted through
+NumPy's C API as `np.asarray(x, dtype=float)` converts it, into the
+layout the function reads; an array that already has it is only
+referenced.  What a function returns is a NumPy array it allocates, so
+tracemalloc sees every byte.  It raises ValueError only for arguments no
+caller can mean: a wrong ndim or length, a scheme number outside 0 to 3,
+or LAPACK's rejection.  So each caller asks only whether `library()` is
+None:
 
-- `basic` runs a scheme without a callback as `run(scheme, P, z, eps,
+- `basic` runs a scheme without a callback as `run(scheme, P, z0, eps,
   max_iters, refresh, mu0)`: the scheme's set-up and the steps of
-  `basic._drive`, with every bit of its results and the same failures,
-  returning (code, steps, P z, the scheme's block).
+  `basic._drive` from z0, with every bit of its results and the same
+  failures, returning (code, steps, last z, P z, the scheme's block).
 - `subspace` makes every basis as `basis(M, scale, divide)`: it scales M
   by the side's diagonal into a new Fortran-ordered Q, normalizes its
   columns as `np.linalg.norm` and a division do and runs LAPACK's
   `dgeqrf` and `dorgqr` there, with the workspace their queries ask for
   and the bits of `subspace._numpy_range_basis`.  It returns None for a
   zero column.
-- `epra.identify_partition` and `epra.rescale_update` call the functions
-  of the same names, with the bits of their NumPy code.
+- `epra.identify_partition` and `epra.rescale_update` (all directions
+  only) call the functions of the same names, with their NumPy bits.
 
 The loop and the factorization run without the interpreter lock.
 

@@ -103,49 +103,55 @@ def identify_partition(x, x_hat, U: float):
     one side contributes nothing to its set).  Returns (B, N, is_partition)
     where is_partition means B and N are disjoint and cover every index.
     One compiled call (`bploop`) where the library loads, with the bits
-    of the NumPy code below.
+    and the ValueErrors of the NumPy code below.
     """
     lib = bploop.library()
     if lib is not None:
         return lib.identify_partition(x, x_hat, U)
     ax = np.abs(np.asarray(x, dtype=float))
     ax_hat = np.abs(np.asarray(x_hat, dtype=float))
+    if ax.ndim != 1 or ax_hat.shape != ax.shape or not ax.size:
+        raise ValueError("identify_partition needs x and x_hat of one size >= 1")
     b_mask = ax_hat < ax_hat.max() / U
     n_mask = ax < ax.max() / U
     return b_mask.nonzero()[0], n_mask.nonzero()[0], bool((b_mask ^ n_mask).all())
 
 
 def rescale_update(z, Pz, D, U: float, mode: str = ALL_DIRECTIONS) -> np.ndarray:
-    """Grow the rescaling diagonal after a rescaling trigger.
+    """Grow the rescaling diagonal after a rescaling trigger; no entry decreases.
 
-    All-directions mode: with alpha = ||(Pz)^+||_1 and
-    e = (z/alpha - 1)^+, each entry becomes min((1 + e_i) D_i, U).
     Single-direction mode: only the lowest index attaining max(z) is
-    doubled (capped at U).  Entries never decrease.  One compiled call
-    (`bploop`) where the library loads, with the bits of the NumPy code
-    below.
+    doubled (capped at U), and Pz is not read.  All-directions mode: with
+    alpha = ||(Pz)^+||_1 and e = (z/alpha - 1)^+, each entry becomes
+    min((1 + e_i) D_i, U), in one compiled call (`bploop`) where the
+    library loads, with the bits and ValueErrors of the NumPy code below.
     """
     if mode not in (ALL_DIRECTIONS, SINGLE_DIRECTION):
         raise ValueError(f"unknown rescale mode {mode!r}")
+    if mode == SINGLE_DIRECTION:
+        z = np.asarray(z, dtype=float)
+        out = np.array(D, dtype=float)
+        if z.ndim != 1 or out.shape != z.shape or not z.size:
+            raise ValueError("rescale_update needs z and D of one size >= 1")
+        i = int(z.argmax())
+        out[i] = min(2.0 * out[i], U)
+        return out
     lib = bploop.library()
     if lib is not None:
-        return lib.rescale_update(z, Pz, D, U, mode == SINGLE_DIRECTION, _ALPHA_FLOOR)
+        return lib.rescale_update(z, Pz, D, U, _ALPHA_FLOOR)
     z = np.asarray(z, dtype=float)
+    Pz = np.asarray(Pz, dtype=float)
     D = np.asarray(D, dtype=float)
-    if mode == ALL_DIRECTIONS:
-        Pz = np.asarray(Pz, dtype=float)
-        alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR)
-        # (1 + max(z / alpha - 1, 0)) D, capped at U, in one array of its own
-        e = z / alpha
-        e -= 1.0
-        np.maximum(e, 0.0, out=e)
-        e += 1.0
-        e *= D
-        return np.minimum(e, U, out=e)
-    out = D.copy()
-    i = int(z.argmax())
-    out[i] = min(2.0 * D[i], U)
-    return out
+    if z.ndim != 1 or D.shape != z.shape or Pz.ndim != 1:
+        raise ValueError("rescale_update needs vectors z, Pz and D, z and D of one size")
+    alpha = max(float(np.maximum(Pz, 0.0).sum()), _ALPHA_FLOOR)
+    # (1 + max(z / alpha - 1, 0)) D, capped at U, in one array of its own
+    e = z / alpha
+    e -= 1.0
+    np.maximum(e, 0.0, out=e)
+    e += 1.0
+    e *= D
+    return np.minimum(e, U, out=e)
 
 
 def solve(inst: Instance, cfg: EpraConfig = None) -> EpraResult:

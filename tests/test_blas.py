@@ -490,7 +490,6 @@ class TestTracedAllocations:
         bploop.library().basis(M, D, True)
         identify_partition(x, x[::-1].copy(), 2.0)
         rescale_update(x, x, D, 2.0)
-        rescale_update(x, x, D, 2.0, SINGLE_DIRECTION)
 
     def test_repeated_calls_leave_no_traced_growth(self):
         self.compiled_calls()
@@ -518,8 +517,8 @@ class TestTracedAllocations:
 def module_cases():
     """(function, arguments, whether it raises, and None or the LAPACK
     routine and the stub bound in its place) for each function of the module: conforming calls,
-    converting calls (Fortran order, strides, lists, float32) and each
-    ValueError path, LAPACK's rejection among them."""
+    converting calls (Fortran order, strides, lists, float32, a read-only
+    start) and each ValueError path, LAPACK's rejection among them."""
     P = subspace.projector_from_kernel(np.random.default_rng(4).standard_normal((5, 12))).P
     F = np.asfortranarray(np.random.default_rng(5).standard_normal((12, 5)))
     x, D, z = np.linspace(-1.0, 1.0, 12), np.linspace(1.0, 2.0, 12), np.full(12, 1.0 / 12)
@@ -527,10 +526,12 @@ def module_cases():
     read_only.flags.writeable = False
     run = [(0, P, z, 0.5, 50, 128, 2.0), (3, np.asfortranarray(P), z, 0.5, 50, 0, 2.0),
            (1, np.repeat(P, 2, axis=1)[:, ::2], z, 0.5, 50, 128, 2.0),
-           (2, P.tolist(), z, 0.5, 50, 128, 2.0)]
-    run_errors = [(7, P, z, 0.5, 50, 128, 2.0), (0, P, read_only, 0.5, 50, 128, 2.0),
-                  (0, P, z.tolist(), 0.5, 50, 128, 2.0), (0, P[:11, :11], z, 0.5, 50, 128, 2.0),
-                  (0, P.reshape(-1), z, 0.5, 50, 128, 2.0)]
+           (2, P.tolist(), z, 0.5, 50, 128, 2.0), (0, P, read_only, 0.5, 50, 128, 2.0),
+           (3, P, np.repeat(z, 2)[::2], 0.5, 50, 0, 2.0), (1, P, z.tolist(), 0.5, 50, 128, 2.0),
+           (2, P, z.astype(np.float32), 0.5, 50, 128, 2.0)]
+    run_errors = [(7, P, z, 0.5, 50, 128, 2.0), (0, P[:11, :11], z, 0.5, 50, 128, 2.0),
+                  (0, P.reshape(-1), z, 0.5, 50, 128, 2.0), (0, P, z[None], 0.5, 50, 128, 2.0),
+                  (0, P[:0, :0], z[:0], 0.5, 50, 128, 2.0)]
     basis = [(F, None, False), (F, D, True), (np.ascontiguousarray(F), D, False),
              (np.repeat(F, 2, axis=1)[:, ::2], D[::-1], True), (F.tolist(), D.tolist(), True),
              (F, D.astype(np.float32), False)]
@@ -539,12 +540,10 @@ def module_cases():
     partition = [(x, x[::-1].copy(), 2.0), (x[::2], x[1::2], 3), (x.tolist(), x.tolist(), 2.0),
                  (x.astype(np.float32), x, 2.0)]
     partition_errors = [(x, x[:11], 2.0), ([], [], 2.0), (x[None], x, 2.0)]
-    update = [(z, x, D, 2.0, False, _ALPHA_FLOOR), (z, None, D, 2.0, True, _ALPHA_FLOOR),
-              (x[::2], x[1::2], D[::2], 2, False, _ALPHA_FLOOR),
-              (z.tolist(), x.tolist(), D.tolist(), 2.0, False, _ALPHA_FLOOR),
-              ([], [], [], 2.0, False, _ALPHA_FLOOR)]
-    update_errors = [(z, x, D[:11], 2.0, False, _ALPHA_FLOOR), (z[None], x, D, 2.0, True, 0.0),
-                     (z, x[None], D, 2.0, False, _ALPHA_FLOOR), ([], None, [], 2.0, True, 0.0)]
+    update = [(z, x, D, 2.0, _ALPHA_FLOOR), (x[::2], x[1::2], D[::2], 2, _ALPHA_FLOOR),
+              (z.tolist(), x.tolist(), D.tolist(), 2.0, _ALPHA_FLOOR), ([], [], [], 2.0, 0.0)]
+    update_errors = [(z, x, D[:11], 2.0, _ALPHA_FLOOR), (z[None], x, D, 2.0, 0.0),
+                     (z, x[None], D, 2.0, _ALPHA_FLOOR), (z, x, D[None], 2.0, _ALPHA_FLOOR)]
     cases = []
     for name, good, bad in (("run", run, run_errors), ("basis", basis, basis_errors),
                             ("identify_partition", partition, partition_errors),
@@ -602,3 +601,80 @@ class TestReferences:
             assert tracemalloc.get_traced_memory()[0] - before < 1000
         finally:
             tracemalloc.stop()
+
+
+def arrays(args):
+    return [a for a in args if isinstance(a, np.ndarray)]
+
+
+def snapshot(args):
+    """The bytes and the writeable flag of each array argument."""
+    return [(a.tobytes(), a.flags.writeable) for a in arrays(args)]
+
+
+def wrapper_calls():
+    """(function, arguments) for each public wrapper of a module function:
+    every scheme's run, both projector builders, the partition test and
+    the rescaling update in both modes."""
+    A = np.random.default_rng(7).standard_normal((5, 12))
+    P = subspace.projector_from_kernel(A).P
+    z, x, D = np.full(12, 1.0 / 12), np.linspace(-1.0, 1.0, 12), np.linspace(1.0, 2.0, 12)
+    runs = [(basic.run_scheme, (P, z, basic.BpConfig(scheme=scheme, max_iters=50)))
+            for scheme in basic.SCHEMES]
+    return runs + [(subspace.projector_from_kernel, (A,)),
+                   (rescaled_projectors, (A, D, D[::-1].copy())),
+                   (identify_partition, (x, D, 2.0)), (rescale_update, (z, x, D, 2.0)),
+                   (rescale_update, (z, x, D, 2.0, SINGLE_DIRECTION))]
+
+
+class TestNoArgumentIsWritten:
+    """Every function of the module and every public call of one leaves
+    the bytes and the writeable flag of each array it is given."""
+
+    @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
+    def test_module_functions(self):
+        lib = bploop.library()
+        for name, args, raises, stub in module_cases():
+            before = snapshot(args)
+            call(lib, name, args, raises, stub)
+            assert snapshot(args) == before, (name, args)
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_public_calls(self, route, writeable):
+        for function, args in wrapper_calls():
+            for a in arrays(args):
+                a.flags.writeable = writeable
+            before = snapshot(args)
+            function(*args)
+            assert snapshot(args) == before, (function.__name__, args)
+
+
+# each shape the module rejects, by the public call that hands it over
+_P, _x, _D = np.eye(12), np.linspace(-1.0, 1.0, 12), np.linspace(1.0, 2.0, 12)
+_z = np.full(12, 1.0 / 12)
+MALFORMED = [
+    *((f"run_scheme-{scheme}-P{shape}", basic.run_scheme,
+       (P, _z, basic.BpConfig(scheme=scheme)))
+      for scheme in basic.SCHEMES
+      for shape, P in (("11x11", _P[:11, :11]), ("11x12", _P[:11]), ("12x11", _P[:, :11]),
+                       ("144", _P.reshape(-1)))),
+    ("identify_partition-x-2d", identify_partition, (_x[None], _x, 2.0)),
+    ("identify_partition-x_hat-2d", identify_partition, (_x, _x[None], 2.0)),
+    ("identify_partition-lengths", identify_partition, (_x, _x[:11], 2.0)),
+    ("identify_partition-empty", identify_partition, ([], [], 2.0)),
+    ("rescale_update-all-z-2d", rescale_update, (_z[None], _x, _D, 2.0)),
+    ("rescale_update-all-Pz-2d", rescale_update, (_z, _x[None], _D, 2.0)),
+    ("rescale_update-all-D-2d", rescale_update, (_z, _x, _D[None], 2.0)),
+    ("rescale_update-all-lengths", rescale_update, (_z, _x, _D[:11], 2.0)),
+    ("rescale_update-single-z-2d", rescale_update, (_z[None], None, _D, 2.0, SINGLE_DIRECTION)),
+    ("rescale_update-single-D-2d", rescale_update, (_z, None, _D[None], 2.0, SINGLE_DIRECTION)),
+    ("rescale_update-single-lengths", rescale_update, (_z, None, _D[:11], 2.0, SINGLE_DIRECTION)),
+    ("rescale_update-single-empty", rescale_update, ([], None, [], 2.0, SINGLE_DIRECTION)),
+]
+
+
+@pytest.mark.parametrize("function, args", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_shapes_raise_alike_on_both_routes(route, function, args):
+    with pytest.raises(ValueError):
+        function(*args)

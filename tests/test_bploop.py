@@ -339,8 +339,7 @@ def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
     ids = {"perceptron": 0, "vn": 1, "vna": 2}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        block = bploop.library().run(ids[scheme], P, np.array(z0, dtype=float), epsilon,
-                                     max_iters, 128, 2.0)[3]
+        block = bploop.library().run(ids[scheme], P, z0, epsilon, max_iters, 128, 2.0)[4]
     return block[0]
 
 
@@ -479,9 +478,9 @@ class TestWarmSortWithoutSSE2(TestWarmSort):
 
 @needs_build
 class TestRun:
-    """The module's run allocates P z and the scheme's block itself; it
-    rejects a scheme number outside 0 to 3, a z it cannot write and a P of
-    another shape before it runs, and converts any other P."""
+    """The module's run allocates z, P z and the scheme's block itself; it
+    rejects a scheme number outside 0 to 3, an empty or 2-D start and a P
+    of another shape before it runs, and converts any other start or P."""
 
     P = projector_from_kernel(np.random.default_rng(19).standard_normal((6, 15))).P
     IDS = {"perceptron": 0, "vn": 1, "vna": 2, "smooth": 3}
@@ -493,18 +492,23 @@ class TestRun:
             bploop.library().run(scheme, self.P, z, 1e-9, 300, 128, 2.0)
         assert z.tobytes() == uniform_simplex(15).tobytes()
 
-    def test_rejects_a_z_it_cannot_write_and_a_P_of_another_shape(self):
+    def test_converts_any_start_and_rejects_other_shapes(self):
         run, z = bploop.library().run, uniform_simplex(15)
         args = (1e-9, 300, 128, 2.0)
         read_only = uniform_simplex(15)
         read_only.flags.writeable = False
-        for bad_z in (read_only, z.astype(np.float32), np.zeros(0), z.tolist()):
-            with pytest.raises(ValueError, match="run needs z"):
-                run(0, self.P, bad_z, *args)
-        with pytest.raises(ValueError, match=r"run needs P of shape \(15, 15\)"):
-            run(0, self.P[:14, :14], z, *args)
+        want = run(0, self.P, z, *args)
+        for other in (read_only, np.repeat(z, 2)[::2], z.tolist(), z.astype(">f8")):
+            got = run(0, self.P, other, *args)
+            assert got[:2] == want[:2] and got[2].tobytes() == want[2].tobytes()
+            assert got[2] is not other and got[2].flags.writeable
+        for bad_P, bad_z in ((self.P[:14, :14], z), (self.P[:0, :0], np.zeros(0))):
+            with pytest.raises(ValueError, match=r"run needs z0 of n >= 1 entries and P"):
+                run(0, bad_P, bad_z, *args)
         with pytest.raises(ValueError, match="P must have 2 dimensions"):
             run(0, self.P.reshape(-1), z, *args)
+        with pytest.raises(ValueError, match="z0 must have 1 dimensions"):
+            run(0, self.P, z[None], *args)
         assert z.tobytes() == uniform_simplex(15).tobytes()
 
     def test_cap_beyond_int64_is_no_cap(self):
@@ -515,11 +519,12 @@ class TestRun:
     @pytest.mark.parametrize("scheme, rows", [("perceptron", 1), ("vn", 2), ("vna", 2),
                                               ("smooth", 6)])
     def test_each_scheme_returns_its_own_block(self, scheme, rows):
-        z = uniform_simplex(15)
-        code, t, Pz, block = bploop.library().run(self.IDS[scheme], self.P, z, 1e-9, 300, 128,
-                                                  2.0)
-        assert block.shape == (rows, 15) and Pz.shape == (15,)
-        assert Pz.base is None and block.base is None
+        z0 = uniform_simplex(15)
+        code, t, z, Pz, block = bploop.library().run(self.IDS[scheme], self.P, z0, 1e-9, 300,
+                                                     128, 2.0)
+        assert block.shape == (rows, 15) and z.shape == Pz.shape == (15,)
+        assert z.base is None and Pz.base is None and block.base is None
+        assert not np.shares_memory(z, z0) and z0.tobytes() == uniform_simplex(15).tobytes()
 
 
 def layouts(P):
@@ -788,9 +793,10 @@ class TestLoading:
         # the scalar path stands in for the 2-wide scan without SSE2
         extra = ["-U__SSE2__"] if target == "no SSE2" else []
         include = [f"-I{d}" for d in bploop.headers()]
-        out = subprocess.run([bploop.compiler(), *bploop.FLAGS, "-Wall", "-Wextra", "-Werror",
-                              *extra, *include, "-o", str(tmp_path / "bploop.so"), bploop.SOURCE,
-                              "-lm"], capture_output=True, text=True)
+        out = subprocess.run([bploop.compiler(), *bploop.FLAGS, "-Wall", "-Wextra", "-Wshadow",
+                              "-Wstrict-prototypes", "-Werror", *extra, *include, "-o",
+                              str(tmp_path / "bploop.so"), bploop.SOURCE, "-lm"],
+                             capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 
     def test_source_ships_with_the_package(self):

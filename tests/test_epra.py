@@ -126,17 +126,11 @@ def same_bits(a, b):
 _U_JUST_ABOVE_1 = float(np.nextafter(1.0, 2.0))
 
 
+@pytest.mark.usefixtures("route")
 class TestRoundBookkeepingMatchesReference:
     """identify_partition and rescale_update against their frozen first
     versions, bytewise, on inputs that reach every branch: on the compiled
     route and on the NumPy code that runs without the library."""
-
-    @pytest.fixture(params=["compiled", "numpy"], autouse=True)
-    def route(self, request, monkeypatch):
-        if request.param == "numpy":
-            monkeypatch.setattr(bploop, "library", lambda: None)
-        elif bploop.library() is None:
-            pytest.skip("the compiled library is not built")
 
     VECTORS = [
         [0.0, 0.0, 0.0, 0.0],
@@ -253,24 +247,28 @@ def test_compiled_bookkeeping_rejects_only_what_no_caller_can_mean():
     for other in (v[:2], v[None]):
         for call in (lambda: lib.identify_partition(other, v, 2.0),
                      lambda: lib.identify_partition(v, other, 2.0),
-                     lambda: lib.rescale_update(other, v, D, 2.0, False, FLOOR),
-                     lambda: lib.rescale_update(v, v, other, 2.0, True, FLOOR)):
+                     lambda: lib.rescale_update(other, v, D, 2.0, FLOOR),
+                     lambda: lib.rescale_update(v, v, other, 2.0, FLOOR)):
             with pytest.raises(ValueError, match="one size|dimensions"):
                 call()
     with pytest.raises(ValueError, match="dimensions"):
-        lib.rescale_update(v, v[None], D, 2.0, False, FLOOR)
-    # Pz is not read in the single-direction mode
-    assert lib.rescale_update(v, None, D, 2.0, True, FLOOR).tolist() == [2.0, 1.0, 1.0]
+        lib.rescale_update(v, v[None], D, 2.0, FLOOR)
     with pytest.raises(ValueError, match="unknown rescale mode"):
         rescale_update(v, v, D, 2.0, "sideways")
+
+
+def test_single_direction_update_reads_no_Pz_and_asks_no_module(monkeypatch):
+    monkeypatch.setattr(bploop, "library", lambda: pytest.fail("the module was asked for"))
+    v, D = np.array([0.5, -0.25, 0.0]), np.ones(3)
+    assert rescale_update(v, None, D, 2.0, SINGLE_DIRECTION).tolist() == [2.0, 1.0, 1.0]
 
 
 @pytest.mark.skipif(bploop.library() is None, reason="the compiled library is not built")
 def test_compiled_rescale_update_takes_the_alpha_floor_it_is_given():
     # Pz has no positive entry, so alpha is the floor
     lib, z, Pz, D = bploop.library(), np.array([0.5, 3.0]), -np.ones(2), np.ones(2)
-    assert lib.rescale_update(z, Pz, D, 10.0, False, 1.0).tolist() == [1.0, 3.0]
-    assert lib.rescale_update(z, Pz, D, 10.0, False, FLOOR).tolist() == [10.0, 10.0]
+    assert lib.rescale_update(z, Pz, D, 10.0, 1.0).tolist() == [1.0, 3.0]
+    assert lib.rescale_update(z, Pz, D, 10.0, FLOOR).tolist() == [10.0, 10.0]
 
 
 class TestSolveSmallInstances:

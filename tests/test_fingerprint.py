@@ -5,7 +5,8 @@ round count, both basic-procedure iteration counts and the sizes of B and
 N exactly, and the x / x_hat bytes through their sha256.  A change that is
 meant to leave the solver"s arithmetic alone must leave every entry as it
 is; a change that moves one is an algorithm change and updates the table
-on purpose.
+on purpose.  Every entry holds on the compiled module and on the NumPy code
+that runs where it cannot be built.
 """
 
 import hashlib
@@ -97,14 +98,23 @@ def _case_id(case):
     return f"{family}-{shape}-seed{seed}-{options}"
 
 
-@pytest.mark.parametrize(
+entries = pytest.mark.parametrize(
     "family, size, seed, overrides, counts, digest",
     FINGERPRINT,
     ids=[_case_id(case) for case in FINGERPRINT],
 )
+
+
+@entries
 def test_fingerprint(family, size, seed, overrides, counts, digest):
     res = solve(_instance(family, size, seed), EpraConfig(**overrides))
     got = (res.status, res.rounds, res.bp_iters_primal, res.bp_iters_dual,
            len(res.B), len(res.N))
     assert got == counts
     assert hashlib.sha256(res.x.tobytes() + res.x_hat.tobytes()).hexdigest() == digest
+
+
+@entries
+@pytest.mark.usefixtures("python_driver")
+def test_fingerprint_without_the_library(family, size, seed, overrides, counts, digest):
+    test_fingerprint(family, size, seed, overrides, counts, digest)
