@@ -28,18 +28,43 @@
  *
  * The stop check and the vertex choice share one scan per step.  It reads
  * P z and z once, with SSE2 min and max on two 2-wide accumulators each,
- * and yields min(P z), max(P z), max(z) and whether either vector holds a
- * NaN.  Without NaN the result is exact in any order: the min or max of
- * doubles is the same value whatever order they are compared in, except
- * for the sign of a zero, and nothing that reads these values tells -0.0
- * from 0.0 (the check compares with > 0.0, > bound and <= bound).  The
- * index of the minimum is then NumPy's argmin, the first entry that
- * compares equal to it (-0.0 == 0.0), found in a second, equality pass.
- * A NaN in either vector, n < 4 or a target without SSE2 sends the check
- * to the scalar argmin/argmax, whose first-NaN rule the NumPy check
- * follows.  The perceptron, von Neumann and away steps take the index
- * from the check run just before them (after a drift re-check, from the
- * re-check), and do not scan for it again.
+ * and yields min(P z), max(P z), max(z), the sum of max(P z, 0) in lane
+ * order and whether either vector holds a NaN.  Without NaN the min and
+ * max are exact in any order: the min or max of doubles is the same value
+ * whatever order they are compared in, except for the sign of a zero, and
+ * nothing that reads these values tells -0.0 from 0.0 (the check compares
+ * with > 0.0, > bound and <= bound).  The index of the minimum is then
+ * NumPy's argmin, the first entry that compares equal to it (-0.0 ==
+ * 0.0), found in a second, equality pass.  A NaN in either vector, n < 4
+ * or a target without SSE2 sends the check to the scalar argmin/argmax,
+ * whose first-NaN rule the NumPy check follows.  The perceptron, von
+ * Neumann and away steps take the index from the check run just before
+ * them (after a drift re-check, from the re-check), and do not scan for
+ * it again.
+ *
+ * The lane-order sum decides the check's last test, pairwise sum <=
+ * bound = epsilon max(z), without the pairwise sum when it lies outside
+ * bound (1 -+ 4nu), u = 2^-53, and the bound is a normal number.  There
+ * every entry is finite (none exceeds the bound), and any order of adding
+ * n nonnegative terms lands within a relative g = (n - 1)u / (1 - (n - 1)u)
+ * of their exact sum S (Higham, Accuracy and Stability of Numerical
+ * Algorithms, 2nd ed., section 4.2), the pairwise order and the lane order
+ * alike.  Above the band, S > bound (1 + 4nu)(1 - u)^2 / (1 + g), so the
+ * pairwise sum is above bound (1 + 4nu)(1 - u)^2 (1 - g) / (1 + g) >
+ * bound; the two rounded band edges carry the (1 -+ u)^2.  Below it, the
+ * pairwise sum is at most bound (1 - 4nu)(1 + 2u)^2 (1 + g) / (1 - g) <
+ * bound, which also keeps every pairwise partial sum below the bound, so
+ * nothing overflows.  A lane sum that overflows to inf has S > DBL_MAX /
+ * (1 + g), so a pairwise sum above any bound whose upper edge is finite.
+ * Inside the band, and at a zero or subnormal bound, pos_sum runs as
+ * before.
+ *
+ * The away step's vertex, the argmax of P z where z > 0 with -inf
+ * elsewhere, takes two SSE2 passes for n >= 8: a masked max on two 2-wide
+ * accumulators with a NaN flag, then the first masked value equal to it,
+ * which is NumPy's first index as -0.0 == 0.0.  A NaN, or a maximum of
+ * -inf (an empty support, or -inf wherever z > 0), goes to the scalar
+ * loop, as does every n < 8 and a target without SSE2.
  *
  * A vertex step reads column i of P from row i, contiguously, when the
  * two hold the same bits, as in the projectors that
@@ -80,6 +105,7 @@
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -292,20 +318,24 @@ static int64_t argmax(const double *a, int64_t n)
     return best;
 }
 
-/* The stop check's scan: min(P z), max(P z) and max(z) in one pass, on
- * two 2-wide accumulators for each, with 0 to 3 entries left to a scalar
- * tail; 0 when either vector holds a NaN, n < 4 or the target has no
- * SSE2.  minpd and maxpd return their second operand on a NaN, so a NaN
- * is flagged apart, by one unordered compare of P z with z. */
+/* The stop check's scan: min(P z), max(P z), max(z) and the sum of
+ * max(P z, 0) in one pass, on two 2-wide accumulators for each, with 0 to
+ * 3 entries left to a scalar tail; 0 when either vector holds a NaN, n < 4
+ * or the target has no SSE2.  minpd and maxpd return their second operand
+ * on a NaN, so a NaN is flagged apart, by one unordered compare of P z
+ * with z.  The sum is in lane order, not NumPy's: below() says when it may
+ * stand in for pos_sum. */
 static int scan(const double *Pz, const double *z, int64_t n, double *lo, double *hi,
-                double *zhi)
+                double *zhi, double *sum)
 {
 #ifdef __SSE2__
     if (n < 4)
         return 0;
+    __m128d zero = _mm_setzero_pd();
     __m128d lo0 = _mm_loadu_pd(Pz), lo1 = _mm_loadu_pd(Pz + 2);
     __m128d zhi0 = _mm_loadu_pd(z), zhi1 = _mm_loadu_pd(z + 2);
     __m128d hi0 = lo0, hi1 = lo1;
+    __m128d s0 = _mm_max_pd(lo0, zero), s1 = _mm_max_pd(lo1, zero);
     __m128d nan = _mm_or_pd(_mm_cmpunord_pd(lo0, zhi0), _mm_cmpunord_pd(lo1, zhi1));
     int64_t i = 4;
     for (; i + 4 <= n; i += 4) {
@@ -317,31 +347,42 @@ static int scan(const double *Pz, const double *z, int64_t n, double *lo, double
         hi1 = _mm_max_pd(hi1, v1);
         zhi0 = _mm_max_pd(zhi0, w0);
         zhi1 = _mm_max_pd(zhi1, w1);
+        s0 = _mm_add_pd(s0, _mm_max_pd(v0, zero));
+        s1 = _mm_add_pd(s1, _mm_max_pd(v1, zero));
         nan = _mm_or_pd(nan, _mm_or_pd(_mm_cmpunord_pd(v0, w0), _mm_cmpunord_pd(v1, w1)));
     }
-    double a[2], b[2], c[2];
+    double a[2], b[2], c[2], d[2];
     _mm_storeu_pd(a, _mm_min_pd(lo0, lo1));
     _mm_storeu_pd(b, _mm_max_pd(hi0, hi1));
     _mm_storeu_pd(c, _mm_max_pd(zhi0, zhi1));
+    _mm_storeu_pd(d, _mm_add_pd(s0, s1));
     double l = a[1] < a[0] ? a[1] : a[0], h = b[1] > b[0] ? b[1] : b[0];
-    double zh = c[1] > c[0] ? c[1] : c[0];
+    double zh = c[1] > c[0] ? c[1] : c[0], s = d[0] + d[1];
     int bad = _mm_movemask_pd(nan);
     for (; i < n; i++) {
         bad |= isnan(Pz[i]) | isnan(z[i]);
         l = Pz[i] < l ? Pz[i] : l;
         h = Pz[i] > h ? Pz[i] : h;
         zh = z[i] > zh ? z[i] : zh;
+        s += pos(Pz[i]);
     }
     if (bad)
         return 0;
     *lo = l;
     *hi = h;
     *zhi = zh;
+    *sum = s;
     return 1;
 #else
-    (void)Pz, (void)z, (void)n, (void)lo, (void)hi, (void)zhi;
+    (void)Pz, (void)z, (void)n, (void)lo, (void)hi, (void)zhi, (void)sum;
     return 0;
 #endif
+}
+
+/* the lowest of four lanes that a compare mask, not 0, sets */
+static inline int64_t lowest(int hit)
+{
+    return hit & 1 ? 0 : hit & 2 ? 1 : hit & 4 ? 2 : 3;
 }
 
 /* the first index of P z whose entry equals lo, which one entry does, so
@@ -357,7 +398,7 @@ static int64_t first_equal(const double *Pz, int64_t n, double lo)
         int hit = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(Pz + i), m))
                   | _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(Pz + i + 2), m)) << 2;
         if (hit)
-            return i + (hit & 1 ? 0 : hit & 2 ? 1 : hit & 4 ? 2 : 3);
+            return i + lowest(hit);
     }
 #endif
     while (i < n - 1 && Pz[i] != lo)
@@ -365,14 +406,32 @@ static int64_t first_equal(const double *Pz, int64_t n, double lo)
     return i;
 }
 
+/* pos_sum(Pz, n) <= bound, where every entry of P z is at most the bound
+ * and sum is their positive part summed in another order, or NaN when no
+ * such sum was taken.  Both sums lie within a relative (n - 1)u/(1 - (n -
+ * 1)u) of the exact one, so outside a band of 4nu about a normal bound the
+ * two fall on the same side of it (the header gives the argument); the
+ * pairwise sum is taken everywhere else. */
+static int below(const double *Pz, int64_t n, double sum, double bound)
+{
+    if (bound >= DBL_MIN && bound <= DBL_MAX) {
+        double band = (double)n * 0x1p-51;
+        if (sum > bound * (1.0 + band))
+            return 0;
+        if (sum < bound * (1.0 - band))
+            return 1;
+    }
+    return pos_sum(Pz, n) <= bound;
+}
+
 /* basic.stop_check, which also leaves argmin(P z) in *imin when it
  * returns RUNNING, for the step that follows */
 static int stop_check(const double *Pz, const double *z, int64_t n, double eps,
                       int64_t *imin)
 {
-    double lo, hi, zhi;
+    double lo, hi, zhi, sum = NAN;
     int64_t i = -1;
-    if (!scan(Pz, z, n, &lo, &hi, &zhi)) {
+    if (!scan(Pz, z, n, &lo, &hi, &zhi, &sum)) {
         i = argmin(Pz, n);
         lo = Pz[i];
         zhi = z[argmax(z, n)];
@@ -383,7 +442,7 @@ static int stop_check(const double *Pz, const double *z, int64_t n, double eps,
     double bound = eps * zhi;
     /* NumPy's sum adds its pairwise total to 0.0, which changes no
      * comparison */
-    if (!(hi > bound) && pos_sum(Pz, n) <= bound)
+    if (!(hi > bound) && below(Pz, n, sum, bound))
         return RESCALE_READY;
     *imin = i < 0 ? first_equal(Pz, n, lo) : i;
     return RUNNING;
@@ -455,11 +514,66 @@ static int vn_step(const double *P, double *z, double *Pz, int64_t n, int64_t i,
     return 0;
 }
 
-/* basic.away_vertex in one pass: argmax of Pz with -inf off the support
- * of z, or -1 when the support is empty.  A NaN of Pz lies on the support,
- * so the scan may stop at the first one. */
+#ifdef __SSE2__
+/* P z at i and i + 1 where z > 0, -inf elsewhere (and where z is NaN) */
+static inline __m128d on_support(const double *z, const double *Pz, int64_t i)
+{
+    __m128d on = _mm_cmpgt_pd(_mm_loadu_pd(z + i), _mm_setzero_pd());
+    return _mm_or_pd(_mm_and_pd(on, _mm_loadu_pd(Pz + i)),
+                     _mm_andnot_pd(on, _mm_set1_pd(-INFINITY)));
+}
+
+/* the first index where z > 0 and P z equals v, a value above -inf that
+ * one such entry holds, so the last is not tested; -0.0 == 0.0 */
+static int64_t first_equal_on_support(const double *z, const double *Pz, int64_t n, double v)
+{
+    __m128d m = _mm_set1_pd(v);
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        int hit = _mm_movemask_pd(_mm_cmpeq_pd(on_support(z, Pz, i), m))
+                  | _mm_movemask_pd(_mm_cmpeq_pd(on_support(z, Pz, i + 2), m)) << 2;
+        if (hit)
+            return i + lowest(hit);
+    }
+    while (i < n - 1 && !(z[i] > 0.0 && Pz[i] == v))
+        i++;
+    return i;
+}
+#endif
+
+/* basic.away_vertex: argmax of P z with -inf off the support of z, or -1
+ * when the support is empty.  With SSE2 and n >= 8, one pass takes the
+ * maximum of those masked values on two 2-wide accumulators and flags a
+ * NaN among them, and first_equal_on_support finds NumPy's index.  A NaN,
+ * or a maximum of -inf (an empty support, or -inf wherever z > 0), goes to
+ * the scalar pass, which may stop at the first NaN, since a NaN of P z
+ * counts only on the support. */
 static int64_t away_vertex(const double *z, const double *Pz, int64_t n)
 {
+#ifdef __SSE2__
+    if (n >= 8) {
+        __m128d hi0 = on_support(z, Pz, 0), hi1 = on_support(z, Pz, 2);
+        __m128d nan = _mm_cmpunord_pd(hi0, hi1);
+        int64_t i = 4;
+        for (; i + 4 <= n; i += 4) {
+            __m128d v0 = on_support(z, Pz, i), v1 = on_support(z, Pz, i + 2);
+            hi0 = _mm_max_pd(hi0, v0);
+            hi1 = _mm_max_pd(hi1, v1);
+            nan = _mm_or_pd(nan, _mm_cmpunord_pd(v0, v1));
+        }
+        double b[2];
+        _mm_storeu_pd(b, _mm_max_pd(hi0, hi1));
+        double best = b[1] > b[0] ? b[1] : b[0];
+        int bad = _mm_movemask_pd(nan);
+        for (; i < n; i++) {
+            double v = z[i] > 0.0 ? Pz[i] : -INFINITY;
+            bad |= isnan(v);
+            best = v > best ? v : best;
+        }
+        if (!bad && best > -INFINITY)
+            return first_equal_on_support(z, Pz, n, best);
+    }
+#endif
     int64_t iv = 0;
     int support = z[0] > 0.0;
     double best = support ? Pz[0] : -INFINITY;

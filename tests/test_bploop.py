@@ -332,6 +332,281 @@ class TestScanTailWithoutSSE2(TestScanTail):
     """TestScanTail's cases on the build without SSE2."""
 
 
+def away_step(z, Pz) -> bool:
+    """Whether the vna step from (z, P z) moves away from its away vertex,
+    so that the vertex's index decides the step."""
+    pz2, iu, iv = float(Pz @ Pz), int(Pz.argmin()), basic.away_vertex(z, Pz)
+    return not (pz2 - Pz[iu] > Pz[iv] - pz2 or z[iv] >= 1.0)
+
+
+def away_ties(z, Pz):
+    """The away vertex and the indices whose P z equals its P z, on the
+    support of z and off it, for a finite P z and a nonempty support."""
+    iv = basic.away_vertex(z, Pz)
+    on, tied = z > 0.0, Pz == Pz[iv]
+    return iv, np.flatnonzero(on & tied), np.flatnonzero(~on & tied)
+
+
+def dyadic(n: int, seed: int, zero: float = 0.0):
+    """P with entries in {-2, ..., 2} / 256 and a start of weights 0, 1 or
+    2 over their sum, its zeros written as `zero`: P z ties often."""
+    rng = np.random.default_rng(seed)
+    P = rng.integers(-2, 3, (n, n)) * 2.0 ** -8
+    z0 = rng.integers(0, 3, n).astype(float)
+    z0 /= z0.sum()
+    z0[z0 == 0.0] = zero
+    return P, z0
+
+
+def signed_zero_support(n: int, plus: int, minus: int):
+    """P and the start e_0 on which the vna run's third check sees the
+    support {plus, minus} with P z 0.0 at plus and -0.0 at minus, and P z
+    positive off it.  The first step goes to e_plus with theta = 1, which
+    leaves -0.0 at minus (-1/64 * 0.0 + -0.0); the second goes halfway to
+    e_minus, which cancels P z at plus exactly (1/32 - 1/32 = 0.0) and
+    keeps -0.0 at minus.  Every entry is dyadic, so every sum is exact."""
+    P = np.zeros((n, n))
+    P[0, 0], P[plus, 0], P[minus, 0] = 9 / 16, -1 / 8, -1 / 64
+    P[:, plus] = 1 / 16
+    P[minus, plus] = -0.0
+    P[:, minus] = 1 / 16
+    P[plus, minus], P[minus, minus] = -1 / 16, -0.0
+    others = [j for j in range(n) if j not in (0, plus, minus)]
+    P[others[:4], minus] += [3 / 8, 1 / 4, 1 / 8, 1 / 8]  # ||P e_minus - P z||^2 = 1/4
+    z0 = np.zeros(n)
+    z0[0] = 1.0
+    return P, z0
+
+
+def nan_row(row: int, n: int = 11) -> np.ndarray:
+    """A projector with one NaN in the row `row`: P z is NaN there."""
+    P = projector_from_kernel(np.random.default_rng(3).standard_normal((5, n))).P
+    P[row, 2] = np.nan
+    return P
+
+
+@needs_build
+class TestAwayVertex:
+    """The away step's vertex (argmax of P z over the support of z, ties to
+    the lowest index), bytewise against the Python driver's vna run on the
+    cases the two SSE2 passes rest on.  Each case's guard checks that it
+    occurs at a check the run steps on."""
+
+    @staticmethod
+    def same_bits(P, z0, max_iters=300):
+        cfg = BpConfig(epsilon=1e-9, max_iters=max_iters, scheme="vna")
+        compiled, python = both_paths(np.ascontiguousarray(P), np.asarray(z0), cfg)
+        assert compiled == python
+
+    @staticmethod
+    def seen(P, z0, probe):
+        """Whether probe(z, P z) held at a check that the vna run steps on."""
+        cfg = BpConfig(epsilon=1e-9, max_iters=300, scheme="vna")
+        return seen(P, z0, cfg, lambda z, Pz: basic.stop_check(Pz, z, 1e-9) is None
+                    and probe(z, Pz))
+
+    # with one or two entries no tie decides a step: two tied entries on
+    # the support make min(P z) = max(P z) <= 0, and an away step would
+    # need max(P z) >= 2 ||P z||^2, so P z = 0, where the check stops
+    TIED = {3: 69, 4: 93, 5: 9, 6: 11, 7: 45, 8: 2, 9: 303, 10: 189, 11: 234, 12: 21, 13: 132,
+            14: 939, 15: 5, 16: 169, 17: 40}
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_maximum_tied_across_lanes_and_in_the_tail(self, n):
+        if n in self.TIED:
+            P, z0 = dyadic(n, self.TIED[n])
+
+            def tied(z, Pz):
+                if np.isnan(Pz).any() or not (z > 0.0).any():
+                    return False
+                hits = away_ties(z, Pz)[1]
+                # tied in two lanes (index mod 4), the last in the final block
+                spread = n < 8 or (len({i % 4 for i in hits}) > 1
+                                   and hits[-1] >= 4 * ((n - 1) // 4))
+                return len(hits) > 1 and spread and away_step(z, Pz)
+
+            assert self.seen(P, z0, tied)
+        else:
+            P, z0 = dyadic(n, 4)
+        self.same_bits(P, z0)
+
+    # the away vertex in the scalar tail, with an equal P z off the support
+    # before it, in a whole block
+    MASKED = {9: 613, 10: 510, 11: 26, 13: 69, 14: 88, 15: 217, 17: 89}
+
+    @pytest.mark.parametrize("n", sorted(MASKED))
+    def test_equal_values_off_the_support_are_passed_over(self, n):
+        P, z0 = dyadic(n, self.MASKED[n])
+
+        def masked(z, Pz):
+            if np.isnan(Pz).any() or not (z > 0.0).any():
+                return False
+            iv, _, off = away_ties(z, Pz)
+            return iv >= 4 * (n // 4) and off.size and off[0] < iv and away_step(z, Pz)
+
+        assert self.seen(P, z0, masked)
+        self.same_bits(P, z0)
+
+    @pytest.mark.parametrize("plus, minus", [(2, 5), (5, 2), (2, 8), (8, 2)],
+                             ids=["+0-first", "-0-first", "-0-in-tail", "+0-in-tail"])
+    def test_signed_zero_maxima(self, plus, minus):
+        # the index of a zero maximum decides no step (an away step would
+        # need min(P z) >= 2 ||P z||^2, so P z = 0, where the check stops),
+        # but the passes must take it
+        P, z0 = signed_zero_support(9, plus, minus)
+
+        def both_zeros(z, Pz):
+            iv, hits, _ = away_ties(z, Pz)
+            return (Pz[iv] == 0.0 and list(hits) == sorted((plus, minus))
+                    and list(np.signbit(Pz[hits])) == [hits[0] == minus, hits[0] == plus])
+
+        assert self.seen(P, z0, both_zeros)
+        self.same_bits(P, z0)
+
+    def test_nan_on_and_off_the_support(self):
+        # P z is NaN at 1 from the uniform start, in the first block, where
+        # maxpd of a later block would drop it; the first away step empties
+        # z there and leaves the NaN off the support.  Each step then empties
+        # z at its away vertex until the support is empty, and a failed run
+        # compares only its step count, so z is compared after five steps.
+        P, z0 = nan_row(1), uniform_simplex(11)
+        assert self.seen(P, z0, lambda z, Pz: np.isnan(Pz[z > 0.0]).any() and away_step(z, Pz))
+        assert self.seen(P, z0, lambda z, Pz: (np.isnan(Pz).any() and (z > 0.0).any()
+                                               and not np.isnan(Pz[z > 0.0]).any()
+                                               and away_step(z, Pz)))
+        self.same_bits(P, z0, max_iters=5)
+
+    def test_empty_support(self):
+        # away steps from the largest P z empty the support one index at a
+        # time, the last from a z that rounds to 1 without being 1
+        P = nan_row(6)
+        z0 = uniform_simplex(11)
+        z0[6] = 0.0
+        z0 /= z0.sum()
+        assert self.seen(P, z0, lambda z, Pz: not (z > 0.0).any())
+        self.same_bits(P, z0)
+
+    def test_minus_infinity_on_the_support(self):
+        P = projector_from_kernel(np.random.default_rng(3).standard_normal((5, 11))).P
+        beside = P.copy()
+        beside[4, 9] = -np.inf  # P z is -inf at 4 while z > 0 at 9
+        assert self.seen(beside, uniform_simplex(11), lambda z, Pz: (
+            z[4] > 0.0 and Pz[4] == -np.inf and np.isfinite(Pz[z > 0.0]).any()
+            and not np.isnan(Pz).any()))
+        self.same_bits(beside, uniform_simplex(11))
+        alone = P.copy()
+        alone[9, 9] = -np.inf  # from e_9, the whole support's P z is -inf
+        z0 = np.zeros(11)
+        z0[9] = 1.0
+        assert self.seen(alone, z0, lambda z, Pz: (
+            np.flatnonzero(z > 0.0).tolist() == [9] and Pz[9] == -np.inf))
+        self.same_bits(alone, z0)
+
+    @pytest.mark.parametrize("n, seed", [(9, 2), (13, 12)])
+    def test_negative_zeros_in_z_are_off_the_support(self, n, seed):
+        P, z0 = dyadic(n, seed, zero=-0.0)
+
+        def above_the_support(z, Pz):
+            if np.isnan(Pz).any() or not (z > 0.0).any():
+                return False
+            minus = (z == 0.0) & np.signbit(z)
+            return (minus.any() and Pz[minus].max() > Pz[z > 0.0].max()
+                    and away_step(z, Pz))
+
+        assert self.seen(P, z0, above_the_support)
+        self.same_bits(P, z0)
+
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_support_of_one_index(self, n):
+        P = projector_from_kernel(np.random.default_rng(n).standard_normal((n // 2, n))).P
+        z0 = np.zeros(n)
+        z0[n - 2] = 1.0
+        assert self.seen(P, z0, lambda z, Pz: np.count_nonzero(z > 0.0) == 1)
+        self.same_bits(P, z0)
+
+
+@needs_build
+@pytest.mark.usefixtures("without_sse2")
+class TestAwayVertexWithoutSSE2(TestAwayVertex):
+    """TestAwayVertex's cases on the build without SSE2."""
+
+
+def lane_order_sum(Pz) -> float:
+    """The positive part of P z summed in the stop check scan's order:
+    four lanes (index mod 4) over the whole blocks of four, lanes 0 + 2
+    and 1 + 3, their sum, then the tail in order."""
+    v = [max(float(x), 0.0) for x in Pz]
+    whole = 4 * (len(v) // 4)
+    lanes = v[:4]
+    for i in range(4, whole, 4):
+        lanes = [lanes[j] + v[i + j] for j in range(4)]
+    total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+    for x in v[whole:]:
+        total += x
+    return total
+
+
+def near_bound(n: int, lane_above: bool):
+    """n entries, one negative, whose positive part the scan's order sums
+    two ulps or more above (or below) NumPy's pairwise sum, and that sum:
+    a bound can then lie strictly between the two."""
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        v = rng.random(n) * 10.0 ** rng.uniform(-3.0, 0.0, n) * 2.0 ** -8
+        v[rng.integers(n)] = -2.0 ** -10
+        pairwise = float(np.maximum(v, 0.0).sum())
+        ulps = (lane_order_sum(v) - pairwise) / np.spacing(pairwise)
+        if (ulps >= 2.0) if lane_above else (ulps <= -2.0):
+            return v, pairwise
+    raise AssertionError("no such vector")
+
+
+def first_check_sees(v):
+    """P whose column 0 is v, so that the first check of a vertex scheme's
+    run from e_0 reads P z = v exactly, and that start."""
+    P = np.random.default_rng(len(v)).standard_normal((len(v), len(v))) * 2.0 ** -8
+    P[:, 0] = v
+    z0 = np.zeros(len(v))
+    z0[0] = 1.0
+    return P, z0
+
+
+@needs_build
+class TestRescaleBand:
+    """The stop check sums the positive part of P z in NumPy's pairwise
+    order only when its lane-order sum lies near the bound epsilon max(z):
+    bytewise against the Python driver where the two orders round to
+    different sides of it."""
+
+    @pytest.mark.parametrize("n", [9, 16, 130])
+    @pytest.mark.parametrize("lane_above", [True, False], ids=["lane-above", "lane-below"])
+    def test_sum_within_ulps_of_the_bound(self, n, lane_above):
+        v, pairwise = near_bound(n, lane_above)
+        P, z0 = first_check_sees(v)
+        bounds = [pairwise]
+        for _ in range(2):
+            bounds = [np.nextafter(bounds[0], 0.0), *bounds, np.nextafter(bounds[-1], 1.0)]
+        split = []
+        for bound in bounds:
+            cfg = BpConfig(epsilon=bound, max_iters=50, scheme="perceptron")
+            split.append(seen(P, z0, cfg, lambda z, Pz: (
+                Pz.max() <= bound and np.array_equal(Pz, v)
+                and (lane_order_sum(Pz) <= bound) != (np.maximum(Pz, 0.0).sum() <= bound))))
+            TestScan.same_bits(P, z0, epsilon=bound, max_iters=50)
+        assert any(split)
+
+    @pytest.mark.parametrize("units", [24, 25, 26])
+    def test_subnormal_bound(self, units):
+        tiny = 2.0 ** -1074
+        v = np.array([-1.0, 3.0, 5.0, 7.0, 2.0, 1.0, 4.0, 2.0, 1.0]) * tiny  # 25 in all
+        P, z0 = first_check_sees(v)
+        bound = units * tiny
+        cfg = BpConfig(epsilon=bound, max_iters=50, scheme="perceptron")
+        assert seen(P, z0, cfg, lambda z, Pz: (
+            np.array_equal(Pz, v) and bound < np.finfo(float).tiny and Pz.max() <= bound))
+        TestScan.same_bits(P, z0, epsilon=bound, max_iters=50)
+
+
 def record(scheme: str, P, z0, max_iters=300, epsilon=1e-9):
     """The compiled run's block row 0 after the run: for each index, 0 if
     the run never took its column, 1 if it read row i for it, -1 if it
@@ -803,6 +1078,53 @@ class TestLoading:
         with open(SRC.parent / "pyproject.toml", "rb") as f:
             data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
         assert "bploop.c" in data["epra_kit"]
+
+
+def sanitizer_runtimes() -> list:
+    """The compiler's AddressSanitizer and UBSan runtimes, or [] where it
+    has either not (it then prints the bare name)."""
+    if not can_build():
+        return []
+    paths = [subprocess.run([bploop.compiler(), f"-print-file-name={name}"], capture_output=True,
+                            text=True).stdout.strip() for name in ("libasan.so", "libubsan.so")]
+    return paths if all(os.path.isabs(p) and os.path.exists(p) for p in paths) else []
+
+
+# the module's own cases, the scan's, the away step's, the stop check's
+# band and the fingerprint: what reads and writes the arrays of a run.  The
+# scalar passes that a build without SSE2 runs also run here, for n < 4
+# (n < 8 in the away step) and wherever a NaN is found.
+SANITIZED_TESTS = ["tests/test_blas.py::TestNoArgumentIsWritten::test_module_functions",
+                   "tests/test_bploop.py::TestScan", "tests/test_bploop.py::TestScanTail",
+                   "tests/test_bploop.py::TestAwayVertex",
+                   "tests/test_bploop.py::TestRescaleBand",
+                   "tests/test_fingerprint.py::test_fingerprint"]
+
+# builds the module with the sanitizers in the cache directory argv[1],
+# checks that it is the one loaded, and runs the tests that follow
+SANITIZED_RUN = """
+import sys
+from pathlib import Path
+from epra_kit import bploop
+bploop.FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+                "-fno-sanitize-recover=undefined",
+                *(f for f in bploop.FLAGS if not f.startswith("-O")))
+bploop.CACHE_DIR = sys.argv[1]
+assert Path(bploop.library().__file__).parent == Path(sys.argv[1])
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys", *sys.argv[2:]]))
+"""
+
+
+@pytest.mark.skipif(not sanitizer_runtimes(),
+                    reason="no compiled module, or no AddressSanitizer and UBSan runtime")
+def test_module_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
+               LD_PRELOAD=" ".join([*sanitizer_runtimes(), os.environ.get("LD_PRELOAD", "")]),
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(tmp_path), *SANITIZED_TESTS],
+                         cwd=SRC.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[:6000]
 
 
 @needs_build
